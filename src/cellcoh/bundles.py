@@ -73,17 +73,8 @@ def mat_zero(r: int):
     return tuple(tuple(C_ZERO for _ in range(r)) for _ in range(r))
 
 
-def mat_eye(r: int):
-    return tuple(tuple(cnum(1 if i == j else 0) for j in range(r))
-                 for i in range(r))
-
-
 def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_neg(a):
@@ -95,10 +86,6 @@ def mat_mul(a, b):
     return tuple(tuple(
         sum((a[i][k] * b[k][j] for k in range(r)), C_ZERO)
         for j in range(r)) for i in range(r))
-
-
-def mat_scale(a, q: Fraction):
-    return tuple(tuple(x.scale(q) for x in ra) for ra in a)
 
 
 def mat_trace(a) -> CExpr:
@@ -287,11 +274,6 @@ class SmoothConnection:
             if not (float(lo) - 1e-12 <= v <= float(hi) + 1e-12):
                 return False
         return True
-
-    def midpoint(self) -> dict:
-        return {c: float((Fraction(self.domain[c][0]) +
-                          Fraction(self.domain[c][1])) / 2)
-                for c in self.coords}
 
     def sample_points(self, count: int = 5) -> list:
         """Deterministic interior points of the box."""

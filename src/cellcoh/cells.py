@@ -348,17 +348,6 @@ def circle_product(K: CellComplex) -> ProductComplex:
         fiber_cycle=tuple(((("e", i), 1) for i in range(3))))
 
 
-def fundamental_circle_cocycle(prod: ProductComplex) -> Cochain:
-    """Degree-1 cocycle on the circle factor (as a cochain on the product,
-    supported on edge x vertex cells) pairing to 1 with the fiber cycle."""
-    P = prod.complex
-    z = Cochain.zero(P, 1, RING_Z)
-    edge = prod.fiber_cycle[0][0]
-    for s in prod.base.cells(0):
-        z.values[P.index[(edge, s)]] = prod.fiber_cycle[0][1]
-    return z
-
-
 def fiber_integrate_prism(prod: ProductComplex, z: Cochain) -> Cochain:
     """(pi_! z)(s) = z(I x s); degree drops by one.
 

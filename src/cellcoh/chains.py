@@ -19,8 +19,9 @@ import numpy as np
 
 from . import linalg
 from .linalg import (RatSolver, as_matrix, as_vector, check_int_entries,
-                     check_rat_entries, eye, int_kernel_basis, is_zero, mm,
-                     mv, smith_normal_form, solve_int, solve_int_many, zeros)
+                     check_rat_entries, eye, int_kernel_basis, integerize_rows,
+                     is_zero, mm, mv, smith_normal_form, solve_int,
+                     solve_int_many, zeros)
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -170,6 +171,15 @@ def parse_entry(x):
     else:
         raise ValueError(f"bad matrix entry {x!r}")
     return int(f) if f.denominator == 1 else f
+
+
+def parse_int(x) -> int:
+    """An integer given in JSON as an int or a decimal or 'p/q' string; a
+    non-integral value is an error, never truncated."""
+    f = Fraction(str(x))
+    if f.denominator != 1:
+        raise ValueError(f"non-integer value {x!r}")
+    return int(f)
 
 
 @dataclass(frozen=True)
@@ -367,57 +377,39 @@ class HomologyData:
     """H^n(C) with tracked generators.
 
     gens: matrix whose columns are (co)cycle representatives generating H^n;
-    rels: relation matrix in generator coordinates (H = span / im rels).
-    Over Q the relation matrix is zero.
+    orders: the order of each generator (0 for a free one).  Over Q every
+    generator is free.
     """
 
     __slots__ = ("complex", "degree", "group", "gens", "orders",
-                 "_ker", "_im", "_express_solver", "_zero_solver")
+                 "_im", "_express_solver", "_zero_solver")
 
     def __init__(self, C: Complex, n: int):
         self.complex, self.degree = C, n
-        d_out = C.diff(n)
         d_in = C.diff(n - 1)
-        if C.ring == RING_Z:
-            ker = int_kernel_basis(d_out)
-            # write the image inside the kernel lattice (the kernel basis is a
-            # direct summand, so the coordinates are integral)
-            ksnf = smith_normal_form(ker)
-            if d_in.shape[1]:
-                rel = solve_int_many(ker, d_in, snf=ksnf)
-                assert rel is not None, "image not contained in kernel"
-            else:
-                rel = zeros(ker.shape[1], 0)
-            rsnf = smith_normal_form(rel)
-            k = ker.shape[1]
-            gens, orders = [], []
-            for i in range(k):
-                d = rsnf.diag[i] if i < len(rsnf.diag) else 0
-                if d == 1:
-                    continue
-                gcol = mv(ker, rsnf.Uinv[:, i])
-                gens.append(gcol)
-                orders.append(d)
-            self.gens = (np.stack(gens, axis=1) if gens
-                         else zeros(C.rank(n), 0))
-            self.orders = tuple(orders)
-            tor = tuple(sorted(d for d in orders if d != 0))
-            self.group = FgAbGroup("Z", rank=orders.count(0), torsion=tor)
-        else:
-            solver = RatSolver(d_out)
-            ker = solver.kernel_basis()
-            im_rank = linalg.rat_rank(d_in)
-            stacked = np.concatenate([d_in, ker], axis=1) if ker.size or d_in.size \
-                else zeros(C.rank(n), 0)
-            rs = RatSolver(stacked)
-            cols = [p - d_in.shape[1] for p in rs.pivots if p >= d_in.shape[1]]
-            gens = [ker[:, j] for j in cols]
-            self.gens = (np.stack(gens, axis=1) if gens
-                         else zeros(C.rank(n), 0))
-            self.orders = tuple(0 for _ in gens)
-            self.group = FgAbGroup("Q", rank=len(gens))
-            assert len(gens) == ker.shape[1] - im_rank
-        self._ker, self._im = None, d_in
+        # Over Q, scaling the rows of d_out and the columns of d_in to
+        # integers keeps the kernel and the image, and the classes of H^n
+        # over Q are the free classes of the integer computation.
+        ker = int_kernel_basis(integerize_rows(C.diff(n)))
+        # write the image inside the kernel lattice (the kernel basis is a
+        # direct summand, so the coordinates are integral)
+        rel = solve_int_many(ker, integerize_rows(d_in.T).T,
+                             snf=smith_normal_form(ker))
+        if rel is None:
+            raise RuntimeError("image not contained in kernel")
+        rsnf = smith_normal_form(rel)
+        gens, orders = [], []
+        for i in range(ker.shape[1]):
+            d = rsnf.diag[i] if i < len(rsnf.diag) else 0
+            if d == 1 or (d != 0 and C.ring == RING_Q):
+                continue
+            gens.append(mv(ker, rsnf.Uinv[:, i]))
+            orders.append(d)
+        self.gens = np.stack(gens, axis=1) if gens else zeros(C.rank(n), 0)
+        self.orders = tuple(orders)
+        tor = tuple(sorted(d for d in orders if d != 0))
+        self.group = FgAbGroup(C.ring, rank=orders.count(0), torsion=tor)
+        self._im = d_in
         self._express_solver = None
         self._zero_solver = None
 
@@ -483,7 +475,8 @@ def induced_map(f: ChainMap, n: int, source_h: HomologyData | None = None,
     for j in range(sh.gens.shape[1]):
         img = mv(f.component(n), sh.gens[:, j])
         coords = th.express(img)
-        assert coords is not None, "image of a cycle is not a cycle class"
+        if coords is None:
+            raise RuntimeError("image of a cycle is not a cycle class")
         cols.append(coords)
     mat = (np.stack(cols, axis=1) if cols
            else zeros(th.gens.shape[1], 0))
@@ -508,7 +501,7 @@ def exact_at_middle(f: ChainMap, g: ChainMap, n: int) -> bool:
     lifted = np.concatenate([Q, tar_rel], axis=1) if Q.size or tar_rel.size \
         else zeros(th.gens.shape[1], 0)
     ker = (int_kernel_basis(lifted) if f.source.ring == RING_Z
-           else linalg.rat_kernel_basis(lifted))
+           else RatSolver(lifted).kernel_basis())
     src_cols = Q.shape[1]
     img_cols = np.concatenate([P, mid_rel], axis=1) if P.size or mid_rel.size \
         else zeros(mh.gens.shape[1], 0)

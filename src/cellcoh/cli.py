@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -55,7 +54,7 @@ def _load_complex_arg(arg) -> cl.CellComplex:
         K = cl.load_complex(arg)
     except FileNotFoundError:
         raise InputError(f"no such file: {arg}")
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
         raise InputError(f"{arg}: {e}")
     K.labels["name"] = str(arg)
     return K
@@ -87,7 +86,10 @@ def cmd_homology(args) -> int:
     obj = _load_json(args.input) if str(args.input).endswith(".json") \
         else None
     if obj is not None and "ring" in obj and "ranks" in obj:
-        C = ch.Complex.from_json(obj)
+        try:
+            C = ch.Complex.from_json(obj)
+        except (ValueError, KeyError, TypeError) as e:
+            raise InputError(f"{args.input}: {e}")
     else:
         K = _load_complex_arg(args.input)
         C = cl.cochain_complex(K, args.ring)
@@ -284,7 +286,7 @@ def cmd_lattice_class(args) -> int:
     obj = _load_json(args.bundle)
     try:
         L = lt.LatticeLineBundle.from_json(obj)
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, TypeError) as e:
         raise InputError(f"{args.bundle}: {e}")
     x = lt.lattice_class(L)
     hd = dc.integral_cohomology(L.complex, 2)
@@ -303,17 +305,17 @@ def cmd_character(args) -> int:
     obj = _load_json(args.bundle)
     try:
         L = lt.LatticeLineBundle.from_json(obj)
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, TypeError) as e:
         raise InputError(f"{args.bundle}: {e}")
     lines, rep = [], {}
     if args.cycle:
         zobj = _load_json(args.cycle)
-        z = np.array([int(Fraction(str(v))) for v in zobj["cycle"]],
-                     dtype=object)
         try:
+            z = np.array([ch.parse_int(v) for v in zobj["cycle"]],
+                         dtype=object)
             val = lt.differential_character(L, z)
-        except ValueError as e:
-            raise InputError(str(e))
+        except (ValueError, KeyError, TypeError) as e:
+            raise InputError(f"{args.cycle}: {e}")
         rep["character"] = str(val)
         lines.append(f"character value: {val} (mod 1)")
     rng = random.Random(args.seed)
@@ -335,7 +337,7 @@ def cmd_cycle_map_check(args) -> int:
     conn = _load_connection(args.connection)
     try:
         chart = lt.SurfaceChart.load(args.chart)
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, TypeError) as e:
         raise InputError(f"{args.chart}: {e}")
     rep = lt.cycle_map_homotopy_check(conn, chart, steps=args.steps)
     lines = [f"cycle map homotopy check: "
@@ -352,7 +354,7 @@ def _load_connection(path) -> bd.SmoothConnection:
     obj = _load_json(path)
     try:
         return bd.SmoothConnection.from_json(obj)
-    except (ParseError, EvalError, ValueError, KeyError) as e:
+    except (ParseError, EvalError, ValueError, KeyError, TypeError) as e:
         raise InputError(f"{path}: {e}")
 
 
@@ -360,7 +362,7 @@ def _load_loop(path) -> bd.Loop:
     obj = _load_json(path)
     try:
         return bd.Loop.from_json(obj)
-    except (ParseError, EvalError, ValueError, KeyError) as e:
+    except (ParseError, EvalError, ValueError, KeyError, TypeError) as e:
         raise InputError(f"{path}: {e}")
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cells import CellComplex, Cochain, ProductComplex, cochain_complex, \
     fiber_integrate_circle, fiber_integrate_prism
-from .chains import RING_Q, RING_Z, FgAbGroup, HomologyData
+from .chains import RING_Q, RING_Z, FgAbGroup, HomologyData, parse_int
 from .linalg import (MixedSolver, as_vector, check_int_entries, eye, is_zero,
                      mv, solve_int, zeros)
 
@@ -119,7 +119,7 @@ class DifferentialCochain:
     def from_json(cls, K: CellComplex, obj: dict) -> "DifferentialCochain":
         parse = lambda vals: np.array([Fraction(v) for v in vals], dtype=object)
         return cls(K, int(obj["m"]), int(obj["n"]),
-                   np.array([int(Fraction(v)) for v in obj["c"]], dtype=object),
+                   np.array([parse_int(v) for v in obj["c"]], dtype=object),
                    parse(obj["h"]), parse(obj["omega"]))
 
 
@@ -149,7 +149,8 @@ def underlying_I(x: DifferentialCochain, hdata: HomologyData | None = None):
     _require_cocycle(x)
     hd = hdata or integral_cohomology(x.complex, x.n)
     coords = hd.express(x.c)
-    assert coords is not None
+    if coords is None:
+        raise RuntimeError("underlying cocycle has no class coordinates")
     return coords, hd
 
 
@@ -189,9 +190,11 @@ def _delta_matrix(K: CellComplex, n: int) -> np.ndarray:
     return K.boundary_matrix(n + 1).T
 
 
-def class_solver(K: CellComplex, m: int, n: int) -> MixedSolver:
+def class_solver(K: CellComplex, m: int, n: int
+                 ) -> tuple[MixedSolver, tuple]:
     """Solver for x = dhat(w) with w of degree n - 1: integral unknown c_w,
-    rational unknowns h_w and (when n - 1 >= m) omega_w."""
+    rational unknowns h_w and (when n - 1 >= m) omega_w.  Returns the
+    solver with the block shape (rn, rn1, rn2, has_omega_w, has_omega_eq)."""
     cache = _cache(K)
     key = ("dhat", m, n)
     if key in cache:
@@ -239,8 +242,8 @@ def equal_classes(x: DifferentialCochain, y: DifferentialCochain):
     h_w = v[:rn2]
     om_w = v[rn2:] if has_omega_w else zeros(rn1, 1).reshape(-1)
     w = DifferentialCochain(K, m, n - 1, u, h_w, om_w)
-    check = d - w.dhat()
-    assert check.is_zero()
+    if not (d - w.dhat()).is_zero():
+        raise RuntimeError("class-equality witness does not verify")
     return True, w
 
 
@@ -276,7 +279,8 @@ class QZCohomology:
                 continue
             t = self.integral_next.gens[:, i]
             bvec = solve_int(_delta_matrix(K, n), k * t)
-            assert bvec is not None
+            if bvec is None:
+                raise RuntimeError("torsion class has no integral primitive")
             self.torsion_lifts.append((bvec * Fraction(1, k), k))
 
     def is_cocycle(self, u) -> bool:
@@ -468,16 +472,11 @@ class Hexagon:
     def bockstein(self, u):
         return self.h_low_qz.bockstein(u)
 
-    def cls_q(self, omega):
-        """Closed rational m-cochain -> class coordinates in H^m(K;Q)."""
-        coords = self.h_high_q.express(omega)
-        assert coords is not None
-        return coords
-
     def coeff(self, c):
         """Integral m-cocycle -> its rational class coordinates."""
         coords = self.h_high_q.express(as_vector(c))
-        assert coords is not None
+        if coords is None:
+            raise RuntimeError("integral cocycle has no rational class")
         return coords
 
     def a_node_equal(self, alpha, beta) -> bool:
@@ -763,7 +762,8 @@ def s1_integrate(prod: ProductComplex, x: DifferentialCochain
     pio = fiber_integrate_circle(prod, Cochain(prod.complex, n, RING_Q, x.omega))
     out = DifferentialCochain(K, x.m - 1, n - 1, pic.values, -pih.values,
                               pio.values)
-    assert out.is_cocycle()
+    if not out.is_cocycle():
+        raise RuntimeError("circle integration did not give a cocycle")
     return out
 
 
@@ -866,13 +866,17 @@ def pullback_classification_check(K: CellComplex, m: int, samples: int = 50,
 def _class_is_integral(hx: Hexagon, z) -> bool:
     """Whether a closed rational (m-1)-cochain class lies in the image of
     H^(m-1)(K; Z): z = b + delta s with b an integral cocycle."""
-    K = hx.K
-    n_low = K.n_cells(hx.m - 1)
-    rows = n_low + K.n_cells(hx.m)
-    A_int = zeros(rows, n_low)
-    A_int[:n_low, :] = eye(n_low)
-    A_int[n_low:, :] = hx.delta_a
-    A_rat = zeros(rows, K.n_cells(hx.m - 2))
-    A_rat[:n_low, :] = hx.delta_below
-    rhs = np.concatenate([as_vector(z), zeros(K.n_cells(hx.m), 1).reshape(-1)])
-    return MixedSolver(A_int, A_rat).solve(rhs) is not None
+    K, m = hx.K, hx.m
+    n_low = K.n_cells(m - 1)
+    cache = _cache(K)
+    key = ("integral_class", m)
+    if key not in cache:
+        rows = n_low + K.n_cells(m)
+        A_int = zeros(rows, n_low)
+        A_int[:n_low, :] = eye(n_low)
+        A_int[n_low:, :] = hx.delta_a
+        A_rat = zeros(rows, K.n_cells(m - 2))
+        A_rat[:n_low, :] = hx.delta_below
+        cache[key] = MixedSolver(A_int, A_rat)
+    rhs = np.concatenate([as_vector(z), zeros(K.n_cells(m), 1).reshape(-1)])
+    return cache[key].solve(rhs) is not None

@@ -23,6 +23,7 @@ import numpy as np
 
 from .bundles import SmoothConnection, transgress_ch
 from .cells import CellComplex, bundled_complex
+from .chains import parse_int
 from .diffcoh import (DifferentialCochain, equal_classes, forms_a,
                       integral_cohomology)
 from .linalg import (as_vector, check_int_entries, int_kernel_basis, is_zero,
@@ -85,7 +86,7 @@ class LatticeLineBundle:
                 K = load_complex(ref)
             else:
                 K = bundled_complex(ref)
-        n = [int(Fraction(str(v))) for v in obj["n"]]
+        n = [parse_int(v) for v in obj["n"]]
         a = [Fraction(str(v)) for v in obj["a"]]
         return cls(K, np.array(n, dtype=object), np.array(a, dtype=object))
 

@@ -5,11 +5,12 @@ fractions.Fraction entries, so every result here is exact.  Integer-only
 operations (matrix products, Smith normal form) run on int64 arrays while
 conservative bounds prove no overflow is possible, and fall back to
 object-dtype big-integer arithmetic otherwise; both paths compute the same
-numbers.  This module provides the workhorses everything else is built on:
-Smith normal form with unimodular transforms (integer kernels, integer
-solving, quotient presentations), Gauss elimination over Q, and the
-combined integral/rational solver behind class equality and the exactness
-witnesses.
+numbers.  Everything else is built on one elimination engine, the Smith
+normal form with unimodular transforms: it gives integer kernels, integer
+solving and quotient presentations directly, and, after scaling the
+columns of a rational matrix to integers, its rank, kernel, left null
+space and solutions over Q.  The combined integral/rational solver behind
+class equality and the exactness witnesses is built on both.
 """
 
 from __future__ import annotations
@@ -63,10 +64,6 @@ def as_vector(entries, length: int | None = None) -> np.ndarray:
 
 def is_zero(a: np.ndarray) -> bool:
     return a.size == 0 or bool((a == 0).all())
-
-
-def is_integral(a: np.ndarray) -> bool:
-    return all(_as_frac(x).denominator == 1 for x in a.flat)
 
 
 def _as_frac(x) -> Fraction:
@@ -130,7 +127,9 @@ def mm(A, B) -> np.ndarray:
         shape = (A.shape[0], B.shape[1]) if B.ndim == 2 else (A.shape[0],)
         return np.zeros(shape, dtype=object)
     a, b = _int_bound(A), _int_bound(B)
-    if a is not None and b is not None and a * b * A.shape[-1] < _INT64_SAFE:
+    # each bound on its own too: a zero factor hides an entry beyond int64
+    if (a is not None and b is not None and max(a, b) < _INT64_SAFE
+            and a * b * A.shape[-1] < _INT64_SAFE):
         out = A.astype(np.int64) @ B.astype(np.int64)
         return np.array(out.tolist(), dtype=object).reshape(out.shape)
     return A @ B
@@ -373,90 +372,16 @@ def solve_int_many(A, B, snf: SmithForm | None = None):
     return mm(snf.V, X)
 
 
-def int_image_contains(A, b, snf: SmithForm | None = None) -> bool:
-    return solve_int(A, b, snf=snf) is not None
-
-
 # ---------------------------------------------------------------------------
-# Rational elimination
+# Rational and mixed systems, on the same Smith normal form
 # ---------------------------------------------------------------------------
 
-class RatSolver:
-    """Row echelon factorization of a rational matrix, reusable across
-    right-hand sides."""
-
-    __slots__ = ("A", "T", "R", "pivots", "rank")
-
-    def __init__(self, A):
-        A = check_rat_entries(as_matrix(A))
-        m, n = A.shape
-        R = A.copy()
-        T = eye(m)
-        pivots: list[int] = []
-        row = 0
-        for col in range(n):
-            piv = None
-            for i in range(row, m):
-                if R[i, col] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            if piv != row:
-                R[[row, piv], :] = R[[piv, row], :]
-                T[[row, piv], :] = T[[piv, row], :]
-            inv = Fraction(1, 1) / _as_frac(R[row, col])
-            R[row, :] = R[row, :] * inv
-            T[row, :] = T[row, :] * inv
-            nz = [i for i in range(m) if i != row and R[i, col] != 0]
-            for i in nz:
-                f = R[i, col]
-                R[i, :] = R[i, :] - f * R[row, :]
-                T[i, :] = T[i, :] - f * T[row, :]
-            pivots.append(col)
-            row += 1
-            if row == m:
-                break
-        self.A, self.T, self.R, self.pivots = A, T, R, pivots
-        self.rank = len(pivots)
-
-    def solve(self, b):
-        """One rational solution of A x = b, or None."""
-        b = as_vector(b, self.A.shape[0])
-        y = self.T @ b
-        n = self.A.shape[1]
-        for i in range(self.rank, self.A.shape[0]):
-            if _as_frac(y[i]) != 0:
-                return None
-        x = np.array([Fraction(0)] * n, dtype=object)
-        for i, col in enumerate(self.pivots):
-            x[col] = _as_frac(y[i])
-        return x
-
-    def kernel_basis(self) -> np.ndarray:
-        """Columns form a basis of the rational null space."""
-        n = self.A.shape[1]
-        free = [j for j in range(n) if j not in self.pivots]
-        out = zeros(n, len(free))
-        for k, j in enumerate(free):
-            out[j, k] = Fraction(1)
-            for i, col in enumerate(self.pivots):
-                out[col, k] = -_as_frac(self.R[i, j])
-        return out
-
-
-def solve_rat(A, b):
-    return RatSolver(A).solve(b)
-
-
-def rat_kernel_basis(A) -> np.ndarray:
-    return RatSolver(A).kernel_basis()
-
-
-def left_nullspace_rat(A) -> np.ndarray:
-    """Rows form a basis of {y : y @ A == 0} over Q."""
-    A = as_matrix(A)
-    return rat_kernel_basis(A.T).T
+def _denominator_lcm(entries) -> int:
+    lam = 1
+    for x in entries:
+        d = _as_frac(x).denominator
+        lam = lam * d // gcd(lam, d)
+    return lam
 
 
 def integerize_rows(A) -> np.ndarray:
@@ -467,10 +392,7 @@ def integerize_rows(A) -> np.ndarray:
         return A
     out = zeros(*A.shape)
     for i in range(A.shape[0]):
-        lam = 1
-        for x in A[i, :]:
-            d = _as_frac(x).denominator
-            lam = lam * d // gcd(lam, d)
+        lam = _denominator_lcm(A[i, :])
         for j in range(A.shape[1]):
             out[i, j] = int(_as_frac(A[i, j]) * lam)
     return out
@@ -488,71 +410,83 @@ def rat_nullity(A) -> int:
     return as_matrix(A).shape[1] - rat_rank(A)
 
 
-# ---------------------------------------------------------------------------
-# Mixed integral/rational systems
-# ---------------------------------------------------------------------------
+class RatSolver:
+    """Rank, kernel, left null space and solutions of a rational matrix A,
+    all read off one Smith normal form and reusable across right-hand sides.
+
+    Column j is scaled by the lcm s_j of its denominators, which keeps the
+    column span and the left null space.  With S = diag(s) and
+    U (A S) V = diag(d_1, ..., d_r, 0, ...), a solution of A x = b is
+    S V[:, :r] ((U b)[:r] / d) when (U b)[r:] vanishes, the kernel is
+    spanned by S V[:, r:], and the rows U[r:, :] span the left null space.
+    """
+
+    __slots__ = ("A", "scales", "snf", "rank")
+
+    def __init__(self, A):
+        A = check_rat_entries(as_matrix(A))
+        self.A = A
+        self.scales = np.array([_denominator_lcm(A[:, j])
+                                for j in range(A.shape[1])], dtype=object)
+        self.snf = smith_normal_form(A * self.scales)
+        self.rank = self.snf.rank
+
+    def solve(self, b):
+        """One rational solution of A x = b, or None."""
+        b = as_vector(b, self.A.shape[0])
+        snf, r = self.snf, self.rank
+        y = mv(snf.U, b)
+        if not is_zero(y[r:]):
+            return None
+        z = np.array([_as_frac(y[i]) / snf.diag[i] for i in range(r)],
+                     dtype=object)
+        return mv(snf.V[:, :r], z) * self.scales
+
+    def kernel_basis(self) -> np.ndarray:
+        """Columns form a basis of the rational null space."""
+        return self.snf.V[:, self.rank:] * self.scales.reshape(-1, 1)
+
+    def left_nullspace(self) -> np.ndarray:
+        """Integer rows forming a basis of {y : y @ A == 0} over Q."""
+        return self.snf.U[self.rank:, :].copy()
+
 
 class MixedSolver:
     """Solver for  A_int @ u + A_rat @ v = b  with u integral, v rational.
 
     The factorizations are computed once, so repeated right-hand sides are
-    cheap.  Strategy: a row basis P of the left null space of A_rat turns
-    the problem into the pure integer system (P A_int) u = P b (each row
-    scaled integral), solved by Smith normal form; v is then recovered
-    over Q.
+    cheap.  The integer rows P of the left null space of A_rat, from its
+    RatSolver, turn the problem into the integer system (P A_int) u = P b,
+    solvable only when P b is integral and then solved by Smith normal form;
+    v is recovered from the same factorization of A_rat.
     """
 
-    __slots__ = ("A_int", "A_rat", "P", "M", "scales", "snf", "rat")
+    __slots__ = ("A_int", "A_rat", "rat", "P", "M", "snf")
 
     def __init__(self, A_int, A_rat):
         A_int = check_int_entries(as_matrix(A_int))
-        A_rat = check_rat_entries(as_matrix(A_rat))
+        A_rat = as_matrix(A_rat)
         if A_int.shape[0] != A_rat.shape[0]:
             raise ValueError("A_int and A_rat must have the same number of rows")
-        self.A_int, self.A_rat = A_int, A_rat
-        if A_rat.shape[1] == 0:
-            self.P = eye(A_int.shape[0])
-        else:
-            self.P = left_nullspace_rat(A_rat)
-        M0 = self.P @ A_int
-        scales = []
-        M = zeros(*M0.shape)
-        for i in range(M0.shape[0]):
-            lam = 1
-            for x in M0[i, :]:
-                d = _as_frac(x).denominator
-                lam = lam * d // gcd(lam, d)
-            scales.append(int(lam))
-            for j in range(M0.shape[1]):
-                M[i, j] = int(_as_frac(M0[i, j]) * lam)
-        self.M, self.scales = M, scales
-        self.snf = smith_normal_form(M)
-        self.rat = RatSolver(A_rat) if A_rat.shape[1] > 0 else None
+        self.rat = RatSolver(A_rat)
+        self.A_int, self.A_rat = A_int, self.rat.A
+        self.P = self.rat.left_nullspace()
+        self.M = mm(self.P, A_int)
+        self.snf = smith_normal_form(self.M)
 
     def solve(self, b):
         """Return (u, v) with exact zero residual, or None."""
         b = as_vector(b, self.A_int.shape[0])
-        rhs = self.P @ b
-        c = zeros(len(self.scales), 1).reshape(len(self.scales))
-        for i, lam in enumerate(self.scales):
-            ci = _as_frac(rhs[i]) * lam
-            if ci.denominator != 1:
-                return None
-            c[i] = int(ci)
-        u = solve_int(self.M, c, snf=self.snf)
+        c = [_as_frac(x) for x in mv(self.P, b)]
+        if any(x.denominator != 1 for x in c):
+            return None
+        u = solve_int(self.M, [int(x) for x in c], snf=self.snf)
         if u is None:
             return None
-        rem = b - mv(self.A_int, u)
-        if self.rat is None:
-            if not all(_as_frac(x) == 0 for x in rem):
-                return None
-            v = zeros(0, 1).reshape(0)
-        else:
-            v = self.rat.solve(rem)
-            if v is None:
-                return None
-        resid = mv(self.A_int, u) + (self.A_rat @ v if v.shape[0] else 0) - b
-        assert all(_as_frac(x) == 0 for x in np.atleast_1d(resid).flat)
+        au = mv(self.A_int, u)
+        v = self.rat.solve(b - au)
+        if v is None or not is_zero(au + mv(self.A_rat, v) - b):
+            raise RuntimeError("mixed solve produced a nonzero residual")
         return u, v
 
 
@@ -586,10 +520,3 @@ def random_unimodular(n: int, rng, steps: int = 12) -> np.ndarray:
             m[[i, j], :] = m[[j, i], :]
     return m
 
-
-def lcm_denominator(vec) -> int:
-    lam = 1
-    for x in np.atleast_1d(vec).flat:
-        d = _as_frac(x).denominator
-        lam = lam * d // gcd(lam, d)
-    return int(lam)

@@ -2,6 +2,8 @@ import json
 import math
 from importlib import resources
 
+import pytest
+
 from cellcoh import cli
 
 
@@ -195,3 +197,75 @@ def test_deterministic_output_for_fixed_seed(capsys):
     _, out2, _ = run(capsys, "hexagon", "circle3", "--m", "1",
                      "--samples", "12", "--seed", "7", "--format", "json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("obj", [
+    {"ring": "Z", "lo": 0, "hi": 2, "ranks": [1, 1, 1],
+     "differentials": [["1"], ["1"], []]},
+    {"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1],
+     "differentials": [["1/2"], []]},
+    {"ring": "Z", "lo": 0, "ranks": [1, 1], "differentials": [["1"], []]},
+    {"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1],
+     "differentials": [["x"], []]},
+], ids=["d_squared_nonzero", "fraction_over_Z", "missing_hi", "bad_entry"])
+def test_malformed_cochain_complex_is_input_error(capsys, tmp_path, obj):
+    p = tmp_path / "complex.json"
+    p.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "homology", str(p))
+    assert code == 2
+    assert err.startswith("input error:")
+
+
+def test_null_incidence_is_input_error(capsys, tmp_path):
+    p = tmp_path / "cells.json"
+    p.write_text(json.dumps({"cells": [
+        {"id": "v", "dim": 0, "boundary": []},
+        {"id": "e", "dim": 1, "boundary": [["v", None]]}]}))
+    for argv in (["homology", str(p)], ["descent", str(p)],
+                 ["hexagon", str(p), "--m", "1"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("input error:"), argv
+
+
+def _monopole_file(tmp_path, n_first=None):
+    from cellcoh import cells as cl
+    from cellcoh import lattice as lt
+    L = lt.monopole(cl.bundled_complex("octahedron"), 2)
+    n = [str(v) for v in L.n]
+    if n_first is not None:
+        n[0] = n_first
+    p = tmp_path / "bundle.json"
+    p.write_text(json.dumps({"complex": "octahedron", "n": n,
+                             "a": [str(v) for v in L.a]}))
+    return str(p)
+
+
+def test_lattice_class_rejects_non_integral_n(capsys, tmp_path):
+    code, out, err = run(capsys, "lattice-class",
+                         _monopole_file(tmp_path, n_first="1/2"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "non-integer" in err
+
+
+def test_character_rejects_non_integral_cycle(capsys, tmp_path):
+    from cellcoh import cells as cl
+    from cellcoh.linalg import int_kernel_basis
+    K = cl.bundled_complex("octahedron")
+    cycle = [str(v) for v in int_kernel_basis(K.boundary_matrix(1))[:, 0]]
+    cycle[0] = "1/2"
+    cyc = tmp_path / "cycle.json"
+    cyc.write_text(json.dumps({"cycle": cycle}))
+    code, _, err = run(capsys, "character", _monopole_file(tmp_path),
+                       "--cycle", str(cyc), "--samples", "1")
+    assert code == 2
+    assert err.startswith("input error:") and "non-integer" in err
+
+
+def test_null_bundle_field_is_input_error(capsys, tmp_path):
+    p = tmp_path / "bundle.json"
+    p.write_text(json.dumps({"complex": "octahedron", "n": None, "a": []}))
+    code, _, err = run(capsys, "lattice-class", str(p))
+    assert code == 2
+    assert err.startswith("input error:")

@@ -339,3 +339,11 @@ def test_differential_cochain_json_round_trip():
     x = dc.random_cocycle(K, 2, rng)
     y = dc.DifferentialCochain.from_json(K, x.to_json())
     assert (x - y).is_zero()
+
+
+def test_differential_cochain_json_rejects_non_integral_c():
+    K = octa()
+    obj = dc.random_cocycle(K, 2, random.Random(12)).to_json()
+    obj["c"][0] = "1/2"
+    with pytest.raises(ValueError, match="non-integer"):
+        dc.DifferentialCochain.from_json(K, obj)

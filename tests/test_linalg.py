@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cellcoh import linalg as la
 
@@ -151,3 +153,113 @@ def test_rat_rank_via_integerization():
     A = np.array([[Fraction(1, 3), Fraction(2, 3)], [2, 4]], dtype=object)
     assert la.rat_rank(A) == 1
     assert la.rat_nullity(A) == 1
+
+
+# ---------------------------------------------------------------------------
+# Properties of the Smith-form rational and mixed solvers
+# ---------------------------------------------------------------------------
+
+BIG = 2 ** 63
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+INTS = st.integers(-4, 4)
+RATS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def _matrix(draw, rows, cols, entries, big=False):
+    """rows x cols object matrix; with big=True one entry lies beyond 2^63,
+    so the Smith form takes its big-integer path."""
+    A = np.array([[draw(entries) for _ in range(cols)] for _ in range(rows)],
+                 dtype=object).reshape(rows, cols)
+    if big and A.size:
+        A[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = \
+            BIG + draw(st.integers(0, 3))
+    return A
+
+
+def _apply(A, x):
+    """A @ x by plain Python sums, independent of linalg.mv."""
+    return [sum((A[i, j] * x[j] for j in range(A.shape[1])), Fraction(0))
+            for i in range(A.shape[0])]
+
+
+@st.composite
+def mixed_systems(draw):
+    rows = draw(st.integers(1, 4))
+    A_int = _matrix(draw, rows, draw(st.integers(0, 3)), INTS,
+                    big=draw(st.booleans()))
+    A_rat = _matrix(draw, rows, draw(st.integers(0, 3)), RATS)
+    return A_int, A_rat
+
+
+@st.composite
+def rational_matrices(draw):
+    return _matrix(draw, draw(st.integers(0, 4)), draw(st.integers(0, 4)),
+                   RATS, big=draw(st.booleans()))
+
+
+@PROPERTY
+@given(mixed_systems(), st.data())
+def test_mixed_solver_solves_planted_systems(system, data):
+    A_int, A_rat = system
+    u0 = [data.draw(INTS) for _ in range(A_int.shape[1])]
+    v0 = [data.draw(RATS) for _ in range(A_rat.shape[1])]
+    b = np.array([x + y for x, y in zip(_apply(A_int, u0), _apply(A_rat, v0))],
+                 dtype=object)
+    sol = la.MixedSolver(A_int, A_rat).solve(b)
+    assert sol is not None
+    u, v = sol
+    assert all(isinstance(x, int) for x in u)
+    resid = [x + y - z for x, y, z in zip(_apply(A_int, u), _apply(A_rat, v), b)]
+    assert all(x == 0 for x in resid)
+
+
+@PROPERTY
+@given(mixed_systems())
+def test_mixed_solver_rejects_non_integral_projection(system):
+    A_int, A_rat = system
+    solver = la.MixedSolver(A_int, A_rat)
+    P = solver.P
+    assume(P.shape[0] > 0)
+    # rows of a unimodular matrix are primitive, so the first row of P has
+    # an odd entry; half the matching unit vector makes P b non-integral,
+    # and then no (u, v) can solve the system
+    j = next(j for j in range(P.shape[1]) if P[0, j] % 2)
+    b = np.array([Fraction(1, 2) if i == j else 0 for i in range(P.shape[1])],
+                 dtype=object)
+    assert Fraction(_apply(P, b)[0]).denominator != 1
+    assert solver.solve(b) is None
+
+
+@PROPERTY
+@given(rational_matrices())
+def test_rat_solver_rank_kernel_and_left_nullspace(A):
+    s = la.RatSolver(A)
+    m, n = A.shape
+    assert s.rank == la.rat_rank(A)
+    if A.size:
+        from sympy import Matrix
+        assert s.rank == Matrix(A.tolist()).rank()
+    ker = s.kernel_basis()
+    assert ker.shape == (n, n - s.rank)
+    assert all(x == 0 for j in range(ker.shape[1])
+               for x in _apply(A, ker[:, j]))
+    if ker.shape[1]:
+        assert la.rat_rank(ker) == ker.shape[1]
+    left = s.left_nullspace()
+    assert left.shape == (m - s.rank, m)
+    assert all(isinstance(x, int) for x in left.flat)
+    assert all(x == 0 for i in range(left.shape[0])
+               for x in _apply(A.T, left[i, :]))
+    if left.shape[0]:
+        assert la.rat_rank(left) == left.shape[0]
+
+
+@PROPERTY
+@given(rational_matrices(), st.data())
+def test_rat_solver_solves_consistent_systems(A, data):
+    x0 = [data.draw(RATS) for _ in range(A.shape[1])]
+    b = np.array(_apply(A, x0), dtype=object).reshape(A.shape[0])
+    x = la.RatSolver(A).solve(b)
+    assert x is not None
+    assert _apply(A, x) == list(b)
