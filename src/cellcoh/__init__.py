@@ -21,8 +21,8 @@ from .diffcoh import (DifferentialCochain, curvature_R, dhat, equal_classes,
                       homotopy_formula_check, pullback_classification_check,
                       s1_integrate, underlying_I)
 from .tot import (CosimplicialComplexTrunc, SimplicialComplexOfComplexes,
-                  cech_double, descent_check, tot_cosimplicial,
-                  tot_simplicial, underlying_at_point)
+                  cech_double, descent_check, total_complex,
+                  underlying_at_point)
 from .exprs import parse_expr, symbolic_d
 from .bundles import (BGradedForm, Loop, SmoothConnection, bch_zero,
                       chern_character_form, curvature, holonomy,

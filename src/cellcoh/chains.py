@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .linalg import (RatSolver, as_matrix, as_vector, check_int_entries,
                      check_rat_entries, eye, int_kernel_basis, integerize_rows,
-                     is_zero, mm, mv, smith_normal_form, solve_int,
+                     is_zero, mm, mv, rat_rank, smith_normal_form, solve_int,
                      solve_int_many, zeros)
 
 RING_Z = "Z"
@@ -452,14 +452,20 @@ class HomologyData:
 
 
 def homology(C: Complex, n: int) -> FgAbGroup:
-    """H^n(C) as a canonical finitely generated group (SNF over Z,
-    dimension over Q).  Degrees outside the window give the zero group."""
+    """H^n(C) as a canonical finitely generated group.  Degrees outside the
+    window give the zero group.
+
+    The free rank is rank C^n - rank d^n - rank d^(n-1).  The kernel of d^n
+    is a direct summand, so the torsion is that of the cokernel of
+    d^(n-1): its invariant factors above 1 (none over Q).  Rows are scaled
+    to integers first, which keeps every rank.
+    """
     if n < C.lo or n > C.hi:
         return zero_group(C.ring)
-    if C.ring == RING_Q:
-        dim = linalg.rat_nullity(C.diff(n)) - linalg.rat_rank(C.diff(n - 1))
-        return FgAbGroup("Q", rank=dim)
-    return HomologyData(C, n).group
+    d_in = smith_normal_form(integerize_rows(C.diff(n - 1)))
+    torsion = [d for d in d_in.diag if d > 1] if C.ring == RING_Z else []
+    return FgAbGroup(C.ring, rank=C.rank(n) - rat_rank(C.diff(n)) - d_in.rank,
+                     torsion=torsion)
 
 
 def homology_presentation(C: Complex, n: int) -> HomologyData:

@@ -439,8 +439,8 @@ class Hexagon:
         self._a_exact = RatSolver(self.delta_below)   # A-node equality
         self._z_exact = RatSolver(self.delta_a)       # exactness at Zcl
         # dimensions of the two corner Q-spaces
-        from .linalg import rat_nullity, rat_rank
-        self.dim_a_node = K.n_cells(m - 1) - rat_rank(self.delta_below)
+        from .linalg import rat_nullity
+        self.dim_a_node = K.n_cells(m - 1) - self._a_exact.rank
         self.dim_z_node = rat_nullity(_delta_matrix(K, m))
 
     # -- maps ------------------------------------------------------------
@@ -471,13 +471,6 @@ class Hexagon:
 
     def bockstein(self, u):
         return self.h_low_qz.bockstein(u)
-
-    def coeff(self, c):
-        """Integral m-cocycle -> its rational class coordinates."""
-        coords = self.h_high_q.express(as_vector(c))
-        if coords is None:
-            raise RuntimeError("integral cocycle has no rational class")
-        return coords
 
     def a_node_equal(self, alpha, beta) -> bool:
         return self._a_exact.solve(as_vector(alpha) - as_vector(beta)) is not None

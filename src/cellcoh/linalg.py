@@ -149,13 +149,13 @@ class SmithForm:
     """Decomposition U @ A @ V == D with U, V unimodular, D diagonal.
 
     The diagonal entries are non-negative and each divides the next.
-    Uinv and Vinv are the exact inverses of U and V.
+    Uinv is the exact inverse of U.
     """
 
-    __slots__ = ("U", "D", "V", "Uinv", "Vinv", "diag", "rank")
+    __slots__ = ("U", "D", "V", "Uinv", "diag", "rank")
 
-    def __init__(self, U, D, V, Uinv, Vinv):
-        self.U, self.D, self.V, self.Uinv, self.Vinv = U, D, V, Uinv, Vinv
+    def __init__(self, U, D, V, Uinv):
+        self.U, self.D, self.V, self.Uinv = U, D, V, Uinv
         n = min(D.shape)
         self.diag = [int(D[i, i]) for i in range(n)]
         self.rank = sum(1 for d in self.diag if d != 0)
@@ -165,7 +165,7 @@ class _SnfState:
     """Mutable state for the reduction; int64 while provably safe.
 
     Before every arithmetic update a conservative bound on the largest
-    possible new entry is checked; if it could reach 2^61 the five matrices
+    possible new entry is checked; if it could reach 2^61 the four matrices
     are promoted to big-integer (object) arrays and the same vectorized
     expressions continue exactly.
     """
@@ -178,18 +178,17 @@ class _SnfState:
         if self.obj:
             self.D = A.copy()
             self.U, self.Uinv = eye(m), eye(m)
-            self.V, self.Vinv = eye(n), eye(n)
+            self.V = eye(n)
         else:
             self.D = A.astype(np.int64)
             self.U = np.eye(m, dtype=np.int64)
             self.Uinv = np.eye(m, dtype=np.int64)
             self.V = np.eye(n, dtype=np.int64)
-            self.Vinv = np.eye(n, dtype=np.int64)
 
     def _demote(self):
         if not self.obj:
-            self.D, self.U, self.Uinv = map(_to_object, (self.D, self.U, self.Uinv))
-            self.V, self.Vinv = map(_to_object, (self.V, self.Vinv))
+            self.D, self.U, self.Uinv, self.V = map(
+                _to_object, (self.D, self.U, self.Uinv, self.V))
             self.obj = True
 
     @staticmethod
@@ -207,8 +206,8 @@ class _SnfState:
         which bounds any single vectorized update below."""
         if self.obj:
             return
-        entries = max(self._amax(self.D), self._amax(self.U), self._amax(self.Uinv),
-                      self._amax(self.V), self._amax(self.Vinv))
+        entries = max(self._amax(self.D), self._amax(self.U),
+                      self._amax(self.Uinv), self._amax(self.V))
         if (entries + 1) * (abs(int(qmax)) + 1) * (self.maxdim + 1) >= _INT64_SAFE:
             self._demote()
 
@@ -227,7 +226,6 @@ class _SnfState:
             q = _to_object(q)
         self.D[:, t + 1:] -= np.outer(self.D[:, t], q)
         self.V[:, t + 1:] -= np.outer(self.V[:, t], q)
-        self.Vinv[t, :] += q @ self.Vinv[t + 1:, :]
 
     def row_add(self, i: int, j: int, q: int):
         self._guard(q)
@@ -247,7 +245,6 @@ class _SnfState:
             return
         self.D[:, [i, j]] = self.D[:, [j, i]]
         self.V[:, [i, j]] = self.V[:, [j, i]]
-        self.Vinv[[i, j], :] = self.Vinv[[j, i], :]
 
     def row_negate(self, i):
         self.D[i, :] = -self.D[i, :]
@@ -317,9 +314,7 @@ def smith_normal_form(A) -> SmithForm:
                 break
             st.row_add(t, bad, 1)
 
-    U, D, V = _to_object(st.U), _to_object(st.D), _to_object(st.V)
-    Uinv, Vinv = _to_object(st.Uinv), _to_object(st.Vinv)
-    return SmithForm(U, D, V, Uinv, Vinv)
+    return SmithForm(*map(_to_object, (st.U, st.D, st.V, st.Uinv)))
 
 
 def int_kernel_basis(A) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .cells import (CellComplex, cochain_complex, restriction_matrix,
                     standard_simplex, subcomplex)
 from .chains import ChainMap, Complex, homology, truncate_above
-from .linalg import is_zero, zeros
+from .linalg import is_zero, mm, zeros
 
 
 class InsufficientTruncation(ValueError):
@@ -31,85 +31,84 @@ class InsufficientTruncation(ValueError):
 
 
 @dataclass
-class CosimplicialComplexTrunc:
-    """Levels A[0..N] with cofaces d_i: A[q] -> A[q+1], 0 <= i <= q+1."""
+class _Truncated:
+    """Levels A[0..N] and, for each q < N, the q + 2 maps d_0..d_(q+1)
+    between A[q] and A[q+1]: maps[q][i] goes A[q] -> A[q+1] (cofaces,
+    step = +1) or A[q+1] -> A[q] (faces, step = -1)."""
 
     N: int
     levels: list          # Complex, length N + 1
-    cofaces: list         # cofaces[q][i]: ChainMap A[q] -> A[q+1]
+    maps: list            # maps[q][i]: ChainMap between A[q] and A[q+1]
 
     def __post_init__(self):
-        if len(self.levels) != self.N + 1:
-            raise ValueError("need N + 1 levels")
-        if len(self.cofaces) != self.N:
-            raise ValueError("need coface maps for levels 0..N-1")
-        for q, maps in enumerate(self.cofaces):
+        if len(self.levels) != self.N + 1 or len(self.maps) != self.N:
+            raise ValueError(f"{self.kind} object of level N={self.N} needs "
+                             f"N + 1 levels and N lists of maps")
+        for q, maps in enumerate(self.maps):
             if len(maps) != q + 2:
-                raise ValueError(f"level {q} needs {q + 2} cofaces")
+                raise ValueError(f"{self.kind} object needs {q + 2} maps "
+                                 f"between levels {q} and {q + 1}")
+            ends = tuple(self.levels[q:q + 2][::self.step])
+            if any((f.source, f.target) != ends for f in maps):
+                raise ValueError(f"a map between levels {q} and {q + 1} "
+                                 f"has the wrong source or target")
         self.check_identities()
+
+    def _check_identities(self, identity):
+        """identity(i, j) -> ((b, a), (b', a')) with d_b d_a = d_b' d_a' for
+        i < j, where d_a is applied first; components are compared degree by
+        degree on the source level of the composites."""
+        for q in range(self.N - 1):
+            first, second = self.maps[q:q + 2][::self.step]
+            for j in range(q + 3):
+                for i in range(j):
+                    (b, a), (b2, a2) = identity(i, j)
+                    for n in first[a].source.degrees():
+                        lhs = mm(second[b].component(n), first[a].component(n))
+                        rhs = mm(second[b2].component(n),
+                                 first[a2].component(n))
+                        if not is_zero(lhs - rhs):
+                            raise ValueError(
+                                f"{self.kind} identity fails at level {q}, "
+                                f"(i,j)=({i},{j}), degree {n}")
+
+
+class CosimplicialComplexTrunc(_Truncated):
+    """Levels A[0..N] with cofaces d_i: A[q] -> A[q+1], 0 <= i <= q+1."""
+
+    kind, step = "cosimplicial", 1
 
     def check_identities(self):
         """Cosimplicial identities d_j d_i = d_i d_(j-1) for i < j."""
-        for q in range(self.N - 1):
-            for j in range(q + 3):
-                for i in range(j):
-                    lhs = self.cofaces[q + 1][j].compose(self.cofaces[q][i])
-                    rhs = self.cofaces[q + 1][i].compose(self.cofaces[q][j - 1])
-                    for n in lhs.source.degrees():
-                        if not is_zero(lhs.component(n) - rhs.component(n)):
-                            raise ValueError(
-                                f"cosimplicial identity fails at level {q}, "
-                                f"(i,j)=({i},{j}), degree {n}")
+        self._check_identities(lambda i, j: ((j, i), (i, j - 1)))
 
 
-@dataclass
-class SimplicialComplexOfComplexes:
+class SimplicialComplexOfComplexes(_Truncated):
     """Levels A[0..N] with faces d_i: A[q+1] -> A[q], 0 <= i <= q+1."""
 
-    N: int
-    levels: list
-    faces: list           # faces[q][i]: ChainMap A[q+1] -> A[q]
-
-    def __post_init__(self):
-        if len(self.levels) != self.N + 1:
-            raise ValueError("need N + 1 levels")
-        if len(self.faces) != self.N:
-            raise ValueError("need face maps for levels 1..N")
-        for q, maps in enumerate(self.faces):
-            if len(maps) != q + 2:
-                raise ValueError(f"faces into level {q} must number {q + 2}")
-        self.check_identities()
+    kind, step = "simplicial", -1
 
     def check_identities(self):
         """Simplicial identities d_i d_j = d_(j-1) d_i for i < j."""
-        for q in range(self.N - 1):
-            for j in range(q + 3):
-                for i in range(j):
-                    lhs = self.faces[q][i].compose(self.faces[q + 1][j])
-                    rhs = self.faces[q][j - 1].compose(self.faces[q + 1][i])
-                    for n in lhs.source.degrees():
-                        if not is_zero(lhs.component(n) - rhs.component(n)):
-                            raise ValueError(
-                                f"simplicial identity fails at level {q}, "
-                                f"(i,j)=({i},{j}), degree {n}")
+        self._check_identities(lambda i, j: ((i, j), (j - 1, i)))
 
 
-def _tot(levels, q_of_horiz_target, horiz_map, window, N):
-    """Shared assembly: components (q, p) with p - or + q = n per caller.
+def _tot(A: _Truncated, window, N: int) -> Complex:
+    """Total complex of the levels A[0..N] (N <= A.N), on window.
 
-    levels: list of Complex; the caller passes
-      q_of_horiz_target: q -> q' receiving the alternating-sum map,
-      horiz_map(q, p) -> matrix from A[q]^p to A[q']^p (already summed).
-    The returned window is padded one degree on each side, so cohomology of
-    the result is faithful exactly on the requested window.
+    tot^n is the sum over q <= N of A[q]^p with p = n - step q; the
+    alternating sum of the maps leaving level q goes to level q + step.
+    N must be at least hi - lo + 2 so that cohomology in the window is
+    unaffected.  The returned window is padded one degree on each side, so
+    cohomology of the result is faithful exactly on the requested window.
     """
     lo, hi = window
+    needed = hi - lo + 2
+    if N < needed:
+        raise InsufficientTruncation(needed, N)
     lo -= 1
     hi += 1
-    ring = levels[0].ring
-
-    def p_of(n, q):
-        return n + q if q_of_horiz_target(0) == -1 else n - q
+    levels, step = A.levels, A.step
 
     # per total degree: list of (q, p, offset)
     layout = {}
@@ -117,7 +116,7 @@ def _tot(levels, q_of_horiz_target, horiz_map, window, N):
         blocks = []
         off = 0
         for q in range(N + 1):
-            p = p_of(n, q)
+            p = n - step * q
             r = levels[q].rank(p)
             if r:
                 blocks.append((q, p, off))
@@ -138,58 +137,22 @@ def _tot(levels, q_of_horiz_target, horiz_map, window, N):
             key = (q, p + 1)
             if key in pos and vert.size:
                 d[pos[key]:pos[key] + vert.shape[0], off:off + r] = sign * vert
-            q2 = q_of_horiz_target(q)
+            q2 = q + step
             key = (q2, p)
-            if 0 <= q2 <= N and key in pos:
-                h = horiz_map(q, p)
+            if key in pos:
+                h = sum((-1) ** i * f.component(p)
+                        for i, f in enumerate(A.maps[min(q, q2)]))
                 if h.size:
                     d[pos[key]:pos[key] + h.shape[0], off:off + r] = h
         diffs.append(d)
-    return Complex(ring, lo, ranks, diffs)
+    return Complex(levels[0].ring, lo, ranks, diffs)
 
 
-def tot_cosimplicial(A: CosimplicialComplexTrunc, window) -> Complex:
-    """tot^n = sum over p+q=n, q <= N of A[q]^p.
-
-    The truncation level must satisfy N >= hi - lo + 2 so that cohomology in
-    the window is unaffected; the returned complex is additionally padded one
-    degree on each side (its cohomology is faithful on the requested window).
-    """
-    lo, hi = window
-    needed = hi - lo + 2
-    if A.N < needed:
-        raise InsufficientTruncation(needed, A.N)
-
-    def horiz(q, p):
-        r_src = A.levels[q].rank(p)
-        out = zeros(A.levels[q + 1].rank(p), r_src)
-        for i in range(q + 2):
-            m = A.cofaces[q][i].component(p)
-            out = out + ((-1) ** i) * m
-        return out
-
-    return _tot(A.levels, lambda q: q + 1, horiz, window, A.N)
-
-
-def tot_simplicial(A: SimplicialComplexOfComplexes, window) -> Complex:
-    """tot^n = sum over p-q=n, q <= N of A[q]^p; signs as in the cosimplicial
-    case with faces instead of cofaces."""
-    lo, hi = window
-    needed = hi - lo + 2
-    if A.N < needed:
-        raise InsufficientTruncation(needed, A.N)
-
-    def horiz(q, p):
-        r_src = A.levels[q].rank(p)
-        if q == 0:
-            return zeros(0, r_src)
-        out = zeros(A.levels[q - 1].rank(p), r_src)
-        for i in range(q + 1):
-            m = A.faces[q - 1][i].component(p)
-            out = out + ((-1) ** i) * m
-        return out
-
-    return _tot(A.levels, lambda q: q - 1, horiz, window, A.N)
+def total_complex(A: _Truncated, window) -> Complex:
+    """Total complex of a truncated (co)simplicial complex of complexes,
+    with d(x) = (-1)^q d_level(x) + sum_i (-1)^i d_i(x) on level q; raises
+    InsufficientTruncation unless A.N >= hi - lo + 2."""
+    return _tot(A, window, A.N)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +249,8 @@ def descent_check(K: CellComplex, cover, ring="Z", window=None) -> dict:
         window = (0, K.dim)
     lo, hi = window
     direct = cochain_complex(K, ring)
-    A = cech_double(K, cover, ring)
-    N = max(A.N, hi - lo + 2)
-    if A.N < N:
-        A = cech_double(K, cover, ring, N=N)
-    tot = tot_cosimplicial(A, window)
+    A = cech_double(K, cover, ring, N=max(len(cover) - 1, hi - lo + 2))
+    tot = total_complex(A, window)
     degrees = {}
     all_match = True
     for n in range(lo, hi + 1):
@@ -301,7 +261,7 @@ def descent_check(K: CellComplex, cover, ring="Z", window=None) -> dict:
         degrees[n] = {"direct": str(g_direct), "cech": str(g_cech),
                       "match": match}
     return {"degrees": degrees, "match": all_match,
-            "cover_size": len(list(cover))}
+            "cover_size": len(cover)}
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +287,6 @@ def simplex_resolution(m: int, N: int) -> SimplicialComplexOfComplexes:
                     for col, s in enumerate(small.cells(n)):
                         img = tuple(v if v < i else v + 1 for v in s)
                         mmat[col, big.index[img]] = 1
-                    mmat = mmat  # rows: small cells, cols: big cells
                 comps[n] = mmat
             maps.append(ChainMap(levels[q + 1], levels[q], comps))
         faces.append(maps)
@@ -345,10 +304,8 @@ def underlying_at_point(m: int, N: int, window) -> dict:
     if N < needed:
         raise InsufficientTruncation(needed, N)
     res = simplex_resolution(m, N)
-    tot_full = tot_simplicial(res, window)
-    res_prev = SimplicialComplexOfComplexes(N - 1, res.levels[:N],
-                                            res.faces[:N - 1])
-    tot_prev = tot_simplicial(res_prev, window)
+    tot_full = total_complex(res, window)
+    tot_prev = _tot(res, window, N - 1)
     out = {}
     for n in range(lo, hi + 1):
         g = homology(tot_full, n)

@@ -215,7 +215,7 @@ def test_criterion_9_structural_suites():
     # tot signs: d^2 = 0 holds by construction on Cech objects of covers
     K = cl.bundled_complex("octahedron")
     A = tt.cech_double(K, cl.star_cover(K), "Z", N=4)
-    tt.tot_cosimplicial(A, (0, 2))
+    tt.total_complex(A, (0, 2))
 
     # Stokes identities
     for name in ("circle3", "octahedron"):

@@ -125,6 +125,19 @@ def test_homology_invariant_under_unimodular_base_change(rng):
             assert ch.homology(C, n) == ch.homology(C2, n)
 
 
+def test_homology_formula_matches_tracked_generators(rng):
+    # the rank formula of `homology` against the generator computation of
+    # HomologyData; over Q the differentials get non-integral entries
+    for _ in range(20):
+        C = random_complex(rng, max_rank=4)
+        scaled = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) * d
+                  for d in C.diffs]
+        CQ = ch.Complex("Q", C.lo, C.ranks, scaled)
+        for D in (C, CQ):
+            for n in D.degrees():
+                assert ch.homology(D, n) == ch.HomologyData(D, n).group
+
+
 def test_cone_long_exact_sequence_randomized(rng):
     found = 0
     while found < 10:

@@ -18,7 +18,7 @@ def constant_cosimplicial(C, N):
 def test_constant_cosimplicial_recovers_cohomology():
     C = cl.cochain_complex(cl.bundled_complex("circle3"), "Z")
     A = constant_cosimplicial(C, 7)
-    T = tt.tot_cosimplicial(A, (-1, 3))
+    T = tt.total_complex(A, (-1, 3))
     for n in range(-1, 4):
         assert ch.homology(T, n) == ch.homology(C, n)
 
@@ -26,7 +26,7 @@ def test_constant_cosimplicial_recovers_cohomology():
 def test_zero_cosimplicial_gives_zero():
     Z = ch.Complex("Z", 0, (0,), [zeros(0, 0)])
     A = constant_cosimplicial(Z, 5)
-    T = tt.tot_cosimplicial(A, (0, 2))
+    T = tt.total_complex(A, (0, 2))
     assert T.is_zero()
 
 
@@ -34,7 +34,7 @@ def test_insufficient_truncation_reports_required_level():
     C = cl.cochain_complex(cl.bundled_complex("circle3"), "Z")
     A = constant_cosimplicial(C, 2)
     with pytest.raises(tt.InsufficientTruncation) as err:
-        tt.tot_cosimplicial(A, (-1, 3))
+        tt.total_complex(A, (-1, 3))
     assert err.value.needed == 6
 
 
@@ -54,7 +54,7 @@ def test_tot_signs_square_to_zero_on_random_cech_objects(rng):
     for name in ("circle3", "octahedron"):
         K = cl.bundled_complex(name)
         A = tt.cech_double(K, cl.star_cover(K), "Z", N=K.dim + 2)
-        T = tt.tot_cosimplicial(A, (0, K.dim))
+        T = tt.total_complex(A, (0, K.dim))
         assert T is not None
 
 
@@ -63,7 +63,7 @@ def test_levelwise_acyclic_cosimplicial_is_acyclic(rng):
         base = random_complex(rng, length=3)
         acyclic, _, _ = ch.cone(ch.ChainMap.identity(base))
         A = constant_cosimplicial(acyclic, 6)
-        T = tt.tot_cosimplicial(A, (acyclic.lo, acyclic.hi + 1))
+        T = tt.total_complex(A, (acyclic.lo, acyclic.hi + 1))
         for n in range(acyclic.lo, acyclic.hi + 2):
             assert ch.homology(T, n).is_trivial()
 
@@ -82,7 +82,7 @@ def test_one_element_cover_tot_is_cochain_complex():
     K = cl.bundled_complex("octahedron")
     cov = [set(K.dim_of)]
     A = tt.cech_double(K, cov, "Z", N=4)
-    T = tt.tot_cosimplicial(A, (0, K.dim))
+    T = tt.total_complex(A, (0, K.dim))
     assert T.trim() == cl.cochain_complex(K, "Z").trim()
 
 
@@ -117,12 +117,12 @@ def test_tot_simplicial_zero_and_constant():
     Z = ch.Complex("Q", 0, (0,), [zeros(0, 0)])
     A = tt.SimplicialComplexOfComplexes(
         4, [Z] * 5, [[ch.ChainMap.identity(Z)] * (q + 2) for q in range(4)])
-    assert tt.tot_simplicial(A, (-1, 1)).is_zero()
+    assert tt.total_complex(A, (-1, 1)).is_zero()
     Q = ch.atom("Q", 0)
     ident = ch.ChainMap.identity(Q)
     A = tt.SimplicialComplexOfComplexes(
         6, [Q] * 7, [[ident] * (q + 2) for q in range(6)])
-    T = tt.tot_simplicial(A, (-2, 1))
+    T = tt.total_complex(A, (-2, 1))
     got = {n: str(ch.homology(T, n)) for n in range(-2, 2)}
     assert got == {-2: "0", -1: "0", 0: "Q", 1: "0"}
 
@@ -134,6 +134,32 @@ def test_simplicial_identities_validated():
     with pytest.raises(ValueError, match="simplicial identity"):
         tt.SimplicialComplexOfComplexes(
             2, [Q] * 3, [[ident, ident], [ident, double, ident]])
+
+
+def test_prefix_assembly_matches_rebuilt_prefix_object():
+    K = cl.bundled_complex("circle3")
+    objects = [tt.cech_double(K, cl.star_cover(K), "Z", N=4),
+               tt.simplex_resolution(1, 5)]
+    for A, window in zip(objects, [(0, 1), (-1, 0)]):
+        N = A.N - 1
+        prefix = type(A)(N, A.levels[:N + 1], A.maps[:N])
+        assert tt._tot(A, window, N) == tt.total_complex(prefix, window)
+
+
+@pytest.mark.parametrize("cls", [tt.CosimplicialComplexTrunc,
+                                 tt.SimplicialComplexOfComplexes])
+def test_malformed_truncated_objects_rejected(cls):
+    Q = ch.atom("Q", 0)
+    ident = ch.ChainMap.identity(Q)
+    with pytest.raises(ValueError, match="needs 3 maps"):
+        cls(2, [Q] * 3, [[ident, ident], [ident, ident]])
+    with pytest.raises(ValueError, match="N lists of maps"):
+        cls(2, [Q] * 3, [[ident, ident]])
+    with pytest.raises(ValueError, match="N lists of maps"):
+        cls(2, [Q] * 2, [[ident, ident], [ident] * 3])
+    Q2 = ch.direct_sum(Q, Q)
+    with pytest.raises(ValueError, match="wrong source or target"):
+        cls(1, [Q, Q2], [[ident, ident]])
 
 
 def test_underlying_at_point_values_and_stability():
