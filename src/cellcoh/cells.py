@@ -78,6 +78,7 @@ class CellComplex:
             for j, cid in enumerate(self.cells(d)):
                 for b, inc in self.boundary[cid]:
                     m[self.index[b], j] += inc
+        m.setflags(write=False)   # shared by every caller
         self._bnd_mats[d] = m
         return m
 

@@ -365,6 +365,7 @@ def random_cocycle(K: CellComplex, m: int, rng, n: int | None = None
     key = ("zker", n)
     if key not in cache:
         cache[key] = int_kernel_basis(_delta_matrix(K, n))
+        cache[key].setflags(write=False)
     ker = cache[key]
     coeffs = random_int_vector(rng, ker.shape[1], bound=3)
     c = mv(ker, coeffs) if ker.shape[1] else zeros(K.n_cells(n), 1).reshape(-1)
@@ -389,6 +390,7 @@ def random_reduced_cocycle(prod: ProductComplex, m: int, rng,
     key = ("zker_reduced", n)
     if key not in cache:
         cache[key] = int_kernel_basis(np.concatenate([dmat, sel], axis=0))
+        cache[key].setflags(write=False)
     ker = cache[key]
     coeffs = random_int_vector(rng, ker.shape[1], bound=2)
     c = mv(ker, coeffs) if ker.shape[1] else zeros(P.n_cells(n), 1).reshape(-1)

@@ -1,22 +1,27 @@
 """Exact dense linear algebra over Z and Q.
 
 Matrices are numpy arrays with dtype=object holding Python ints and
-fractions.Fraction entries, so every result here is exact.  Integer-only
-operations (matrix products, Smith normal form) run on int64 arrays while
-conservative bounds prove no overflow is possible, and fall back to
-object-dtype big-integer arithmetic otherwise; both paths compute the same
-numbers.  Everything else is built on one elimination engine, the Smith
-normal form with unimodular transforms: it gives integer kernels, integer
-solving and quotient presentations directly, and, after scaling the
-columns of a rational matrix to integers, its rank, kernel, left null
-space and solutions over Q.  The combined integral/rational solver behind
-class equality and the exactness witnesses is built on both.
+fractions.Fraction entries, so every result here is exact.  A product
+splits each factor into integer numerators and denominators: every row of
+the left factor and every column of the right one is scaled to integers by
+the lcm of its denominators.  The numerators are multiplied on int64 while a
+bound proves that no overflow is possible, else as Python integers, and
+each entry of the result is divided once, coming back as a plain int where
+it is integral and as a Fraction elsewhere.  The Smith normal form runs on
+int64 under the same kind of bound and falls back to big integers; both
+paths compute the same numbers.  Everything else is built on it: integer
+kernels, integer solving and quotient presentations directly, and, after
+scaling the columns of a rational matrix to integers, its rank, kernel,
+left null space and solutions over Q.  The combined integral/rational
+solver behind class equality and the exactness witnesses is built on both;
+the solvers keep their fixed integer factors read-only and on int64, so a
+solve only scans its right-hand side.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -74,7 +79,20 @@ def _as_frac(x) -> Fraction:
     raise TypeError(f"not an exact scalar: {x!r} of type {type(x).__name__}")
 
 
+def _entry_kind(a: np.ndarray):
+    """int when every entry of a is a plain int, Fraction when every entry
+    is an int or a Fraction, None otherwise (numpy scalars, floats, ...)."""
+    types = set(map(type, a.ravel().tolist()))
+    if types <= {int}:
+        return int
+    if types <= {int, Fraction}:
+        return Fraction
+    return None
+
+
 def check_int_entries(a: np.ndarray) -> np.ndarray:
+    if _entry_kind(a) is int:
+        return a.astype(object)
     out = np.empty(a.shape, dtype=object)
     for idx, x in np.ndenumerate(a):
         if isinstance(x, (int, np.integer)):
@@ -90,6 +108,8 @@ def check_rat_entries(a: np.ndarray) -> np.ndarray:
     """Validate exact rational entries.  Integers stay plain ints (and whole
     Fractions are normalized to ints) so that integer fast paths still apply
     to rational-coefficient matrices that happen to be integral."""
+    if _entry_kind(a) is int:
+        return a.astype(object)
     out = np.empty(a.shape, dtype=object)
     for idx, x in np.ndenumerate(a):
         f = _as_frac(x)
@@ -97,18 +117,45 @@ def check_rat_entries(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _int_bound(a: np.ndarray):
-    """max |entry| if every entry is a plain integer, else None."""
-    best = 0
-    for x in a.flat:
-        if not isinstance(x, (int, np.integer)):
-            return None
-        v = int(x)
-        if v < 0:
-            v = -v
-        if v > best:
-            best = v
-    return best
+def _numerators(a: np.ndarray, axis: int):
+    """(N, lcms): the integer matrix N = a scaled by the lcm of the
+    denominators of each column (axis=0) or each row (axis=1), and those
+    lcms, or None when every entry is already an integer.  int64 arrays
+    pass through unscanned; a non-exact entry raises TypeError."""
+    if a.dtype == np.int64:
+        return a, None
+    kind = _entry_kind(a)
+    if kind is None:
+        a = check_rat_entries(a)
+        kind = _entry_kind(a)
+    if kind is int:
+        return a, None
+    lines = (a.T if axis == 0 else a).tolist()
+    lcms = [lcm(*(x.denominator for x in line)) for line in lines]
+    nums = np.array([[x.numerator * (s // x.denominator) for x in line]
+                     for line, s in zip(lines, lcms)], dtype=object)
+    return (nums.T if axis == 0 else nums), lcms
+
+
+def _bounded(a: np.ndarray):
+    """(a on int64, max |entry|) for an integer matrix, or (a, None) when
+    an entry lies outside int64."""
+    if a.dtype != np.int64:
+        try:
+            a = a.astype(np.int64)
+        except OverflowError:
+            return a, None
+    if a.size == 0:
+        return a, 0
+    return a, max(-int(a.min()), int(a.max()))
+
+
+def _int64_form(a: np.ndarray) -> np.ndarray:
+    """Read-only int64 copy of an integer matrix, or the matrix itself,
+    made read-only, when an entry lies outside int64."""
+    a = _bounded(a)[0]
+    a.setflags(write=False)
+    return a
 
 
 def _to_object(a: np.ndarray) -> np.ndarray:
@@ -117,26 +164,45 @@ def _to_object(a: np.ndarray) -> np.ndarray:
     return np.array(a.tolist(), dtype=object).reshape(a.shape)
 
 
+def _div(n: int, d: int):
+    """n / d as a plain int when d divides n, else as a Fraction."""
+    q, r = divmod(n, d)
+    return q if r == 0 else Fraction(n, d)
+
+
 def mm(A, B) -> np.ndarray:
-    """Exact matrix product with an int64 fast path."""
+    """Exact product of matrices of ints and Fractions (B may be a vector).
+
+    The numerators of A (scaled per row) and of B (scaled per column) are
+    multiplied on int64 when both fit int64 and |a| |b| k < 2^61 bounds
+    every partial sum, else as Python integers; each entry of the result is
+    then divided by its two lcms.
+    """
     A = A if isinstance(A, np.ndarray) else as_matrix(A)
     B = B if isinstance(B, np.ndarray) else as_matrix(B)
     if A.shape[-1] != B.shape[0]:
         raise ValueError(f"matmul mismatch {A.shape} @ {B.shape}")
+    shape = (A.shape[0], B.shape[1]) if B.ndim == 2 else (A.shape[0],)
     if A.size == 0 or B.size == 0:
-        shape = (A.shape[0], B.shape[1]) if B.ndim == 2 else (A.shape[0],)
         return np.zeros(shape, dtype=object)
-    a, b = _int_bound(A), _int_bound(B)
-    # each bound on its own too: a zero factor hides an entry beyond int64
-    if (a is not None and b is not None and max(a, b) < _INT64_SAFE
-            and a * b * A.shape[-1] < _INT64_SAFE):
-        out = A.astype(np.int64) @ B.astype(np.int64)
-        return np.array(out.tolist(), dtype=object).reshape(out.shape)
-    return A @ B
+    nA, dA = _numerators(A, 1)
+    nB, dB = _numerators(B.reshape(B.shape[0], -1), 0)
+    nA, a = _bounded(nA)
+    nB, b = _bounded(nB)
+    if a is not None and b is not None and a * b * A.shape[1] < _INT64_SAFE:
+        N = (nA @ nB).astype(object)
+    else:
+        N = _to_object(nA) @ _to_object(nB)
+    if dA is not None or dB is not None:
+        dA = dA or [1] * N.shape[0]
+        dB = dB or [1] * N.shape[1]
+        N = np.array([[_div(x, p * q) for x, q in zip(row, dB)]
+                      for row, p in zip(N.tolist(), dA)], dtype=object)
+    return N.reshape(shape)
 
 
 def mv(A, v) -> np.ndarray:
-    """Exact matrix-vector product (same fast path as mm)."""
+    """Exact matrix-vector product (the same path as mm)."""
     v = v if isinstance(v, np.ndarray) else as_vector(v)
     return mm(A, v.reshape(-1, 1)).reshape(-1)
 
@@ -172,7 +238,7 @@ class _SnfState:
 
     def __init__(self, A: np.ndarray):
         m, n = A.shape
-        bound = _int_bound(A)
+        D, bound = _bounded(A)
         self.obj = bound is None or bound >= _INT64_SAFE
         self.maxdim = max(m, n, 1)
         if self.obj:
@@ -180,7 +246,7 @@ class _SnfState:
             self.U, self.Uinv = eye(m), eye(m)
             self.V = eye(n)
         else:
-            self.D = A.astype(np.int64)
+            self.D = D
             self.U = np.eye(m, dtype=np.int64)
             self.Uinv = np.eye(m, dtype=np.int64)
             self.V = np.eye(n, dtype=np.int64)
@@ -348,49 +414,36 @@ def solve_int_many(A, B, snf: SmithForm | None = None):
     B = as_matrix(B)
     if snf is None:
         snf = smith_normal_form(A)
-    Y = mm(snf.U, B)
-    m, n = A.shape
-    X = zeros(n, B.shape[1])
-    for i in range(m):
-        di = snf.diag[i] if i < len(snf.diag) else 0
-        for j in range(B.shape[1]):
-            yij = _as_frac(Y[i, j])
-            if di == 0:
-                if yij != 0:
-                    return None
-            else:
-                q = yij / di
-                if q.denominator != 1:
-                    return None
-                if i < n:
-                    X[i, j] = int(q)
-    return mm(snf.V, X)
+    return _int_solutions(snf.U, snf.V, snf.diag, B)
+
+
+def _int_solutions(U, V, diag, B):
+    """X with A X = B over Z from U A V = D with diagonal `diag`, or None.
+
+    Y = U B must be integral, vanish below the rank r, and have row i < r
+    divisible by d_i; then X = V (Y[:r] / d).
+    """
+    Y = mm(U, B)
+    r = sum(1 for d in diag if d)
+    # mm returns a Fraction only for a non-integral entry
+    if _entry_kind(Y) is not int or not is_zero(Y[r:]):
+        return None
+    d = np.array(diag[:r], dtype=object).reshape(-1, 1)
+    if not is_zero(Y[:r] % d):
+        return None
+    X = zeros(V.shape[0], B.shape[1])
+    X[:r] = Y[:r] // d
+    return mm(V, X)
 
 
 # ---------------------------------------------------------------------------
 # Rational and mixed systems, on the same Smith normal form
 # ---------------------------------------------------------------------------
 
-def _denominator_lcm(entries) -> int:
-    lam = 1
-    for x in entries:
-        d = _as_frac(x).denominator
-        lam = lam * d // gcd(lam, d)
-    return lam
-
-
 def integerize_rows(A) -> np.ndarray:
     """Scale each row by the lcm of its denominators (rank and kernel are
     unchanged); result has plain integer entries."""
-    A = as_matrix(A)
-    if _int_bound(A) is not None:
-        return A
-    out = zeros(*A.shape)
-    for i in range(A.shape[0]):
-        lam = _denominator_lcm(A[i, :])
-        for j in range(A.shape[1]):
-            out[i, j] = int(_as_frac(A[i, j]) * lam)
-    return out
+    return _numerators(as_matrix(A), 1)[0]
 
 
 def rat_rank(A) -> int:
@@ -416,34 +469,39 @@ class RatSolver:
     spanned by S V[:, r:], and the rows U[r:, :] span the left null space.
     """
 
-    __slots__ = ("A", "scales", "snf", "rank")
+    __slots__ = ("A", "scales", "rank", "_diag", "_U", "_V")
 
     def __init__(self, A):
         A = check_rat_entries(as_matrix(A))
+        nums, lcms = _numerators(A, 0)
+        snf = smith_normal_form(nums)
         self.A = A
-        self.scales = np.array([_denominator_lcm(A[:, j])
-                                for j in range(A.shape[1])], dtype=object)
-        self.snf = smith_normal_form(A * self.scales)
-        self.rank = self.snf.rank
+        self.scales = np.array(lcms or [1] * A.shape[1], dtype=object)
+        self.rank = snf.rank
+        self._diag = snf.diag[:snf.rank]
+        # the transforms every solve multiplies by, on int64 when they fit
+        self._U, self._V = _int64_form(snf.U), _int64_form(snf.V)
+        A.setflags(write=False)
+        self.scales.setflags(write=False)
 
     def solve(self, b):
         """One rational solution of A x = b, or None."""
         b = as_vector(b, self.A.shape[0])
-        snf, r = self.snf, self.rank
-        y = mv(snf.U, b)
+        r = self.rank
+        y = mv(self._U, b)
         if not is_zero(y[r:]):
             return None
-        z = np.array([_as_frac(y[i]) / snf.diag[i] for i in range(r)],
+        z = np.array([Fraction(y[i], d) for i, d in enumerate(self._diag)],
                      dtype=object)
-        return mv(snf.V[:, :r], z) * self.scales
+        return mv(self._V[:, :r], z) * self.scales
 
     def kernel_basis(self) -> np.ndarray:
         """Columns form a basis of the rational null space."""
-        return self.snf.V[:, self.rank:] * self.scales.reshape(-1, 1)
+        return self._V[:, self.rank:] * self.scales.reshape(-1, 1)
 
     def left_nullspace(self) -> np.ndarray:
         """Integer rows forming a basis of {y : y @ A == 0} over Q."""
-        return self.snf.U[self.rank:, :].copy()
+        return self._U[self.rank:, :].astype(object)
 
 
 class MixedSolver:
@@ -456,7 +514,7 @@ class MixedSolver:
     v is recovered from the same factorization of A_rat.
     """
 
-    __slots__ = ("A_int", "A_rat", "rat", "P", "M", "snf")
+    __slots__ = ("rat", "_A_int", "_P", "_diag", "_U", "_V")
 
     def __init__(self, A_int, A_rat):
         A_int = check_int_entries(as_matrix(A_int))
@@ -464,23 +522,26 @@ class MixedSolver:
         if A_int.shape[0] != A_rat.shape[0]:
             raise ValueError("A_int and A_rat must have the same number of rows")
         self.rat = RatSolver(A_rat)
-        self.A_int, self.A_rat = A_int, self.rat.A
-        self.P = self.rat.left_nullspace()
-        self.M = mm(self.P, A_int)
-        self.snf = smith_normal_form(self.M)
+        # the integer factors every solve multiplies by, on int64 when they fit
+        self._A_int = _int64_form(A_int)
+        self._P = self.rat._U[self.rat.rank:]
+        snf = smith_normal_form(mm(self._P, self._A_int))
+        self._diag = snf.diag
+        self._U, self._V = _int64_form(snf.U), _int64_form(snf.V)
 
     def solve(self, b):
         """Return (u, v) with exact zero residual, or None."""
-        b = as_vector(b, self.A_int.shape[0])
-        c = [_as_frac(x) for x in mv(self.P, b)]
-        if any(x.denominator != 1 for x in c):
+        b = as_vector(b, self._A_int.shape[0])
+        c = mv(self._P, b)
+        if any(x.denominator != 1 for x in c.tolist()):
             return None
-        u = solve_int(self.M, [int(x) for x in c], snf=self.snf)
+        u = _int_solutions(self._U, self._V, self._diag, c.reshape(-1, 1))
         if u is None:
             return None
-        au = mv(self.A_int, u)
+        u = u[:, 0]
+        au = mv(self._A_int, u)
         v = self.rat.solve(b - au)
-        if v is None or not is_zero(au + mv(self.A_rat, v) - b):
+        if v is None or not is_zero(au + mv(self.rat.A, v) - b):
             raise RuntimeError("mixed solve produced a nonzero residual")
         return u, v
 

@@ -347,3 +347,27 @@ def test_differential_cochain_json_rejects_non_integral_c():
     obj["c"][0] = "1/2"
     with pytest.raises(ValueError, match="non-integer"):
         dc.DifferentialCochain.from_json(K, obj)
+
+
+def test_cached_matrices_and_solver_factors_are_read_only():
+    # the solvers' int64 forms are copies made once, so nothing they were
+    # made from may change afterwards
+    K = octa()
+    S = cl.circle_product(cl.bundled_complex("circle3"))
+    rng = random.Random(11)
+    dc.random_cocycle(K, 2, rng)
+    dc.random_reduced_cocycle(S, 2, rng)
+    solver, _ = dc.class_solver(K, 2, 2)
+    rat = solver.rat
+    cached = [K.boundary_matrix(d) for d in range(1, K.dim + 1)] + [
+        K._diffcoh_cache[("zker", 2)],
+        S.complex._diffcoh_cache[("zker_reduced", 2)],
+        solver._A_int, solver._P, solver._U, solver._V,
+        rat.A, rat.scales, rat._U, rat._V]
+    for a in cached:
+        assert a.size
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            a.T[(0,) * a.ndim] += 1
+    assert solver._U.dtype == solver._A_int.dtype == rat._V.dtype == np.int64

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cellcoh import linalg as la
@@ -244,7 +244,7 @@ def test_mixed_solver_solves_planted_systems(system, data):
 def test_mixed_solver_rejects_non_integral_projection(system):
     A_int, A_rat = system
     solver = la.MixedSolver(A_int, A_rat)
-    P = solver.P
+    P = solver.rat.left_nullspace()
     assume(P.shape[0] > 0)
     # rows of a unimodular matrix are primitive, so the first row of P has
     # an odd entry; half the matching unit vector makes P b non-integral,
@@ -288,3 +288,88 @@ def test_rat_solver_solves_consistent_systems(A, data):
     x = la.RatSolver(A).solve(b)
     assert x is not None
     assert _apply(A, x) == list(b)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the exact products mm and mv
+# ---------------------------------------------------------------------------
+
+SAFE = 2 ** 61
+ENTRY_FAMILIES = st.sampled_from([
+    INTS,
+    RATS,
+    st.one_of(INTS, RATS),
+    st.integers(-4, 4).map(np.int64),
+    # entries that fit int64 whose products do not
+    st.one_of(st.integers(2 ** 32, 2 ** 40), st.integers(-2 ** 40, -2 ** 32)),
+    # entries at and beyond the int64 bound
+    st.one_of(INTS, st.integers(SAFE, 2 ** 66), st.integers(-2 ** 66, -SAFE)),
+    st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64), st.integers(1, 2 ** 64)),
+])
+
+
+@st.composite
+def exact_matrices(draw, rows, cols):
+    return _matrix(draw, rows, cols, draw(ENTRY_FAMILIES))
+
+
+def _exact(x):
+    return Fraction(int(x) if isinstance(x, np.integer) else x)
+
+
+def _product(A, B):
+    """A @ B as plain Python Fraction sums of products."""
+    return [[sum((_exact(A[i, t]) * _exact(B[t, j]) for t in range(A.shape[1])),
+                 Fraction(0)) for j in range(B.shape[1])]
+            for i in range(A.shape[0])]
+
+
+def _exact_convention(x):
+    return type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+
+
+@st.composite
+def products(draw):
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    if draw(st.booleans()):     # both factors from one family
+        entries = draw(ENTRY_FAMILIES)
+        return (_matrix(draw, m, k, entries), _matrix(draw, k, n, entries))
+    return draw(exact_matrices(m, k)), draw(exact_matrices(k, n))
+
+
+@PROPERTY
+@example((np.array([[2 ** 60, 2 ** 60]], dtype=object),
+          np.array([[1], [1]], dtype=object)))          # a b k = 2^61
+@example((np.array([[2 ** 40, 2 ** 40]], dtype=object),
+          np.array([[2 ** 22], [2 ** 22]], dtype=object)))  # sum 2^63
+@example((np.array([[-2 ** 63]], dtype=object), np.array([[2]], dtype=object)))
+@example((np.array([[-2 ** 63, 3]], dtype=object),
+          np.array([[0], [Fraction(1, 3)]], dtype=object)))
+@example((np.array([[2 ** 70]], dtype=object), np.array([[0]], dtype=object)))
+@given(products())
+def test_mm_and_mv_match_a_fraction_reference(pair):
+    A, B = pair
+    want = _product(A, B)
+    got = la.mm(A, B)
+    assert got.dtype == object and got.shape == (A.shape[0], B.shape[1])
+    assert got.tolist() == want
+    assert all(_exact_convention(x) for x in got.flat)
+    for j in range(B.shape[1]):
+        col = [row[j] for row in want]
+        for prod in (la.mv(A, B[:, j]), la.mm(A, B[:, j])):
+            assert prod.shape == (A.shape[0],) and prod.tolist() == col
+            assert all(_exact_convention(x) for x in prod)
+    if all(type(x) is int and abs(x) < 2 ** 63 for x in A.flat):
+        # an int64 factor skips the scan and gives the same product
+        assert la.mm(A.astype(np.int64), B).tolist() == want
+
+
+def test_mm_and_mv_reject_inexact_entries():
+    ok = np.array([[1, Fraction(1, 2)], [0, 3]], dtype=object)
+    bad = np.array([[1, 0.5], [0, 3]], dtype=object)
+    for A, B in [(bad, ok), (ok, bad), (ok, np.ones((2, 2))),
+                 (np.ones((2, 2)), ok)]:
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            la.mm(A, B)
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        la.mv(ok, [1, 0.5])
