@@ -18,10 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .linalg import (RatSolver, as_matrix, as_vector, check_int_entries,
-                     check_rat_entries, eye, int_kernel_basis, integerize_rows,
-                     is_zero, mm, mv, rat_rank, smith_normal_form, solve_int,
-                     solve_int_many, zeros)
+from .linalg import (IntSolver, RatSolver, as_matrix, as_vector,
+                     check_int_entries, check_rat_entries, eye, int_kernel_basis,
+                     integerize_rows, is_zero, mm, mv, rat_rank,
+                     smith_normal_form, solve_int_many, zeros)
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -35,6 +35,12 @@ def _check_ring(ring: str) -> str:
 
 def _check_entries(ring: str, m: np.ndarray) -> np.ndarray:
     return check_int_entries(m) if ring == RING_Z else check_rat_entries(m)
+
+
+def _solver_class(ring: str):
+    """The exact solver of the ring: integer solutions over Z, rational
+    ones over Q."""
+    return IntSolver if ring == RING_Z else RatSolver
 
 
 class Complex:
@@ -393,8 +399,7 @@ class HomologyData:
         ker = int_kernel_basis(integerize_rows(C.diff(n)))
         # write the image inside the kernel lattice (the kernel basis is a
         # direct summand, so the coordinates are integral)
-        rel = solve_int_many(ker, integerize_rows(d_in.T).T,
-                             snf=smith_normal_form(ker))
+        rel = solve_int_many(ker, integerize_rows(d_in.T).T)
         if rel is None:
             raise RuntimeError("image not contained in kernel")
         rsnf = smith_normal_form(rel)
@@ -416,36 +421,24 @@ class HomologyData:
     # -- class arithmetic ----------------------------------------------
 
     def _solvers(self):
+        """Solvers for [gens | image] and for the image, built on first use:
+        IntSolver over Z, RatSolver over Q."""
         if self._express_solver is None:
-            stacked = (np.concatenate([self.gens, self._im], axis=1)
-                       if self.gens.size or self._im.size
-                       else zeros(self.complex.rank(self.degree), 0))
-            if self.complex.ring == RING_Z:
-                self._express_solver = ("Z", smith_normal_form(stacked), stacked)
-                self._zero_solver = smith_normal_form(self._im)
-            else:
-                self._express_solver = ("Q", RatSolver(stacked), stacked)
-                self._zero_solver = RatSolver(self._im)
-        return self._express_solver
+            solver = _solver_class(self.complex.ring)
+            self._express_solver = solver(
+                np.concatenate([self.gens, self._im], axis=1))
+            self._zero_solver = solver(self._im)
+        return self._express_solver, self._zero_solver
 
     def express(self, vec):
         """Coordinates of the class of a cocycle in the generators, or None."""
-        kind, solver, stacked = self._solvers()
-        vec = as_vector(vec, self.complex.rank(self.degree))
-        if kind == "Z":
-            sol = solve_int(stacked, vec, snf=solver)
-        else:
-            sol = solver.solve(vec)
+        sol = self._solvers()[0].solve(vec)
         if sol is None:
             return None
         return sol[: self.gens.shape[1]]
 
     def class_is_zero(self, vec) -> bool:
-        self._solvers()
-        vec = as_vector(vec, self.complex.rank(self.degree))
-        if self.complex.ring == RING_Z:
-            return solve_int(self._im, vec, snf=self._zero_solver) is not None
-        return self._zero_solver.solve(vec) is not None
+        return self._solvers()[1].solve(vec) is not None
 
     def classes_equal(self, v, w) -> bool:
         return self.class_is_zero(as_vector(v) - as_vector(w))
@@ -466,10 +459,6 @@ def homology(C: Complex, n: int) -> FgAbGroup:
     torsion = [d for d in d_in.diag if d > 1] if C.ring == RING_Z else []
     return FgAbGroup(C.ring, rank=C.rank(n) - rat_rank(C.diff(n)) - d_in.rank,
                      torsion=torsion)
-
-
-def homology_presentation(C: Complex, n: int) -> HomologyData:
-    return HomologyData(C, n)
 
 
 def induced_map(f: ChainMap, n: int, source_h: HomologyData | None = None,
@@ -504,22 +493,11 @@ def exact_at_middle(f: ChainMap, g: ChainMap, n: int) -> bool:
     # kernel of Q (with middle relations) must land in the image of P
     mid_rel = _relation_matrix(mh)
     tar_rel = _relation_matrix(th)
-    lifted = np.concatenate([Q, tar_rel], axis=1) if Q.size or tar_rel.size \
-        else zeros(th.gens.shape[1], 0)
-    ker = (int_kernel_basis(lifted) if f.source.ring == RING_Z
-           else RatSolver(lifted).kernel_basis())
-    src_cols = Q.shape[1]
-    img_cols = np.concatenate([P, mid_rel], axis=1) if P.size or mid_rel.size \
-        else zeros(mh.gens.shape[1], 0)
-    for j in range(ker.shape[1]):
-        x = ker[:src_cols, j]
-        if f.source.ring == RING_Z:
-            ok = solve_int(img_cols, x) is not None
-        else:
-            ok = RatSolver(img_cols).solve(x) is not None
-        if not ok:
-            return False
-    return True
+    solver = _solver_class(f.source.ring)
+    ker = solver(np.concatenate([Q, tar_rel], axis=1)).kernel_basis()
+    img = solver(np.concatenate([P, mid_rel], axis=1))
+    return all(img.solve(ker[:Q.shape[1], j]) is not None
+               for j in range(ker.shape[1]))
 
 
 def _relation_matrix(h: HomologyData) -> np.ndarray:

@@ -33,8 +33,9 @@ import numpy as np
 from .cells import CellComplex, Cochain, ProductComplex, cochain_complex, \
     fiber_integrate_circle, fiber_integrate_prism
 from .chains import RING_Q, RING_Z, FgAbGroup, HomologyData, parse_int
-from .linalg import (MixedSolver, as_vector, check_int_entries, eye, is_zero,
-                     mv, solve_int, zeros)
+from .linalg import (IntSolver, MixedSolver, RatSolver, as_vector,
+                     check_int_entries, eye, int_kernel_basis, is_zero, mv,
+                     rat_nullity, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -261,54 +262,59 @@ class QZCohomology:
     Classes are represented by rational n-cochains u with delta u integral;
     [u] = 0 iff u = delta g + z with g rational, z integral, decided by the
     mixed solver.  The Bockstein sends [u] to [delta u] in H^(n+1)(K; Z).
+    Only the two coboundaries around degree n are kept, not K, whose cache
+    holds this object.
     """
 
     def __init__(self, K: CellComplex, n: int):
-        self.K, self.n = K, n
+        self.n = n
+        self.delta_below = _delta_matrix(K, n - 1)
+        self.delta = _delta_matrix(K, n)
+        self.n_cells = K.n_cells(n)
         self.rational = rational_cohomology(K, n)
         self.integral_next = integral_cohomology(K, n + 1)
         b = self.rational.group.rank
         torsion = tuple(d for d in self.integral_next.orders if d != 0 and d > 1)
         self.group = FgAbGroup("QZ", rank=b, torsion=tuple(sorted(torsion)))
-        rn = K.n_cells(n)
-        self._member = MixedSolver(eye(rn), _delta_matrix(K, n - 1))
+        self._member = MixedSolver(eye(self.n_cells), self.delta_below)
+        # integral primitives b of delta b = c, for the torsion lifts below
+        # and the hexagon's exactness witnesses
+        self.primitive = IntSolver(self.delta)
         # lifts of the torsion part: k [t] = 0 gives k t = delta b, u = b / k
         self.torsion_lifts = []
         for i, k in enumerate(self.integral_next.orders):
             if k in (0, 1):
                 continue
             t = self.integral_next.gens[:, i]
-            bvec = solve_int(_delta_matrix(K, n), k * t)
+            bvec = self.primitive.solve(k * t)
             if bvec is None:
                 raise RuntimeError("torsion class has no integral primitive")
             self.torsion_lifts.append((bvec * Fraction(1, k), k))
 
     def is_cocycle(self, u) -> bool:
-        du = mv(_delta_matrix(self.K, self.n), as_vector(u))
+        du = mv(self.delta, as_vector(u))
         return all(Fraction(x).denominator == 1 for x in du)
 
     def class_is_zero(self, u) -> bool:
-        return self._member.solve(as_vector(u, self.K.n_cells(self.n))) is not None
+        return self._member.solve(as_vector(u, self.n_cells)) is not None
 
     def classes_equal(self, u, v) -> bool:
         return self.class_is_zero(as_vector(u) - as_vector(v))
 
     def bockstein(self, u) -> np.ndarray:
         """Integral cocycle delta u; its class in H^(n+1)(K; Z)."""
-        du = mv(_delta_matrix(self.K, self.n), as_vector(u))
-        return check_int_entries(du)
+        return check_int_entries(mv(self.delta, as_vector(u)))
 
     def random_class(self, rng) -> np.ndarray:
         """Random representative mixing divisible, torsion and trivial parts."""
-        K, n = self.K, self.n
-        u = zeros(K.n_cells(n), 1).reshape(-1)
+        u = zeros(self.n_cells, 1).reshape(-1)
         for j in range(self.rational.gens.shape[1]):
             u = u + random_rational(rng) * self.rational.gens[:, j]
         for lift, k in self.torsion_lifts:
             u = u + rng.randrange(k) * lift
-        g = random_rational_vector(rng, K.n_cells(n - 1))
-        z = random_int_vector(rng, K.n_cells(n))
-        return u + mv(_delta_matrix(K, n - 1), g) + z
+        g = random_rational_vector(rng, self.delta_below.shape[1])
+        z = random_int_vector(rng, self.n_cells)
+        return u + mv(self.delta_below, g) + z
 
 
 def qz_cohomology(K: CellComplex, n: int) -> QZCohomology:
@@ -360,7 +366,6 @@ def random_cocycle(K: CellComplex, m: int, rng, n: int | None = None
     """Random dhat-cocycle: c a random integral cocycle, h arbitrary,
     omega = c + delta h."""
     n = m if n is None else n
-    from .linalg import int_kernel_basis
     cache = _cache(K)
     key = ("zker", n)
     if key not in cache:
@@ -378,7 +383,6 @@ def random_reduced_cocycle(prod: ProductComplex, m: int, rng,
                            n: int | None = None) -> DifferentialCochain:
     """Random dhat-cocycle on a circle product vanishing on the base
     section (the inputs accepted by circle integration)."""
-    from .linalg import int_kernel_basis
     n = m if n is None else n
     P, K = prod.complex, prod.base
     base_v = ("v", 0)
@@ -437,11 +441,10 @@ class Hexagon:
         self.h_low_qz = qz_cohomology(K, m - 1)
         self.delta_a = _delta_matrix(K, m - 1)
         self.delta_below = _delta_matrix(K, m - 2)
-        from .linalg import RatSolver
         self._a_exact = RatSolver(self.delta_below)   # A-node equality
         self._z_exact = RatSolver(self.delta_a)       # exactness at Zcl
+        self._int_primitive = self.h_low_qz.primitive  # integral b, delta b = c
         # dimensions of the two corner Q-spaces
-        from .linalg import rat_nullity
         self.dim_a_node = K.n_cells(m - 1) - self._a_exact.rank
         self.dim_z_node = rat_nullity(_delta_matrix(K, m))
 
@@ -591,7 +594,7 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
         h = random_rational_vector(rng, n_low)
         omega = c + mv(hx.delta_a, h)
         x = DifferentialCochain(K, m, m, c, h, omega)
-        bp = solve_int(hx.delta_a, x.c)
+        bp = hx._int_primitive.solve(x.c)
         if bp is None:
             ok = False
             continue
@@ -646,7 +649,7 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
         if not hx.h_high_z.class_is_zero(beta):
             ok = False
             continue
-        bvec = solve_int(hx.delta_a, beta)
+        bvec = hx._int_primitive.solve(beta)
         # constructive preimage: u - b is closed rational, and its negative
         # reduces to [u]
         ok &= bvec is not None
@@ -663,7 +666,7 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
             continue
         t = hx.h_high_z.gens[:, i]
         ok &= hx.h_high_q.class_is_zero(t)
-        bvec = solve_int(hx.delta_a, k * t)
+        bvec = hx._int_primitive.solve(k * t)
         if bvec is None:
             ok = False
             continue
@@ -818,19 +821,20 @@ def pullback_classification_check(K: CellComplex, m: int, samples: int = 50,
     record("kernel_elements_are_a_of_closed_forms", ok)
 
     # kernel = image of H^(m-1)(K;Q) modulo integral classes: a(z) is
-    # trivial iff the class of z is integral
+    # trivial iff the class of z is integral, that is, for a closed z, iff
+    # z = b + delta s with b integral, which is [z] = 0 in H^(m-1)(K;Q/Z)
     ok = True
     kernel_witnesses = []
     for j in range(hx.h_low_q.gens.shape[1]):
         z = hx.h_low_q.gens[:, j] * Fraction(1, 2)
         xz = hx.a(z)
         triv, _ = class_is_trivial(xz)
-        integral = _class_is_integral(hx, z)
+        integral = hx.h_low_qz.class_is_zero(z)
         ok &= triv == integral
         if not triv:
             kernel_witnesses.append(j)
         zi = hx.h_low_q.gens[:, j]
-        if _class_is_integral(hx, zi):
+        if hx.h_low_qz.class_is_zero(zi):
             triv_i, _ = class_is_trivial(hx.a(zi))
             ok &= triv_i
     # independence of the kernel witnesses
@@ -856,22 +860,3 @@ def pullback_classification_check(K: CellComplex, m: int, samples: int = 50,
             "H_high_Z": str(hx.h_high_z.group),
             "H_high_Q": str(hx.h_high_q.group),
             "passed": passed}
-
-
-def _class_is_integral(hx: Hexagon, z) -> bool:
-    """Whether a closed rational (m-1)-cochain class lies in the image of
-    H^(m-1)(K; Z): z = b + delta s with b an integral cocycle."""
-    K, m = hx.K, hx.m
-    n_low = K.n_cells(m - 1)
-    cache = _cache(K)
-    key = ("integral_class", m)
-    if key not in cache:
-        rows = n_low + K.n_cells(m)
-        A_int = zeros(rows, n_low)
-        A_int[:n_low, :] = eye(n_low)
-        A_int[n_low:, :] = hx.delta_a
-        A_rat = zeros(rows, K.n_cells(m - 2))
-        A_rat[:n_low, :] = hx.delta_below
-        cache[key] = MixedSolver(A_int, A_rat)
-    rhs = np.concatenate([as_vector(z), zeros(K.n_cells(m), 1).reshape(-1)])
-    return cache[key].solve(rhs) is not None

@@ -9,13 +9,18 @@ bound proves that no overflow is possible, else as Python integers, and
 each entry of the result is divided once, coming back as a plain int where
 it is integral and as a Fraction elsewhere.  The Smith normal form runs on
 int64 under the same kind of bound and falls back to big integers; both
-paths compute the same numbers.  Everything else is built on it: integer
-kernels, integer solving and quotient presentations directly, and, after
-scaling the columns of a rational matrix to integers, its rank, kernel,
-left null space and solutions over Q.  The combined integral/rational
-solver behind class equality and the exactness witnesses is built on both;
-the solvers keep their fixed integer factors read-only and on int64, so a
-solve only scans its right-hand side.
+paths compute the same numbers.
+
+Every exact solve goes through a solver object that factors its matrix
+once and is reused across right-hand sides; the ring is chosen by the
+class.  IntSolver runs one Smith normal form and gives rank, integer
+kernel and integer solutions.  RatSolver holds the IntSolver of its
+matrix with the columns scaled to integers and gives rank, kernel, left
+null space and solutions over Q.  MixedSolver, behind class equality and
+the exactness witnesses, solves for an integral and a rational unknown
+with one solver of each kind.  The solvers keep their fixed integer
+factors read-only and on int64, so a solve only scans its right-hand side.
+solve_int, solve_int_many and int_kernel_basis factor for one call.
 """
 
 from __future__ import annotations
@@ -383,57 +388,64 @@ def smith_normal_form(A) -> SmithForm:
     return SmithForm(*map(_to_object, (st.U, st.D, st.V, st.Uinv)))
 
 
+class IntSolver:
+    """Rank, integer kernel and integer solutions of an integer matrix A,
+    all read off one Smith normal form and reusable across right-hand sides.
+
+    With U A V = diag(d_1, ..., d_r, 0, ...), A x = b has an integer
+    solution exactly when U b is integral, vanishes below row r and has
+    row i < r divisible by d_i; then x = V ((U b)[:r] / d).  The columns
+    V[:, r:] are a basis of the kernel lattice, a direct summand of Z^n
+    because V is unimodular.  U and V are kept read-only, on int64 when
+    they fit, so a solve only scans its right-hand side.
+    """
+
+    __slots__ = ("rank", "diag", "_U", "_V")
+
+    def __init__(self, A):
+        snf = smith_normal_form(A)
+        self.rank = snf.rank
+        self.diag = snf.diag[:snf.rank]
+        self._U, self._V = _int64_form(snf.U), _int64_form(snf.V)
+
+    def solve(self, b):
+        """One integer solution of A x = b, or None.  b may have rational
+        entries; the system is then unsolvable unless U b is integral."""
+        X = self.solve_many(as_vector(b, self._U.shape[0]).reshape(-1, 1))
+        return None if X is None else X[:, 0]
+
+    def solve_many(self, B):
+        """Solve A X = B column by column over Z; None if any column fails."""
+        Y = mm(self._U, as_matrix(B))
+        r = self.rank
+        # mm returns a Fraction only for a non-integral entry
+        if _entry_kind(Y) is not int or not is_zero(Y[r:]):
+            return None
+        d = np.array(self.diag, dtype=object).reshape(-1, 1)
+        if not is_zero(Y[:r] % d):
+            return None
+        X = zeros(self._V.shape[0], Y.shape[1])
+        X[:r] = Y[:r] // d
+        return mm(self._V, X)
+
+    def kernel_basis(self) -> np.ndarray:
+        """Columns form a basis of the integer kernel lattice."""
+        return self._V[:, self.rank:].astype(object)
+
+
 def int_kernel_basis(A) -> np.ndarray:
-    """Columns form a basis of the integer kernel lattice of A (a direct
-    summand of Z^n, because the columns come out of a unimodular matrix)."""
-    A = as_matrix(A)
-    snf = smith_normal_form(A)
-    r = snf.rank
-    return snf.V[:, r:].copy()
+    """Columns form a basis of the integer kernel lattice of A."""
+    return IntSolver(A).kernel_basis()
 
 
-def solve_int(A, b, snf: SmithForm | None = None):
-    """One integer solution of A x = b, or None.
-
-    b may have rational entries; the system is then unsolvable unless the
-    relevant combinations are integral.
-    """
-    A = as_matrix(A)
-    b = as_vector(b, A.shape[0])
-    if snf is None:
-        snf = smith_normal_form(A)
-    sols = solve_int_many(A, b.reshape(-1, 1), snf=snf)
-    if sols is None:
-        return None
-    return sols[:, 0]
+def solve_int(A, b):
+    """One integer solution of A x = b, or None."""
+    return IntSolver(A).solve(b)
 
 
-def solve_int_many(A, B, snf: SmithForm | None = None):
+def solve_int_many(A, B):
     """Solve A X = B column by column over Z; None if any column fails."""
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if snf is None:
-        snf = smith_normal_form(A)
-    return _int_solutions(snf.U, snf.V, snf.diag, B)
-
-
-def _int_solutions(U, V, diag, B):
-    """X with A X = B over Z from U A V = D with diagonal `diag`, or None.
-
-    Y = U B must be integral, vanish below the rank r, and have row i < r
-    divisible by d_i; then X = V (Y[:r] / d).
-    """
-    Y = mm(U, B)
-    r = sum(1 for d in diag if d)
-    # mm returns a Fraction only for a non-integral entry
-    if _entry_kind(Y) is not int or not is_zero(Y[r:]):
-        return None
-    d = np.array(diag[:r], dtype=object).reshape(-1, 1)
-    if not is_zero(Y[:r] % d):
-        return None
-    X = zeros(V.shape[0], B.shape[1])
-    X[:r] = Y[:r] // d
-    return mm(V, X)
+    return IntSolver(A).solve_many(B)
 
 
 # ---------------------------------------------------------------------------
@@ -463,24 +475,22 @@ class RatSolver:
     all read off one Smith normal form and reusable across right-hand sides.
 
     Column j is scaled by the lcm s_j of its denominators, which keeps the
-    column span and the left null space.  With S = diag(s) and
-    U (A S) V = diag(d_1, ..., d_r, 0, ...), a solution of A x = b is
-    S V[:, :r] ((U b)[:r] / d) when (U b)[r:] vanishes, the kernel is
-    spanned by S V[:, r:], and the rows U[r:, :] span the left null space.
+    column span and the left null space.  With S = diag(s) and the
+    IntSolver of A S, U (A S) V = diag(d_1, ..., d_r, 0, ...), a solution
+    of A x = b is S V[:, :r] ((U b)[:r] / d) when (U b)[r:] vanishes, the
+    kernel is spanned by S V[:, r:], and the rows U[r:, :] span the left
+    null space.
     """
 
-    __slots__ = ("A", "scales", "rank", "_diag", "_U", "_V")
+    __slots__ = ("A", "scales", "rank", "int")
 
     def __init__(self, A):
         A = check_rat_entries(as_matrix(A))
         nums, lcms = _numerators(A, 0)
-        snf = smith_normal_form(nums)
+        self.int = IntSolver(nums)
         self.A = A
         self.scales = np.array(lcms or [1] * A.shape[1], dtype=object)
-        self.rank = snf.rank
-        self._diag = snf.diag[:snf.rank]
-        # the transforms every solve multiplies by, on int64 when they fit
-        self._U, self._V = _int64_form(snf.U), _int64_form(snf.V)
+        self.rank = self.int.rank
         A.setflags(write=False)
         self.scales.setflags(write=False)
 
@@ -488,20 +498,20 @@ class RatSolver:
         """One rational solution of A x = b, or None."""
         b = as_vector(b, self.A.shape[0])
         r = self.rank
-        y = mv(self._U, b)
+        y = mv(self.int._U, b)
         if not is_zero(y[r:]):
             return None
-        z = np.array([Fraction(y[i], d) for i, d in enumerate(self._diag)],
+        z = np.array([Fraction(y[i], d) for i, d in enumerate(self.int.diag)],
                      dtype=object)
-        return mv(self._V[:, :r], z) * self.scales
+        return mv(self.int._V[:, :r], z) * self.scales
 
     def kernel_basis(self) -> np.ndarray:
         """Columns form a basis of the rational null space."""
-        return self._V[:, self.rank:] * self.scales.reshape(-1, 1)
+        return self.int._V[:, self.rank:] * self.scales.reshape(-1, 1)
 
     def left_nullspace(self) -> np.ndarray:
         """Integer rows forming a basis of {y : y @ A == 0} over Q."""
-        return self._U[self.rank:, :].astype(object)
+        return self.int._U[self.rank:, :].astype(object)
 
 
 class MixedSolver:
@@ -510,11 +520,11 @@ class MixedSolver:
     The factorizations are computed once, so repeated right-hand sides are
     cheap.  The integer rows P of the left null space of A_rat, from its
     RatSolver, turn the problem into the integer system (P A_int) u = P b,
-    solvable only when P b is integral and then solved by Smith normal form;
-    v is recovered from the same factorization of A_rat.
+    solvable only when P b is integral and then solved by the IntSolver of
+    P A_int; v is recovered from the same factorization of A_rat.
     """
 
-    __slots__ = ("rat", "_A_int", "_P", "_diag", "_U", "_V")
+    __slots__ = ("rat", "int", "_A_int", "_P")
 
     def __init__(self, A_int, A_rat):
         A_int = check_int_entries(as_matrix(A_int))
@@ -524,10 +534,8 @@ class MixedSolver:
         self.rat = RatSolver(A_rat)
         # the integer factors every solve multiplies by, on int64 when they fit
         self._A_int = _int64_form(A_int)
-        self._P = self.rat._U[self.rat.rank:]
-        snf = smith_normal_form(mm(self._P, self._A_int))
-        self._diag = snf.diag
-        self._U, self._V = _int64_form(snf.U), _int64_form(snf.V)
+        self._P = self.rat.int._U[self.rat.rank:]
+        self.int = IntSolver(mm(self._P, self._A_int))
 
     def solve(self, b):
         """Return (u, v) with exact zero residual, or None."""
@@ -535,10 +543,9 @@ class MixedSolver:
         c = mv(self._P, b)
         if any(x.denominator != 1 for x in c.tolist()):
             return None
-        u = _int_solutions(self._U, self._V, self._diag, c.reshape(-1, 1))
+        u = self.int.solve(c)
         if u is None:
             return None
-        u = u[:, 0]
         au = mv(self._A_int, u)
         v = self.rat.solve(b - au)
         if v is None or not is_zero(au + mv(self.rat.A, v) - b):

@@ -151,6 +151,18 @@ def test_cone_long_exact_sequence_randomized(rng):
         found += 1
 
 
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_exact_at_middle_fails_for_zero_maps_through_nonzero_homology(ring):
+    # f = g = 0: the image of f is 0 but the kernel of g is all of
+    # H^n(B) = Z (or Q) for n = 0, 1, so the sequence is not exact there
+    B = circle_cochain(ring)
+    zero = ch.ChainMap.zero(B, B)
+    for n in (0, 1):
+        assert not ch.homology(B, n).is_trivial()
+        assert not ch.exact_at_middle(zero, zero, n)
+    assert ch.exact_at_middle(zero, zero, 2)
+
+
 def test_homology_outside_window_is_zero():
     C = circle_cochain()
     assert ch.homology(C, 99).is_trivial()

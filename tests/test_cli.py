@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import math
 from importlib import resources
@@ -269,3 +271,31 @@ def test_null_bundle_field_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "lattice-class", str(p))
     assert code == 2
     assert err.startswith("input error:")
+
+
+def test_parser_is_built_once_per_process(capsys):
+    # an argparse tree is cyclic; one built per call would leave a dead
+    # tree to the cyclic collector on every in-process call
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(2):
+            assert cli.main(["homology", "circle3", "--format", "json"]) == 0
+        gc.collect()
+        parsers = [o for o in gc.garbage
+                   if isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert parsers == []
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_bad_arguments_exit_2_on_every_call(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["hexagon", "circle3"])
+        assert e.value.code == 2
+        assert "the following arguments are required: --m" \
+            in capsys.readouterr().err

@@ -1,12 +1,18 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cellcoh import cells as cl
+from cellcoh import chains as ch
 from cellcoh import diffcoh as dc
+from cellcoh import linalg as la
 from cellcoh.linalg import is_zero, mv, zeros
+
+BUNDLED = ["circle3", "octahedron", "csaszar_torus", "rp2_6"]
 
 
 def octa():
@@ -362,12 +368,82 @@ def test_cached_matrices_and_solver_factors_are_read_only():
     cached = [K.boundary_matrix(d) for d in range(1, K.dim + 1)] + [
         K._diffcoh_cache[("zker", 2)],
         S.complex._diffcoh_cache[("zker_reduced", 2)],
-        solver._A_int, solver._P, solver._U, solver._V,
-        rat.A, rat.scales, rat._U, rat._V]
+        solver._A_int, solver._P, solver.int._U, solver.int._V,
+        rat.A, rat.scales, rat.int._U, rat.int._V]
     for a in cached:
         assert a.size
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 7
         with pytest.raises(ValueError, match="read-only"):
             a.T[(0,) * a.ndim] += 1
-    assert solver._U.dtype == solver._A_int.dtype == rat._V.dtype == np.int64
+    assert solver.int._U.dtype == solver._A_int.dtype == rat.int._V.dtype \
+        == np.int64
+
+
+def test_qz_class_is_zero_decides_integral_classes():
+    # reference: "z = b + delta s with b an integral cocycle" as the mixed
+    # system [I; delta^(m-1)] b + [delta^(m-2); 0] s = [z; 0]
+    rng = random.Random(5)
+    verdicts = set()
+    for name in BUNDLED:
+        K = cl.bundled_complex(name)
+        for m in range(1, K.dim + 2):
+            hx = dc.Hexagon(K, m)
+            n_low, n_m = K.n_cells(m - 1), K.n_cells(m)
+            reference = la.MixedSolver(
+                np.concatenate([la.eye(n_low), hx.delta_a], axis=0),
+                np.concatenate([hx.delta_below,
+                                zeros(n_m, hx.delta_below.shape[1])], axis=0))
+            cocycles = la.int_kernel_basis(hx.delta_a)
+            gens = hx.h_low_q.gens
+            for _ in range(20):
+                z = zeros(n_low, 1).reshape(-1)
+                for j in range(gens.shape[1]):
+                    z = z + Fraction(rng.randint(-6, 6), rng.randint(1, 3)) \
+                        * gens[:, j]
+                s_ = [Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                      for _ in range(hx.delta_below.shape[1])]
+                z = z + mv(hx.delta_below, np.array(s_, dtype=object))
+                for j in range(cocycles.shape[1]):
+                    z = z + rng.randint(-2, 2) * cocycles[:, j]
+                assert is_zero(mv(hx.delta_a, z))
+                rhs = np.concatenate([z, zeros(n_m, 1).reshape(-1)])
+                want = reference.solve(rhs) is not None
+                assert hx.h_low_qz.class_is_zero(z) == want, (name, m)
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_hexagon_factors_each_matrix_once_however_many_samples(monkeypatch):
+    calls = []
+    snf = la.smith_normal_form
+
+    def counted(A):
+        calls.append(1)
+        return snf(A)
+
+    for mod in (la, ch):
+        monkeypatch.setattr(mod, "smith_normal_form", counted)
+    counts = []
+    for samples in (5, 20):
+        calls.clear()
+        assert dc.hexagon_exactness(cl.bundled_complex("circle3"), 1,
+                                    samples=samples)["passed"]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_complex_is_freed_without_the_cyclic_collector():
+    # the per-complex cache holds the Q/Z cohomology, which must not hold
+    # the complex back, or every hexagon run leaves its complex, homology
+    # data and solvers to the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        K = cl.bundled_complex("circle3")
+        assert dc.hexagon_exactness(K, 1, samples=2)["passed"]
+        ref = weakref.ref(K)
+        del K
+        assert ref() is None
+    finally:
+        gc.enable()

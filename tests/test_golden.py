@@ -17,6 +17,8 @@ SAMPLED = ["--samples", "3", "--seed", "1"]
 CASES = {
     "hexagon_circle3_m1": ["hexagon", "circle3", "--m", "1", *SAMPLED],
     "hexagon_octahedron_m2": ["hexagon", "octahedron", "--m", "2", *SAMPLED],
+    "hexagon_csaszar_torus_m2":
+        ["hexagon", "csaszar_torus", "--m", "2", *SAMPLED],
     "hexagon_rp2_6_m2": ["hexagon", "rp2_6", "--m", "2", *SAMPLED],
     "homotopy_formula_octahedron_m2":
         ["homotopy-formula", "octahedron", "--m", "2", *SAMPLED],
