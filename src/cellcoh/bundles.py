@@ -5,13 +5,16 @@ complex-valued expressions over a rectangular rational domain.  On top of
 this: curvature F = dA + A wedge A, the character form Tr exp(bF) with its
 formal variable b of degree -2, transgression along a path of connections
 by Gauss-Legendre quadrature in the path parameter, and holonomy of loops
-by fourth-order Runge-Kutta on the parallel-transport equation.  The
-homological layers stay exact; everything in this module that touches
-floating point is paired with a step-halving consistency check.
+by fourth-order Runge-Kutta on the parallel-transport equation.  Every
+evaluation broadcasts over numpy arrays of points.  The homological layers
+stay exact; of the floating-point results here, transgression is checked
+against a run with doubled steps, and holonomy checks that the loop closes
+and stays inside the domain of the connection.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -54,8 +57,11 @@ class CExpr:
     def diff(self, var: str):
         return CExpr(symbolic_d(self.re, var), symbolic_d(self.im, var))
 
-    def eval(self, env: dict) -> complex:
-        return complex(evaluate(self.re, env), evaluate(self.im, env))
+    def eval(self, env: dict):
+        """A complex at one point, a complex array over arrays of points."""
+        z = np.array(evaluate(self.re, env), dtype=complex)
+        z.imag = evaluate(self.im, env)
+        return z[()]
 
     def is_structural_zero(self) -> bool:
         return (isinstance(self.re, Const) and self.re.value == 0
@@ -97,7 +103,9 @@ def mat_diff(a, var: str):
 
 
 def mat_eval(a, env) -> np.ndarray:
-    return np.array([[x.eval(env) for x in ra] for ra in a], dtype=complex)
+    """Shape (r, r) at one point, (*points, r, r) over arrays of points."""
+    vals = np.array([[x.eval(env) for x in ra] for ra in a], dtype=complex)
+    return np.moveaxis(vals, (0, 1), (-2, -1))
 
 
 def mat_is_zero(a) -> bool:
@@ -113,15 +121,8 @@ def _merge_sign(I: tuple, J: tuple):
     of the shuffle; None if an index repeats."""
     if set(I) & set(J):
         return None, 0
-    merged = tuple(sorted(I + J))
-    perm = list(I + J)
-    sign = 1
-    # count inversions of the concatenation
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return merged, sign
+    inversions = sum(a > b for a, b in itertools.combinations(I + J, 2))
+    return tuple(sorted(I + J)), (-1) ** inversions
 
 
 class MatrixForm:
@@ -160,8 +161,6 @@ class MatrixForm:
                 if i in idx:
                     continue
                 d = mat_diff(mat, name)
-                if mat_is_zero(d):
-                    continue
                 new, sign = _merge_sign((i,), idx)
                 if sign < 0:
                     d = mat_neg(d)
@@ -202,8 +201,6 @@ class ScalarForm:
                 if i in idx:
                     continue
                 d = c.diff(name)
-                if d.is_structural_zero():
-                    continue
                 new, sign = _merge_sign((i,), idx)
                 if sign < 0:
                     d = -d
@@ -222,7 +219,8 @@ class ScalarForm:
 
     def max_abs(self, env) -> float:
         vals = self.eval(env)
-        return max((abs(v) for v in vals.values()), default=0.0)
+        return max((float(np.max(np.abs(v))) for v in vals.values()),
+                   default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,27 +265,23 @@ class SmoothConnection:
     def evaluate_at(self, name: str, env) -> np.ndarray:
         return mat_eval(self.component(name), env)
 
-    def contains(self, env) -> bool:
+    def contains(self, env):
+        """Whether the point lies in the domain; elementwise over arrays."""
+        inside = True
         for name in self.coords:
-            lo, hi = self.domain[name]
+            lo, hi = (float(x) for x in self.domain[name])
             v = env[name]
-            if not (float(lo) - 1e-12 <= v <= float(hi) + 1e-12):
-                return False
-        return True
+            inside = inside & (lo - 1e-12 <= v) & (v <= hi + 1e-12)
+        return inside
 
     def sample_points(self, count: int = 5) -> list:
         """Deterministic interior points of the box."""
-        pts = []
         fracs = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
                  Fraction(1, 5), Fraction(4, 5), Fraction(2, 7), Fraction(5, 7)]
-        for k in range(count):
-            env = {}
-            for i, c in enumerate(self.coords):
-                lo, hi = Fraction(self.domain[c][0]), Fraction(self.domain[c][1])
-                t = fracs[(k + i) % len(fracs)]
-                env[c] = float(lo + (hi - lo) * t)
-            pts.append(env)
-        return pts
+        box = [(c, Fraction(self.domain[c][0]), Fraction(self.domain[c][1]))
+               for c in self.coords]
+        return [{c: float(lo + (hi - lo) * fracs[(k + i) % len(fracs)])
+                 for i, (c, lo, hi) in enumerate(box)} for k in range(count)]
 
     # -- serialization ---------------------------------------------------
 
@@ -297,11 +291,10 @@ class SmoothConnection:
         coords = tuple(obj["coords"])
         domain = {c: (Fraction(str(lo)), Fraction(str(hi)))
                   for c, (lo, hi) in obj["domain"].items()}
-        comps = {}
-        for name, rows in obj.get("A", {}).items():
-            mat = tuple(tuple(CExpr(parse_expr(str(re)), parse_expr(str(im)))
-                              for re, im in row) for row in rows)
-            comps[name] = mat
+        comps = {name: tuple(tuple(CExpr(parse_expr(str(re)),
+                                         parse_expr(str(im)))
+                                   for re, im in row) for row in rows)
+                 for name, rows in obj.get("A", {}).items()}
         return cls(rank, coords, domain, comps)
 
     @classmethod
@@ -327,24 +320,16 @@ def finite_difference_curvature(conn: SmoothConnection, env: dict,
                                 step: float = 1e-5) -> dict:
     """Central-difference approximation of dA + [A,A]/... at one point,
     for validating the symbolic curvature."""
-    coords = conn.coords
+    def d(name, along):
+        up = dict(env, **{along: env[along] + step})
+        down = dict(env, **{along: env[along] - step})
+        return (conn.evaluate_at(name, up) - conn.evaluate_at(name, down)) \
+            / (2 * step)
+
     out = {}
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            ci, cj = coords[i], coords[j]
-            env_p, env_m = dict(env), dict(env)
-            env_p[ci] += step
-            env_m[ci] -= step
-            dAj = (conn.evaluate_at(cj, env_p) - conn.evaluate_at(cj, env_m)) \
-                / (2 * step)
-            env_p, env_m = dict(env), dict(env)
-            env_p[cj] += step
-            env_m[cj] -= step
-            dAi = (conn.evaluate_at(ci, env_p) - conn.evaluate_at(ci, env_m)) \
-                / (2 * step)
-            Ai = conn.evaluate_at(ci, env)
-            Aj = conn.evaluate_at(cj, env)
-            out[(i, j)] = dAj - dAi + Ai @ Aj - Aj @ Ai
+    for (i, ci), (j, cj) in itertools.combinations(enumerate(conn.coords), 2):
+        Ai, Aj = conn.evaluate_at(ci, env), conn.evaluate_at(cj, env)
+        out[(i, j)] = d(cj, ci) - d(ci, cj) + Ai @ Aj - Aj @ Ai
     return out
 
 
@@ -370,10 +355,7 @@ class BGradedForm:
                     f"{2 * k + self.total_degree}")
 
     def term(self, k: int):
-        for kk, form in self.terms:
-            if kk == k:
-                return form
-        return None
+        return next((form for kk, form in self.terms if kk == k), None)
 
     def constant_value(self):
         """The scalar value when the whole form is the constant b^0 term;
@@ -416,17 +398,25 @@ def chern_character_form(conn: SmoothConnection) -> BGradedForm:
 def closedness_residual(form: BGradedForm, conn: SmoothConnection,
                         points: int = 5) -> float:
     """Numeric sup of |d(term)| over sample points; zero for closed forms."""
-    worst = 0.0
-    for _, sform in form.terms:
-        d = sform.exterior_d(conn.coords)
-        for env in conn.sample_points(points):
-            worst = max(worst, d.max_abs(env))
-    return worst
+    env = stack_points(conn.sample_points(points))
+    return max((sform.exterior_d(conn.coords).max_abs(env)
+                for _, sform in form.terms), default=0.0)
+
+
+def stack_points(points: list) -> dict:
+    """A list of points as one point of arrays, for broadcast evaluation."""
+    return {c: np.array([p[c] for p in points]) for c in points[0]}
 
 
 # ---------------------------------------------------------------------------
 # Transgression along a path of connections
 # ---------------------------------------------------------------------------
+
+def gauss_legendre01(steps: int):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(steps)
+    return 0.5 * (x + 1.0), 0.5 * w
+
 
 class QuadratureCoefficient:
     """Coefficient function obtained by integrating an expression over the
@@ -436,20 +426,16 @@ class QuadratureCoefficient:
 
     def __init__(self, integrand: CExpr, param: str, steps: int):
         self.integrand, self.param = integrand, param
-        x, w = np.polynomial.legendre.leggauss(steps)
-        self.nodes = 0.5 * (x + 1.0)
-        self.weights = 0.5 * w
+        self.nodes, self.weights = gauss_legendre01(steps)
 
-    def eval(self, env: dict) -> complex:
-        total = 0j
-        e = dict(env)
-        for u, w in zip(self.nodes, self.weights):
-            e[self.param] = float(u)
-            total += w * self.integrand.eval(e)
-        return total
+    def eval(self, env: dict):
+        """The integral at one point or, broadcast, at arrays of points."""
+        e = {c: np.expand_dims(v, -1) for c, v in env.items()}
+        e[self.param] = self.nodes
+        return self.integrand.eval(e) @ self.weights
 
 
-def _transgress_terms(path: SmoothConnection, steps: int, param: str):
+def _transgress_terms(path: SmoothConnection, param: str):
     if param not in path.coords:
         raise ValueError(f"path connection has no coordinate {param!r}")
     lo, hi = path.domain[param]
@@ -484,39 +470,22 @@ def transgress_ch(path: SmoothConnection, steps: int = 64, param: str = "u",
     coefficients, converged flag); the flag compares against doubled steps
     at deterministic sample points.
     """
-    terms, base = _transgress_terms(path, steps, param)
-    base_domain = {c: path.domain[c] for c in base}
+    terms, base = _transgress_terms(path, param)
 
     def build(nsteps):
-        out = []
-        for k, comps in terms:
-            num = {idx: QuadratureCoefficient(c, param, nsteps)
-                   for idx, c in comps.items()}
-            out.append((k, ScalarForm(2 * k - 1, num)))
-        return BGradedForm(out, total_degree=-1) if out else \
-            BGradedForm([], total_degree=-1)
+        return BGradedForm(
+            [(k, ScalarForm(2 * k - 1,
+                            {idx: QuadratureCoefficient(c, param, nsteps)
+                             for idx, c in comps.items()}))
+             for k, comps in terms], total_degree=-1)
 
-    result = build(steps)
-    refined = build(2 * steps)
-    probe = SmoothConnection(1, base, base_domain, {}) if base else None
-    converged = True
-    if probe is not None:
-        for env in probe.sample_points(5):
-            for k, comps in terms:
-                f1 = result.term(k)
-                f2 = refined.term(k)
-                for idx in comps:
-                    v1 = f1.eval_component(idx, env)
-                    v2 = f2.eval_component(idx, env)
-                    if abs(v1 - v2) > tol:
-                        converged = False
-    else:
-        for k, comps in terms:
-            for idx in comps:
-                v1 = result.term(k).eval_component(idx, {})
-                v2 = refined.term(k).eval_component(idx, {})
-                if abs(v1 - v2) > tol:
-                    converged = False
+    result, refined = build(steps), build(2 * steps)
+    probe = SmoothConnection(1, base, {c: path.domain[c] for c in base}, {})
+    env = stack_points(probe.sample_points(5))
+    converged = not any(
+        np.any(np.abs(result.term(k).eval_component(idx, env)
+                      - refined.term(k).eval_component(idx, env)) > tol)
+        for k, comps in terms for idx in comps)
     return result, converged
 
 
@@ -535,17 +504,21 @@ class Loop:
     exprs: dict                  # coord name -> Expr in "u"
     periods: dict = field(default_factory=dict)
     tolerance: float = 1e-9
+    velocity_exprs: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, e in self.exprs.items():
             check_bound(e, ("u",))
+        self.velocity_exprs = {c: symbolic_d(e, "u")
+                               for c, e in self.exprs.items()}
 
-    def point(self, u: float) -> dict:
+    def point(self, u) -> dict:
+        """Coordinates at u, a float or an array of parameters."""
         return {c: evaluate(e, {"u": u}) for c, e in self.exprs.items()}
 
-    def velocity(self, u: float) -> dict:
-        return {c: evaluate(symbolic_d(e, "u"), {"u": u})
-                for c, e in self.exprs.items()}
+    def velocity(self, u) -> dict:
+        return {c: evaluate(e, {"u": u})
+                for c, e in self.velocity_exprs.items()}
 
     def closure_defect(self) -> float:
         p0, p1 = self.point(0.0), self.point(1.0)
@@ -586,39 +559,58 @@ def _wrap_env(conn: SmoothConnection, loop: Loop, env: dict) -> dict:
     for c, per in loop.periods.items():
         if c in conn.domain:
             lo = float(conn.domain[c][0])
-            p = float(per)
-            out[c] = lo + ((out[c] - lo) % p)
+            out[c] = lo + ((out[c] - lo) % float(per))
     return out
+
+
+# Steps of `transport` whose nodes are evaluated in one call: enough to make
+# the per-call cost vanish, few enough to keep the node arrays small.
+TRANSPORT_BLOCK = 256
 
 
 def transport(conn: SmoothConnection, loop: Loop, u0: float, u1: float,
               steps: int) -> np.ndarray:
     """Parallel transport along the curve from u0 to u1: classic RK4 on
     U' = -A(gamma(u)) gamma'(u) U with uniform steps."""
-
-    def rhs(u, U):
-        env = _wrap_env(conn, loop, loop.point(u))
-        if not conn.contains(env):
-            raise LoopOutsideDomain(u, env)
-        vel = loop.velocity(u)
-        M = np.zeros((conn.rank, conn.rank), dtype=complex)
-        for name in conn.coords:
-            v = vel.get(name, 0.0)
-            if v != 0.0 and name in conn.comps:
-                M += conn.evaluate_at(name, env) * v
-        return -M @ U
-
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    missing = set(conn.coords) - set(loop.exprs)
+    if missing:
+        raise ValueError(f"loop gives no value for coordinate(s) "
+                         f"{sorted(missing)} of the connection")
     U = np.eye(conn.rank, dtype=complex)
     h = (u1 - u0) / steps
-    u = u0
-    for _ in range(steps):
-        k1 = rhs(u, U)
-        k2 = rhs(u + h / 2, U + h / 2 * k1)
-        k3 = rhs(u + h / 2, U + h / 2 * k2)
-        k4 = rhs(u + h, U + h * k3)
-        U = U + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        u += h
+    for first in range(0, steps, TRANSPORT_BLOCK):
+        last = min(first + TRANSPORT_BLOCK, steps)
+        # generators at the step ends and midpoints of this block
+        M = _generator(conn, loop,
+                       u0 + h / 2 * np.arange(2 * first, 2 * last + 1))
+        for j in range(0, 2 * (last - first), 2):
+            k1 = M[j] @ U
+            k2 = M[j + 1] @ (U + h / 2 * k1)
+            k3 = M[j + 1] @ (U + h / 2 * k2)
+            k4 = M[j + 2] @ (U + h * k3)
+            U = U + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return U
+
+
+def _generator(conn: SmoothConnection, loop: Loop, u: np.ndarray
+               ) -> np.ndarray:
+    """-A(gamma(u)) gamma'(u), shape (len(u), r, r), with A_c evaluated
+    only where c moves; LoopOutsideDomain at the first u outside."""
+    env = _wrap_env(conn, loop, loop.point(u))
+    inside = conn.contains(env)
+    if not np.all(inside):
+        j = int(np.argmin(inside))
+        raise LoopOutsideDomain(float(u[j]),
+                                {c: float(v[j]) for c, v in env.items()})
+    vel = loop.velocity(u)
+    M = np.zeros((len(u), conn.rank, conn.rank), dtype=complex)
+    for name in (c for c in conn.coords if c in conn.comps):
+        moving = vel[name] != 0.0
+        at = {c: v[moving] for c, v in env.items()}
+        M[moving] += conn.evaluate_at(name, at) * vel[name][moving, None, None]
+    return -M
 
 
 def holonomy(conn: SmoothConnection, loop: Loop, steps: int = 4096
@@ -638,13 +630,7 @@ def bch_zero(conn: SmoothConnection, loop: Loop, steps: int = 4096) -> complex:
 
 def shoelace_area(loop: Loop, coord_pair=("s", "t"), steps: int = 4096) -> float:
     """Signed area enclosed by a planar loop (oracle for the area law)."""
-    x, w = np.polynomial.legendre.leggauss(min(steps, 256))
-    us = 0.5 * (x + 1.0)
-    ws = 0.5 * w
-    total = 0.0
+    u, w = gauss_legendre01(min(steps, 256))
+    p, v = loop.point(u), loop.velocity(u)
     a, b = coord_pair
-    for u, wt in zip(us, ws):
-        p = loop.point(float(u))
-        v = loop.velocity(float(u))
-        total += wt * 0.5 * (p[a] * v[b] - p[b] * v[a])
-    return total
+    return float(w @ (0.5 * (p[a] * v[b] - p[b] * v[a])))

@@ -124,10 +124,7 @@ def cmd_hexagon(args) -> int:
 def cmd_holonomy(args) -> int:
     conn = _load_connection(args.connection)
     loop = _load_loop(args.loop)
-    try:
-        U = bd.holonomy(conn, loop, steps=args.steps)
-    except bd.LoopOutsideDomain as e:
-        raise InputError(str(e))
+    U = bd.holonomy(conn, loop, steps=args.steps)
     tr = complex(np.trace(U))
     rep = {"trace": [tr.real, tr.imag],
            "matrix": [[[z.real, z.imag] for z in row] for row in U]}
@@ -264,9 +261,8 @@ def cmd_transgress(args) -> int:
             "transgression quadrature did not converge at this step count")
     base = tuple(c for c in conn.coords if c != "u")
     samples = {}
-    probe_domain = {c: conn.domain[c] for c in base}
-    probe = bd.SmoothConnection(1, base, probe_domain, {}) if base else None
-    pts = probe.sample_points(3) if probe else [{}]
+    probe = bd.SmoothConnection(1, base, {c: conn.domain[c] for c in base}, {})
+    pts = probe.sample_points(3) if base else [{}]
     lines = [f"transgression over u with {args.steps} quadrature nodes "
              f"(converged)"]
     if not form.terms:
@@ -477,8 +473,15 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "samples", 1) < 1:
             raise InputError("--samples must be at least 1")
+        if getattr(args, "steps", 1) < 1:
+            raise InputError("--steps must be at least 1")
         return args.func(args)
-    except InputError as e:
+    except (InputError, ValueError) as e:
+        # bad input to the geometry commands can show only where they
+        # evaluate it: an open loop, a pole, an overflow
+        if not isinstance(e, InputError) and args.command not in (
+                "holonomy", "ch", "transgress", "cycle-map-check"):
+            raise
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except CheckFailure as e:

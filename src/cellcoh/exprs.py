@@ -11,14 +11,17 @@ with functions sin, cos, exp; whitespace-insensitive, left-associative.
 Numbers are exact rationals (integer and decimal literals; a quotient of
 two literals is folded into one rational constant).  Syntax errors carry
 the character offset.  Differentiation is exact on the supported function
-set; evaluation is floating point.
+set; evaluation is floating point and broadcasts over numpy arrays of
+points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, exp, pi, sin
+from math import pi
+
+import numpy as np
 
 FUNCTIONS = ("sin", "cos", "exp")
 CONSTANTS = ("pi",)
@@ -358,35 +361,65 @@ def check_bound(e: Expr, allowed) -> None:
             f"declared coordinates are {sorted(allowed)}")
 
 
-def evaluate(e: Expr, env: dict) -> float:
+def evaluate(e: Expr, env: dict):
+    """Value of an expression at one point or at arrays of points.
+
+    Each coordinate in env is a float or a numpy array; arrays broadcast
+    against each other and the result takes their common shape, constant
+    expressions included (a float when every coordinate is a scalar).
+    Division by zero, zero to a negative power and a value that is not
+    finite raise EvalError at the first such point.
+
+    >>> evaluate(parse_expr("s^2 + 1"), {"s": np.array([0.0, 1.0, 2.0])})
+    array([1., 2., 5.])
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                   for v in env.values()))
+    points = dict(zip(env, arrays))
+    shape = arrays[0].shape if arrays else ()
+    with np.errstate(all="ignore"):
+        val = np.broadcast_to(_eval(e, points), shape)
+    _raise_at(~np.isfinite(val), "non-finite value", points)
+    return val if shape else float(val)
+
+
+def _raise_at(bad, what: str, points: dict) -> None:
+    """Raise EvalError at the first point where bad holds, if any."""
+    shape = np.broadcast_shapes(*(v.shape for v in points.values()))
+    bad = np.broadcast_to(bad, shape)
+    if np.any(bad):
+        i = np.unravel_index(np.argmax(bad), shape)
+        at = {name: float(v[i]) for name, v in points.items()}
+        raise EvalError(f"{what} at {at}")
+
+
+def _eval(e: Expr, points: dict):
     if isinstance(e, Const):
-        return float(e.value)
+        return np.float64(e.value)
     if isinstance(e, Pi):
-        return pi
+        return np.float64(pi)
     if isinstance(e, Var):
         try:
-            return float(env[e.name])
+            return points[e.name]
         except KeyError:
             raise EvalError(f"unknown identifier {e.name!r}") from None
     if isinstance(e, BinOp):
-        a, b = evaluate(e.left, env), evaluate(e.right, env)
+        a, b = _eval(e.left, points), _eval(e.right, points)
         if e.op == "+":
             return a + b
         if e.op == "-":
             return a - b
         if e.op == "*":
             return a * b
-        if b == 0.0:
-            raise EvalError(f"division by zero at {env}")
+        _raise_at(b == 0.0, "division by zero", points)
         return a / b
     if isinstance(e, Pow):
-        base = evaluate(e.base, env)
-        if e.exponent < 0 and base == 0.0:
-            raise EvalError(f"zero to a negative power at {env}")
-        return base ** e.exponent
+        base = _eval(e.base, points)
+        if e.exponent < 0:
+            _raise_at(base == 0.0, "zero to a negative power", points)
+        return np.power(base, e.exponent)
     if isinstance(e, Call):
-        a = evaluate(e.arg, env)
-        return {"sin": sin, "cos": cos, "exp": exp}[e.func](a)
+        return getattr(np, e.func)(_eval(e.arg, points))   # sin, cos, exp
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bundles import SmoothConnection, transgress_ch
+from .bundles import SmoothConnection, gauss_legendre01, transgress_ch
 from .cells import CellComplex, bundled_complex
 from .chains import parse_int
 from .diffcoh import (DifferentialCochain, equal_classes, forms_a,
@@ -198,49 +198,42 @@ class SurfaceChart:
             return cls.from_json(json.load(fh))
 
 
-def _gauss_nodes(steps: int):
-    x, w = np.polynomial.legendre.leggauss(steps)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def nearest_rational(x: float, max_den: int = 10 ** 6) -> Fraction:
     """Best rational approximation with bounded denominator."""
     return Fraction(x).limit_denominator(max_den)
 
 
-def _edge_integral(chart: SurfaceChart, conn_env, edge, steps: int) -> float:
-    """Line integral of the rank-1 real 1-form along the lifted segment."""
-    (pa, pb) = chart.edge_segment(edge)
-    nodes, weights = _gauss_nodes(steps)
-    s_name, t_name = chart.coords
-    total = 0.0
-    dvec = (float(pb[0] - pa[0]), float(pb[1] - pa[1]))
-    for u, w in zip(nodes, weights):
-        pt = {s_name: float(pa[0]) + u * dvec[0],
-              t_name: float(pa[1]) + u * dvec[1]}
-        env = conn_env(pt)
-        total += w * (env[0] * dvec[0] + env[1] * dvec[1])
-    return total
+def _edge_cochain(chart: SurfaceChart, one_form, steps: int,
+                  max_den: int) -> np.ndarray:
+    """Line integrals of a real 1-form along every lifted edge, rounded to
+    nearest rationals; one_form maps a point of arrays (edge, node) to its
+    two coefficient arrays, so all nodes are evaluated in one call."""
+    u, w = gauss_legendre01(steps)
+    segs = [chart.edge_segment(e) for e in chart.complex.cells(1)]
+    start = np.array([[float(x) for x in pa] for pa, _ in segs])[:, None]
+    d = np.array([[float(y - x) for x, y in zip(pa, pb)] for pa, pb in segs])
+    pts = start + u[:, None] * d[:, None]
+    a_s, a_t = one_form(dict(zip(chart.coords, np.moveaxis(pts, -1, 0))))
+    vals = np.sum(w * (a_s * d[:, :1] + a_t * d[:, 1:]), axis=-1)
+    return np.array([nearest_rational(float(v), max_den) for v in vals],
+                    dtype=object)
 
 
-def _face_integral(chart: SurfaceChart, f_eval, face, steps: int) -> float:
-    """Signed integral of a 2-form coefficient over the lifted affine
-    triangle in the face's vertex order."""
-    p0, p1, p2 = chart.face_triangle(face)
-    e1 = (float(p1[0] - p0[0]), float(p1[1] - p0[1]))
-    e2 = (float(p2[0] - p0[0]), float(p2[1] - p0[1]))
-    jac = e1[0] * e2[1] - e1[1] * e2[0]
-    nodes, weights = _gauss_nodes(steps)
-    s_name, t_name = chart.coords
-    total = 0.0
-    for x, wx in zip(nodes, weights):
-        for y, wy in zip(nodes, weights):
-            # Duffy map of the square onto the triangle
-            a, b = x, y * (1 - x)
-            pt = {s_name: float(p0[0]) + a * e1[0] + b * e2[0],
-                  t_name: float(p0[1]) + a * e1[1] + b * e2[1]}
-            total += wx * wy * (1 - x) * f_eval(pt)
-    return total * jac
+def _face_integrals(chart: SurfaceChart, two_form, steps: int) -> np.ndarray:
+    """Signed integrals of a 2-form coefficient over every lifted affine
+    triangle in its face's vertex order, all nodes in one call."""
+    nodes, w = gauss_legendre01(steps)
+    tris = [chart.face_triangle(f) for f in chart.complex.cells(2)]
+    p0 = np.array([[float(x) for x in t[0]] for t in tris])
+    e1, e2 = (np.array([[float(y - x) for x, y in zip(t[0], t[k])]
+                        for t in tris]) for k in (1, 2))
+    jac = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    # Duffy map of the square of node pairs (x, y) onto each triangle
+    x, y = nodes[:, None, None], nodes[None, :, None]
+    pts = p0[:, None, None] + x * e1[:, None, None] \
+        + y * (1 - x) * e2[:, None, None]
+    f = two_form(dict(zip(chart.coords, np.moveaxis(pts, -1, 0))))
+    return np.sum(w[:, None] * w * (1 - x[..., 0]) * f, axis=(-2, -1)) * jac
 
 
 def discretize_connection(conn: SmoothConnection, chart: SurfaceChart,
@@ -253,23 +246,17 @@ def discretize_connection(conn: SmoothConnection, chart: SurfaceChart,
         raise ValueError("discretization needs a rank-1 connection")
     K = chart.complex
     s_name, t_name = chart.coords
-    param = [c for c in conn.coords if c not in (s_name, t_name)]
+    fixed = {c: float(u_value) for c in conn.coords if c not in chart.coords}
 
     def conn_env(pt):
-        env = dict(pt)
-        for c in param:
-            env[c] = float(u_value)
-        a_s = conn.evaluate_at(s_name, env)[0, 0]
-        a_t = conn.evaluate_at(t_name, env)[0, 0]
-        if abs(a_s.imag) > 1e-12 or abs(a_t.imag) > 1e-12:
+        a_s, a_t = (conn.evaluate_at(c, {**pt, **fixed})[..., 0, 0]
+                    for c in chart.coords)
+        if np.any(np.abs([a_s.imag, a_t.imag]) > 1e-12):
             raise ValueError("lattice discretization expects real "
                              "(2 pi normalized) coefficients")
         return (a_s.real, a_t.real)
 
-    a = zeros(K.n_cells(1), 1).reshape(-1)
-    for j, e in enumerate(K.cells(1)):
-        a[j] = nearest_rational(_edge_integral(chart, conn_env, e, steps),
-                                max_den)
+    a = _edge_cochain(chart, conn_env, steps, max_den)
 
     from .bundles import curvature as smooth_curvature
     F = smooth_curvature(conn)
@@ -281,18 +268,13 @@ def discretize_connection(conn: SmoothConnection, chart: SurfaceChart,
     def f_eval(pt):
         if comp is None:
             return 0.0
-        env = dict(pt)
-        for c in param:
-            env[c] = float(u_value)
-        v = comp[0][0].eval(env)
+        v = comp[0][0].eval({**pt, **fixed})
         return v.real if si < ti else -v.real
 
     da = mv(K.boundary_matrix(2).T, a)
-    n = zeros(K.n_cells(2), 1).reshape(-1)
-    for j, f in enumerate(K.cells(2)):
-        flux = _face_integral(chart, f_eval, f, steps)
-        n[j] = int(round(flux - float(da[j])))
-    return LatticeLineBundle(K, n, a)
+    n = [int(round(flux - float(d)))
+         for flux, d in zip(_face_integrals(chart, f_eval, steps), da)]
+    return LatticeLineBundle(K, np.array(n, dtype=object), a)
 
 
 def cycle_map_homotopy_check(path: SmoothConnection, chart: SurfaceChart,
@@ -335,14 +317,9 @@ def cycle_map_homotopy_check(path: SmoothConnection, chart: SurfaceChart,
     def tg_env(pt):
         if term is None:
             return (0.0, 0.0)
-        gs = term.eval_component((si,), pt)
-        gt = term.eval_component((ti,), pt)
-        return (gs.real, gt.real)
+        return tuple(np.real(term.eval_component((i,), pt)) for i in (si, ti))
 
-    tvec = zeros(K.n_cells(1), 1).reshape(-1)
-    for j, e in enumerate(K.cells(1)):
-        tvec[j] = nearest_rational(_edge_integral(chart, tg_env, e, steps),
-                                   max_den)
+    tvec = _edge_cochain(chart, tg_env, steps, max_den)
 
     diff = x1 - x0
     eq, wit = equal_classes(diff, forms_a(K, 2, tvec, n=2))

@@ -241,3 +241,93 @@ def test_connection_validation():
         bd.SmoothConnection.from_json(
             {"rank": 1, "coords": ["s"], "domain": {"s": ["1", "0"]},
              "A": {}})
+
+
+def test_loop_leaving_domain_inside_the_interval_reports_first_node():
+    # 3 sin(2 pi u) passes s = 2 between the step ends 7/64 and 8/64; the
+    # midpoint 15/128 of that step is the first RK4 node outside
+    loop = bd.Loop.from_json({"coords": {"s": "3*sin(2*pi*u)", "t": "0"}})
+    with pytest.raises(bd.LoopOutsideDomain) as err:
+        bd.holonomy(rotation_plane(), loop, steps=64)
+    assert err.value.u == 15 / 128
+
+
+# Holonomy matrices at 4096 steps, as computed by the per-point RK4 that the
+# array path replaced (each stage evaluated the loop and the connection at
+# one point).
+SEED_HOLONOMIES = {
+    ("rotation_plane", "circle_r03"):
+        [[0.9602936856769434, 0.27899110603922916],
+         [-0.27899110603922916, 0.9602936856769434]],
+    ("rotation_plane", "circle_r05"):
+        [[0.7071067811865474, 0.7071067811865475],
+         [-0.7071067811865475, 0.7071067811865474]],
+    ("rotation_plane", "circle_r08"):
+        [[-0.4257792915650687, 0.9048270524660216],
+         [-0.9048270524660216, -0.4257792915650687]],
+    ("circle_clock", "full_circle"):
+        [[0.5403023058681421, 0.8414709848078962],
+         [-0.8414709848078962, 0.5403023058681421]],
+}
+
+
+@pytest.mark.parametrize("conn_name,loop_name", sorted(SEED_HOLONOMIES))
+def test_holonomy_matches_pointwise_values(conn_name, loop_name):
+    conn = bd.SmoothConnection.load(data(f"connections/{conn_name}.json"))
+    loop = bd.Loop.load(data(f"loops/{loop_name}.json"))
+    U = bd.holonomy(conn, loop, steps=4096)
+    want = np.array(SEED_HOLONOMIES[(conn_name, loop_name)], dtype=complex)
+    assert np.abs(U - want).max() <= 1e-12
+
+
+def test_holonomy_evaluates_per_block_not_per_step(monkeypatch):
+    conn = rotation_plane()
+    loop = bd.Loop.load(data("loops/circle_r08.json"))
+    calls = {"evaluate": 0, "symbolic_d": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bd, "evaluate", counted("evaluate", bd.evaluate))
+    monkeypatch.setattr(bd, "symbolic_d",
+                        counted("symbolic_d", bd.symbolic_d))
+    counts = []
+    for steps in (16, bd.TRANSPORT_BLOCK):
+        calls["evaluate"] = 0
+        bd.holonomy(conn, loop, steps=steps)
+        counts.append(calls["evaluate"])
+    # one block of steps: the same calls whatever the step count
+    assert counts[0] == counts[1] < 50
+    assert calls["symbolic_d"] == 0
+
+
+def test_transport_rejects_bad_steps_and_missing_coordinates():
+    conn = rotation_plane()
+    loop = bd.Loop.load(data("loops/circle_r05.json"))
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="steps must be at least 1"):
+            bd.transport(conn, loop, 0.0, 1.0, steps)
+    s_only = bd.Loop.from_json({"coords": {"s": "cos(2*pi*u)"}})
+    with pytest.raises(ValueError, match=r"coordinate\(s\) \['t'\]"):
+        bd.holonomy(conn, s_only, steps=8)
+
+
+def test_connection_evaluation_broadcasts_over_points():
+    conn = bd.SmoothConnection.from_json(
+        {"rank": 2, "coords": ["s", "t"],
+         "domain": {"s": ["-2", "2"], "t": ["-2", "2"]},
+         "A": {"s": [[["sin(t)", "s"], ["1/3", "0"]],
+                     [["t^2", "0"], ["exp(s)", "cos(s*t)"]]]}})
+    pts = [{"s": -1.5, "t": 0.25}, {"s": 0.5, "t": 1.75},
+           {"s": 2.5, "t": 0.0}]
+    env = bd.stack_points(pts)
+    got = conn.evaluate_at("s", env)
+    assert got.shape == (3, 2, 2)
+    for k, p in enumerate(pts):
+        assert np.array_equal(got[k], conn.evaluate_at("s", p))
+    assert conn.evaluate_at("t", env).shape == (3, 2, 2)
+    assert list(conn.contains(env)) == [True, True, False]
+    assert conn.contains(pts[0]) and not conn.contains(pts[2])

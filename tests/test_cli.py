@@ -299,3 +299,92 @@ def test_bad_arguments_exit_2_on_every_call(capsys):
         assert e.value.code == 2
         assert "the following arguments are required: --m" \
             in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["holonomy", "connections/rotation_plane.json", "loops/circle_r05.json",
+     "--steps", "0"],
+    ["holonomy", "connections/rotation_plane.json", "loops/circle_r05.json",
+     "--steps", "-3"],
+    ["cycle-map-check", "connections/torus_wilson_path.json",
+     "charts/csaszar_flat.json", "--steps", "0"],
+])
+def test_steps_below_one_is_input_error(capsys, argv):
+    argv = [data(a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "input error: --steps must be at least 1\n"
+
+
+def _write(tmp_path, name, obj):
+    p = tmp_path / name
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
+def _rank_one(coords, box, comps):
+    return {"rank": 1, "coords": coords,
+            "domain": {c: box for c in coords},
+            "A": {c: [[[e, "0"]]] for c, e in comps.items()}}
+
+
+PLANE = ["-2", "2"]
+
+
+@pytest.mark.parametrize("case,message", [
+    # an open loop
+    ("holonomy_open", "loop endpoint mismatch"),
+    # A_s = 1/s on a closed loop through s = 0
+    ("holonomy_pole", "division by zero at {'s': 0.0, 't': 0.0}"),
+    # exp(exp(exp(4s))) overflows on the unit circle
+    ("holonomy_overflow", "non-finite value at {'s': 1.0, 't': 0.0}"),
+    # the closedness residual samples s = 0
+    ("ch_pole", "division by zero"),
+    # the transgression samples s = 0
+    ("transgress_pole", "division by zero"),
+    # the edge quadrature meets 1/(s - s)
+    ("cycle_map_pole", "division by zero"),
+    # discretization needs a rank-1 connection
+    ("cycle_map_rank", "rank-1"),
+])
+def test_evaluation_time_errors_are_input_errors(capsys, tmp_path, case,
+                                                 message):
+    circle = _write(tmp_path, "circle.json",
+                    {"coords": {"s": "cos(2*pi*u)", "t": "sin(2*pi*u)"}})
+    argv = {
+        "holonomy_open": ["holonomy", data("connections/rotation_plane.json"),
+                          _write(tmp_path, "open.json",
+                                 {"coords": {"s": "u", "t": "0"}})],
+        "holonomy_pole": ["holonomy",
+                          _write(tmp_path, "pole.json",
+                                 _rank_one(["s", "t"], PLANE, {"s": "1/s"})),
+                          _write(tmp_path, "sin.json",
+                                 {"coords": {"s": "sin(2*pi*u)", "t": "0"}})],
+        "holonomy_overflow": [
+            "holonomy",
+            _write(tmp_path, "ovf.json",
+                   _rank_one(["s", "t"], PLANE,
+                             {"t": "exp(exp(exp(s*4)))"})),
+            circle],
+        "ch_pole": ["ch", _write(tmp_path, "ch.json",
+                                 _rank_one(["s", "t", "w"], ["-1", "1"],
+                                           {"t": "w/s"}))],
+        "transgress_pole": ["transgress",
+                            _write(tmp_path, "tg.json",
+                                   _rank_one(["u", "s", "t"], ["-1", "1"],
+                                             {"t": "u/s"}))],
+        "cycle_map_pole": ["cycle-map-check",
+                           _write(tmp_path, "cm.json",
+                                  _rank_one(["u", "s", "t"], ["0", "1"],
+                                            {"s": "u/(s-s)", "t": "0"})),
+                           data("charts/csaszar_flat.json")],
+        "cycle_map_rank": ["cycle-map-check",
+                           data("connections/rotation_path.json"),
+                           data("charts/csaszar_flat.json")],
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+    assert message in err

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cellcoh.exprs import (BinOp, Call, Const, EvalError, ParseError, Var,
@@ -105,3 +106,47 @@ def test_integer_exponents_only():
     with pytest.raises(ParseError):
         parse_expr("s^1.5")
     assert evaluate(parse_expr("2^-2"), {}) == 0.25
+
+
+POINTS = {"s": np.linspace(-1.4, 1.6, 7), "t": np.linspace(0.3, 2.1, 7)}
+
+
+@pytest.mark.parametrize("text", [
+    "7/3", "pi", "s^3 - 2*s*t + 1/2", "(s + t)/(1 + s^2)", "s^-2 + t^5",
+    "sin(s*t) + cos(s)^2 - exp(t/3)"])
+def test_array_evaluation_equals_pointwise(text):
+    e = parse_expr(text)
+    got = evaluate(e, POINTS)
+    assert got.shape == (7,)       # constants broadcast to the points
+    want = [evaluate(e, {"s": float(s), "t": float(t)})
+            for s, t in zip(POINTS["s"], POINTS["t"])]
+    assert all(isinstance(w, float) for w in want)
+    assert np.array_equal(got, want)
+
+
+def test_scalar_and_array_coordinates_broadcast():
+    e = parse_expr("s*t")
+    got = evaluate(e, {"s": np.arange(3.0)[:, None], "t": np.arange(4.0)})
+    assert np.array_equal(got, np.outer(np.arange(3.0), np.arange(4.0)))
+    assert evaluate(parse_expr("t"), {"s": np.zeros(5), "t": 2.0}).shape \
+        == (5,)
+    # no points, nothing to divide by zero at
+    assert evaluate(parse_expr("1/(1-1) + s"), {"s": np.zeros(0)}).shape \
+        == (0,)
+
+
+def test_array_errors_name_the_first_bad_point():
+    s = np.array([2.0, 1.0, 0.0, -1.0, 0.0])
+    with pytest.raises(EvalError, match=r"division by zero at \{'s': 0\.0\}"):
+        evaluate(parse_expr("1/s"), {"s": s})
+    with pytest.raises(EvalError, match="zero to a negative power"):
+        evaluate(parse_expr("s^-1"), {"s": s})
+
+
+def test_non_finite_values_raise():
+    e = parse_expr("exp(exp(exp(s*4)))")
+    assert math.isfinite(evaluate(e, {"s": 0.0}))
+    with pytest.raises(EvalError, match=r"non-finite value at \{'s': 1\.0\}"):
+        evaluate(e, {"s": 1.0})
+    with pytest.raises(EvalError, match=r"non-finite value at \{'s': 1\.0\}"):
+        evaluate(e, {"s": np.array([0.0, 0.25, 1.0, 2.0])})
