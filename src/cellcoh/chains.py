@@ -20,8 +20,8 @@ import numpy as np
 from . import linalg
 from .linalg import (IntSolver, RatSolver, as_matrix, as_vector,
                      check_int_entries, check_rat_entries, eye, int_kernel_basis,
-                     integerize_rows, is_zero, mm, mv, rat_rank,
-                     smith_normal_form, solve_int_many, zeros)
+                     integerize_rows, invariant_factors, is_zero, mm, mv,
+                     rat_rank, smith_normal_form, solve_int_many, zeros)
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -451,13 +451,14 @@ def homology(C: Complex, n: int) -> FgAbGroup:
     The free rank is rank C^n - rank d^n - rank d^(n-1).  The kernel of d^n
     is a direct summand, so the torsion is that of the cokernel of
     d^(n-1): its invariant factors above 1 (none over Q).  Rows are scaled
-    to integers first, which keeps every rank.
+    to integers first, which keeps every rank; each rank is the number of
+    invariant factors.
     """
     if n < C.lo or n > C.hi:
         return zero_group(C.ring)
-    d_in = smith_normal_form(integerize_rows(C.diff(n - 1)))
-    torsion = [d for d in d_in.diag if d > 1] if C.ring == RING_Z else []
-    return FgAbGroup(C.ring, rank=C.rank(n) - rat_rank(C.diff(n)) - d_in.rank,
+    d_in = invariant_factors(integerize_rows(C.diff(n - 1)))
+    torsion = [d for d in d_in if d > 1] if C.ring == RING_Z else []
+    return FgAbGroup(C.ring, rank=C.rank(n) - rat_rank(C.diff(n)) - len(d_in),
                      torsion=torsion)
 
 

@@ -367,10 +367,14 @@ def _load_loop(path) -> bd.Loop:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _common(p, samples=100, steps=4096):
+def _common(p, samples=None, steps=None):
+    """--seed and --format on every command; --samples and --steps, with
+    these defaults, only on the commands that read them."""
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=samples)
-    p.add_argument("--steps", type=int, default=steps)
+    if samples is not None:
+        p.add_argument("--samples", type=int, default=samples)
+    if steps is not None:
+        p.add_argument("--steps", type=int, default=steps)
     p.add_argument("--format", choices=("json", "table"), default="table")
 
 
@@ -393,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hexagon", help="hexagon exactness report")
     p.add_argument("input")
     p.add_argument("--m", type=int, required=True)
-    _common(p)
+    _common(p, samples=100)
     p.set_defaults(func=cmd_hexagon)
 
     p = sub.add_parser("holonomy", help="holonomy matrix and trace of a loop")
     p.add_argument("connection")
     p.add_argument("loop")
-    _common(p)
+    _common(p, steps=4096)
     p.set_defaults(func=cmd_holonomy)
 
     p = sub.add_parser("descent", help="Cech star-cover descent comparison")
@@ -413,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prism homotopy formula with witnesses")
     p.add_argument("input")
     p.add_argument("--m", type=int, required=True)
-    _common(p)
+    _common(p, samples=100)
     p.set_defaults(func=cmd_homotopy_formula)
 
     p = sub.add_parser("s1-integrate",
@@ -454,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="holonomy character of a lattice bundle")
     p.add_argument("bundle")
     p.add_argument("--cycle", help="JSON file with a 1-cycle vector")
-    _common(p)
+    _common(p, samples=100)
     p.set_defaults(func=cmd_character)
 
     p = sub.add_parser("cycle-map-check",

@@ -11,6 +11,11 @@ it is integral and as a Fraction elsewhere.  The Smith normal form runs on
 int64 under the same kind of bound and falls back to big integers; both
 paths compute the same numbers.
 
+Rank and invariant factors alone (invariant_factors, behind rat_rank and
+chains.homology) need no transforms: the +-1 pivots, which make up nearly
+all of a cellular or total differential, are eliminated first on sparse
+rows, and only the core left over goes through the Smith normal form.
+
 Every exact solve goes through a solver object that factors its matrix
 once and is reused across right-hand sides; the ring is chosen by the
 class.  IntSolver runs one Smith normal form and gives rank, integer
@@ -388,6 +393,75 @@ def smith_normal_form(A) -> SmithForm:
     return SmithForm(*map(_to_object, (st.U, st.D, st.V, st.Uinv)))
 
 
+def invariant_factors(A) -> list[int]:
+    """The nonzero diagonal of the Smith normal form of an integer matrix;
+    its length is the rank.
+
+    The unit pivots are eliminated first, on sparse rows of Python ints:
+    rows are visited by index, and in each row the +-1 entry whose column
+    has the fewest nonzeros (ties by index) is the pivot.  Clearing its
+    column by row operations and then its row by column operations is
+    unimodular and leaves A ~ [1] + (Schur complement), so k pivots split
+    off k unit factors.  Passes repeat while they find a pivot; only the
+    nonzero core left over goes through smith_normal_form.
+
+    >>> invariant_factors([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    [2, 6, 12]
+    >>> invariant_factors([[1, 2], [3, 4], [5, 6]])
+    [1, 2]
+    """
+    A = check_int_entries(as_matrix(A))
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    r, c = np.nonzero(A)
+    for i, j, v in zip(r.tolist(), c.tolist(), A[r, c].tolist()):
+        rows.setdefault(i, {})[j] = v
+        cols.setdefault(j, set()).add(i)
+    units = 0
+    pivoted = True
+    while pivoted:
+        pivoted = False
+        for i in sorted(rows):
+            row = rows.get(i)
+            if row is None:
+                continue
+            cand = [(len(cols[j]), j) for j, v in row.items() if v in (1, -1)]
+            if not cand:
+                continue
+            j = min(cand)[1]
+            u = row.pop(j)
+            del rows[i]
+            for l in row:
+                cols[l].discard(i)
+            others = cols.pop(j)
+            others.discard(i)
+            for k in others:
+                rk = rows[k]
+                f = rk.pop(j) * u
+                for l, v in row.items():
+                    w = rk.get(l, 0) - f * v
+                    if w:
+                        rk[l] = w
+                        cols[l].add(k)
+                    else:
+                        rk.pop(l, None)
+                        cols[l].discard(k)
+                if not rk:
+                    del rows[k]
+            units += 1
+            pivoted = True
+    if not rows:
+        return [1] * units
+    keep = sorted(rows)
+    where = {j: t for t, j in enumerate(sorted(set().union(*rows.values())))}
+    core = zeros(len(keep), len(where))
+    for s, i in enumerate(keep):
+        for j, v in rows[i].items():
+            core[s, where[j]] = v
+    snf = smith_normal_form(core)
+    return [1] * units + snf.diag[:snf.rank]
+
+
 class IntSolver:
     """Rank, integer kernel and integer solutions of an integer matrix A,
     all read off one Smith normal form and reusable across right-hand sides.
@@ -459,11 +533,9 @@ def integerize_rows(A) -> np.ndarray:
 
 
 def rat_rank(A) -> int:
-    """Rank over Q, via integer SNF after clearing denominators."""
-    A = as_matrix(A)
-    if A.size == 0:
-        return 0
-    return smith_normal_form(integerize_rows(A)).rank
+    """Rank over Q: the number of invariant factors once the rows are
+    scaled to integers."""
+    return len(invariant_factors(integerize_rows(A)))
 
 
 def rat_nullity(A) -> int:

@@ -112,6 +112,18 @@ def test_circle_product_euler_and_torus_cohomology():
     assert [str(ch.homology(C, n)) for n in range(3)] == ["Q", "Q^2", "Q"]
 
 
+def test_homology_of_product_ladders():
+    # S^1 x S^1 x T is a 4-torus and I x S^1 x T has the cohomology of a
+    # 3-torus; each has up to 567 cells in one degree
+    T = cl.bundled_complex("csaszar_torus")
+    S1T = cl.circle_product(T).complex
+    for K, want in ((cl.circle_product(S1T).complex,
+                     ["Z", "Z^4", "Z^6", "Z^4", "Z"]),
+                    (cl.prism(S1T).complex, ["Z", "Z^3", "Z^3", "Z", "0"])):
+        C = cl.cochain_complex(K, "Z")
+        assert [str(ch.homology(C, n)) for n in range(5)] == want
+
+
 def test_closed_fiber_stokes_randomized():
     rng = random.Random(2)
     S = cl.circle_product(cl.bundled_complex("octahedron"))

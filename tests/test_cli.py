@@ -317,6 +317,50 @@ def test_steps_below_one_is_input_error(capsys, argv):
     assert err == "input error: --steps must be at least 1\n"
 
 
+def test_transgress_steps_below_one_is_input_error(capsys):
+    code, out, err = run(capsys, "transgress",
+                         data("connections/rotation_path.json"),
+                         "--steps", "0")
+    assert (code, out) == (2, "")
+    assert err == "input error: --steps must be at least 1\n"
+
+
+def test_samples_below_one_is_input_error(capsys):
+    code, out, err = run(capsys, "hexagon", "circle3", "--m", "1",
+                         "--samples", "0")
+    assert (code, out) == (2, "")
+    assert err == "input error: --samples must be at least 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "circle3", "--steps", "0"],
+    ["descent", "circle3", "--samples", "5"],
+    ["underlying-point", "--m", "1", "--steps", "3"],
+    ["hexagon", "circle3", "--m", "1", "--steps", "3"],
+    ["holonomy", "connections/rotation_plane.json", "loops/circle_r05.json",
+     "--samples", "3"],
+    ["ch", "connections/rotation_plane.json", "--steps", "3"],
+    ["lattice-class", "bundle.json", "--samples", "3"],
+])
+def test_options_exist_only_where_the_command_reads_them(capsys, argv):
+    argv = [data(a) if "/" in a else a for a in argv]
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    flag = next(a for a in argv if a in ("--samples", "--steps"))
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_seed_and_format_are_accepted_by_every_command():
+    # the benchmark passes --seed to every command
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        flags = {f for a in p._actions for f in a.option_strings}
+        assert {"--seed", "--format"} <= flags, name
+
+
 def _write(tmp_path, name, obj):
     p = tmp_path / name
     p.write_text(json.dumps(obj))

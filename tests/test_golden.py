@@ -24,6 +24,10 @@ CASES = {
         ["homotopy-formula", "octahedron", "--m", "2", *SAMPLED],
     "descent_circle3_Z": ["descent", "circle3", "--ring", "Z"],
     "descent_circle3_Q": ["descent", "circle3", "--ring", "Q"],
+    "descent_rp2_6_Z": ["descent", "rp2_6", "--ring", "Z"],
+    "descent_rp2_6_Q": ["descent", "rp2_6", "--ring", "Q"],
+    "underlying_point_m2_level8":
+        ["underlying-point", "--m", "2", "--level", "8", "--window=-1:2"],
     "homology_rp2_6": ["homology", "rp2_6"],
 }
 

@@ -291,6 +291,83 @@ def test_rat_solver_solves_consistent_systems(A, data):
 
 
 # ---------------------------------------------------------------------------
+# Invariant factors by unit-pivot reduction, against the full Smith form
+# ---------------------------------------------------------------------------
+
+FACTOR_FAMILIES = {
+    "sparse unit": st.sampled_from([0, 0, 0, 1, -1]),
+    "dense small": st.integers(-6, 6),
+    "even": st.integers(-3, 3).map(lambda x: 2 * x),
+    "big": st.sampled_from([0, 1, -1, BIG, -BIG - 5, 3 * BIG]),
+}
+
+
+@st.composite
+def factor_inputs(draw):
+    """Integer matrices from one family, with some rows and columns set to
+    zero; shapes include 0 x n and m x 0."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    family = draw(st.sampled_from(sorted(FACTOR_FAMILIES)))
+    A = _matrix(draw, rows, cols, FACTOR_FAMILIES[family])
+    if rows and draw(st.booleans()):
+        A[draw(st.integers(0, rows - 1)), :] = 0
+    if cols and draw(st.booleans()):
+        A[:, draw(st.integers(0, cols - 1))] = 0
+    return A
+
+
+@PROPERTY
+@example(2 * la.eye(3))
+@example(np.array([[4, 6], [6, 4], [0, 2]], dtype=object))
+@example(np.array([[1, BIG], [BIG, 1]], dtype=object))
+@example(la.zeros(0, 3))
+@example(la.zeros(3, 0))
+@example(la.zeros(2, 2))
+@given(factor_inputs())
+def test_invariant_factors_match_the_smith_form(A):
+    snf = la.smith_normal_form(A)
+    got = la.invariant_factors(A)
+    assert got == snf.diag[:snf.rank]
+    assert all(type(x) is int for x in got)
+    assert la.invariant_factors(A.T) == got
+
+
+@PROPERTY
+@given(rational_matrices())
+def test_rat_rank_matches_sympy(A):
+    from sympy import Matrix
+    want = Matrix(A.tolist()).rank() if A.size else 0
+    assert la.rat_rank(A) == want
+    assert la.rat_nullity(A) == A.shape[1] - want
+
+
+def test_invariant_factors_factor_only_a_unit_free_core(monkeypatch):
+    cores = []
+    snf = la.smith_normal_form
+    monkeypatch.setattr(la, "smith_normal_form",
+                        lambda M: cores.append(M) or snf(M))
+    rng = random.Random(5)
+    D = la.zeros(5, 5)
+    for i, d in enumerate([1, 1, 1, 2, 6]):
+        D[i, i] = d
+    A = la.mm(la.mm(la.random_unimodular(5, rng), D),
+              la.random_unimodular(5, rng))
+    assert la.invariant_factors(A) == [1, 1, 1, 2, 6]
+    assert len(cores) == 1 and cores[0].shape[0] < 5
+    for M in cores:
+        assert all(abs(x) != 1 for x in M.flat)
+        assert (M != 0).any(axis=0).all() and (M != 0).any(axis=1).all()
+    # the boundaries of a sphere reduce to units alone
+    from cellcoh import cells as cl
+    K = cl.bundled_complex("octahedron")
+    cores.clear()
+    assert [len(la.invariant_factors(K.boundary_matrix(q)))
+            for q in (1, 2)] == [5, 7]
+    assert la.invariant_factors(la.eye(4)) == [1, 1, 1, 1]
+    assert cores == []
+
+
+# ---------------------------------------------------------------------------
 # Properties of the exact products mm and mv
 # ---------------------------------------------------------------------------
 
