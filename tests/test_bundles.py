@@ -205,6 +205,55 @@ def test_holonomy_concatenation_is_product():
     assert np.abs(second @ first - whole).max() < 1e-8
 
 
+def noncommuting_plane():
+    # A_s and A_t do not commute, so the holonomy depends on the order in
+    # which the step propagators are multiplied
+    return bd.SmoothConnection.from_json(
+        {"rank": 2, "coords": ["s", "t"],
+         "domain": {"s": ["-2", "2"], "t": ["-2", "2"]},
+         "A": {"s": [[["0", "0"], ["t", "0"]], [["0", "0"], ["0", "0"]]],
+               "t": [[["0", "0"], ["0", "s"]], [["s*t", "0"], ["0", "0"]]]}})
+
+
+def stepwise_transport(conn, loop, u0, u1, steps):
+    """Plain RK4 on U, one step after another, with the generators
+    -A(gamma)gamma' at the step ends and midpoints evaluated up front."""
+    h = (u1 - u0) / steps
+    u = u0 + h / 2 * np.arange(2 * steps + 1)
+    p, v = loop.point(u), loop.velocity(u)
+    M = -sum(conn.evaluate_at(c, p) * v[c][:, None, None]
+             for c in conn.coords)
+    U = np.eye(conn.rank, dtype=complex)
+    for k in range(steps):
+        k1 = M[2 * k] @ U
+        k2 = M[2 * k + 1] @ (U + h / 2 * k1)
+        k3 = M[2 * k + 1] @ (U + h / 2 * k2)
+        k4 = M[2 * k + 2] @ (U + h * k3)
+        U = U + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return U
+
+
+@pytest.mark.parametrize("u0,u1", [(0.0, 1.0), (0.5, 1.0), (1.0, 0.0)])
+def test_noncommuting_transport_matches_stepwise_rk4(u0, u1):
+    conn = noncommuting_plane()
+    loop = bd.Loop.load(data("loops/circle_r08.json"))
+    for steps in (1, 2, 3, 255, 256, 257, 1000, 4097, 8192):
+        want = stepwise_transport(conn, loop, u0, u1, steps)
+        got = bd.transport(conn, loop, u0, u1, steps)
+        assert np.abs(got - want).max() <= 1e-12, steps
+
+
+def test_noncommuting_holonomy_concatenation_is_product():
+    conn = noncommuting_plane()
+    loop = bd.Loop.load(data("loops/circle_r08.json"))
+    whole = bd.transport(conn, loop, 0.0, 1.0, 2048)
+    first = bd.transport(conn, loop, 0.0, 0.5, 1024)
+    second = bd.transport(conn, loop, 0.5, 1.0, 1024)
+    assert np.abs(second @ first - whole).max() < 1e-12
+    # the two halves do not commute: the order of the product is tested
+    assert np.abs(first @ second - whole).max() > 1e-3
+
+
 def test_holonomy_unitary_for_antihermitian_connection():
     conn = rotation_plane()
     loop = bd.Loop.load(data("loops/circle_r05.json"))
@@ -331,3 +380,14 @@ def test_connection_evaluation_broadcasts_over_points():
     assert conn.evaluate_at("t", env).shape == (3, 2, 2)
     assert list(conn.contains(env)) == [True, True, False]
     assert conn.contains(pts[0]) and not conn.contains(pts[2])
+
+
+def test_gauss_legendre_nodes_are_computed_once_and_read_only():
+    nodes, weights = bd.gauss_legendre01(24)
+    again = bd.gauss_legendre01(24)
+    assert again[0] is nodes and again[1] is weights
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.all((0 < nodes) & (nodes < 1))

@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from cellcoh import bundles as bd
 from cellcoh import cli
 
 
@@ -105,6 +106,23 @@ def test_holonomy_domain_error(capsys, tmp_path):
     assert "leaves the connection domain" in err
 
 
+@pytest.mark.parametrize("rank", [0, -1, 1.5])
+@pytest.mark.parametrize("command", ["holonomy", "ch"])
+def test_connection_rank_must_be_a_positive_integer(capsys, tmp_path,
+                                                    command, rank):
+    p = tmp_path / "conn.json"
+    p.write_text(json.dumps(
+        {"rank": rank, "coords": ["s", "t"],
+         "domain": {"s": ["-1", "1"], "t": ["-1", "1"]}, "A": {}}))
+    argv = [command, str(p)]
+    if command == "holonomy":
+        argv += [data("loops/circle_r05.json"), "--steps", "8"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and str(rank) in err
+
+
 def test_descent_all_bundled(capsys):
     for name in ("circle3", "octahedron"):
         for ring in ("Z", "Q"):
@@ -191,6 +209,17 @@ def test_cycle_map_command(capsys):
                        data("charts/csaszar_flat.json"))
     assert code == 0
     assert "PASS" in out
+
+
+def test_quadrature_reports_do_not_depend_on_cached_nodes(capsys):
+    cases = [["transgress", data("connections/torus_wilson_path.json")],
+             ["cycle-map-check", data("connections/torus_wilson_path.json"),
+              data("charts/csaszar_flat.json")]]
+    for argv in cases:
+        bd.gauss_legendre01.cache_clear()
+        cold = run(capsys, *argv, "--format", "json")
+        warm = run(capsys, *argv, "--format", "json")
+        assert cold[0] == 0 and cold == warm
 
 
 def test_deterministic_output_for_fixed_seed(capsys):
