@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import RING_Q, RING_Z, Complex
-from .linalg import as_vector, is_zero, mm, mv, zeros
+from .linalg import as_vector, int_storage, int_zeros, is_zero, mm, mv, zeros
 
 
 class CellComplex:
-    """Cells with integer boundary incidences; dd = 0 is asserted.
+    """Cells with integer boundary incidences; construction checks dd = 0
+    and raises ValueError where it fails.
 
     Cell ids are arbitrary hashable values; per-dimension orderings are
     fixed at construction time and index the cochain coefficient vectors.
@@ -69,7 +70,8 @@ class CellComplex:
         return []
 
     def boundary_matrix(self, d: int) -> np.ndarray:
-        """Matrix of the boundary C_d -> C_(d-1) in the fixed orderings."""
+        """Matrix of the boundary C_d -> C_(d-1) in the fixed orderings,
+        stored once (linalg.int_storage) and shared by every caller."""
         if d in self._bnd_mats:
             return self._bnd_mats[d]
         rows, cols = self.n_cells(d - 1), self.n_cells(d)
@@ -78,8 +80,7 @@ class CellComplex:
             for j, cid in enumerate(self.cells(d)):
                 for b, inc in self.boundary[cid]:
                     m[self.index[b], j] += inc
-        m.setflags(write=False)   # shared by every caller
-        self._bnd_mats[d] = m
+        m = self._bnd_mats[d] = int_storage(m)
         return m
 
     def euler_characteristic(self) -> int:
@@ -162,7 +163,7 @@ def cochain_complex(K: CellComplex, ring: str = RING_Z) -> Complex:
     """Cochain complex with d the transpose of the boundary."""
     ranks = [K.n_cells(d) for d in range(K.dim + 1)]
     diffs = [K.boundary_matrix(d + 1).T for d in range(K.dim)]
-    diffs.append(zeros(0, ranks[-1]))
+    diffs.append(int_zeros(0, ranks[-1]))
     return Complex(ring, 0, ranks, diffs)
 
 
@@ -247,11 +248,13 @@ class CellularMap:
                 raise ValueError(f"not a chain map in dimension {d}")
 
     def chain_matrix(self, d: int) -> np.ndarray:
+        """Matrix of the map on d-chains, in the stored form of
+        linalg.int_storage."""
         m = zeros(self.target.n_cells(d), self.source.n_cells(d))
         for j, c in enumerate(self.source.cells(d)):
             for t, inc in self.images.get(c, ()):
                 m[self.target.index[t], j] += inc
-        return m
+        return int_storage(m)
 
     def pullback(self, z: Cochain) -> Cochain:
         """(f* z)(tau) = z(f tau); commutes with delta."""
@@ -431,10 +434,11 @@ def star_cover(K: CellComplex) -> list:
 def restriction_matrix(big: CellComplex, small: CellComplex,
                        degree: int) -> np.ndarray:
     """Cochain restriction along an inclusion of subcomplexes (cells are
-    shared ids)."""
-    m = zeros(small.n_cells(degree), big.n_cells(degree))
+    shared ids); a read-only 0/1 matrix on int64."""
+    m = int_zeros(small.n_cells(degree), big.n_cells(degree))
     for i, c in enumerate(small.cells(degree)):
         m[i, big.index[c]] = 1
+    m.setflags(write=False)
     return m
 
 

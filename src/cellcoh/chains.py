@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .linalg import (IntSolver, RatSolver, as_matrix, as_vector,
-                     check_int_entries, check_rat_entries, eye, int_kernel_basis,
+from .linalg import (IntSolver, RatSolver, as_matrix, as_vector, block_zeros,
+                     exact_storage, eye, int_kernel_basis, int_zeros,
                      integerize_rows, invariant_factors, is_zero, mm, mv,
                      rat_rank, smith_normal_form, solve_int_many, zeros)
 
@@ -33,10 +33,6 @@ def _check_ring(ring: str) -> str:
     return ring
 
 
-def _check_entries(ring: str, m: np.ndarray) -> np.ndarray:
-    return check_int_entries(m) if ring == RING_Z else check_rat_entries(m)
-
-
 def _solver_class(ring: str):
     """The exact solver of the ring: integer solutions over Z, rational
     ones over Q."""
@@ -47,8 +43,9 @@ class Complex:
     """Bounded cochain complex with exact differential matrices.
 
     ranks[i] is the rank in degree lo + i; diffs[i] is the matrix of
-    d^(lo+i): rank(lo+i) -> rank(lo+i+1), acting on column vectors.
-    d o d = 0 is asserted on construction.
+    d^(lo+i): rank(lo+i) -> rank(lo+i+1), acting on column vectors, stored
+    read-only, on int64 when it is integral (see linalg.int_storage).
+    Construction checks d o d = 0 and raises ValueError where it fails.
     """
 
     __slots__ = ("ring", "lo", "hi", "ranks", "diffs")
@@ -58,7 +55,7 @@ class Complex:
         ranks = tuple(int(r) for r in ranks)
         if not ranks:
             ranks = (0,)
-            diffs = [zeros(0, 0)]
+            diffs = [int_zeros(0, 0)]
         if any(r < 0 for r in ranks):
             raise ValueError("ranks must be non-negative")
         self.lo = int(lo)
@@ -66,13 +63,14 @@ class Complex:
         self.ranks = ranks
         diffs = list(diffs)
         if len(diffs) == len(ranks) - 1:
-            diffs.append(zeros(0, ranks[-1]))
+            diffs.append(int_zeros(0, ranks[-1]))
         if len(diffs) != len(ranks):
             raise ValueError("need one differential per degree")
         mats = []
         for i, d in enumerate(diffs):
             want_rows = ranks[i + 1] if i + 1 < len(ranks) else 0
-            m = _check_entries(self.ring, as_matrix(d, want_rows, ranks[i]))
+            m = exact_storage(as_matrix(d, want_rows, ranks[i]),
+                              integral=self.ring == RING_Z)
             if m.shape != (want_rows, ranks[i]):
                 raise ValueError(
                     f"differential in degree {self.lo + i} has shape "
@@ -93,7 +91,7 @@ class Complex:
     def diff(self, n: int) -> np.ndarray:
         if self.lo <= n <= self.hi:
             return self.diffs[n - self.lo]
-        return zeros(self.rank(n + 1), 0)
+        return int_zeros(self.rank(n + 1), 0)
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -115,7 +113,7 @@ class Complex:
         if hi < lo:
             raise ValueError("empty window")
         ranks = [self.rank(n) for n in range(lo, hi + 1)]
-        diffs = [self.diff(n) if n < hi else zeros(0, self.rank(hi))
+        diffs = [self.diff(n) if n < hi else int_zeros(0, self.rank(hi))
                  for n in range(lo, hi + 1)]
         return Complex(self.ring, lo, ranks, diffs)
 
@@ -140,7 +138,7 @@ class Complex:
             "lo": self.lo,
             "hi": self.hi,
             "ranks": list(self.ranks),
-            "differentials": [[_entry_str(x) for x in d.flat]
+            "differentials": [[_entry_str(x) for x in d.ravel().tolist()]
                               for d in self.diffs],
         }
 
@@ -190,7 +188,9 @@ def parse_int(x) -> int:
 
 @dataclass(frozen=True)
 class ChainMap:
-    """Degreewise matrices commuting with the differentials."""
+    """Degreewise matrices commuting with the differentials, stored like
+    the differentials of a Complex; construction raises ValueError where
+    a component does not commute with d."""
 
     source: Complex
     target: Complex
@@ -204,9 +204,10 @@ class ChainMap:
                        max(self.source.hi, self.target.hi) + 1):
             m = self.mats.get(n)
             if m is None:
-                m = zeros(self.target.rank(n), self.source.rank(n))
-            m = _check_entries(self.source.ring,
-                               as_matrix(m, self.target.rank(n), self.source.rank(n)))
+                m = int_zeros(self.target.rank(n), self.source.rank(n))
+            m = exact_storage(
+                as_matrix(m, self.target.rank(n), self.source.rank(n)),
+                integral=self.source.ring == RING_Z)
             if m.shape != (self.target.rank(n), self.source.rank(n)):
                 raise ValueError(f"component in degree {n} has wrong shape")
             full[n] = m
@@ -220,7 +221,7 @@ class ChainMap:
     def component(self, n: int) -> np.ndarray:
         m = self.mats.get(n)
         if m is None:
-            m = zeros(self.target.rank(n), self.source.rank(n))
+            m = int_zeros(self.target.rank(n), self.source.rank(n))
         return m
 
     @staticmethod
@@ -288,7 +289,7 @@ def zero_group(ring: str) -> FgAbGroup:
 
 def atom(ring: str, k: int) -> Complex:
     """One copy of the coefficient ring placed in degree -k."""
-    return Complex(ring, -k, (1,), [zeros(0, 1)])
+    return Complex(ring, -k, (1,), [int_zeros(0, 1)])
 
 
 def shift(C: Complex, k: int) -> Complex:
@@ -303,7 +304,7 @@ def truncate_above(C: Complex, m: int) -> Complex:
     if m <= C.lo:
         return C
     if m > C.hi:
-        return Complex(C.ring, m, (0,), [zeros(0, 0)])
+        return Complex(C.ring, m, (0,), [int_zeros(0, 0)])
     return C.window(m, C.hi)
 
 
@@ -312,11 +313,11 @@ def truncate_below(C: Complex, m: int) -> Complex:
     if m >= C.hi:
         return C
     if m < C.lo:
-        return Complex(C.ring, m, (0,), [zeros(0, 0)])
+        return Complex(C.ring, m, (0,), [int_zeros(0, 0)])
     out = C.window(C.lo, m)
     # the outgoing differential from the top retained degree is dropped
     diffs = list(out.diffs)
-    diffs[-1] = zeros(0, out.ranks[-1])
+    diffs[-1] = int_zeros(0, out.ranks[-1])
     return Complex(C.ring, out.lo, out.ranks, diffs)
 
 
@@ -328,9 +329,11 @@ def direct_sum(A: Complex, B: Complex) -> Complex:
     for n in range(lo, hi + 1):
         ranks.append(A.rank(n) + B.rank(n))
     for n in range(lo, hi + 1):
-        d = zeros(A.rank(n + 1) + B.rank(n + 1), A.rank(n) + B.rank(n))
-        d[:A.rank(n + 1), :A.rank(n)] = A.diff(n)
-        d[A.rank(n + 1):, A.rank(n):] = B.diff(n)
+        dA, dB = A.diff(n), B.diff(n)
+        d = block_zeros(A.rank(n + 1) + B.rank(n + 1), A.rank(n) + B.rank(n),
+                        (dA, dB))
+        d[:A.rank(n + 1), :A.rank(n)] = dA
+        d[A.rank(n + 1):, A.rank(n):] = dB
         diffs.append(d)
     return Complex(A.ring, lo, ranks, diffs)
 
@@ -349,10 +352,11 @@ def cone(f: ChainMap):
     for n in range(lo, hi + 1):
         rb, ra = B.rank(n), A.rank(n + 1)
         rb1, ra1 = B.rank(n + 1), A.rank(n + 2)
-        d = zeros(rb1 + ra1, rb + ra)
-        d[:rb1, :rb] = B.diff(n)
-        d[:rb1, rb:] = -f.component(n + 1)
-        d[rb1:, rb:] = -A.diff(n + 1)
+        dB, fa, dA = B.diff(n), f.component(n + 1), A.diff(n + 1)
+        d = block_zeros(rb1 + ra1, rb + ra, (dB, fa, dA))
+        d[:rb1, :rb] = dB
+        d[:rb1, rb:] = -fa
+        d[rb1:, rb:] = -dA
         diffs.append(d)
     C = Complex(A.ring, lo, ranks, diffs)
     incl = {}
@@ -360,10 +364,10 @@ def cone(f: ChainMap):
     shifted = shift(A, 1)
     for n in range(lo, hi + 1):
         rb, ra = B.rank(n), A.rank(n + 1)
-        mi = zeros(rb + ra, rb)
+        mi = int_zeros(rb + ra, rb)
         mi[:rb, :rb] = eye(rb)
         incl[n] = mi
-        mp = zeros(ra, rb + ra)
+        mp = int_zeros(ra, rb + ra)
         mp[:, rb:] = eye(ra)
         proj[n] = mp
     return C, ChainMap(B, C, incl), ChainMap(C, shifted, proj)

@@ -18,13 +18,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .bundles import SmoothConnection, gauss_legendre01, transgress_ch
 from .cells import CellComplex, bundled_complex
 from .chains import parse_int
-from .diffcoh import (DifferentialCochain, equal_classes, forms_a,
+from .diffcoh import (DifferentialCochain, _cache, equal_classes, forms_a,
                       integral_cohomology)
 from .linalg import (as_vector, check_int_entries, int_kernel_basis, is_zero,
                      mv, zeros)
@@ -32,7 +33,17 @@ from .linalg import (as_vector, check_int_entries, int_kernel_basis, is_zero,
 
 def fundamental_cycle(K: CellComplex) -> np.ndarray:
     """Integral 2-cycle generating H_2 of a closed oriented surface; the
-    sign is normalized so the first nonzero coefficient is positive."""
+    sign is normalized so the first nonzero coefficient is positive.
+    Computed once per complex and kept read-only."""
+    cache = _cache(K)
+    if "fundamental_cycle" not in cache:
+        z = _fundamental_cycle(K)
+        z.setflags(write=False)
+        cache["fundamental_cycle"] = z
+    return cache["fundamental_cycle"]
+
+
+def _fundamental_cycle(K: CellComplex) -> np.ndarray:
     if K.dim != 2:
         raise ValueError("fundamental cycle needs a 2-dimensional complex")
     ker = int_kernel_basis(K.boundary_matrix(2))
@@ -62,7 +73,7 @@ class LatticeLineBundle:
         K = self.complex
         self.n = check_int_entries(as_vector(self.n, K.n_cells(2)))
         self.a = as_vector(self.a, K.n_cells(1))
-        # on a surface the top coboundary is zero, but assert the invariant
+        # on a surface the top coboundary is zero; check it all the same
         if K.dim > 2 and not is_zero(mv(K.boundary_matrix(3).T, self.n)):
             raise ValueError("n must be a cocycle")
         self._fund = fundamental_cycle(K)
@@ -146,7 +157,8 @@ def cs_property_check(L: LatticeLineBundle, w) -> bool:
 class SurfaceChart:
     """Piecewise linear realization of a surface complex on a rational box
     (optionally periodic): vertex positions plus nearest-lift unwrapping of
-    edges and faces."""
+    edges and faces.  A chart is not changed once built: the lifted edges
+    and faces are computed on first use and kept."""
 
     complex: CellComplex
     coords: tuple                 # the two base coordinate names, in order
@@ -177,6 +189,25 @@ class SurfaceChart:
         p2 = self.lift(p0, self.positions[v2])
         return p0, p1, p2
 
+    @cached_property
+    def edge_geometry(self):
+        """(start, direction) of every lifted edge in the complex's edge
+        order, as read-only float arrays of shape (edges, 2)."""
+        segs = [self.edge_segment(e) for e in self.complex.cells(1)]
+        start = np.array([[float(x) for x in pa] for pa, _ in segs])
+        d = np.array([[float(y - x) for x, y in zip(pa, pb)] for pa, pb in segs])
+        return _read_only(start), _read_only(d)
+
+    @cached_property
+    def face_geometry(self):
+        """(p0, p1 - p0, p2 - p0) of every lifted face triangle in the
+        complex's face order, as read-only float arrays of shape (faces, 2)."""
+        tris = [self.face_triangle(f) for f in self.complex.cells(2)]
+        p0 = np.array([[float(x) for x in t[0]] for t in tris])
+        e1, e2 = (np.array([[float(y - x) for x, y in zip(t[0], t[k])]
+                            for t in tris]) for k in (1, 2))
+        return _read_only(p0), _read_only(e1), _read_only(e2)
+
     @classmethod
     def from_json(cls, obj: dict, coords=("s", "t")) -> "SurfaceChart":
         K = bundled_complex(obj["complex"])
@@ -198,6 +229,11 @@ class SurfaceChart:
             return cls.from_json(json.load(fh))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def nearest_rational(x: float, max_den: int = 10 ** 6) -> Fraction:
     """Best rational approximation with bounded denominator."""
     return Fraction(x).limit_denominator(max_den)
@@ -209,10 +245,8 @@ def _edge_cochain(chart: SurfaceChart, one_form, steps: int,
     nearest rationals; one_form maps a point of arrays (edge, node) to its
     two coefficient arrays, so all nodes are evaluated in one call."""
     u, w = gauss_legendre01(steps)
-    segs = [chart.edge_segment(e) for e in chart.complex.cells(1)]
-    start = np.array([[float(x) for x in pa] for pa, _ in segs])[:, None]
-    d = np.array([[float(y - x) for x, y in zip(pa, pb)] for pa, pb in segs])
-    pts = start + u[:, None] * d[:, None]
+    start, d = chart.edge_geometry
+    pts = start[:, None] + u[:, None] * d[:, None]
     a_s, a_t = one_form(dict(zip(chart.coords, np.moveaxis(pts, -1, 0))))
     vals = np.sum(w * (a_s * d[:, :1] + a_t * d[:, 1:]), axis=-1)
     return np.array([nearest_rational(float(v), max_den) for v in vals],
@@ -223,10 +257,7 @@ def _face_integrals(chart: SurfaceChart, two_form, steps: int) -> np.ndarray:
     """Signed integrals of a 2-form coefficient over every lifted affine
     triangle in its face's vertex order, all nodes in one call."""
     nodes, w = gauss_legendre01(steps)
-    tris = [chart.face_triangle(f) for f in chart.complex.cells(2)]
-    p0 = np.array([[float(x) for x in t[0]] for t in tris])
-    e1, e2 = (np.array([[float(y - x) for x, y in zip(t[0], t[k])]
-                        for t in tris]) for k in (1, 2))
+    p0, e1, e2 = chart.face_geometry
     jac = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     # Duffy map of the square of node pairs (x, y) onto each triangle
     x, y = nodes[:, None, None], nodes[None, :, None]

@@ -1,15 +1,20 @@
 """Exact dense linear algebra over Z and Q.
 
-Matrices are numpy arrays with dtype=object holding Python ints and
-fractions.Fraction entries, so every result here is exact.  A product
-splits each factor into integer numerators and denominators: every row of
-the left factor and every column of the right one is scaled to integers by
-the lcm of its denominators.  The numerators are multiplied on int64 while a
-bound proves that no overflow is possible, else as Python integers, and
-each entry of the result is divided once, coming back as a plain int where
-it is integral and as a Fraction elsewhere.  The Smith normal form runs on
-int64 under the same kind of bound and falls back to big integers; both
-paths compute the same numbers.
+Every result here is exact.  An integer matrix is stored once, where it
+enters the system (int_storage): read-only on int64 when every entry lies
+below INT_BOUND in absolute value, else as an object array of Python ints.
+Rational matrices and all vectors are object arrays of Python ints and
+fractions.Fraction entries.  Nothing rescans an int64 matrix: the entry
+checks pass it through, and a product of two int64 matrices stays on int64
+while a bound proves it exact.  Other products split each factor into
+integer numerators and denominators: every row of the left factor and
+every column of the right one is scaled to integers by the lcm of its
+denominators.  The numerators are multiplied on machine numbers under the
+same bound, else as Python integers, and each entry of the result is
+divided once, coming back as a plain int where it is integral and as a
+Fraction elsewhere.  The Smith normal form runs on int64 under the same
+kind of bound and falls back to big integers; both paths compute the same
+numbers.
 
 Rank and invariant factors alone (invariant_factors, behind rat_rank and
 chains.homology) need no transforms: the +-1 pivots, which make up nearly
@@ -23,8 +28,8 @@ kernel and integer solutions.  RatSolver holds the IntSolver of its
 matrix with the columns scaled to integers and gives rank, kernel, left
 null space and solutions over Q.  MixedSolver, behind class equality and
 the exactness witnesses, solves for an integral and a rational unknown
-with one solver of each kind.  The solvers keep their fixed integer
-factors read-only and on int64, so a solve only scans its right-hand side.
+with one solver of each kind.  The solvers store their fixed integer
+factors once, so a solve only scans its right-hand side.
 solve_int, solve_int_many and int_kernel_basis factor for one call.
 """
 
@@ -36,22 +41,77 @@ from math import lcm
 import numpy as np
 
 _INT64_SAFE = 2 ** 61
+# every partial sum of a float64 product below this is an exact integer
+_FLOAT_EXACT = 2 ** 53
+# multiply-adds from which a vectorized float64 product beats int64 @
+_SIMD_WORK = 4096
+INT_BOUND = 2 ** 31
 
 
 def zeros(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=object)
 
 
+def int_zeros(rows: int, cols: int) -> np.ndarray:
+    return np.zeros((rows, cols), dtype=np.int64)
+
+
 def eye(n: int) -> np.ndarray:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i, i] = 1
-    return m
+    return np.eye(n, dtype=np.int64)
+
+
+def block_zeros(rows: int, cols: int, blocks) -> np.ndarray:
+    """Zero matrix to assemble the given blocks into: int64 when every
+    block is int64, else object."""
+    return np.zeros((rows, cols), dtype=np.result_type(np.int64, *blocks))
+
+
+def int_storage(a: np.ndarray) -> np.ndarray:
+    """The stored form of a matrix of integers, made once where it enters
+    the system: read-only int64 when every |entry| < INT_BOUND = 2^31, else
+    a read-only object array of Python ints.  A writable int64 input is
+    copied, so that no caller can change it afterwards.
+
+    The bound makes every elementwise operation the package applies to
+    stored matrices exact on int64, whose range is [-2^63, 2^63):
+
+    * negation (shift, the cone differential, the sign (-1)^q of a level
+      in a total complex) keeps |x| < 2^31; the one value whose negation
+      wraps, -2^63, is never stored on int64;
+    * the alternating sum of the q + 2 maps between levels q and q + 1 of a
+      total complex is below (q + 2) 2^31 <= 2^63 for q + 2 <= 2^32.  A
+      truncated object of level N holds lists of 2, 3, ..., N + 1 maps, so
+      N >= 2^32 would need N (N + 3) / 2 > 2^63 list slots of 8 bytes,
+      more than a 64-bit address space holds;
+    * lhs - rhs in the identity and commutation checks subtracts two
+      products that mm returns on int64 only below 2^61 (|a| |b| k < 2^61),
+      so the difference stays below 2^62.
+
+    A sum that leaves the bound (a total differential with larger entries)
+    is stored again through this function and becomes an object array.
+    """
+    if a.dtype != np.int64:
+        try:
+            a = a.astype(np.int64)
+        except OverflowError:
+            a = a.astype(object)
+            a.setflags(write=False)
+            return a
+    elif a.flags.writeable:
+        a = a.copy()
+    if _amax(a) >= INT_BOUND:
+        a = a.astype(object)
+    a.setflags(write=False)
+    return a
 
 
 def as_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce nested lists / arrays to an object-dtype matrix."""
-    m = np.array(entries, dtype=object)
+    """Coerce nested lists / arrays to an object-dtype matrix; an int64
+    array is kept as it is."""
+    if isinstance(entries, np.ndarray) and entries.dtype == np.int64:
+        m = entries
+    else:
+        m = np.array(entries, dtype=object)
     if m.ndim == 1 and rows is not None and cols is not None:
         m = m.reshape(rows, cols)
     if m.ndim != 2:
@@ -101,6 +161,10 @@ def _entry_kind(a: np.ndarray):
 
 
 def check_int_entries(a: np.ndarray) -> np.ndarray:
+    """a with every entry a plain int (int64 passes through unscanned);
+    TypeError for a non-integer entry."""
+    if a.dtype == np.int64:
+        return a
     if _entry_kind(a) is int:
         return a.astype(object)
     out = np.empty(a.shape, dtype=object)
@@ -117,7 +181,10 @@ def check_int_entries(a: np.ndarray) -> np.ndarray:
 def check_rat_entries(a: np.ndarray) -> np.ndarray:
     """Validate exact rational entries.  Integers stay plain ints (and whole
     Fractions are normalized to ints) so that integer fast paths still apply
-    to rational-coefficient matrices that happen to be integral."""
+    to rational-coefficient matrices that happen to be integral; int64
+    passes through unscanned."""
+    if a.dtype == np.int64:
+        return a
     if _entry_kind(a) is int:
         return a.astype(object)
     out = np.empty(a.shape, dtype=object)
@@ -125,6 +192,18 @@ def check_rat_entries(a: np.ndarray) -> np.ndarray:
         f = _as_frac(x)
         out[idx] = f if f.denominator != 1 else int(f)
     return out
+
+
+def exact_storage(a: np.ndarray, integral: bool) -> np.ndarray:
+    """The validated stored form of an exact matrix: int_storage when every
+    entry is an integer, else (rationals allowed unless integral) a
+    read-only object array of ints and Fractions."""
+    if a.dtype != np.int64:
+        a = check_int_entries(a) if integral else check_rat_entries(a)
+        if not integral and _entry_kind(a) is not int:
+            a.setflags(write=False)
+            return a
+    return int_storage(a)
 
 
 def _numerators(a: np.ndarray, axis: int):
@@ -147,6 +226,12 @@ def _numerators(a: np.ndarray, axis: int):
     return (nums.T if axis == 0 else nums), lcms
 
 
+def _amax(a: np.ndarray) -> int:
+    """max |entry| of an int64 array.  abs wraps -2^63 to itself, whose
+    uint64 view is 2^63, so one reduction gives every magnitude."""
+    return int(np.abs(a).view(np.uint64).max()) if a.size else 0
+
+
 def _bounded(a: np.ndarray):
     """(a on int64, max |entry|) for an integer matrix, or (a, None) when
     an entry lies outside int64."""
@@ -155,23 +240,34 @@ def _bounded(a: np.ndarray):
             a = a.astype(np.int64)
         except OverflowError:
             return a, None
-    if a.size == 0:
-        return a, 0
-    return a, max(-int(a.min()), int(a.max()))
-
-
-def _int64_form(a: np.ndarray) -> np.ndarray:
-    """Read-only int64 copy of an integer matrix, or the matrix itself,
-    made read-only, when an entry lies outside int64."""
-    a = _bounded(a)[0]
-    a.setflags(write=False)
-    return a
+    return a, _amax(a)
 
 
 def _to_object(a: np.ndarray) -> np.ndarray:
-    if a.dtype == object:
-        return a
-    return np.array(a.tolist(), dtype=object).reshape(a.shape)
+    return a if a.dtype == object else a.astype(object)
+
+
+def _int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B for integer matrices (B may be a vector), on int64 when both
+    fit int64 and |a| |b| k < 2^61 bounds every partial sum, else on Python
+    integers (object).
+
+    numpy multiplies int64 matrices with a scalar loop.  A product of at
+    least _SIMD_WORK multiply-adds with |a| |b| k < 2^53 runs as a float64
+    einsum instead, which is vectorized: each product and partial sum is
+    then an integer below 2^53 in magnitude, which float64 holds exactly.
+    einsum, unlike @ on float64, keeps off the multithreaded BLAS and its
+    buffers.
+    """
+    A, a = _bounded(A)
+    B, b = _bounded(B)
+    bound = None if a is None or b is None else a * b * A.shape[1]
+    if bound is None or bound >= _INT64_SAFE:
+        return _to_object(A) @ _to_object(B)
+    if bound < _FLOAT_EXACT and A.shape[0] * B.size >= _SIMD_WORK:
+        return np.einsum("ij,j...->i...", A.astype(np.float64),
+                         B.astype(np.float64)).astype(np.int64)
+    return A @ B
 
 
 def _div(n: int, d: int):
@@ -183,26 +279,25 @@ def _div(n: int, d: int):
 def mm(A, B) -> np.ndarray:
     """Exact product of matrices of ints and Fractions (B may be a vector).
 
-    The numerators of A (scaled per row) and of B (scaled per column) are
-    multiplied on int64 when both fit int64 and |a| |b| k < 2^61 bounds
-    every partial sum, else as Python integers; each entry of the result is
-    then divided by its two lcms.
+    Two int64 factors are multiplied as they are and give an int64 product
+    when |a| |b| k < 2^61, else an object one.  Otherwise the numerators
+    of A (scaled per row) and of B (scaled per column) are multiplied under
+    the same bound, and each entry of the object result is divided by its
+    two lcms.
     """
     A = A if isinstance(A, np.ndarray) else as_matrix(A)
     B = B if isinstance(B, np.ndarray) else as_matrix(B)
     if A.shape[-1] != B.shape[0]:
         raise ValueError(f"matmul mismatch {A.shape} @ {B.shape}")
+    if A.dtype == np.int64 and B.dtype == np.int64:
+        return _int_product(A, B)
     shape = (A.shape[0], B.shape[1]) if B.ndim == 2 else (A.shape[0],)
+    B = B if B.ndim == 2 else B.reshape(-1, 1)
     if A.size == 0 or B.size == 0:
         return np.zeros(shape, dtype=object)
     nA, dA = _numerators(A, 1)
-    nB, dB = _numerators(B.reshape(B.shape[0], -1), 0)
-    nA, a = _bounded(nA)
-    nB, b = _bounded(nB)
-    if a is not None and b is not None and a * b * A.shape[1] < _INT64_SAFE:
-        N = (nA @ nB).astype(object)
-    else:
-        N = _to_object(nA) @ _to_object(nB)
+    nB, dB = _numerators(B, 0)
+    N = _to_object(_int_product(nA, nB))
     if dA is not None or dB is not None:
         dA = dA or [1] * N.shape[0]
         dB = dB or [1] * N.shape[1]
@@ -252,11 +347,12 @@ class _SnfState:
         self.obj = bound is None or bound >= _INT64_SAFE
         self.maxdim = max(m, n, 1)
         if self.obj:
-            self.D = A.copy()
-            self.U, self.Uinv = eye(m), eye(m)
-            self.V = eye(n)
+            self.D = A.astype(object)
+            self.U = np.eye(m, dtype=object)
+            self.Uinv = np.eye(m, dtype=object)
+            self.V = np.eye(n, dtype=object)
         else:
-            self.D = D
+            self.D = D if D is not A else A.copy()
             self.U = np.eye(m, dtype=np.int64)
             self.Uinv = np.eye(m, dtype=np.int64)
             self.V = np.eye(n, dtype=np.int64)
@@ -470,8 +566,8 @@ class IntSolver:
     solution exactly when U b is integral, vanishes below row r and has
     row i < r divisible by d_i; then x = V ((U b)[:r] / d).  The columns
     V[:, r:] are a basis of the kernel lattice, a direct summand of Z^n
-    because V is unimodular.  U and V are kept read-only, on int64 when
-    they fit, so a solve only scans its right-hand side.
+    because V is unimodular.  U and V are stored once (int_storage), so a
+    solve only scans its right-hand side.
     """
 
     __slots__ = ("rank", "diag", "_U", "_V")
@@ -480,7 +576,7 @@ class IntSolver:
         snf = smith_normal_form(A)
         self.rank = snf.rank
         self.diag = snf.diag[:snf.rank]
-        self._U, self._V = _int64_form(snf.U), _int64_form(snf.V)
+        self._U, self._V = int_storage(snf.U), int_storage(snf.V)
 
     def solve(self, b):
         """One integer solution of A x = b, or None.  b may have rational
@@ -493,7 +589,8 @@ class IntSolver:
         Y = mm(self._U, as_matrix(B))
         r = self.rank
         # mm returns a Fraction only for a non-integral entry
-        if _entry_kind(Y) is not int or not is_zero(Y[r:]):
+        if (Y.dtype == object and _entry_kind(Y) is not int) \
+                or not is_zero(Y[r:]):
             return None
         d = np.array(self.diag, dtype=object).reshape(-1, 1)
         if not is_zero(Y[:r] % d):
@@ -557,13 +654,12 @@ class RatSolver:
     __slots__ = ("A", "scales", "rank", "int")
 
     def __init__(self, A):
-        A = check_rat_entries(as_matrix(A))
+        A = exact_storage(as_matrix(A), integral=False)
         nums, lcms = _numerators(A, 0)
         self.int = IntSolver(nums)
         self.A = A
         self.scales = np.array(lcms or [1] * A.shape[1], dtype=object)
         self.rank = self.int.rank
-        A.setflags(write=False)
         self.scales.setflags(write=False)
 
     def solve(self, b):
@@ -604,8 +700,8 @@ class MixedSolver:
         if A_int.shape[0] != A_rat.shape[0]:
             raise ValueError("A_int and A_rat must have the same number of rows")
         self.rat = RatSolver(A_rat)
-        # the integer factors every solve multiplies by, on int64 when they fit
-        self._A_int = _int64_form(A_int)
+        # the integer factors every solve multiplies by, stored once
+        self._A_int = int_storage(A_int)
         self._P = self.rat.int._U[self.rat.rank:]
         self.int = IntSolver(mm(self._P, self._A_int))
 
@@ -643,8 +739,9 @@ def mixed_solve(A_int, A_rat, b):
 # ---------------------------------------------------------------------------
 
 def random_unimodular(n: int, rng, steps: int = 12) -> np.ndarray:
-    """Product of random elementary matrices; determinant +-1."""
-    m = eye(n)
+    """Product of random elementary matrices; determinant +-1, on Python
+    integers."""
+    m = np.eye(n, dtype=object)
     for _ in range(steps):
         if n < 2:
             break

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .cells import (CellComplex, cochain_complex, restriction_matrix,
                     standard_simplex, subcomplex)
 from .chains import ChainMap, Complex, homology, truncate_above
-from .linalg import is_zero, mm, zeros
+from .linalg import block_zeros, int_zeros, is_zero, mm
 
 
 class InsufficientTruncation(ValueError):
@@ -129,21 +129,22 @@ def _tot(A: _Truncated, window, N: int) -> Complex:
         blocks, total = layout[n]
         nxt_blocks, nxt_total = layout.get(n + 1, ([], 0))
         pos = {(q, p): off for q, p, off in nxt_blocks}
-        d = zeros(nxt_total, total)
+        parts = []     # (row offset, column offset, block)
         for q, p, off in blocks:
-            r = levels[q].rank(p)
-            sign = -1 if q % 2 else 1
             vert = levels[q].diff(p)
             key = (q, p + 1)
             if key in pos and vert.size:
-                d[pos[key]:pos[key] + vert.shape[0], off:off + r] = sign * vert
+                parts.append((pos[key], off, -vert if q % 2 else vert))
             q2 = q + step
             key = (q2, p)
             if key in pos:
                 h = sum((-1) ** i * f.component(p)
                         for i, f in enumerate(A.maps[min(q, q2)]))
                 if h.size:
-                    d[pos[key]:pos[key] + h.shape[0], off:off + r] = h
+                    parts.append((pos[key], off, h))
+        d = block_zeros(nxt_total, total, [b for _, _, b in parts])
+        for i, j, b in parts:
+            d[i:i + b.shape[0], j:j + b.shape[1]] = b
         diffs.append(d)
     return Complex(levels[0].ring, lo, ranks, diffs)
 
@@ -205,13 +206,13 @@ def cech_double(K: CellComplex, cover, ring="Z", N: int | None = None
                 ranks[d] += km.n_cells(d)
         diffs = []
         for d in range(K.dim + 1):
-            m = zeros(ranks[d + 1] if d + 1 <= K.dim else 0, ranks[d])
-            for t in tups:
-                km = intersection(t)
-                if d + 1 <= K.dim:
-                    blk = km.boundary_matrix(d + 1).T
-                    m[offs[t][d + 1]:offs[t][d + 1] + km.n_cells(d + 1),
-                      offs[t][d]:offs[t][d] + km.n_cells(d)] = blk
+            blks = [intersection(t).boundary_matrix(d + 1).T
+                    for t in tups] if d + 1 <= K.dim else []
+            m = block_zeros(ranks[d + 1] if d + 1 <= K.dim else 0, ranks[d],
+                            blks)
+            for t, blk in zip(tups, blks):
+                m[offs[t][d + 1]:offs[t][d + 1] + blk.shape[0],
+                  offs[t][d]:offs[t][d] + blk.shape[1]] = blk
             diffs.append(m)
         levels.append(Complex(ring, 0, ranks, diffs))
         offsets.append(offs)
@@ -222,7 +223,7 @@ def cech_double(K: CellComplex, cover, ring="Z", N: int | None = None
         for i in range(q + 2):
             comps = {}
             for d in range(K.dim + 1):
-                m = zeros(levels[q + 1].rank(d), levels[q].rank(d))
+                m = int_zeros(levels[q + 1].rank(d), levels[q].rank(d))
                 for t in level_tuples[q + 1]:
                     src = t[:i] + t[i + 1:]
                     if src not in offsets[q]:
@@ -282,7 +283,7 @@ def simplex_resolution(m: int, N: int) -> SimplicialComplexOfComplexes:
             # vertex map of the i-th coface: j -> j + (j >= i)
             comps = {}
             for n in levels[q + 1].degrees():
-                mmat = zeros(levels[q].rank(n), levels[q + 1].rank(n))
+                mmat = int_zeros(levels[q].rank(n), levels[q + 1].rank(n))
                 if n <= small.dim and n >= m:
                     for col, s in enumerate(small.cells(n)):
                         img = tuple(v if v < i else v + 1 for v in s)

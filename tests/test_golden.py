@@ -6,6 +6,8 @@ every report as it is; a change meant to alter a report replaces its file
 with the new stdout and says why.
 """
 
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,8 @@ import pytest
 from cellcoh import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DATA = Path(cli.__file__).parent / "data"
 SAMPLED = ["--samples", "3", "--seed", "1"]
 CASES = {
     "hexagon_circle3_m1": ["hexagon", "circle3", "--m", "1", *SAMPLED],
@@ -24,8 +28,11 @@ CASES = {
         ["homotopy-formula", "octahedron", "--m", "2", *SAMPLED],
     "descent_circle3_Z": ["descent", "circle3", "--ring", "Z"],
     "descent_circle3_Q": ["descent", "circle3", "--ring", "Q"],
+    "descent_octahedron_Z": ["descent", "octahedron", "--ring", "Z"],
     "descent_rp2_6_Z": ["descent", "rp2_6", "--ring", "Z"],
     "descent_rp2_6_Q": ["descent", "rp2_6", "--ring", "Q"],
+    "underlying_point_m1_level6":
+        ["underlying-point", "--m", "1", "--level", "6", "--window=-1:1"],
     "underlying_point_m2_level8":
         ["underlying-point", "--m", "2", "--level", "8", "--window=-1:2"],
     "homology_rp2_6": ["homology", "rp2_6"],
@@ -40,3 +47,41 @@ def test_every_golden_file_has_a_case():
 def test_json_report_is_byte_identical(name, capsys):
     assert cli.main(CASES[name] + ["--format", "json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def _bench_ops(names, tmp_path):
+    """argv of every op of the benchmark's workloads, on inputs generated
+    from one seed."""
+    if not (PERFBENCH / "workloads.py").is_file():
+        pytest.skip("no benchmark op lists in this checkout")
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import inputs
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    made = inputs.generate(tmp_path / "inputs", 1)
+    return [op.argv for name in names
+            for op in workloads.WORKLOADS[name](made, DATA, 1)]
+
+
+def test_no_report_value_reaches_the_json_default(tmp_path, monkeypatch,
+                                                  capsys):
+    # `_emit` serializes with default=str, which would print a numpy int64
+    # or bool_ as the string "3" or "True" without a word; every value of
+    # a report must be a plain JSON type
+    argvs = list(CASES.values()) + _bench_ops(("classes", "cohomology"),
+                                              tmp_path)
+    dumps, leaked = json.dumps, []
+
+    def strict(obj, **kw):
+        def record(x):
+            leaked.append((argv, type(x).__name__, repr(x)))
+            return str(x)
+        return dumps(obj, **{**kw, "default": record})
+
+    monkeypatch.setattr(json, "dumps", strict)
+    for argv in argvs:
+        assert cli.main(argv + ["--format", "json"]) == 0, argv
+    capsys.readouterr()
+    assert leaked == []

@@ -22,6 +22,12 @@ def test_fundamental_cycle_unimodular_on_surfaces():
         z = lt.fundamental_cycle(K)
         assert all(abs(int(v)) == 1 for v in z)
         assert is_zero(mv(K.boundary_matrix(2), z))
+        # one Smith form per complex, shared read-only by every bundle on it
+        assert lt.fundamental_cycle(K) is z and not z.flags.writeable
+        L = lt.monopole(K, 2)
+        moved = lt.gauge_transform(L, zeros(K.n_cells(0), 1),
+                                   zeros(K.n_cells(1), 1))
+        assert L._fund is z and moved._fund is z
 
 
 def test_fundamental_cycle_rejects_nonorientable():
@@ -166,6 +172,12 @@ def test_chart_geometry_consistency():
                   Fraction(pb[1]) - Fraction(pa[1]))
             db = (p[e[1]][0] - p[e[0]][0], p[e[1]][1] - p[e[0]][1])
             assert da == db
+    # the float geometry the quadratures use is lifted once per chart
+    start, d = chart.edge_geometry
+    assert chart.edge_geometry[0] is start and not d.flags.writeable
+    assert chart.face_geometry[0] is chart.face_geometry[0]
+    assert start.tolist() == [[float(x) for x in chart.edge_segment(e)[0]]
+                              for e in K.cells(1)]
     # triangles tile the torus: total unsigned area is 1
     total = Fraction(0)
     for f in K.cells(2):

@@ -441,6 +441,88 @@ def test_mm_and_mv_match_a_fraction_reference(pair):
         assert la.mm(A.astype(np.int64), B).tolist() == want
 
 
+INT64_MAX = 2 ** 63 - 1
+INT64_ENTRIES = st.sampled_from([
+    INTS,
+    st.integers(-2 ** 31, 2 ** 31),
+    # the ends of the int64 range, and products past 2^61
+    st.sampled_from([INT64_MAX, -INT64_MAX, -2 ** 63, 0, 1, -1]),
+    st.one_of(INTS, st.integers(2 ** 29, 2 ** 32)),
+])
+
+
+@st.composite
+def int64_products(draw):
+    """(A, B) with int64 entries as object matrices; B may be a vector."""
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+    entries = draw(INT64_ENTRIES)
+    B = _matrix(draw, k, n, entries)
+    return _matrix(draw, m, k, entries), (B[:, 0] if n and draw(st.booleans())
+                                          else B)
+
+
+def _int64_product_fits(A, B):
+    """Whether the int64 x int64 product stays on int64: |a| |b| k < 2^61."""
+    amax = max((abs(int(x)) for x in A.flat), default=0)
+    bmax = max((abs(int(x)) for x in B.flat), default=0)
+    return amax * bmax * A.shape[1] < 2 ** 61
+
+
+@PROPERTY
+@example((np.array([[2 ** 60, 2 ** 60]], dtype=object),
+          np.array([[1], [1]], dtype=object)))           # a b k = 2^61
+@example((np.array([[2 ** 60 - 1, 2 ** 60 - 1]], dtype=object),
+          np.array([[1], [1]], dtype=object)))           # just below
+@example((np.array([[2 ** 52, 2 ** 52]], dtype=object),
+          np.array([[1], [-1]], dtype=object)))          # a b k = 2^53
+@example((np.array([[INT64_MAX, -2 ** 63]], dtype=object),
+          np.array([[-2 ** 63], [INT64_MAX]], dtype=object)))
+@example((np.array([[-2 ** 63]], dtype=object), np.array([1], dtype=object)))
+@example((np.zeros((2, 0), dtype=object), np.zeros((0, 3), dtype=object)))
+@given(int64_products())
+def test_int64_products_match_a_fraction_reference(pair):
+    A, B = pair
+    B2 = B if B.ndim == 2 else B.reshape(-1, 1)
+    want = [[row[j] for j in range(B2.shape[1])] for row in _product(A, B2)]
+    if B.ndim == 1:
+        want = [row[0] for row in want]
+    iA, iB = A.astype(np.int64), B.astype(np.int64)
+    fits = _int64_product_fits(A, B2)
+    # neither, one and both factors on int64; the object and the int64
+    # form of one matrix give the same product
+    for X, Y in [(A, B), (iA, B), (A, iB), (iA, iB)]:
+        for got in (la.mm(X, Y), la.mv(X, Y) if Y.ndim == 1 else la.mm(X, Y)):
+            both = X.dtype == Y.dtype == np.int64
+            assert got.dtype == (np.int64 if both and fits else object)
+            assert got.shape == (A.shape[0],) + B.shape[1:]
+            assert got.tolist() == want
+            if got.dtype == object:
+                assert all(type(x) is int for x in got.flat)
+
+
+@pytest.mark.parametrize("bits", [1, 20, 23, 24, 27, 28, 40])
+def test_large_int64_products_match_python_integers(bits):
+    # 48 x 65 by 65 x 40 is large enough for the vectorized float64 product
+    # while |a| |b| k < 2^53 (bits <= 23), then int64 @ below 2^61 (bits
+    # <= 27), then Python integers.  Entry (0, 0) is a sum of 65 odd
+    # products: for bits = 24 it is odd and above 2^53, which no float64
+    # holds.
+    rng = np.random.default_rng(bits)
+    top = 2 ** bits
+    A = rng.integers(-top, top, (48, 65), endpoint=True)
+    B = rng.integers(-top, top, (65, 40), endpoint=True)
+    A[1, 0] = B[0, 1] = top             # one entry at the full bound
+    A[0], B[:, 0] = top - 1, top - 1
+    want = (A.astype(object) @ B.astype(object)).tolist()
+    fits = top * top * 65 < 2 ** 61
+    for X, Y in [(A, B), (A.astype(object), B), (A, B.astype(object))]:
+        got = la.mm(X, Y)
+        both = X.dtype == Y.dtype == np.int64
+        assert got.dtype == (np.int64 if both and fits else object)
+        assert got.tolist() == want
+        assert la.mv(X, Y[:, 0]).tolist() == [row[0] for row in want]
+
+
 def test_mm_and_mv_reject_inexact_entries():
     ok = np.array([[1, Fraction(1, 2)], [0, 3]], dtype=object)
     bad = np.array([[1, 0.5], [0, 3]], dtype=object)
