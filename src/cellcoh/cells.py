@@ -434,12 +434,11 @@ def star_cover(K: CellComplex) -> list:
 def restriction_matrix(big: CellComplex, small: CellComplex,
                        degree: int) -> np.ndarray:
     """Cochain restriction along an inclusion of subcomplexes (cells are
-    shared ids); a read-only 0/1 matrix on int64."""
+    shared ids); a 0/1 matrix stored by linalg.int_storage."""
     m = int_zeros(small.n_cells(degree), big.n_cells(degree))
     for i, c in enumerate(small.cells(degree)):
         m[i, big.index[c]] = 1
-    m.setflags(write=False)
-    return m
+    return int_storage(m)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ matrix with the columns scaled to integers and gives rank, kernel, left
 null space and solutions over Q.  MixedSolver, behind class equality and
 the exactness witnesses, solves for an integral and a rational unknown
 with one solver of each kind.  The solvers store their fixed integer
-factors once, so a solve only scans its right-hand side.
+factors once, on int64 whenever they fit it.
 solve_int, solve_int_many and int_kernel_basis factor for one call.
 """
 
@@ -66,11 +66,12 @@ def block_zeros(rows: int, cols: int, blocks) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.result_type(np.int64, *blocks))
 
 
-def int_storage(a: np.ndarray) -> np.ndarray:
+def int_storage(a: np.ndarray, bound: int = INT_BOUND) -> np.ndarray:
     """The stored form of a matrix of integers, made once where it enters
-    the system: read-only int64 when every |entry| < INT_BOUND = 2^31, else
-    a read-only object array of Python ints.  A writable int64 input is
-    copied, so that no caller can change it afterwards.
+    the system: read-only int64 when every |entry| < bound (by default
+    INT_BOUND = 2^31), else a read-only object array of Python ints.  A
+    writable int64 input is copied, so that no caller can change it
+    afterwards.
 
     The bound makes every elementwise operation the package applies to
     stored matrices exact on int64, whose range is [-2^63, 2^63):
@@ -89,6 +90,11 @@ def int_storage(a: np.ndarray) -> np.ndarray:
 
     A sum that leaves the bound (a total differential with larger entries)
     is stored again through this function and becomes an object array.
+
+    The factors of the solvers (Smith transforms, the integer block of a
+    mixed system) are only ever multiplied, and mm checks the bound of each
+    product itself, so they are stored with bound = 2^63: on int64 whenever
+    they fit it.
     """
     if a.dtype != np.int64:
         try:
@@ -99,7 +105,7 @@ def int_storage(a: np.ndarray) -> np.ndarray:
             return a
     elif a.flags.writeable:
         a = a.copy()
-    if _amax(a) >= INT_BOUND:
+    if _amax(a) >= bound:
         a = a.astype(object)
     a.setflags(write=False)
     return a
@@ -178,29 +184,39 @@ def check_int_entries(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_rat_entries(a: np.ndarray) -> np.ndarray:
-    """Validate exact rational entries.  Integers stay plain ints (and whole
-    Fractions are normalized to ints) so that integer fast paths still apply
-    to rational-coefficient matrices that happen to be integral; int64
-    passes through unscanned."""
+def _rat_entries(a: np.ndarray):
+    """(a validated, whether every entry is an integer).  Integers stay
+    plain ints and whole Fractions are normalized to ints, so that integer
+    fast paths still apply to rational-coefficient matrices that happen to
+    be integral; int64 passes through unscanned."""
     if a.dtype == np.int64:
-        return a
+        return a, True
     if _entry_kind(a) is int:
-        return a.astype(object)
+        return a.astype(object), True
     out = np.empty(a.shape, dtype=object)
+    integral = True
     for idx, x in np.ndenumerate(a):
         f = _as_frac(x)
+        integral = integral and f.denominator == 1
         out[idx] = f if f.denominator != 1 else int(f)
-    return out
+    return out, integral
+
+
+def check_rat_entries(a: np.ndarray) -> np.ndarray:
+    """a with exact rational entries (see _rat_entries); TypeError for a
+    non-exact entry."""
+    return _rat_entries(a)[0]
 
 
 def exact_storage(a: np.ndarray, integral: bool) -> np.ndarray:
     """The validated stored form of an exact matrix: int_storage when every
     entry is an integer, else (rationals allowed unless integral) a
     read-only object array of ints and Fractions."""
-    if a.dtype != np.int64:
-        a = check_int_entries(a) if integral else check_rat_entries(a)
-        if not integral and _entry_kind(a) is not int:
+    if integral:
+        a = check_int_entries(a)
+    else:
+        a, integral = _rat_entries(a)
+        if not integral:
             a.setflags(write=False)
             return a
     return int_storage(a)
@@ -215,8 +231,8 @@ def _numerators(a: np.ndarray, axis: int):
         return a, None
     kind = _entry_kind(a)
     if kind is None:
-        a = check_rat_entries(a)
-        kind = _entry_kind(a)
+        a, integral = _rat_entries(a)
+        kind = int if integral else Fraction
     if kind is int:
         return a, None
     lines = (a.T if axis == 0 else a).tolist()
@@ -367,11 +383,9 @@ class _SnfState:
     def _amax(a) -> int:
         if not isinstance(a, np.ndarray):
             return abs(int(a))
-        if a.size == 0:
-            return 0
         if a.dtype == object:
             return max((abs(int(x)) for x in a.flat), default=0)
-        return int(np.abs(a).max())
+        return _amax(a)
 
     def _guard(self, qmax: int):
         """Promote to big integers unless (maxentry+1)(qmax+1)(dim+1) < 2^61,
@@ -566,8 +580,9 @@ class IntSolver:
     solution exactly when U b is integral, vanishes below row r and has
     row i < r divisible by d_i; then x = V ((U b)[:r] / d).  The columns
     V[:, r:] are a basis of the kernel lattice, a direct summand of Z^n
-    because V is unimodular.  U and V are stored once (int_storage), so a
-    solve only scans its right-hand side.
+    because V is unimodular.  U and V are stored once, on int64 whenever
+    they fit it (int_storage with bound 2^63), so a solve with such
+    factors only scans its right-hand side.
     """
 
     __slots__ = ("rank", "diag", "_U", "_V")
@@ -576,7 +591,8 @@ class IntSolver:
         snf = smith_normal_form(A)
         self.rank = snf.rank
         self.diag = snf.diag[:snf.rank]
-        self._U, self._V = int_storage(snf.U), int_storage(snf.V)
+        self._U = int_storage(snf.U, 2 ** 63)
+        self._V = int_storage(snf.V, 2 ** 63)
 
     def solve(self, b):
         """One integer solution of A x = b, or None.  b may have rational
@@ -701,7 +717,7 @@ class MixedSolver:
             raise ValueError("A_int and A_rat must have the same number of rows")
         self.rat = RatSolver(A_rat)
         # the integer factors every solve multiplies by, stored once
-        self._A_int = int_storage(A_int)
+        self._A_int = int_storage(A_int, 2 ** 63)
         self._P = self.rat.int._U[self.rat.rank:]
         self.int = IntSolver(mm(self._P, self._A_int))
 

@@ -48,6 +48,29 @@ def test_rational_entries_stay_object():
     assert C.diffs[0].dtype == object and not C.diffs[0].flags.writeable
 
 
+def test_whole_fractions_over_q_are_stored_int64():
+    C = ch.Complex("Q", 0, [2, 1], [[[Fraction(4, 2), -1]]])
+    assert_stored_int64(*C.diffs)
+    assert C.diffs[0].tolist() == [[2, -1]]
+
+
+def test_solver_factors_past_the_bound_stay_on_int64(monkeypatch):
+    # the Smith transform V of [[2^40 + 1, 2^40]] has entries near 2^40
+    solver = la.IntSolver(la.as_matrix([[2 ** 40 + 1, 2 ** 40]]))
+    assert_stored_int64(solver._U, solver._V)
+    assert int(np.abs(solver._V).max()) >= BOUND
+    mixed = la.MixedSolver([[2 ** 40]], [[0]])
+    assert_stored_int64(mixed._A_int)
+    scanned = []
+    entry_kind = la._entry_kind
+    monkeypatch.setattr(la, "_entry_kind",
+                        lambda a: scanned.append(a) or entry_kind(a))
+    x = solver.solve([7])
+    assert (2 ** 40 + 1) * x[0] + 2 ** 40 * x[1] == 7
+    assert scanned and not any(a is solver._U or a is solver._V
+                               for a in scanned)
+
+
 def test_cech_levels_cofaces_and_total_complex_are_read_only_int64():
     K = cl.bundled_complex("circle3")
     A = tot.cech_double(K, cl.star_cover(K), "Z", N=4)
