@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import (IntSolver, RatSolver, as_matrix, as_vector, block_zeros,
-                     exact_storage, eye, int_kernel_basis, int_zeros,
+                     exact_storage, eye, int_storage, int_zeros,
                      integerize_rows, invariant_factors, is_zero, mm, mv,
                      rat_rank, smith_normal_form, solve_int_many, zeros)
 
@@ -46,9 +46,11 @@ class Complex:
     d^(lo+i): rank(lo+i) -> rank(lo+i+1), acting on column vectors, stored
     read-only, on int64 when it is integral (see linalg.int_storage).
     Construction checks d o d = 0 and raises ValueError where it fails.
+    The IntSolver of an integral differential is kept once it is built
+    (int_solver).
     """
 
-    __slots__ = ("ring", "lo", "hi", "ranks", "diffs")
+    __slots__ = ("ring", "lo", "hi", "ranks", "diffs", "_solvers")
 
     def __init__(self, ring: str, lo: int, ranks, diffs):
         self.ring = _check_ring(ring)
@@ -80,6 +82,7 @@ class Complex:
         for i in range(len(mats) - 1):
             if not is_zero(mm(mats[i + 1], mats[i])):
                 raise ValueError(f"d o d != 0 at degree {self.lo + i}")
+        self._solvers = {}
 
     # -- access --------------------------------------------------------
 
@@ -92,6 +95,17 @@ class Complex:
         if self.lo <= n <= self.hi:
             return self.diffs[n - self.lo]
         return int_zeros(self.rank(n + 1), 0)
+
+    def int_solver(self, n: int) -> IntSolver | None:
+        """The IntSolver of diff(n), factored on first use and kept; None
+        over Q unless diff(n) is stored on int64 (an integer matrix)."""
+        s = self._solvers.get(n)
+        if s is None:
+            d = self.diff(n)
+            if self.ring == RING_Q and d.dtype != np.int64:
+                return None
+            s = self._solvers[n] = IntSolver(d)
+        return s
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -388,11 +402,12 @@ class HomologyData:
 
     gens: matrix whose columns are (co)cycle representatives generating H^n;
     orders: the order of each generator (0 for a free one).  Over Q every
-    generator is free.
+    generator is free.  The kernel comes from the IntSolver of d^n that C
+    keeps, and the class solvers from that of d^(n-1).
     """
 
     __slots__ = ("complex", "degree", "group", "gens", "orders",
-                 "_im", "_express_solver", "_zero_solver")
+                 "_im", "_express_solver", "_zero_solver", "_left")
 
     def __init__(self, C: Complex, n: int):
         self.complex, self.degree = C, n
@@ -400,12 +415,20 @@ class HomologyData:
         # Over Q, scaling the rows of d_out and the columns of d_in to
         # integers keeps the kernel and the image, and the classes of H^n
         # over Q are the free classes of the integer computation.
-        ker = int_kernel_basis(integerize_rows(C.diff(n)))
+        out = C.int_solver(n) or IntSolver(integerize_rows(C.diff(n)))
+        image = integerize_rows(d_in.T).T
         # write the image inside the kernel lattice (the kernel basis is a
-        # direct summand, so the coordinates are integral)
-        rel = solve_int_many(ker, integerize_rows(d_in.T).T)
-        if rel is None:
-            raise RuntimeError("image not contained in kernel")
+        # direct summand, so the coordinates are integral); d^n = 0 leaves
+        # its Smith form without a pivot, so the basis is the identity
+        ker = out.kernel_basis()
+        if out.rank == 0:
+            rel = image
+        elif is_zero(image):
+            rel = int_zeros(ker.shape[1], image.shape[1])
+        else:
+            rel = solve_int_many(ker, image)
+            if rel is None:
+                raise RuntimeError("image not contained in kernel")
         rsnf = smith_normal_form(rel)
         gens, orders = [], []
         for i in range(ker.shape[1]):
@@ -419,24 +442,38 @@ class HomologyData:
         tor = tuple(sorted(d for d in orders if d != 0))
         self.group = FgAbGroup(C.ring, rank=orders.count(0), torsion=tor)
         self._im = d_in
-        self._express_solver = None
-        self._zero_solver = None
+        self._express_solver = self._zero_solver = self._left = None
 
     # -- class arithmetic ----------------------------------------------
 
     def _solvers(self):
-        """Solvers for [gens | image] and for the image, built on first use:
-        IntSolver over Z, RatSolver over Q."""
+        """Solvers for expressing a class and for the image, built on first
+        use.  The image solver is that of d^(n-1): the IntSolver C keeps
+        over Z, a RatSolver on it over Q.  Over Z a class is expressed
+        against [gens | image].  Over Q the integer rows P of the left null
+        space of the image vanish exactly on the image, so v = gens x +
+        image y has a solution exactly when P v = (P gens) x does, with the
+        same x; a RatSolver of the small matrix P gens solves that."""
         if self._express_solver is None:
-            solver = _solver_class(self.complex.ring)
-            self._express_solver = solver(
-                np.concatenate([self.gens, self._im], axis=1))
-            self._zero_solver = solver(self._im)
+            C = self.complex
+            if C.ring == RING_Z:
+                self._zero_solver = C.int_solver(self.degree - 1)
+                self._express_solver = IntSolver(
+                    np.concatenate([self.gens, self._im], axis=1))
+            else:
+                self._zero_solver = RatSolver(
+                    C.int_solver(self.degree - 1) or self._im)
+                self._left = int_storage(
+                    self._zero_solver.left_nullspace(), 2 ** 63)
+                self._express_solver = RatSolver(mm(self._left, self.gens))
         return self._express_solver, self._zero_solver
 
     def express(self, vec):
         """Coordinates of the class of a cocycle in the generators, or None."""
-        sol = self._solvers()[0].solve(vec)
+        express = self._solvers()[0]
+        if self.complex.ring == RING_Q:
+            return express.solve(mv(self._left, vec))
+        sol = express.solve(vec)
         if sol is None:
             return None
         return sol[: self.gens.shape[1]]

@@ -33,9 +33,8 @@ import numpy as np
 from .cells import CellComplex, Cochain, ProductComplex, cochain_complex, \
     fiber_integrate_circle, fiber_integrate_prism
 from .chains import RING_Q, RING_Z, FgAbGroup, HomologyData, parse_int
-from .linalg import (IntSolver, MixedSolver, RatSolver, as_vector,
-                     check_int_entries, eye, int_kernel_basis, is_zero, mv,
-                     rat_nullity, zeros)
+from .linalg import (MixedSolver, RatSolver, as_vector, check_int_entries,
+                     eye, int_kernel_basis, is_zero, mv, rat_nullity, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +261,8 @@ class QZCohomology:
     Classes are represented by rational n-cochains u with delta u integral;
     [u] = 0 iff u = delta g + z with g rational, z integral, decided by the
     mixed solver.  The Bockstein sends [u] to [delta u] in H^(n+1)(K; Z).
-    Only the two coboundaries around degree n are kept, not K, whose cache
-    holds this object.
+    Only the two coboundaries around degree n and solvers on the
+    factorizations K keeps are held, not K, whose cache holds this object.
     """
 
     def __init__(self, K: CellComplex, n: int):
@@ -276,10 +275,11 @@ class QZCohomology:
         b = self.rational.group.rank
         torsion = tuple(d for d in self.integral_next.orders if d != 0 and d > 1)
         self.group = FgAbGroup("QZ", rank=b, torsion=tuple(sorted(torsion)))
-        self._member = MixedSolver(eye(self.n_cells), self.delta_below)
+        self._member = MixedSolver(eye(self.n_cells),
+                                   RatSolver(K.coboundary_solver(n - 1)))
         # integral primitives b of delta b = c, for the torsion lifts below
         # and the hexagon's exactness witnesses
-        self.primitive = IntSolver(self.delta)
+        self.primitive = K.coboundary_solver(n)
         # lifts of the torsion part: k [t] = 0 gives k t = delta b, u = b / k
         self.torsion_lifts = []
         for i, k in enumerate(self.integral_next.orders):
@@ -369,7 +369,7 @@ def random_cocycle(K: CellComplex, m: int, rng, n: int | None = None
     cache = _cache(K)
     key = ("zker", n)
     if key not in cache:
-        cache[key] = int_kernel_basis(_delta_matrix(K, n))
+        cache[key] = K.coboundary_solver(n).kernel_basis()
         cache[key].setflags(write=False)
     ker = cache[key]
     coeffs = random_int_vector(rng, ker.shape[1], bound=3)
@@ -441,8 +441,8 @@ class Hexagon:
         self.h_low_qz = qz_cohomology(K, m - 1)
         self.delta_a = _delta_matrix(K, m - 1)
         self.delta_below = _delta_matrix(K, m - 2)
-        self._a_exact = RatSolver(self.delta_below)   # A-node equality
-        self._z_exact = RatSolver(self.delta_a)       # exactness at Zcl
+        self._a_exact = RatSolver(K.coboundary_solver(m - 2))  # A-node equality
+        self._z_exact = RatSolver(K.coboundary_solver(m - 1))  # exactness at Zcl
         self._int_primitive = self.h_low_qz.primitive  # integral b, delta b = c
         # dimensions of the two corner Q-spaces
         self.dim_a_node = K.n_cells(m - 1) - self._a_exact.rank

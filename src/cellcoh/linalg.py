@@ -28,8 +28,17 @@ kernel and integer solutions.  RatSolver holds the IntSolver of its
 matrix with the columns scaled to integers and gives rank, kernel, left
 null space and solutions over Q.  MixedSolver, behind class equality and
 the exactness witnesses, solves for an integral and a rational unknown
-with one solver of each kind.  The solvers store their fixed integer
-factors once, on int64 whenever they fit it.
+with one solver of each kind.  A RatSolver can be built on the IntSolver
+of an integer matrix and a MixedSolver on a RatSolver, sharing their
+factorization: the IntSolver of each coboundary of a cell complex is
+kept next to the matrix (cells.CellComplex.coboundary_solver) and shared
+by the homology over Z and Q (chains.Complex.int_solver) and the solvers
+of diffcoh.  The solvers store their fixed integer factors once, on int64
+whenever they fit it, with their bounds.  A solve writes its right-hand
+side once as integer numerators over one denominator, multiplies only
+integers against the fixed factors, checks integrality and residuals as
+integer identities, and builds a Fraction only for a non-integral entry
+of the returned solution.
 solve_int, solve_int_many and int_kernel_basis factor for one call.
 """
 
@@ -263,10 +272,12 @@ def _to_object(a: np.ndarray) -> np.ndarray:
     return a if a.dtype == object else a.astype(object)
 
 
-def _int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _int_product(A: np.ndarray, B: np.ndarray, a: int | None = None
+                 ) -> np.ndarray:
     """A @ B for integer matrices (B may be a vector), on int64 when both
     fit int64 and |a| |b| k < 2^61 bounds every partial sum, else on Python
-    integers (object).
+    integers (object).  a is max |entry| of an int64 A when the caller
+    already knows it (a solver's fixed factor), else None.
 
     numpy multiplies int64 matrices with a scalar loop.  A product of at
     least _SIMD_WORK multiply-adds with |a| |b| k < 2^53 runs as a float64
@@ -275,7 +286,8 @@ def _int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     einsum, unlike @ on float64, keeps off the multithreaded BLAS and its
     buffers.
     """
-    A, a = _bounded(A)
+    if a is None:
+        A, a = _bounded(A)
     B, b = _bounded(B)
     bound = None if a is None or b is None else a * b * A.shape[1]
     if bound is None or bound >= _INT64_SAFE:
@@ -572,6 +584,40 @@ def invariant_factors(A) -> list[int]:
     return [1] * units + snf.diag[:snf.rank]
 
 
+def _bound(a: np.ndarray) -> int | None:
+    """max |entry| of a stored int64 factor; None for one on Python ints."""
+    return _amax(a) if a.dtype == np.int64 else None
+
+
+def _over_one_denominator(b: np.ndarray):
+    """(n, L): the integer numerators n of b over one denominator L > 0,
+    the lcm of the denominators of its entries, so that b = n / L.  int64
+    passes through unscanned with L = 1; a non-exact entry raises
+    TypeError."""
+    if b.dtype == np.int64:
+        return b, 1
+    kind = _entry_kind(b)
+    if kind is None:
+        b, integral = _rat_entries(b)
+        kind = int if integral else Fraction
+    if kind is int:
+        return b, 1
+    flat = b.ravel().tolist()
+    L = lcm(*(x.denominator for x in flat))
+    n = np.array([x.numerator * (L // x.denominator) for x in flat],
+                 dtype=object)
+    return n.reshape(b.shape), L
+
+
+def _divide_exactly(Y: np.ndarray, L: int):
+    """Y // L for an integer array Y, or None unless L divides every entry."""
+    if L == 1:
+        return Y
+    if Y.dtype != object and L >= 2 ** 63:
+        Y = Y.astype(object)
+    return Y // L if is_zero(Y % L) else None
+
+
 class IntSolver:
     """Rank, integer kernel and integer solutions of an integer matrix A,
     all read off one Smith normal form and reusable across right-hand sides.
@@ -580,19 +626,29 @@ class IntSolver:
     solution exactly when U b is integral, vanishes below row r and has
     row i < r divisible by d_i; then x = V ((U b)[:r] / d).  The columns
     V[:, r:] are a basis of the kernel lattice, a direct summand of Z^n
-    because V is unimodular.  U and V are stored once, on int64 whenever
-    they fit it (int_storage with bound 2^63), so a solve with such
-    factors only scans its right-hand side.
+    because V is unimodular.
+
+    A, U and V are stored once, on int64 whenever they fit it (int_storage
+    with bound 2^63), and max |U| and max |V| are found once, here.  A solve
+    writes its right-hand side once as integer numerators n over one
+    denominator L and multiplies only integers: U b is integral exactly
+    when L divides every entry of U n.  So a solve scans nothing but its
+    right-hand side.  RatSolver and MixedSolver can be built on this
+    factorization instead of factoring A again.
     """
 
-    __slots__ = ("rank", "diag", "_U", "_V")
+    __slots__ = ("A", "rank", "diag", "_U", "_V", "_Ub", "_Vb", "_d")
 
     def __init__(self, A):
-        snf = smith_normal_form(A)
+        self.A = int_storage(check_int_entries(as_matrix(A)), 2 ** 63)
+        snf = smith_normal_form(self.A)
         self.rank = snf.rank
         self.diag = snf.diag[:snf.rank]
         self._U = int_storage(snf.U, 2 ** 63)
         self._V = int_storage(snf.V, 2 ** 63)
+        self._Ub, self._Vb = _bound(self._U), _bound(self._V)
+        self._d = int_storage(
+            np.array(self.diag, dtype=object).reshape(-1, 1), 2 ** 63)
 
     def solve(self, b):
         """One integer solution of A x = b, or None.  b may have rational
@@ -602,18 +658,13 @@ class IntSolver:
 
     def solve_many(self, B):
         """Solve A X = B column by column over Z; None if any column fails."""
-        Y = mm(self._U, as_matrix(B))
+        N, L = _over_one_denominator(as_matrix(B))
+        Y = _divide_exactly(_int_product(self._U, N, self._Ub), L)
         r = self.rank
-        # mm returns a Fraction only for a non-integral entry
-        if (Y.dtype == object and _entry_kind(Y) is not int) \
-                or not is_zero(Y[r:]):
+        if Y is None or not is_zero(Y[r:]) or not is_zero(Y[:r] % self._d):
             return None
-        d = np.array(self.diag, dtype=object).reshape(-1, 1)
-        if not is_zero(Y[:r] % d):
-            return None
-        X = zeros(self._V.shape[0], Y.shape[1])
-        X[:r] = Y[:r] // d
-        return mm(self._V, X)
+        return _to_object(
+            _int_product(self._V[:, :r], Y[:r] // self._d, self._Vb))
 
     def kernel_basis(self) -> np.ndarray:
         """Columns form a basis of the integer kernel lattice."""
@@ -664,30 +715,51 @@ class RatSolver:
     IntSolver of A S, U (A S) V = diag(d_1, ..., d_r, 0, ...), a solution
     of A x = b is S V[:, :r] ((U b)[:r] / d) when (U b)[r:] vanishes, the
     kernel is spanned by S V[:, r:], and the rows U[r:, :] span the left
-    null space.
+    null space.  Given the IntSolver of an integer matrix in place of A,
+    the RatSolver shares its factorization (S = 1).
+
+    A solve stays on integers up to its result: with b = n / L (one
+    denominator L), D the lcm of d_1, ..., d_r, y = U n, w_i = y_i D / d_i
+    and t = V[:, :r] w, the solution is x = S t / (L D), each entry built
+    once, as a plain int where it is integral and a Fraction elsewhere.
     """
 
-    __slots__ = ("A", "scales", "rank", "int")
+    __slots__ = ("A", "scales", "rank", "int", "_D", "_w")
 
     def __init__(self, A):
-        A = exact_storage(as_matrix(A), integral=False)
-        nums, lcms = _numerators(A, 0)
-        self.int = IntSolver(nums)
-        self.A = A
-        self.scales = np.array(lcms or [1] * A.shape[1], dtype=object)
-        self.rank = self.int.rank
+        if isinstance(A, IntSolver):
+            self.int, self.A, lcms = A, A.A, None
+        else:
+            A = exact_storage(as_matrix(A), integral=False)
+            nums, lcms = _numerators(A, 0)
+            self.int, self.A = IntSolver(nums), A
+        self.scales = np.array(lcms or [1] * self.A.shape[1], dtype=object)
         self.scales.setflags(write=False)
+        self.rank = self.int.rank
+        self._D = lcm(*self.int.diag)
+        self._w = [self._D // d for d in self.int.diag]
+
+    def _numerator_solution(self, n: np.ndarray):
+        """t with x = S t / (L D) for b = n / L (see the class docstring),
+        or None when U n does not vanish below row r."""
+        y = _int_product(self.int._U, n, self.int._Ub)
+        r = self.rank
+        if not is_zero(y[r:]):
+            return None
+        w = np.array([a * f for a, f in zip(y[:r].tolist(), self._w)],
+                     dtype=object)
+        return _int_product(self.int._V[:, :r], w, self.int._Vb)
+
+    def _fractions(self, t: np.ndarray, den: int) -> np.ndarray:
+        """S t / den, one division per entry."""
+        return np.array([_div(s * x, den) for s, x in
+                         zip(self.scales.tolist(), t.tolist())], dtype=object)
 
     def solve(self, b):
         """One rational solution of A x = b, or None."""
-        b = as_vector(b, self.A.shape[0])
-        r = self.rank
-        y = mv(self.int._U, b)
-        if not is_zero(y[r:]):
-            return None
-        z = np.array([Fraction(y[i], d) for i, d in enumerate(self.int.diag)],
-                     dtype=object)
-        return mv(self.int._V[:, :r], z) * self.scales
+        n, L = _over_one_denominator(as_vector(b, self.A.shape[0]))
+        t = self._numerator_solution(n)
+        return None if t is None else self._fractions(t, L * self._D)
 
     def kernel_basis(self) -> np.ndarray:
         """Columns form a basis of the rational null space."""
@@ -705,36 +777,53 @@ class MixedSolver:
     cheap.  The integer rows P of the left null space of A_rat, from its
     RatSolver, turn the problem into the integer system (P A_int) u = P b,
     solvable only when P b is integral and then solved by the IntSolver of
-    P A_int; v is recovered from the same factorization of A_rat.
+    P A_int; v is recovered from the same factorization of A_rat.  A_rat
+    may be given as its RatSolver, whose factorization is then shared.
+
+    A solve writes b once as n / L and stays on integers up to v: P b is
+    integral exactly when L divides P n; v = S t / (L D) solves
+    A_rat v = (n - L A_int u) / L as in RatSolver; and the residual
+    A_int u + A_rat v - b = 0 is checked as the integer identity
+    L D (A_int u) + N t - D n = 0, with N = A_rat S the column-scaled
+    integer matrix the RatSolver factored.
     """
 
-    __slots__ = ("rat", "int", "_A_int", "_P")
+    __slots__ = ("rat", "int", "_A_int", "_P", "_Ab", "_Pb", "_Nb")
 
     def __init__(self, A_int, A_rat):
         A_int = check_int_entries(as_matrix(A_int))
-        A_rat = as_matrix(A_rat)
+        rat = A_rat if isinstance(A_rat, RatSolver) else None
+        A_rat = rat.A if rat else as_matrix(A_rat)
         if A_int.shape[0] != A_rat.shape[0]:
             raise ValueError("A_int and A_rat must have the same number of rows")
-        self.rat = RatSolver(A_rat)
-        # the integer factors every solve multiplies by, stored once
+        self.rat = rat or RatSolver(A_rat)
+        # the integer factors every solve multiplies by, stored and bounded
+        # once
         self._A_int = int_storage(A_int, 2 ** 63)
         self._P = self.rat.int._U[self.rat.rank:]
         self.int = IntSolver(mm(self._P, self._A_int))
+        self._Ab, self._Pb = _bound(self._A_int), _bound(self._P)
+        self._Nb = _bound(self.rat.int.A)
 
     def solve(self, b):
         """Return (u, v) with exact zero residual, or None."""
-        b = as_vector(b, self._A_int.shape[0])
-        c = mv(self._P, b)
-        if any(x.denominator != 1 for x in c.tolist()):
+        n, L = _over_one_denominator(as_vector(b, self._A_int.shape[0]))
+        c = _divide_exactly(_int_product(self._P, n, self._Pb), L)
+        if c is None:
             return None
-        u = self.int.solve(c)
+        u = self.int.solve_many(c.reshape(-1, 1))
         if u is None:
             return None
-        au = mv(self._A_int, u)
-        v = self.rat.solve(b - au)
-        if v is None or not is_zero(au + mv(self.rat.A, v) - b):
+        u = u[:, 0]
+        au = _to_object(_int_product(self._A_int, u, self._Ab))
+        n = _to_object(n)
+        t = self.rat._numerator_solution(n - L * au)
+        D = self.rat._D
+        if t is None or not is_zero(
+                L * D * au - D * n
+                + _to_object(_int_product(self.rat.int.A, t, self._Nb))):
             raise RuntimeError("mixed solve produced a nonzero residual")
-        return u, v
+        return u, self.rat._fractions(t, L * D)
 
 
 def mixed_solve(A_int, A_rat, b):

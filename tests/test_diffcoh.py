@@ -433,6 +433,59 @@ def test_hexagon_factors_each_matrix_once_however_many_samples(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+# the truncation degree of each bundled complex's hexagon in the classes
+# workload of the benchmark
+HEXAGON_M = {"circle3": 1, "octahedron": 2, "csaszar_torus": 2, "rp2_6": 2}
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_hexagon_factors_no_solver_matrix_twice(name, monkeypatch):
+    # each coboundary is factored once per complex and shared by the
+    # homology over Z and Q, the Q/Z cohomology, the hexagon's solvers and
+    # the random cocycles, so no IntSolver factors a matrix that another
+    # one already factored
+    inputs, building = [], []
+    snf, init = la.smith_normal_form, la.IntSolver.__init__
+
+    def counted(A):
+        A = la.as_matrix(A)
+        inputs.append(((A.shape, tuple(int(x) for x in A.flat)),
+                       bool(building)))
+        return snf(A)
+
+    def solver_init(self, A):
+        building.append(self)
+        try:
+            init(self, A)
+        finally:
+            building.pop()
+
+    for mod in (la, ch):
+        monkeypatch.setattr(mod, "smith_normal_form", counted)
+    monkeypatch.setattr(la.IntSolver, "__init__", solver_init)
+    K = cl.bundled_complex(name)
+    assert dc.hexagon_exactness(K, HEXAGON_M[name], samples=10)["passed"]
+    factored = [key for key, by_solver in inputs if by_solver]
+    assert len(factored) == len(set(factored))
+    assert len(inputs) <= 13
+
+
+def test_equal_classes_with_a_corrupted_class_solver_fails_its_witness_check():
+    K = octa()
+    x = dc.random_coboundary(K, 2, random.Random(3))
+    assert not is_zero(x.c)
+    zero = dc.DifferentialCochain.zero(K, 2, 2)
+    assert dc.equal_classes(x, zero)[0]
+    solver, shape = dc.class_solver(K, 2, 2)
+    # with the integral block negated the solver still solves its own system
+    # exactly, so its residual check passes, but the c-part -c_w it returns
+    # is no witness for x = dhat(w), because delta c_w != 0
+    K._diffcoh_cache[("dhat", 2, 2)] = (
+        la.MixedSolver(-solver._A_int, solver.rat), shape)
+    with pytest.raises(RuntimeError, match="witness does not verify"):
+        dc.equal_classes(x, zero)
+
+
 def test_complex_is_freed_without_the_cyclic_collector():
     # the per-complex cache holds the Q/Z cohomology, which must not hold
     # the complex back, or every hexagon run leaves its complex, homology

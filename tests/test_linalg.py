@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -532,3 +533,194 @@ def test_mm_and_mv_reject_inexact_entries():
             la.mm(A, B)
     with pytest.raises(TypeError, match="not an exact scalar"):
         la.mv(ok, [1, 0.5])
+
+
+
+# ---------------------------------------------------------------------------
+# The solvers against a Fraction reference
+# ---------------------------------------------------------------------------
+
+# common denominators at and past 2^62 and 2^63: small numerators over a
+# denominator that int64 cannot hold take the big-integer division
+BIG_DENOMINATORS = [2 ** 62 + 1, 3 * 2 ** 62, 2 ** 63 + 3]
+
+
+def _exact(v):
+    return Fraction(int(v)) if isinstance(v, np.integer) else Fraction(v)
+
+
+def _sympy(M):
+    from sympy import Matrix
+    return Matrix(M.shape[0], M.shape[1], [_exact(x) for x in M.flat])
+
+
+def _factors(rows, cols):
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    D = sympy_snf(Matrix(len(rows), cols, [x for r in rows for x in r]),
+                  domain=ZZ)
+    return sorted(abs(int(D[i, i])) for i in range(min(D.shape))
+                  if D[i, i] != 0)
+
+
+def _solvable_over_z(M, c) -> bool:
+    """Whether M u = c has an integer solution u.  Each equation is scaled
+    to integers first, which keeps the solutions.  The lattice spanned by
+    the columns of M lies in that of [M | c], and the two are equal exactly
+    when they have the same invariant factors (their product is the index
+    in the common saturation), read off sympy's Smith form."""
+    if M.shape[0] == 0:
+        return True
+    rows = []
+    for i in range(M.shape[0]):
+        row = [_exact(x) for x in M[i]] + [_exact(c[i])]
+        s = lcm(*(x.denominator for x in row))
+        rows.append([int(x * s) for x in row])
+    return _factors([r[:-1] for r in rows], M.shape[1]) == \
+        _factors(rows, M.shape[1] + 1)
+
+
+def _solvable_over_q(A, b) -> bool:
+    """rank A == rank [A | b] over Q (sympy)."""
+    if A.shape[0] == 0:
+        return True
+    Ab = np.concatenate([A, np.array(list(b), dtype=object).reshape(-1, 1)],
+                        axis=1)
+    return _sympy(A).rank() == _sympy(Ab).rank()
+
+
+def _solvable_mixed(A_int, A_rat, b) -> bool:
+    """Whether A_int u + A_rat v = b has u integral and v rational: the
+    rows of a basis Y of the left null space of A_rat over Q (sympy) remove
+    v and leave the integer question (Y A_int) u = Y b."""
+    m = A_rat.shape[0]
+    Y = [[Fraction(int(x.p), int(x.q)) for x in y]
+         for y in _sympy(A_rat).T.nullspace()] if A_rat.shape[1] else \
+        [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    Y = np.array(Y, dtype=object).reshape(len(Y), m)
+    YA = np.array([_apply(Y, A_int[:, j]) for j in range(A_int.shape[1])],
+                  dtype=object).T.reshape(Y.shape[0], A_int.shape[1])
+    return _solvable_over_z(YA, _apply(Y, [_exact(x) for x in b]))
+
+
+@st.composite
+def right_hand_sides(draw, A, unknowns):
+    """b = A x0 for a drawn x0, plus, half of the time, a drawn perturbation
+    that may leave the column span (or the lattice).  Some b are divided by
+    a common denominator of at least 2^62, some have a numerator of at
+    least 2^63, and integer ones may come as int64."""
+    m = A.shape[0]
+    b = _apply(A, [draw(unknowns) for _ in range(A.shape[1])])
+    if draw(st.booleans()):
+        b = [x + draw(RATS) for x in b]
+    kind = draw(st.sampled_from(["plain", "big denominator",
+                                 "big numerator"]))
+    if kind == "big denominator":
+        L = draw(st.sampled_from(BIG_DENOMINATORS))
+        b = [x / L for x in b]
+    elif kind == "big numerator" and m:
+        b[draw(st.integers(0, m - 1))] += BIG * draw(st.integers(1, 3))
+    b = [int(x) if x.denominator == 1 else x for x in b]
+    if all(type(x) is int and abs(x) < BIG for x in b) and draw(st.booleans()):
+        return np.array(b, dtype=np.int64).reshape(m)
+    return np.array(b, dtype=object).reshape(m)
+
+
+def _draw_matrix(draw, rows, cols, entries):
+    """A drawn matrix, sometimes with an entry past 2^63, sometimes zero
+    (rank 0)."""
+    A = _matrix(draw, rows, cols, entries, big=draw(st.booleans()))
+    return A * 0 if draw(st.integers(0, 3)) == 0 else A
+
+
+def _assert_exact_solution(A, x, b):
+    assert _apply(A, x) == [_exact(v) for v in b]
+
+
+def _assert_output_convention(x):
+    """A plain int wherever an entry is integral, else a Fraction."""
+    for v in x:
+        assert type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+
+
+SOLVER_PROPERTY = settings(max_examples=120, deadline=None, derandomize=True,
+                           database=None)
+
+
+@SOLVER_PROPERTY
+@given(st.data())
+def test_int_solver_against_the_reference(data):
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    A = _draw_matrix(data.draw, rows, cols, INTS)
+    b, c = (data.draw(right_hand_sides(A, INTS)) for _ in range(2))
+    solver = la.IntSolver(A)
+    x = solver.solve(b)
+    assert (x is None) == (not _solvable_over_z(A, b))
+    if x is not None:
+        assert all(type(v) is int for v in x)
+        _assert_exact_solution(A, x, b)
+    B = np.stack([np.array(list(v), dtype=object) for v in (b, c)], axis=1)
+    if data.draw(st.booleans()) and all(type(v) is int and abs(v) < BIG
+                                        for v in B.flat):
+        B = B.astype(np.int64)
+    X = solver.solve_many(B)
+    assert (X is None) == (not (_solvable_over_z(A, b)
+                                and _solvable_over_z(A, c)))
+    if X is not None:
+        assert X.shape == (cols, 2) and all(type(v) is int for v in X.flat)
+        for j, v in enumerate((b, c)):
+            _assert_exact_solution(A, X[:, j], v)
+
+
+@SOLVER_PROPERTY
+@given(st.data())
+def test_rat_solver_against_the_reference(data):
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    A = _draw_matrix(data.draw, rows, cols, RATS)
+    b = data.draw(right_hand_sides(A, RATS))
+    solvers = [la.RatSolver(A)]
+    if all(Fraction(v).denominator == 1 for v in A.flat):
+        # an integer matrix: the RatSolver on its IntSolver shares that
+        # factorization
+        solvers.append(la.RatSolver(la.IntSolver(A)))
+    for solver in solvers:
+        x = solver.solve(b)
+        assert (x is None) == (not _solvable_over_q(A, b))
+        if x is not None:
+            _assert_output_convention(x)
+            _assert_exact_solution(A, x, b)
+
+
+@SOLVER_PROPERTY
+@given(st.data())
+def test_mixed_solver_against_the_reference(data):
+    rows = data.draw(st.integers(0, 4))
+    A_int = _draw_matrix(data.draw, rows, data.draw(st.integers(0, 3)), INTS)
+    A_rat = _draw_matrix(data.draw, rows, data.draw(st.integers(0, 3)), RATS)
+    A = np.concatenate([A_int, A_rat], axis=1)
+    b = data.draw(right_hand_sides(
+        A, st.one_of(INTS, RATS) if A_rat.shape[1] else INTS))
+    solvers = [la.MixedSolver(A_int, A_rat)]
+    if all(Fraction(v).denominator == 1 for v in A_rat.flat):
+        solvers.append(la.MixedSolver(
+            A_int, la.RatSolver(la.IntSolver(A_rat))))
+    for solver in solvers:
+        sol = solver.solve(b)
+        assert (sol is None) == (not _solvable_mixed(A_int, A_rat, b))
+        if sol is not None:
+            u, v = sol
+            assert all(type(x) is int for x in u)
+            _assert_output_convention(v)
+            _assert_exact_solution(A, list(u) + list(v), b)
+
+
+def test_mixed_solver_with_a_corrupted_factor_fails_its_residual_check():
+    # u + 0 v = 1, 0 u + 2 v = 3: u = 1, v = 3/2
+    solver = la.MixedSolver([[1], [0]], [[0], [2]])
+    u, v = solver.solve([1, 3])
+    assert list(u) == [1] and list(v) == [Fraction(3, 2)]
+    # a wrong transform V in the rational factorization gives v = 3; the
+    # integer residual identity catches it
+    solver.rat.int._V = 2 * solver.rat.int._V
+    with pytest.raises(RuntimeError, match="nonzero residual"):
+        solver.solve([1, 3])
