@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import RING_Q, RING_Z, Complex
-from .linalg import (IntSolver, as_vector, int_storage, int_zeros, is_zero,
-                     mm, mv, zeros)
+from .linalg import as_vector, int_storage, int_zeros, is_zero, mm, mv, zeros
 
 
 class CellComplex:
@@ -56,8 +55,7 @@ class CellComplex:
                       for i, c in enumerate(self.cells_by_dim[d])}
         self.labels = dict(labels or {})
         self._bnd_mats = {}
-        # shared with the cochain complexes of K (see cochain_complex)
-        self._cobnd_solvers = {}
+        self._cochains = {}
         for d in range(1, self.dim + 1):
             if not is_zero(mm(self.boundary_matrix(d - 1), self.boundary_matrix(d))):
                 raise ValueError(f"dd != 0 in dimension {d}")
@@ -85,16 +83,6 @@ class CellComplex:
                     m[self.index[b], j] += inc
         m = self._bnd_mats[d] = int_storage(m)
         return m
-
-    def coboundary_solver(self, n: int) -> IntSolver:
-        """The IntSolver of the coboundary delta^n = boundary_matrix(n + 1).T,
-        factored on first use and kept like the matrix; every solve against
-        delta^n over Z or Q, and the homology of the cochain complexes of K,
-        share it."""
-        s = self._cobnd_solvers.get(n)
-        if s is None:
-            s = self._cobnd_solvers[n] = IntSolver(self.boundary_matrix(n + 1).T)
-        return s
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * self.n_cells(d) for d in range(self.dim + 1))
@@ -173,13 +161,20 @@ def standard_simplex(q: int) -> CellComplex:
 
 
 def cochain_complex(K: CellComplex, ring: str = RING_Z) -> Complex:
-    """Cochain complex with d the transpose of the boundary."""
-    ranks = [K.n_cells(d) for d in range(K.dim + 1)]
-    diffs = [K.boundary_matrix(d + 1).T for d in range(K.dim)]
-    diffs.append(int_zeros(0, ranks[-1]))
-    C = Complex(ring, 0, ranks, diffs)
-    # diff(n) is delta^n in every degree, so C factors into the store of K
-    C._solvers = K._cobnd_solvers
+    """Cochain complex with d the transpose of the boundary, kept by K for
+    each ring; the second ring asked for gets it through Complex.over, so
+    both share the IntSolver of each coboundary (Complex.int_solver)."""
+    C = K._cochains.get(ring)
+    if C is None:
+        if K._cochains:
+            (C,) = K._cochains.values()
+            C = C.over(ring)
+        else:
+            ranks = [K.n_cells(d) for d in range(K.dim + 1)]
+            diffs = [K.boundary_matrix(d + 1).T for d in range(K.dim)]
+            diffs.append(int_zeros(0, ranks[-1]))
+            C = Complex(ring, 0, ranks, diffs)
+        K._cochains[ring] = C
     return C
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import (IntSolver, RatSolver, as_matrix, as_vector, block_zeros,
-                     exact_storage, eye, int_storage, int_zeros,
+                     exact_storage, eye, int_zeros,
                      integerize_rows, invariant_factors, is_zero, mm, mv,
                      rat_rank, smith_normal_form, solve_int_many, zeros)
 
@@ -47,7 +47,8 @@ class Complex:
     read-only, on int64 when it is integral (see linalg.int_storage).
     Construction checks d o d = 0 and raises ValueError where it fails.
     The IntSolver of an integral differential is kept once it is built
-    (int_solver).
+    (int_solver) and shared with the same complex over the other ring
+    (over).
     """
 
     __slots__ = ("ring", "lo", "hi", "ranks", "diffs", "_solvers")
@@ -106,6 +107,15 @@ class Complex:
                 return None
             s = self._solvers[n] = IntSolver(d)
         return s
+
+    def over(self, ring: str) -> "Complex":
+        """This complex over ring, with the same differentials and the same
+        kept IntSolvers: a Smith form does not depend on the ring."""
+        if ring == self.ring:
+            return self
+        C = Complex(ring, self.lo, self.ranks, self.diffs)
+        C._solvers = self._solvers
+        return C
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -403,11 +413,11 @@ class HomologyData:
     gens: matrix whose columns are (co)cycle representatives generating H^n;
     orders: the order of each generator (0 for a free one).  Over Q every
     generator is free.  The kernel comes from the IntSolver of d^n that C
-    keeps, and the class solvers from that of d^(n-1).
+    keeps, and the image solver behind class_is_zero from that of d^(n-1).
     """
 
     __slots__ = ("complex", "degree", "group", "gens", "orders",
-                 "_im", "_express_solver", "_zero_solver", "_left")
+                 "_im", "_express_solver", "_zero_solver")
 
     def __init__(self, C: Complex, n: int):
         self.complex, self.degree = C, n
@@ -442,44 +452,37 @@ class HomologyData:
         tor = tuple(sorted(d for d in orders if d != 0))
         self.group = FgAbGroup(C.ring, rank=orders.count(0), torsion=tor)
         self._im = d_in
-        self._express_solver = self._zero_solver = self._left = None
+        self._express_solver = None
+        self._zero_solver = None
 
     # -- class arithmetic ----------------------------------------------
 
-    def _solvers(self):
-        """Solvers for expressing a class and for the image, built on first
-        use.  The image solver is that of d^(n-1): the IntSolver C keeps
-        over Z, a RatSolver on it over Q.  Over Z a class is expressed
-        against [gens | image].  Over Q the integer rows P of the left null
-        space of the image vanish exactly on the image, so v = gens x +
-        image y has a solution exactly when P v = (P gens) x does, with the
-        same x; a RatSolver of the small matrix P gens solves that."""
-        if self._express_solver is None:
+    def _image_solver(self):
+        """The solver of the image, that of d^(n-1): the IntSolver C keeps
+        over Z, a RatSolver on it over Q."""
+        if self._zero_solver is None:
             C = self.complex
-            if C.ring == RING_Z:
-                self._zero_solver = C.int_solver(self.degree - 1)
-                self._express_solver = IntSolver(
-                    np.concatenate([self.gens, self._im], axis=1))
-            else:
-                self._zero_solver = RatSolver(
-                    C.int_solver(self.degree - 1) or self._im)
-                self._left = int_storage(
-                    self._zero_solver.left_nullspace(), 2 ** 63)
-                self._express_solver = RatSolver(mm(self._left, self.gens))
-        return self._express_solver, self._zero_solver
+            zero = C.int_solver(self.degree - 1)
+            self._zero_solver = (zero if C.ring == RING_Z
+                                 else RatSolver(zero or self._im))
+        return self._zero_solver
 
     def express(self, vec):
-        """Coordinates of the class of a cocycle in the generators, or None."""
-        express = self._solvers()[0]
-        if self.complex.ring == RING_Q:
-            return express.solve(mv(self._left, vec))
-        sol = express.solve(vec)
+        """Coordinates of the class of a cocycle in the generators, or None.
+        The solver of [gens | image] is built on first use; with no
+        generators it is the image solver."""
+        if self._express_solver is None:
+            self._express_solver = (
+                _solver_class(self.complex.ring)(
+                    np.concatenate([self.gens, self._im], axis=1))
+                if self.gens.shape[1] else self._image_solver())
+        sol = self._express_solver.solve(vec)
         if sol is None:
             return None
         return sol[: self.gens.shape[1]]
 
     def class_is_zero(self, vec) -> bool:
-        return self._solvers()[1].solve(vec) is not None
+        return self._image_solver().solve(vec) is not None
 
     def classes_equal(self, v, w) -> bool:
         return self.class_is_zero(as_vector(v) - as_vector(w))

@@ -262,7 +262,8 @@ class QZCohomology:
     [u] = 0 iff u = delta g + z with g rational, z integral, decided by the
     mixed solver.  The Bockstein sends [u] to [delta u] in H^(n+1)(K; Z).
     Only the two coboundaries around degree n and solvers on the
-    factorizations K keeps are held, not K, whose cache holds this object.
+    factorizations the cochain complex of K keeps are held, not K, whose
+    cache holds this object.
     """
 
     def __init__(self, K: CellComplex, n: int):
@@ -275,11 +276,12 @@ class QZCohomology:
         b = self.rational.group.rank
         torsion = tuple(d for d in self.integral_next.orders if d != 0 and d > 1)
         self.group = FgAbGroup("QZ", rank=b, torsion=tuple(sorted(torsion)))
+        C = cochain_complex(K)
         self._member = MixedSolver(eye(self.n_cells),
-                                   RatSolver(K.coboundary_solver(n - 1)))
+                                   RatSolver(C.int_solver(n - 1)))
         # integral primitives b of delta b = c, for the torsion lifts below
         # and the hexagon's exactness witnesses
-        self.primitive = K.coboundary_solver(n)
+        self.primitive = C.int_solver(n)
         # lifts of the torsion part: k [t] = 0 gives k t = delta b, u = b / k
         self.torsion_lifts = []
         for i, k in enumerate(self.integral_next.orders):
@@ -369,7 +371,7 @@ def random_cocycle(K: CellComplex, m: int, rng, n: int | None = None
     cache = _cache(K)
     key = ("zker", n)
     if key not in cache:
-        cache[key] = K.coboundary_solver(n).kernel_basis()
+        cache[key] = cochain_complex(K).int_solver(n).kernel_basis()
         cache[key].setflags(write=False)
     ker = cache[key]
     coeffs = random_int_vector(rng, ker.shape[1], bound=3)
@@ -441,8 +443,9 @@ class Hexagon:
         self.h_low_qz = qz_cohomology(K, m - 1)
         self.delta_a = _delta_matrix(K, m - 1)
         self.delta_below = _delta_matrix(K, m - 2)
-        self._a_exact = RatSolver(K.coboundary_solver(m - 2))  # A-node equality
-        self._z_exact = RatSolver(K.coboundary_solver(m - 1))  # exactness at Zcl
+        C = cochain_complex(K)
+        self._a_exact = RatSolver(C.int_solver(m - 2))  # A-node equality
+        self._z_exact = RatSolver(C.int_solver(m - 1))  # exactness at Zcl
         self._int_primitive = self.h_low_qz.primitive  # integral b, delta b = c
         # dimensions of the two corner Q-spaces
         self.dim_a_node = K.n_cells(m - 1) - self._a_exact.rank

@@ -30,11 +30,13 @@ null space and solutions over Q.  MixedSolver, behind class equality and
 the exactness witnesses, solves for an integral and a rational unknown
 with one solver of each kind.  A RatSolver can be built on the IntSolver
 of an integer matrix and a MixedSolver on a RatSolver, sharing their
-factorization: the IntSolver of each coboundary of a cell complex is
-kept next to the matrix (cells.CellComplex.coboundary_solver) and shared
-by the homology over Z and Q (chains.Complex.int_solver) and the solvers
-of diffcoh.  The solvers store their fixed integer factors once, on int64
-whenever they fit it, with their bounds.  A solve writes its right-hand
+factorization: a complex keeps the IntSolver of each integral
+differential (chains.Complex.int_solver), shared with the same complex
+over the other ring, and a cell complex keeps its cochain complexes
+(cells.cochain_complex), so the homology over both rings and the
+solvers of diffcoh share one factorization of each coboundary.  The
+solvers store their fixed integer factors once, on int64 whenever they
+fit it, with their bounds.  A solve writes its right-hand
 side once as integer numerators over one denominator, multiplies only
 integers against the fixed factors, checks integrality and residuals as
 integer identities, and builds a Fraction only for a non-integral entry
@@ -276,8 +278,8 @@ def _int_product(A: np.ndarray, B: np.ndarray, a: int | None = None
                  ) -> np.ndarray:
     """A @ B for integer matrices (B may be a vector), on int64 when both
     fit int64 and |a| |b| k < 2^61 bounds every partial sum, else on Python
-    integers (object).  a is max |entry| of an int64 A when the caller
-    already knows it (a solver's fixed factor), else None.
+    integers (object).  a is max |entry| of A when the caller already
+    knows it (a solver's fixed factor), else None.
 
     numpy multiplies int64 matrices with a scalar loop.  A product of at
     least _SIMD_WORK multiply-adds with |a| |b| k < 2^53 runs as a float64
@@ -584,29 +586,12 @@ def invariant_factors(A) -> list[int]:
     return [1] * units + snf.diag[:snf.rank]
 
 
-def _bound(a: np.ndarray) -> int | None:
-    """max |entry| of a stored int64 factor; None for one on Python ints."""
-    return _amax(a) if a.dtype == np.int64 else None
-
-
 def _over_one_denominator(b: np.ndarray):
     """(n, L): the integer numerators n of b over one denominator L > 0,
-    the lcm of the denominators of its entries, so that b = n / L.  int64
-    passes through unscanned with L = 1; a non-exact entry raises
-    TypeError."""
-    if b.dtype == np.int64:
-        return b, 1
-    kind = _entry_kind(b)
-    if kind is None:
-        b, integral = _rat_entries(b)
-        kind = int if integral else Fraction
-    if kind is int:
-        return b, 1
-    flat = b.ravel().tolist()
-    L = lcm(*(x.denominator for x in flat))
-    n = np.array([x.numerator * (L // x.denominator) for x in flat],
-                 dtype=object)
-    return n.reshape(b.shape), L
+    the lcm of the denominators of its entries, so that b = n / L (see
+    _numerators)."""
+    n, lcms = _numerators(b.reshape(-1, 1), 0)
+    return n.reshape(b.shape), (lcms[0] if lcms else 1)
 
 
 def _divide_exactly(Y: np.ndarray, L: int):
@@ -646,7 +631,7 @@ class IntSolver:
         self.diag = snf.diag[:snf.rank]
         self._U = int_storage(snf.U, 2 ** 63)
         self._V = int_storage(snf.V, 2 ** 63)
-        self._Ub, self._Vb = _bound(self._U), _bound(self._V)
+        self._Ub, self._Vb = _bounded(self._U)[1], _bounded(self._V)[1]
         self._d = int_storage(
             np.array(self.diag, dtype=object).reshape(-1, 1), 2 ** 63)
 
@@ -802,8 +787,8 @@ class MixedSolver:
         self._A_int = int_storage(A_int, 2 ** 63)
         self._P = self.rat.int._U[self.rat.rank:]
         self.int = IntSolver(mm(self._P, self._A_int))
-        self._Ab, self._Pb = _bound(self._A_int), _bound(self._P)
-        self._Nb = _bound(self.rat.int.A)
+        self._Ab, self._Pb = _bounded(self._A_int)[1], _bounded(self._P)[1]
+        self._Nb = _bounded(self.rat.int.A)[1]
 
     def solve(self, b):
         """Return (u, v) with exact zero residual, or None."""
