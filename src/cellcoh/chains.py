@@ -556,7 +556,6 @@ def _relation_matrix(h: HomologyData) -> np.ndarray:
     return np.stack(cols, axis=1) if cols else zeros(k, 0)
 
 
-# re-exported here because class equality and the exactness witnesses in the
-# richer modules are all instances of the same mixed system
+# re-exported with the chain-level API: an integral plus a rational unknown,
+# the shape of the Q/Z membership question the cohomology layers ask
 mixed_solve = linalg.mixed_solve
-MixedSolver = linalg.MixedSolver

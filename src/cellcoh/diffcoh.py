@@ -12,8 +12,10 @@ I(x) = [c], and a(alpha) = (0, alpha, delta alpha); the sign of a is fixed
 so that R o a = +delta and the homotopy formula holds with the conventions
 of the cell layer.  Class equality, flat parts, the commuting hexagon with
 its two exact diagonals, the prism homotopy formula and integration over
-the circle factor are all decided constructively, by exhibiting witnesses
-through the mixed integral/rational solver.
+the circle factor are all decided constructively, by exhibiting witnesses.
+Class equality follows the hexagon's exact sequences: above the truncation
+degree by an integral solve against the coboundary, at and below it by
+Q/Z membership, a mixed integral/rational solve.
 
 One sign convention worth recording: with flat_part(x) = [-h] the flat
 inclusion is u -> (delta u, -u, 0), and the hexagon's left diamond then
@@ -190,35 +192,28 @@ def _delta_matrix(K: CellComplex, n: int) -> np.ndarray:
     return K.boundary_matrix(n + 1).T
 
 
-def class_solver(K: CellComplex, m: int, n: int
-                 ) -> tuple[MixedSolver, tuple]:
-    """Solver for x = dhat(w) with w of degree n - 1: integral unknown c_w,
-    rational unknowns h_w and (when n - 1 >= m) omega_w.  Returns the
-    solver with the block shape (rn, rn1, rn2, has_omega_w, has_omega_eq)."""
+def _qz_member(K: CellComplex, n: int) -> MixedSolver:
+    """Solver of u = z + delta g with z an integral and g a rational
+    cochain, u of degree n: [u] = 0 in H^n(K; Q/Z) exactly when it solves.
+    Built on the kept factorization of delta^(n-1) and kept once per
+    degree, for the Q/Z cohomology and for class equality alike."""
     cache = _cache(K)
-    key = ("dhat", m, n)
-    if key in cache:
-        return cache[key]
-    rn, rn1, rn2 = K.n_cells(n), K.n_cells(n - 1), K.n_cells(n - 2)
-    has_omega_w = (n - 1) >= m
-    has_omega_eq = n >= m
-    d_n1 = _delta_matrix(K, n - 1)
-    d_n2 = _delta_matrix(K, n - 2)
-    rows = rn + rn1 + (rn if has_omega_eq else 0)
-    A_int = zeros(rows, rn1)
-    A_rat = zeros(rows, rn2 + (rn1 if has_omega_w else 0))
-    # c-part: delta c_w
-    A_int[:rn, :] = d_n1
-    # h-part: omega_w - c_w - delta h_w
-    A_int[rn:rn + rn1, :] = -eye(rn1)
-    A_rat[rn:rn + rn1, :rn2] = -d_n2
-    if has_omega_w:
-        A_rat[rn:rn + rn1, rn2:] = eye(rn1)
-        if has_omega_eq:
-            A_rat[rn + rn1:, rn2:] = d_n1
-    solver = MixedSolver(A_int, A_rat)
-    cache[key] = (solver, (rn, rn1, rn2, has_omega_w, has_omega_eq))
+    key = ("QZmember", n)
+    if key not in cache:
+        cache[key] = MixedSolver(
+            eye(K.n_cells(n)), RatSolver(cochain_complex(K).int_solver(n - 1)))
     return cache[key]
+
+
+def class_solver(K: CellComplex, m: int, n: int):
+    """The solver that decides x = dhat(w) for x of degree n.  Above the
+    truncation degree (n - 1 >= m) omega_w is free and the class is its
+    underlying integral class: the IntSolver of delta^(n-1) finds c_w.  At
+    and below it omega_w = 0 and the class is flat up to its curvature:
+    the Q/Z membership solver of degree n - 1 splits h."""
+    if n - 1 >= m:
+        return cochain_complex(K).int_solver(n - 1)
+    return _qz_member(K, n - 1)
 
 
 def equal_classes(x: DifferentialCochain, y: DifferentialCochain):
@@ -230,18 +225,26 @@ def equal_classes(x: DifferentialCochain, y: DifferentialCochain):
     x._compat(y)
     K, m, n = x.complex, x.m, x.n
     d = x - y
-    solver, shape = class_solver(K, m, n)
-    rn, rn1, rn2, has_omega_w, has_omega_eq = shape
-    parts = [d.c, d.h] + ([d.omega] if has_omega_eq else [])
-    rhs = np.concatenate([as_vector(p) for p in parts]) if rn + rn1 else \
-        zeros(0, 1).reshape(0)
-    sol = solver.solve(rhs)
-    if sol is None:
+    solver = class_solver(K, m, n)
+    # dhat o dhat = 0, so d = dhat(w) needs the h-part of dhat(d),
+    # omega - c - delta h, to vanish
+    if not is_zero(d.omega - d.c - d._delta(d.h, n - 1)):
         return False, None
-    u, v = sol
-    h_w = v[:rn2]
-    om_w = v[rn2:] if has_omega_w else zeros(rn1, 1).reshape(-1)
-    w = DifferentialCochain(K, m, n - 1, u, h_w, om_w)
+    if n - 1 >= m:
+        # d.c = delta c_w gives w = (c_w, 0, d.h + c_w)
+        c_w = solver.solve(d.c)
+        w = None if c_w is None else DifferentialCochain(
+            K, m, n - 1, c_w, zeros(K.n_cells(n - 2), 1).reshape(-1),
+            d.h + c_w)
+    else:
+        # omega_w = 0: d.omega = 0 and d.h = u + delta v with u integral give
+        # w = (-u, -v, 0)
+        sol = solver.solve(d.h) if is_zero(d.omega) else None
+        w = None if sol is None else DifferentialCochain(
+            K, m, n - 1, -sol[0], -sol[1],
+            zeros(K.n_cells(n - 1), 1).reshape(-1))
+    if w is None:
+        return False, None
     if not (d - w.dhat()).is_zero():
         raise RuntimeError("class-equality witness does not verify")
     return True, w
@@ -276,12 +279,10 @@ class QZCohomology:
         b = self.rational.group.rank
         torsion = tuple(d for d in self.integral_next.orders if d != 0 and d > 1)
         self.group = FgAbGroup("QZ", rank=b, torsion=tuple(sorted(torsion)))
-        C = cochain_complex(K)
-        self._member = MixedSolver(eye(self.n_cells),
-                                   RatSolver(C.int_solver(n - 1)))
+        self._member = _qz_member(K, n)
         # integral primitives b of delta b = c, for the torsion lifts below
         # and the hexagon's exactness witnesses
-        self.primitive = C.int_solver(n)
+        self.primitive = cochain_complex(K).int_solver(n)
         # lifts of the torsion part: k [t] = 0 gives k t = delta b, u = b / k
         self.torsion_lifts = []
         for i, k in enumerate(self.integral_next.orders):

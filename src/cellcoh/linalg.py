@@ -26,11 +26,11 @@ once and is reused across right-hand sides; the ring is chosen by the
 class.  IntSolver runs one Smith normal form and gives rank, integer
 kernel and integer solutions.  RatSolver holds the IntSolver of its
 matrix with the columns scaled to integers and gives rank, kernel, left
-null space and solutions over Q.  MixedSolver, behind class equality and
-the exactness witnesses, solves for an integral and a rational unknown
-with one solver of each kind.  A RatSolver can be built on the IntSolver
-of an integer matrix and a MixedSolver on a RatSolver, sharing their
-factorization: a complex keeps the IntSolver of each integral
+null space and solutions over Q.  MixedSolver, behind Q/Z membership and
+so the flat half of class equality, solves for an integral and a rational
+unknown with one solver of each kind.  A RatSolver can be built on the
+IntSolver of an integer matrix and a MixedSolver on a RatSolver, sharing
+their factorization: a complex keeps the IntSolver of each integral
 differential (chains.Complex.int_solver), shared with the same complex
 over the other ring, and a cell complex keeps its cochain complexes
 (cells.cochain_complex), so the homology over both rings and the
@@ -211,12 +211,6 @@ def _rat_entries(a: np.ndarray):
         integral = integral and f.denominator == 1
         out[idx] = f if f.denominator != 1 else int(f)
     return out, integral
-
-
-def check_rat_entries(a: np.ndarray) -> np.ndarray:
-    """a with exact rational entries (see _rat_entries); TypeError for a
-    non-exact entry."""
-    return _rat_entries(a)[0]
 
 
 def exact_storage(a: np.ndarray, integral: bool) -> np.ndarray:
