@@ -19,9 +19,9 @@ import numpy as np
 
 from . import linalg
 from .linalg import (IntSolver, RatSolver, as_matrix, as_vector, block_zeros,
-                     exact_storage, eye, int_zeros,
+                     exact_storage, eye, int_storage, int_zeros,
                      integerize_rows, invariant_factors, is_zero, mm, mv,
-                     rat_rank, smith_normal_form, solve_int_many, zeros)
+                     rat_rank, smith_normal_form, zeros)
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -33,12 +33,6 @@ def _check_ring(ring: str) -> str:
     return ring
 
 
-def _solver_class(ring: str):
-    """The exact solver of the ring: integer solutions over Z, rational
-    ones over Q."""
-    return IntSolver if ring == RING_Z else RatSolver
-
-
 class Complex:
     """Bounded cochain complex with exact differential matrices.
 
@@ -47,8 +41,9 @@ class Complex:
     read-only, on int64 when it is integral (see linalg.int_storage).
     Construction checks d o d = 0 and raises ValueError where it fails.
     The IntSolver of an integral differential is kept once it is built
-    (int_solver) and shared with the same complex over the other ring
-    (over).
+    (int_solver), as is the Smith form of the relations of each H^n
+    (HomologyData), and both are shared with the same complex over the
+    other ring (over).
     """
 
     __slots__ = ("ring", "lo", "hi", "ranks", "diffs", "_solvers")
@@ -110,7 +105,7 @@ class Complex:
 
     def over(self, ring: str) -> "Complex":
         """This complex over ring, with the same differentials and the same
-        kept IntSolvers: a Smith form does not depend on the ring."""
+        kept Smith forms: a Smith form does not depend on the ring."""
         if ring == self.ring:
             return self
         C = Complex(ring, self.lo, self.ranks, self.diffs)
@@ -412,77 +407,85 @@ class HomologyData:
 
     gens: matrix whose columns are (co)cycle representatives generating H^n;
     orders: the order of each generator (0 for a free one).  Over Q every
-    generator is free.  The kernel comes from the IntSolver of d^n that C
-    keeps, and the image solver behind class_is_zero from that of d^(n-1).
+    generator is free.  By change of basis (Kaczynski, Mischaikow and
+    Mrozek, Computational Homology, 2004, ch. 3) all of it is read off the
+    IntSolver of d^n that C keeps and one Smith form U' rel V' = D', where
+    rel holds the kernel coordinates of the image of d^(n-1).  A cocycle
+    with kernel coordinates x has class coordinates y = U' x in the columns
+    of ker U'^-1, of which those with D'_i != 1 (over Q, D'_i = 0) are the
+    generators; the class is zero exactly when each D'_i divides y_i.  C
+    keeps the Smith form of rel, which does not depend on the ring.
+
+    >>> h = HomologyData(Complex(RING_Z, 0, (1, 1), [[[2]]]), 1)
+    >>> str(h.group), h.gens.tolist(), h.orders
+    ('Z/2', [[1]], (2,))
+    >>> h.express([3]).tolist(), h.class_is_zero([3]), h.class_is_zero([4])
+    ([3], False, True)
+    >>> h.express([Fraction(1, 2)]) is None
+    True
     """
 
     __slots__ = ("complex", "degree", "group", "gens", "orders",
-                 "_im", "_express_solver", "_zero_solver")
+                 "_out", "_U", "_diag", "_rows")
 
     def __init__(self, C: Complex, n: int):
         self.complex, self.degree = C, n
-        d_in = C.diff(n - 1)
-        # Over Q, scaling the rows of d_out and the columns of d_in to
+        # Over Q, scaling the rows of d^n and the columns of d^(n-1) to
         # integers keeps the kernel and the image, and the classes of H^n
         # over Q are the free classes of the integer computation.
         out = C.int_solver(n) or IntSolver(integerize_rows(C.diff(n)))
-        image = integerize_rows(d_in.T).T
-        # write the image inside the kernel lattice (the kernel basis is a
-        # direct summand, so the coordinates are integral); d^n = 0 leaves
-        # its Smith form without a pivot, so the basis is the identity
-        ker = out.kernel_basis()
-        if out.rank == 0:
-            rel = image
-        elif is_zero(image):
-            rel = int_zeros(ker.shape[1], image.shape[1])
-        else:
-            rel = solve_int_many(ker, image)
+        rsnf = C._solvers.get(("rel", n))
+        if rsnf is None:
+            rel = out.kernel_coordinates(
+                integerize_rows(C.diff(n - 1).T).T)
             if rel is None:
                 raise RuntimeError("image not contained in kernel")
-        rsnf = smith_normal_form(rel)
-        gens, orders = [], []
+            rsnf = C._solvers["rel", n] = smith_normal_form(rel)
+        ker = out.kernel_basis()
+        gens, orders, rows = [], [], []
         for i in range(ker.shape[1]):
             d = rsnf.diag[i] if i < len(rsnf.diag) else 0
             if d == 1 or (d != 0 and C.ring == RING_Q):
                 continue
             gens.append(mv(ker, rsnf.Uinv[:, i]))
             orders.append(d)
+            rows.append(i)
         self.gens = np.stack(gens, axis=1) if gens else zeros(C.rank(n), 0)
         self.orders = tuple(orders)
         tor = tuple(sorted(d for d in orders if d != 0))
         self.group = FgAbGroup(C.ring, rank=orders.count(0), torsion=tor)
-        self._im = d_in
-        self._express_solver = None
-        self._zero_solver = None
+        self._out, self._rows = out, rows
+        self._U = int_storage(rsnf.U, 2 ** 63)
+        self._diag = np.array(rsnf.diag[:rsnf.rank], dtype=object)
 
     # -- class arithmetic ----------------------------------------------
 
-    def _image_solver(self):
-        """The solver of the image, that of d^(n-1): the IntSolver C keeps
-        over Z, a RatSolver on it over Q."""
-        if self._zero_solver is None:
-            C = self.complex
-            zero = C.int_solver(self.degree - 1)
-            self._zero_solver = (zero if C.ring == RING_Z
-                                 else RatSolver(zero or self._im))
-        return self._zero_solver
+    def _coordinates(self, vec):
+        """y = U' x for the kernel coordinates x of v, or None when v is no
+        cocycle or, over Z, not integral."""
+        x = self._out.kernel_coordinates(
+            as_vector(vec, self.complex.rank(self.degree)))
+        if x is None:
+            return None
+        y = mv(self._U, x)
+        if self.complex.ring == RING_Z and not is_zero(y % 1):
+            return None
+        return y
 
     def express(self, vec):
-        """Coordinates of the class of a cocycle in the generators, or None.
-        The solver of [gens | image] is built on first use; with no
-        generators it is the image solver."""
-        if self._express_solver is None:
-            self._express_solver = (
-                _solver_class(self.complex.ring)(
-                    np.concatenate([self.gens, self._im], axis=1))
-                if self.gens.shape[1] else self._image_solver())
-        sol = self._express_solver.solve(vec)
-        if sol is None:
-            return None
-        return sol[: self.gens.shape[1]]
+        """Coordinates of the class of a cocycle in the generators, or
+        None."""
+        y = self._coordinates(vec)
+        return None if y is None else y[self._rows]
 
     def class_is_zero(self, vec) -> bool:
-        return self._image_solver().solve(vec) is not None
+        y = self._coordinates(vec)
+        if y is None:
+            return False
+        s = len(self._diag)
+        # over Q a nonzero D'_i divides every y_i
+        return is_zero(y[s:]) and (self.complex.ring == RING_Q
+                                   or is_zero(y[:s] % self._diag))
 
     def classes_equal(self, v, w) -> bool:
         return self.class_is_zero(as_vector(v) - as_vector(w))
@@ -535,25 +538,15 @@ def exact_at_middle(f: ChainMap, g: ChainMap, n: int) -> bool:
         img = mv(g.component(n), mv(f.component(n), sh.gens[:, j]))
         if not th.class_is_zero(img):
             return False
-    # kernel of Q (with middle relations) must land in the image of P
-    mid_rel = _relation_matrix(mh)
-    tar_rel = _relation_matrix(th)
-    solver = _solver_class(f.source.ring)
+    # kernel of Q (with middle relations) must land in the image of P; the
+    # relations are diag(orders), a zero column for a free generator
+    mid_rel = np.diag(np.array(mh.orders, dtype=object))
+    tar_rel = np.diag(np.array(th.orders, dtype=object))
+    solver = IntSolver if f.source.ring == RING_Z else RatSolver
     ker = solver(np.concatenate([Q, tar_rel], axis=1)).kernel_basis()
     img = solver(np.concatenate([P, mid_rel], axis=1))
     return all(img.solve(ker[:Q.shape[1], j]) is not None
                for j in range(ker.shape[1]))
-
-
-def _relation_matrix(h: HomologyData) -> np.ndarray:
-    k = h.gens.shape[1]
-    cols = []
-    for i, d in enumerate(h.orders):
-        if d != 0:
-            col = zeros(k, 1).reshape(k)
-            col[i] = d
-            cols.append(col)
-    return np.stack(cols, axis=1) if cols else zeros(k, 0)
 
 
 # re-exported with the chain-level API: an integral plus a rational unknown,

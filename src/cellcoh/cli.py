@@ -157,6 +157,8 @@ def cmd_descent(args) -> int:
 def cmd_homotopy_formula(args) -> int:
     import random
     K = _load_complex_arg(args.input)
+    if args.m < 1:
+        raise InputError("homotopy-formula needs m >= 1")
     P = cl.prism(K)
     rng = random.Random(args.seed)
     failures = 0
@@ -212,6 +214,8 @@ def cmd_s1_integrate(args) -> int:
 
 
 def cmd_underlying_point(args) -> int:
+    if args.m < 1:
+        raise InputError("underlying-point needs m >= 1")
     lo, hi = _window(args.window, (-1, 2))
     try:
         rep = tt.underlying_at_point(args.m, args.level, (lo, hi))

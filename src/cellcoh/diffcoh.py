@@ -36,7 +36,7 @@ from .cells import CellComplex, Cochain, ProductComplex, cochain_complex, \
     fiber_integrate_circle, fiber_integrate_prism
 from .chains import RING_Q, RING_Z, FgAbGroup, HomologyData, parse_int
 from .linalg import (MixedSolver, RatSolver, as_vector, check_int_entries,
-                     eye, int_kernel_basis, is_zero, mv, rat_nullity, zeros)
+                     eye, int_kernel_basis, is_zero, mv, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +450,7 @@ class Hexagon:
         self._int_primitive = self.h_low_qz.primitive  # integral b, delta b = c
         # dimensions of the two corner Q-spaces
         self.dim_a_node = K.n_cells(m - 1) - self._a_exact.rank
-        self.dim_z_node = rat_nullity(_delta_matrix(K, m))
+        self.dim_z_node = K.n_cells(m) - C.int_solver(m).rank
 
     # -- maps ------------------------------------------------------------
 

@@ -12,9 +12,9 @@ every column of the right one is scaled to integers by the lcm of its
 denominators.  The numerators are multiplied on machine numbers under the
 same bound, else as Python integers, and each entry of the result is
 divided once, coming back as a plain int where it is integral and as a
-Fraction elsewhere.  The Smith normal form runs on int64 under the same
-kind of bound and falls back to big integers; both paths compute the same
-numbers.
+Fraction elsewhere.  The Smith normal form U A V = D tracks U^-1 and
+V^-1 along with U and V; it runs on int64 under the same kind of bound and
+falls back to big integers; both paths compute the same numbers.
 
 Rank and invariant factors alone (invariant_factors, behind rat_rank and
 chains.homology) need no transforms: the +-1 pivots, which make up nearly
@@ -24,11 +24,11 @@ rows, and only the core left over goes through the Smith normal form.
 Every exact solve goes through a solver object that factors its matrix
 once and is reused across right-hand sides; the ring is chosen by the
 class.  IntSolver runs one Smith normal form and gives rank, integer
-kernel and integer solutions.  RatSolver holds the IntSolver of its
-matrix with the columns scaled to integers and gives rank, kernel, left
-null space and solutions over Q.  MixedSolver, behind Q/Z membership and
-so the flat half of class equality, solves for an integral and a rational
-unknown with one solver of each kind.  A RatSolver can be built on the
+kernel, integer solutions and coordinates in the kernel.  RatSolver holds
+the IntSolver of its matrix with the columns scaled to integers and gives
+rank, kernel, left null space and solutions over Q.  MixedSolver, behind
+Q/Z membership and so the flat half of class equality, solves for an
+integral and a rational unknown with one solver of each kind.  A RatSolver can be built on the
 IntSolver of an integer matrix and a MixedSolver on a RatSolver, sharing
 their factorization: a complex keeps the IntSolver of each integral
 differential (chains.Complex.int_solver), shared with the same complex
@@ -344,13 +344,13 @@ class SmithForm:
     """Decomposition U @ A @ V == D with U, V unimodular, D diagonal.
 
     The diagonal entries are non-negative and each divides the next.
-    Uinv is the exact inverse of U.
+    Uinv and Vinv are the exact inverses of U and V.
     """
 
-    __slots__ = ("U", "D", "V", "Uinv", "diag", "rank")
+    __slots__ = ("U", "D", "V", "Uinv", "Vinv", "diag", "rank")
 
-    def __init__(self, U, D, V, Uinv):
-        self.U, self.D, self.V, self.Uinv = U, D, V, Uinv
+    def __init__(self, U, D, V, Uinv, Vinv):
+        self.U, self.D, self.V, self.Uinv, self.Vinv = U, D, V, Uinv, Vinv
         n = min(D.shape)
         self.diag = [int(D[i, i]) for i in range(n)]
         self.rank = sum(1 for d in self.diag if d != 0)
@@ -360,7 +360,7 @@ class _SnfState:
     """Mutable state for the reduction; int64 while provably safe.
 
     Before every arithmetic update a conservative bound on the largest
-    possible new entry is checked; if it could reach 2^61 the four matrices
+    possible new entry is checked; if it could reach 2^61 the five matrices
     are promoted to big-integer (object) arrays and the same vectorized
     expressions continue exactly.
     """
@@ -370,21 +370,15 @@ class _SnfState:
         D, bound = _bounded(A)
         self.obj = bound is None or bound >= _INT64_SAFE
         self.maxdim = max(m, n, 1)
-        if self.obj:
-            self.D = A.astype(object)
-            self.U = np.eye(m, dtype=object)
-            self.Uinv = np.eye(m, dtype=object)
-            self.V = np.eye(n, dtype=object)
-        else:
-            self.D = D if D is not A else A.copy()
-            self.U = np.eye(m, dtype=np.int64)
-            self.Uinv = np.eye(m, dtype=np.int64)
-            self.V = np.eye(n, dtype=np.int64)
+        dtype = object if self.obj else np.int64
+        self.D = D.astype(dtype) if self.obj or D is A else D
+        self.U, self.Uinv = np.eye(m, dtype=dtype), np.eye(m, dtype=dtype)
+        self.V, self.Vinv = np.eye(n, dtype=dtype), np.eye(n, dtype=dtype)
 
     def _demote(self):
         if not self.obj:
-            self.D, self.U, self.Uinv, self.V = map(
-                _to_object, (self.D, self.U, self.Uinv, self.V))
+            self.D, self.U, self.Uinv, self.V, self.Vinv = map(
+                _to_object, (self.D, self.U, self.Uinv, self.V, self.Vinv))
             self.obj = True
 
     @staticmethod
@@ -401,7 +395,8 @@ class _SnfState:
         if self.obj:
             return
         entries = max(self._amax(self.D), self._amax(self.U),
-                      self._amax(self.Uinv), self._amax(self.V))
+                      self._amax(self.Uinv), self._amax(self.V),
+                      self._amax(self.Vinv))
         if (entries + 1) * (abs(int(qmax)) + 1) * (self.maxdim + 1) >= _INT64_SAFE:
             self._demote()
 
@@ -420,6 +415,7 @@ class _SnfState:
             q = _to_object(q)
         self.D[:, t + 1:] -= np.outer(self.D[:, t], q)
         self.V[:, t + 1:] -= np.outer(self.V[:, t], q)
+        self.Vinv[t, :] += q @ self.Vinv[t + 1:, :]
 
     def row_add(self, i: int, j: int, q: int):
         self._guard(q)
@@ -439,6 +435,7 @@ class _SnfState:
             return
         self.D[:, [i, j]] = self.D[:, [j, i]]
         self.V[:, [i, j]] = self.V[:, [j, i]]
+        self.Vinv[[i, j], :] = self.Vinv[[j, i], :]
 
     def row_negate(self, i):
         self.D[i, :] = -self.D[i, :]
@@ -508,7 +505,7 @@ def smith_normal_form(A) -> SmithForm:
                 break
             st.row_add(t, bad, 1)
 
-    return SmithForm(*map(_to_object, (st.U, st.D, st.V, st.Uinv)))
+    return SmithForm(*map(_to_object, (st.U, st.D, st.V, st.Uinv, st.Vinv)))
 
 
 def invariant_factors(A) -> list[int]:
@@ -607,16 +604,16 @@ class IntSolver:
     V[:, r:] are a basis of the kernel lattice, a direct summand of Z^n
     because V is unimodular.
 
-    A, U and V are stored once, on int64 whenever they fit it (int_storage
-    with bound 2^63), and max |U| and max |V| are found once, here.  A solve
-    writes its right-hand side once as integer numerators n over one
-    denominator L and multiplies only integers: U b is integral exactly
-    when L divides every entry of U n.  So a solve scans nothing but its
-    right-hand side.  RatSolver and MixedSolver can be built on this
-    factorization instead of factoring A again.
+    A, U, V and V^-1 are stored once, on int64 whenever they fit it
+    (int_storage with bound 2^63), and max |U| and max |V| are found once,
+    here.  A solve writes its right-hand side once as integer numerators n
+    over one denominator L and multiplies only integers: U b is integral
+    exactly when L divides every entry of U n.  So a solve scans nothing
+    but its right-hand side.  RatSolver and MixedSolver can be built on
+    this factorization instead of factoring A again.
     """
 
-    __slots__ = ("A", "rank", "diag", "_U", "_V", "_Ub", "_Vb", "_d")
+    __slots__ = ("A", "rank", "diag", "_U", "_V", "_Vinv", "_Ub", "_Vb", "_d")
 
     def __init__(self, A):
         self.A = int_storage(check_int_entries(as_matrix(A)), 2 ** 63)
@@ -625,6 +622,7 @@ class IntSolver:
         self.diag = snf.diag[:snf.rank]
         self._U = int_storage(snf.U, 2 ** 63)
         self._V = int_storage(snf.V, 2 ** 63)
+        self._Vinv = int_storage(snf.Vinv, 2 ** 63)
         self._Ub, self._Vb = _bounded(self._U)[1], _bounded(self._V)[1]
         self._d = int_storage(
             np.array(self.diag, dtype=object).reshape(-1, 1), 2 ** 63)
@@ -648,6 +646,13 @@ class IntSolver:
     def kernel_basis(self) -> np.ndarray:
         """Columns form a basis of the integer kernel lattice."""
         return self._V[:, self.rank:].astype(object)
+
+    def kernel_coordinates(self, B):
+        """X with B = kernel_basis() @ X, or None unless every column of B
+        (or B, a vector) lies in the kernel: the rows of V^-1 B above r
+        vanish exactly on the kernel.  B may have rational entries."""
+        Y = mm(self._Vinv, B)
+        return Y[self.rank:] if is_zero(Y[:self.rank]) else None
 
 
 def int_kernel_basis(A) -> np.ndarray:
@@ -679,10 +684,6 @@ def rat_rank(A) -> int:
     """Rank over Q: the number of invariant factors once the rows are
     scaled to integers."""
     return len(invariant_factors(integerize_rows(A)))
-
-
-def rat_nullity(A) -> int:
-    return as_matrix(A).shape[1] - rat_rank(A)
 
 
 class RatSolver:

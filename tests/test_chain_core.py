@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellcoh import cells as cl
 from cellcoh import chains as ch
@@ -136,6 +139,128 @@ def test_homology_formula_matches_tracked_generators(rng):
         for D in (C, CQ):
             for n in D.degrees():
                 assert ch.homology(D, n) == ch.HomologyData(D, n).group
+
+
+class ReferenceHomology:
+    """The classes of H^n(C) by the earlier algorithm of HomologyData:
+    rel solves kernel basis @ rel = image, the class of v is zero when the
+    solver of d^(n-1) solves d^(n-1) x = v, and the coordinates of v are
+    the first entries of a solution of [gens | d^(n-1)] x = v."""
+
+    def __init__(self, C, n):
+        ker = la.int_kernel_basis(la.integerize_rows(C.diff(n)))
+        d_in = C.diff(n - 1)
+        self.rel = la.solve_int_many(ker, la.integerize_rows(d_in.T).T)
+        rsnf = la.smith_normal_form(self.rel)
+        gens, self.orders = [], []
+        for i in range(ker.shape[1]):
+            d = rsnf.diag[i] if i < len(rsnf.diag) else 0
+            if d == 1 or (d != 0 and C.ring == "Q"):
+                continue
+            gens.append(la.mv(ker, rsnf.Uinv[:, i]))
+            self.orders.append(d)
+        self.gens = (np.stack(gens, axis=1) if gens
+                     else la.zeros(C.rank(n), 0))
+        solver = la.IntSolver if C.ring == "Z" else la.RatSolver
+        self._zero = solver(d_in)
+        self._express = solver(np.concatenate([self.gens, d_in], axis=1))
+
+    def express(self, v):
+        x = self._express.solve(v)
+        return None if x is None else x[:self.gens.shape[1]]
+
+    def class_is_zero(self, v):
+        return self._zero.solve(v) is not None
+
+
+def _named_cochains(name, ring):
+    K = (cl.circle_product(cl.bundled_complex("circle3")).complex
+         if name == "S1xcircle3" else cl.bundled_complex(name))
+    return cl.cochain_complex(K, ring)
+
+
+@st.composite
+def homology_cases(draw):
+    """(C, n, rng): a random complex from conftest (torsion planted by its
+    multiplication pieces; over Q, differentials scaled to non-integral
+    ones) or the cochains of a bundled complex or of S^1 x circle3, a
+    degree, and a source of test vectors."""
+    ring = draw(st.sampled_from(["Z", "Q"]))
+    source = draw(st.sampled_from(
+        ["random"] * 4 + ["circle3", "octahedron", "csaszar_torus", "rp2_6",
+                          "S1xcircle3"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    C = (random_complex(rng, max_rank=4) if source == "random"
+         else _named_cochains(source, "Z"))
+    torsion = [n for n in C.degrees() if ch.homology(C, n).torsion]
+    if ring == "Q":
+        C = (C.over("Q") if source != "random" else
+             ch.Complex("Q", C.lo, C.ranks,
+                        [Fraction(rng.randint(1, 5), rng.randint(2, 5)) * d
+                         for d in C.diffs]))
+    if torsion and draw(st.booleans()):
+        return C, draw(st.sampled_from(torsion)), rng
+    return C, draw(st.integers(C.lo - 1, C.hi + 1)), rng
+
+
+def _test_vectors(C, n, ref, rng):
+    """Cocycles, boundaries, torsion classes and their multiples by the
+    order, non-cocycles and, over Z, non-integral vectors."""
+    N = C.rank(n)
+    ker = la.int_kernel_basis(la.integerize_rows(C.diff(n)))
+    d_in = C.diff(n - 1)
+
+    def coef():
+        if C.ring == "Z":
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    def combination(M):
+        return la.mv(M, np.array([coef() for _ in range(M.shape[1])],
+                                 dtype=object)).reshape(N)
+
+    cocycles = [combination(ker) + combination(d_in) for _ in range(4)]
+    vecs = cocycles + [combination(d_in) for _ in range(2)]
+    for i, d in enumerate(ref.orders):
+        if d:
+            g = ref.gens[:, i]
+            vecs += [rng.randint(1, d - 1) * g, d * g + combination(d_in)]
+    vecs += [np.array([coef() for _ in range(N)], dtype=object)
+             for _ in range(2)]
+    vecs += [v * Fraction(1, 2) for v in cocycles[:2]]
+    return vecs
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(homology_cases())
+def test_homology_classes_match_the_reference_algorithm(case):
+    C, n, rng = case
+    if rng.random() < 0.5 and all(d.dtype == np.int64 for d in C.diffs):
+        # the Smith form of rel, kept for C over both rings, comes from the
+        # other ring
+        ch.HomologyData(C.over("Q" if C.ring == "Z" else "Z"), n)
+    h, ref = ch.HomologyData(C, n), ReferenceHomology(C, n)
+    out = C.int_solver(n) or la.IntSolver(la.integerize_rows(C.diff(n)))
+    rel = out.kernel_coordinates(la.integerize_rows(C.diff(n - 1).T).T)
+    assert rel.shape == ref.rel.shape and (rel == ref.rel).all()
+    assert h.gens.shape == ref.gens.shape and (h.gens == ref.gens).all()
+    assert list(h.orders) == ref.orders
+    vecs = _test_vectors(C, n, ref, rng)
+    for v in vecs:
+        got, want = h.express(v), ref.express(v)
+        assert (got is None) == (want is None)
+        if got is not None:
+            # a torsion coordinate is unique modulo the order
+            assert all((a - b) % d == 0 if d else a == b
+                       for a, b, d in zip(got, want, ref.orders))
+        assert h.class_is_zero(v) == ref.class_is_zero(v)
+    for v, w in zip(vecs, vecs[1:] + vecs[:1]):
+        assert h.classes_equal(v, w) == ref.class_is_zero(v - w)
+    wrong = la.zeros(C.rank(n) + 1, 1).reshape(-1)
+    with pytest.raises(ValueError):
+        h.express(wrong)
+    with pytest.raises(ValueError):
+        h.class_is_zero(wrong)
 
 
 def test_cone_long_exact_sequence_randomized(rng):

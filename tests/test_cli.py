@@ -362,6 +362,16 @@ def test_samples_below_one_is_input_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["underlying-point", "--m", "0"],
+    ["homotopy-formula", "circle3", "--m", "0"],
+])
+def test_m_below_one_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "m >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["homology", "circle3", "--steps", "0"],
     ["descent", "circle3", "--samples", "5"],
     ["underlying-point", "--m", "1", "--steps", "3"],

@@ -152,7 +152,6 @@ def test_fundamental_cocycle_not_a_coboundary_on_sphere():
 def test_rat_rank_via_integerization():
     A = np.array([[Fraction(1, 3), Fraction(2, 3)], [2, 4]], dtype=object)
     assert la.rat_rank(A) == 1
-    assert la.rat_nullity(A) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +189,8 @@ def integer_matrices(draw):
 
 
 @PROPERTY
+# starts on int64 and moves to big integers in the middle of the reduction
+@example(np.array([[2 ** 40, 1], [1, 2 ** 40]], dtype=object))
 @given(integer_matrices())
 def test_smith_form_invariants(A):
     # products in plain object arithmetic, independent of linalg.mm
@@ -199,6 +200,8 @@ def test_smith_form_invariants(A):
     assert (D == snf.D).all()
     assert all(D[i, j] == 0 for i in range(m) for j in range(n) if i != j)
     assert (snf.U @ snf.Uinv == np.eye(m, dtype=int)).all()
+    assert (snf.V @ snf.Vinv == np.eye(n, dtype=int)).all()
+    assert (snf.Vinv @ snf.V == np.eye(n, dtype=int)).all()
     d = snf.diag
     assert d == [D[i, i] for i in range(min(m, n))]
     assert all(x >= 0 for x in d)
@@ -339,7 +342,6 @@ def test_rat_rank_matches_sympy(A):
     from sympy import Matrix
     want = Matrix(A.tolist()).rank() if A.size else 0
     assert la.rat_rank(A) == want
-    assert la.rat_nullity(A) == A.shape[1] - want
 
 
 def test_invariant_factors_factor_only_a_unit_free_core(monkeypatch):
