@@ -488,7 +488,8 @@ class HomologyData:
                                    or is_zero(y[:s] % self._diag))
 
     def classes_equal(self, v, w) -> bool:
-        return self.class_is_zero(as_vector(v) - as_vector(w))
+        n = self.complex.rank(self.degree)
+        return self.class_is_zero(as_vector(v, n) - as_vector(w, n))
 
 
 def homology(C: Complex, n: int) -> FgAbGroup:

@@ -101,11 +101,15 @@ def cmd_homology(args) -> int:
     return 0
 
 
+def _m_in_range(m: int, K, lo: int, hi: int):
+    if m < lo or m > hi:
+        raise InputError(f"m = {m} out of range for a {K.dim}-complex "
+                         f"(need {lo} <= m <= {hi})")
+
+
 def cmd_hexagon(args) -> int:
     K = _load_complex_arg(args.input)
-    if args.m < 1 or args.m > K.dim + 1:
-        raise InputError(f"m = {args.m} out of range for a {K.dim}-complex "
-                         f"(need 1 <= m <= {K.dim + 1})")
+    _m_in_range(args.m, K, 1, K.dim + 1)
     rep = dc.hexagon_exactness(K, args.m, samples=args.samples, seed=args.seed)
     lines = [f"hexagon {args.input} m={args.m} samples={args.samples} "
              f"seed={args.seed}"]
@@ -159,6 +163,7 @@ def cmd_homotopy_formula(args) -> int:
     K = _load_complex_arg(args.input)
     if args.m < 1:
         raise InputError("homotopy-formula needs m >= 1")
+    _m_in_range(args.m, K, 1, K.dim + 1)   # above, every sample is empty
     P = cl.prism(K)
     rng = random.Random(args.seed)
     failures = 0
@@ -192,6 +197,7 @@ def cmd_s1_integrate(args) -> int:
     K = _load_complex_arg(args.input)
     if args.m < 2:
         raise InputError("s1-integrate needs m >= 2 (target truncation >= 1)")
+    _m_in_range(args.m, K, 2, K.dim + 2)   # above, every sample is empty
     S = cl.circle_product(K)
     rng = random.Random(args.seed)
     ok = True

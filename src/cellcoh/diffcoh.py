@@ -17,6 +17,10 @@ Class equality follows the hexagon's exact sequences: above the truncation
 degree by an integral solve against the coboundary, at and below it by
 Q/Z membership, a mixed integral/rational solve.
 
+Rational cochains, h and w included, are integer numerators over one
+denominator (linalg.to_numerators), every sampled one over SAMPLE_DEN = 60;
+Fractions are built only where a vector leaves the module (.h, to_json, ...).
+
 One sign convention worth recording: with flat_part(x) = [-h] the flat
 inclusion is u -> (delta u, -u, 0), and the hexagon's left diamond then
 commutes when the coefficient reduction H^(m-1)(Q) -> H^(m-1)(Q/Z) is
@@ -27,80 +31,88 @@ choice.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .cells import CellComplex, Cochain, ProductComplex, cochain_complex, \
-    fiber_integrate_circle, fiber_integrate_prism
+    fiber_integrate_prism
 from .chains import RING_Q, RING_Z, FgAbGroup, HomologyData, parse_int
 from .linalg import (MixedSolver, RatSolver, as_vector, check_int_entries,
-                     eye, int_kernel_basis, is_zero, mv, zeros)
+                     divide_exactly, eye, from_numerators, int_kernel_basis,
+                     int_mv, int_storage, is_zero, mv, to_numerators, zeros)
 
 
 # ---------------------------------------------------------------------------
 # The element model
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DifferentialCochain:
-    """Triple (c, h, omega) of degree n with truncation parameter m."""
+    """Triple (c, h, omega) of degree n with truncation parameter m.
 
-    complex: CellComplex
-    m: int
-    n: int
-    c: np.ndarray       # integral n-cochain
-    h: np.ndarray       # rational (n-1)-cochain
-    omega: np.ndarray   # rational n-cochain, zero when n < m
+    c is kept as Python ints, h and omega as integer numerators hn and wn
+    over one denominator L > 0; .h and .omega build the rational vectors.
+    Given L, h and omega are taken as such numerators, unchecked.
+    """
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("truncation parameter m must be >= 1")
-        K = self.complex
-        self.c = check_int_entries(as_vector(self.c, K.n_cells(self.n)))
-        self.h = as_vector(self.h, K.n_cells(self.n - 1))
-        self.omega = as_vector(self.omega, K.n_cells(self.n))
-        if self.n < self.m and not is_zero(self.omega):
-            raise ValueError(
-                f"omega must vanish in degree {self.n} < m = {self.m}")
+    __slots__ = ("complex", "m", "n", "c", "hn", "wn", "L")
+
+    def __init__(self, complex: CellComplex, m: int, n: int, c, h, omega,
+                 L: int | None = None):
+        if L is None:
+            if m < 1:
+                raise ValueError("truncation parameter m must be >= 1")
+            c = check_int_entries(as_vector(c, complex.n_cells(n)))
+            k = complex.n_cells(n - 1)
+            hw, L = to_numerators(np.concatenate(
+                [as_vector(h, k), as_vector(omega, complex.n_cells(n))]))
+            h, omega = hw[:k], hw[k:]
+        if n < m and not is_zero(omega):
+            raise ValueError(f"omega must vanish in degree {n} < m = {m}")
+        self.complex, self.m, self.n = complex, m, n
+        self.c, self.hn, self.wn, self.L = c, h, omega, L
+
+    @property
+    def h(self) -> np.ndarray:
+        return from_numerators(self.hn, self.L)
+
+    @property
+    def omega(self) -> np.ndarray:
+        return from_numerators(self.wn, self.L)
 
     @classmethod
     def zero(cls, K: CellComplex, m: int, n: int) -> "DifferentialCochain":
-        z = lambda d: zeros(K.n_cells(d), 1).reshape(-1)
-        return cls(K, m, n, z(n), z(n - 1), z(n))
+        return cls(K, m, n, _zeros(K, n), _zeros(K, n - 1), _zeros(K, n), 1)
 
     def _delta(self, vec, deg):
-        return mv(self.complex.boundary_matrix(deg + 1).T, vec)
+        return int_mv(_delta_matrix(self.complex, deg), vec)
 
     def dhat(self) -> "DifferentialCochain":
         """(delta c, omega - c - delta h, delta omega), degree n + 1."""
-        K, n = self.complex, self.n
+        n, L = self.n, self.L
         return DifferentialCochain(
-            K, self.m, n + 1,
-            self._delta(self.c, n),
-            self.omega - self.c - self._delta(self.h, n - 1),
-            self._delta(self.omega, n))
+            self.complex, self.m, n + 1, self._delta(self.c, n),
+            self.wn - L * self.c - self._delta(self.hn, n - 1),
+            self._delta(self.wn, n), L)
 
     def is_cocycle(self) -> bool:
-        d = self.dhat()
-        return is_zero(d.c) and is_zero(d.h) and is_zero(d.omega)
+        return self.dhat().is_zero()
 
     def __add__(self, other):
         self._compat(other)
-        return DifferentialCochain(self.complex, self.m, self.n,
-                                   self.c + other.c, self.h + other.h,
-                                   self.omega + other.omega)
+        L = lcm(self.L, other.L)
+        p, q = L // self.L, L // other.L
+        return DifferentialCochain(
+            self.complex, self.m, self.n, self.c + other.c,
+            p * self.hn + q * other.hn, p * self.wn + q * other.wn, L)
 
     def __sub__(self, other):
-        self._compat(other)
-        return DifferentialCochain(self.complex, self.m, self.n,
-                                   self.c - other.c, self.h - other.h,
-                                   self.omega - other.omega)
+        return self + -other
 
     def __neg__(self):
         return DifferentialCochain(self.complex, self.m, self.n,
-                                   -self.c, -self.h, -self.omega)
+                                   -self.c, -self.hn, -self.wn, self.L)
 
     def _compat(self, other):
         if (self.complex is not other.complex or self.m != other.m
@@ -108,14 +120,14 @@ class DifferentialCochain:
             raise ValueError("incompatible differential cochains")
 
     def is_zero(self) -> bool:
-        return is_zero(self.c) and is_zero(self.h) and is_zero(self.omega)
+        return is_zero(self.c) and is_zero(self.hn) and is_zero(self.wn)
 
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        frac = lambda v: [str(Fraction(x)) for x in v]
         return {"m": self.m, "n": self.n, "c": [str(int(x)) for x in self.c],
-                "h": frac(self.h), "omega": frac(self.omega)}
+                "h": [str(x) for x in self.h],
+                "omega": [str(x) for x in self.omega]}
 
     @classmethod
     def from_json(cls, K: CellComplex, obj: dict) -> "DifferentialCochain":
@@ -123,6 +135,10 @@ class DifferentialCochain:
         return cls(K, int(obj["m"]), int(obj["n"]),
                    np.array([parse_int(v) for v in obj["c"]], dtype=object),
                    parse(obj["h"]), parse(obj["omega"]))
+
+
+def _zeros(K: CellComplex, d: int) -> np.ndarray:
+    return np.zeros(K.n_cells(d), dtype=object)
 
 
 def dhat(x: DifferentialCochain) -> DifferentialCochain:
@@ -134,15 +150,19 @@ def forms_a(K: CellComplex, m: int, alpha, n: int | None = None
     """a(alpha) = (0, alpha, delta alpha) in degree n (default m)."""
     n = m if n is None else n
     alpha = as_vector(alpha, K.n_cells(n - 1))
-    zc = zeros(K.n_cells(n), 1).reshape(-1)
-    dal = mv(K.boundary_matrix(n).T, alpha)
-    return DifferentialCochain(K, m, n, zc, alpha, dal)
+    return _forms_a(K, m, n, *to_numerators(alpha))
+
+
+def _forms_a(K: CellComplex, m: int, n: int, an, L) -> DifferentialCochain:
+    """a(an / L) in degree n."""
+    return DifferentialCochain(K, m, n, _zeros(K, n), an,
+                               int_mv(_delta_matrix(K, n - 1), an), L)
 
 
 def curvature_R(x: DifferentialCochain) -> np.ndarray:
     """The curvature cochain; closed with integral periods for cocycles."""
     _require_cocycle(x)
-    return x.omega.copy()
+    return x.omega
 
 
 def underlying_I(x: DifferentialCochain, hdata: HomologyData | None = None):
@@ -228,21 +248,19 @@ def equal_classes(x: DifferentialCochain, y: DifferentialCochain):
     solver = class_solver(K, m, n)
     # dhat o dhat = 0, so d = dhat(w) needs the h-part of dhat(d),
     # omega - c - delta h, to vanish
-    if not is_zero(d.omega - d.c - d._delta(d.h, n - 1)):
+    if not is_zero(d.wn - d.L * d.c - d._delta(d.hn, n - 1)):
         return False, None
     if n - 1 >= m:
         # d.c = delta c_w gives w = (c_w, 0, d.h + c_w)
         c_w = solver.solve(d.c)
         w = None if c_w is None else DifferentialCochain(
-            K, m, n - 1, c_w, zeros(K.n_cells(n - 2), 1).reshape(-1),
-            d.h + c_w)
+            K, m, n - 1, c_w, _zeros(K, n - 2), d.hn + d.L * c_w, d.L)
     else:
         # omega_w = 0: d.omega = 0 and d.h = u + delta v with u integral give
         # w = (-u, -v, 0)
-        sol = solver.solve(d.h) if is_zero(d.omega) else None
+        sol = solver.solve_numerators(d.hn, d.L) if is_zero(d.wn) else None
         w = None if sol is None else DifferentialCochain(
-            K, m, n - 1, -sol[0], -sol[1],
-            zeros(K.n_cells(n - 1), 1).reshape(-1))
+            K, m, n - 1, -sol[0], -sol[1], _zeros(K, n - 1), sol[2])
     if w is None:
         return False, None
     if not (d - w.dhat()).is_zero():
@@ -284,7 +302,7 @@ class QZCohomology:
         # and the hexagon's exactness witnesses
         self.primitive = cochain_complex(K).int_solver(n)
         # lifts of the torsion part: k [t] = 0 gives k t = delta b, u = b / k
-        self.torsion_lifts = []
+        self._lifts = []
         for i, k in enumerate(self.integral_next.orders):
             if k in (0, 1):
                 continue
@@ -292,32 +310,46 @@ class QZCohomology:
             bvec = self.primitive.solve(k * t)
             if bvec is None:
                 raise RuntimeError("torsion class has no integral primitive")
-            self.torsion_lifts.append((bvec * Fraction(1, k), k))
+            self._lifts.append((bvec, k))
 
-    def is_cocycle(self, u) -> bool:
-        du = mv(self.delta, as_vector(u))
-        return all(Fraction(x).denominator == 1 for x in du)
+    @property
+    def torsion_lifts(self) -> list:
+        return [(from_numerators(b, k), k) for b, k in self._lifts]
 
     def class_is_zero(self, u) -> bool:
-        return self._member.solve(as_vector(u, self.n_cells)) is not None
+        return self.is_zero_over(*to_numerators(as_vector(u, self.n_cells)))
+
+    def is_zero_over(self, un, L) -> bool:
+        """class_is_zero of un / L."""
+        return self._member.solve_numerators(un, L) is not None
 
     def classes_equal(self, u, v) -> bool:
-        return self.class_is_zero(as_vector(u) - as_vector(v))
+        return self.class_is_zero(
+            as_vector(u, self.n_cells) - as_vector(v, self.n_cells))
 
     def bockstein(self, u) -> np.ndarray:
         """Integral cocycle delta u; its class in H^(n+1)(K; Z)."""
-        return check_int_entries(mv(self.delta, as_vector(u)))
+        return self.bockstein_over(*to_numerators(as_vector(u, self.n_cells)))
+
+    def bockstein_over(self, un, L) -> np.ndarray:
+        """bockstein of un / L."""
+        return _integral_image(self.delta, un, L)
 
     def random_class(self, rng) -> np.ndarray:
         """Random representative mixing divisible, torsion and trivial parts."""
-        u = zeros(self.n_cells, 1).reshape(-1)
+        return from_numerators(*self.random_class_numerators(rng))
+
+    def random_class_numerators(self, rng):
+        """(un, L): random_class(rng) as un / L, from the same rng calls."""
+        L = lcm(SAMPLE_DEN, *(k for _, k in self._lifts))
+        s, u = L // SAMPLE_DEN, np.zeros(self.n_cells, dtype=object)
         for j in range(self.rational.gens.shape[1]):
-            u = u + random_rational(rng) * self.rational.gens[:, j]
-        for lift, k in self.torsion_lifts:
-            u = u + rng.randrange(k) * lift
-        g = random_rational_vector(rng, self.delta_below.shape[1])
+            u = u + s * random_numerator(rng) * self.rational.gens[:, j]
+        for b, k in self._lifts:
+            u = u + rng.randrange(k) * (L // k) * b
+        g = random_numerators(rng, self.delta_below.shape[1])
         z = random_int_vector(rng, self.n_cells)
-        return u + mv(self.delta_below, g) + z
+        return u + s * int_mv(self.delta_below, g) + L * z, L
 
 
 def qz_cohomology(K: CellComplex, n: int) -> QZCohomology:
@@ -332,31 +364,55 @@ def flat_part(x: DifferentialCochain):
     """Class of (-h mod Z) in H^(n-1)(K; Q/Z) when the curvature vanishes,
     None otherwise."""
     _require_cocycle(x)
-    if not is_zero(x.omega):
-        return None
-    return -x.h
+    return from_numerators(-x.hn, x.L) if is_zero(x.wn) else None
 
 
 def flat_include(K: CellComplex, m: int, u, n: int | None = None
                  ) -> DifferentialCochain:
     """The flat class (delta u, -u, 0) with flat_part = [u]."""
     n = m if n is None else n
-    u = as_vector(u, K.n_cells(n - 1))
-    du = mv(_delta_matrix(K, n - 1), u)
-    return DifferentialCochain(K, m, n, check_int_entries(du), -u,
-                               zeros(K.n_cells(n), 1).reshape(-1))
+    return _flat_include(K, m, n,
+                         *to_numerators(as_vector(u, K.n_cells(n - 1))))
+
+
+def _flat_include(K: CellComplex, m: int, n: int, un, L
+                  ) -> DifferentialCochain:
+    """flat_include of un / L."""
+    c = _integral_image(_delta_matrix(K, n - 1), un, L)
+    return DifferentialCochain(K, m, n, c, -un, _zeros(K, n), L)
+
+
+def _integral_image(A: np.ndarray, un, L) -> np.ndarray:
+    """A (un / L), which must be integral (else the entry check raises)."""
+    du = int_mv(A, un)
+    out = divide_exactly(du, L)
+    return check_int_entries(from_numerators(du, L)) if out is None else out
 
 
 # ---------------------------------------------------------------------------
 # Random sampling (seeded, deterministic)
 # ---------------------------------------------------------------------------
 
-def random_rational(rng, num=9, den=6) -> Fraction:
-    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+SAMPLE_DEN = 60   # lcm of the sampled denominators 1..6
+
+
+def random_numerator(rng) -> int:
+    """SAMPLE_DEN times a random p / q, -9 <= p <= 9 and 1 <= q <= 6."""
+    return rng.randint(-9, 9) * (SAMPLE_DEN // rng.randint(1, 6))
+
+
+def random_rational(rng) -> Fraction:
+    return Fraction(random_numerator(rng), SAMPLE_DEN)
+
+
+def random_numerators(rng, length: int) -> np.ndarray:
+    """random_rational_vector(rng, length) as numerators over SAMPLE_DEN."""
+    return np.array([random_numerator(rng) for _ in range(length)],
+                    dtype=object)
 
 
 def random_rational_vector(rng, length: int) -> np.ndarray:
-    return np.array([random_rational(rng) for _ in range(length)], dtype=object)
+    return from_numerators(random_numerators(rng, length), SAMPLE_DEN)
 
 
 def random_int_vector(rng, length: int, bound: int = 9) -> np.ndarray:
@@ -372,14 +428,14 @@ def random_cocycle(K: CellComplex, m: int, rng, n: int | None = None
     cache = _cache(K)
     key = ("zker", n)
     if key not in cache:
-        cache[key] = cochain_complex(K).int_solver(n).kernel_basis()
-        cache[key].setflags(write=False)
+        cache[key] = int_storage(
+            cochain_complex(K).int_solver(n).kernel_basis())
     ker = cache[key]
-    coeffs = random_int_vector(rng, ker.shape[1], bound=3)
-    c = mv(ker, coeffs) if ker.shape[1] else zeros(K.n_cells(n), 1).reshape(-1)
-    h = random_rational_vector(rng, K.n_cells(n - 1))
-    omega = c + mv(_delta_matrix(K, n - 1), h)
-    return DifferentialCochain(K, m, n, c, h, omega)
+    c = int_mv(ker, random_int_vector(rng, ker.shape[1], bound=3))
+    hn = random_numerators(rng, K.n_cells(n - 1))
+    return DifferentialCochain(
+        K, m, n, c, hn, SAMPLE_DEN * c + int_mv(_delta_matrix(K, n - 1), hn),
+        SAMPLE_DEN)
 
 
 def random_reduced_cocycle(prod: ProductComplex, m: int, rng,
@@ -389,36 +445,38 @@ def random_reduced_cocycle(prod: ProductComplex, m: int, rng,
     n = m if n is None else n
     P, K = prod.complex, prod.base
     base_v = ("v", 0)
-    dmat = _delta_matrix(P, n)
-    sel = zeros(K.n_cells(n), P.n_cells(n))
-    for i, s in enumerate(K.cells(n)):
-        sel[i, P.index[(base_v, s)]] = 1
     cache = _cache(P)
     key = ("zker_reduced", n)
     if key not in cache:
-        cache[key] = int_kernel_basis(np.concatenate([dmat, sel], axis=0))
-        cache[key].setflags(write=False)
+        sel = zeros(K.n_cells(n), P.n_cells(n))
+        for i, s in enumerate(K.cells(n)):
+            sel[i, P.index[(base_v, s)]] = 1
+        cache[key] = int_storage(int_kernel_basis(
+            np.concatenate([_delta_matrix(P, n), sel], axis=0)))
     ker = cache[key]
-    coeffs = random_int_vector(rng, ker.shape[1], bound=2)
-    c = mv(ker, coeffs) if ker.shape[1] else zeros(P.n_cells(n), 1).reshape(-1)
-    h = random_rational_vector(rng, P.n_cells(n - 1))
+    c = int_mv(ker, random_int_vector(rng, ker.shape[1], bound=2))
+    hn = random_numerators(rng, P.n_cells(n - 1))
     for s in K.cells(n - 1):
-        h[P.index[(base_v, s)]] = 0
-    omega = c + mv(_delta_matrix(P, n - 1), h)
-    return DifferentialCochain(P, m, n, c, h, omega)
+        hn[P.index[(base_v, s)]] = 0
+    return DifferentialCochain(
+        P, m, n, c, hn, SAMPLE_DEN * c + int_mv(_delta_matrix(P, n - 1), hn),
+        SAMPLE_DEN)
+
+
+def random_element(K: CellComplex, m: int, n: int, rng
+                   ) -> DifferentialCochain:
+    """A random differential cochain of degree n, almost never a cocycle."""
+    c = random_int_vector(rng, K.n_cells(n))
+    hn = random_numerators(rng, K.n_cells(n - 1))
+    wn = random_numerators(rng, K.n_cells(n)) if n >= m else _zeros(K, n)
+    return DifferentialCochain(K, m, n, c, hn, wn, SAMPLE_DEN)
 
 
 def random_coboundary(K: CellComplex, m: int, rng, n: int | None = None
                       ) -> DifferentialCochain:
     """dhat of a random cochain one degree down."""
     n = m if n is None else n
-    w = DifferentialCochain(
-        K, m, n - 1,
-        random_int_vector(rng, K.n_cells(n - 1)),
-        random_rational_vector(rng, K.n_cells(n - 2)),
-        (random_rational_vector(rng, K.n_cells(n - 1)) if n - 1 >= m
-         else zeros(K.n_cells(n - 1), 1).reshape(-1)))
-    return w.dhat()
+    return random_element(K, m, n - 1, rng).dhat()
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +485,9 @@ def random_coboundary(K: CellComplex, m: int, rng, n: int | None = None
 
 class Hexagon:
     """The differential cohomology hexagon of (K, m), with all nodes in
-    explicit presentations and the connecting maps as procedures.
+    explicit presentations; the connecting maps are the procedures of this
+    module (forms_a, curvature_R, underlying_I, flat_include, flat_part and
+    QZCohomology.bockstein).
 
     Nodes: A = rational (m-1)-cochains mod exact, Zcl = closed rational
     m-cochains, H^(m-1)(K;Q), H^m(K;Q), the element-oracle node of
@@ -451,38 +511,6 @@ class Hexagon:
         # dimensions of the two corner Q-spaces
         self.dim_a_node = K.n_cells(m - 1) - self._a_exact.rank
         self.dim_z_node = K.n_cells(m) - C.int_solver(m).rank
-
-    # -- maps ------------------------------------------------------------
-
-    def d_top(self, alpha):
-        return mv(self.delta_a, as_vector(alpha, self.K.n_cells(self.m - 1)))
-
-    def a(self, alpha) -> DifferentialCochain:
-        return forms_a(self.K, self.m, alpha)
-
-    def R(self, x):
-        return curvature_R(x)
-
-    def I(self, x):
-        return underlying_I(x, self.h_high_z)[0]
-
-    def incl_a(self, z):
-        """H^(m-1)(K;Q) -> A-node: a closed cochain is its own class."""
-        return as_vector(z, self.K.n_cells(self.m - 1))
-
-    def reduce_qz(self, z):
-        """H^(m-1)(K;Q) -> H^(m-1)(K;Q/Z); carries the minus sign that makes
-        the left diamond commute with the pinned a and flat_part."""
-        return -as_vector(z, self.K.n_cells(self.m - 1))
-
-    def flat_lift(self, u) -> DifferentialCochain:
-        return flat_include(self.K, self.m, u)
-
-    def bockstein(self, u):
-        return self.h_low_qz.bockstein(u)
-
-    def a_node_equal(self, alpha, beta) -> bool:
-        return self._a_exact.solve(as_vector(alpha) - as_vector(beta)) is not None
 
     def node_groups(self) -> dict:
         return {
@@ -512,144 +540,142 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
     def record(name, passed, detail=""):
         checks.append({"check": name, "passed": bool(passed), "detail": detail})
 
-    n_low = K.n_cells(m - 1)
+    # the maps take numerators over D, or over L for a Q/Z class (un, L)
+    n_low, D = K.n_cells(m - 1), SAMPLE_DEN
+    qz, gens, zgens = hx.h_low_qz, hx.h_low_q.gens, hx.h_high_z.gens
+    d_top = lambda an: int_mv(hx.delta_a, an)
+    a = lambda an, L=D: _forms_a(K, m, m, an, L)
+    flat_lift = lambda un, L=D: _flat_include(K, m, m, un, L)
+
+    def closed_sample():
+        """A random rational combination of the generators of H^(m-1)(Q)."""
+        return sum((random_numerator(rng) * gens[:, j]
+                    for j in range(gens.shape[1])), _zeros(K, m - 1))
 
     # dhat o dhat = 0 on random (non-cocycle) elements
     ok = True
     for _ in range(samples):
-        deg = rng.choice([m - 1, m])
-        x = DifferentialCochain(
-            K, m, deg,
-            random_int_vector(rng, K.n_cells(deg)),
-            random_rational_vector(rng, K.n_cells(deg - 1)),
-            (random_rational_vector(rng, K.n_cells(deg)) if deg >= m
-             else zeros(K.n_cells(deg), 1).reshape(-1)))
+        x = random_element(K, m, rng.choice([m - 1, m]), rng)
         ok &= x.dhat().dhat().is_zero()
     record("dhat_squared_zero", ok)
 
     # R o a = delta and I o a = 0
     ok_ra, ok_ia = True, True
     for _ in range(samples):
-        alpha = random_rational_vector(rng, n_low)
-        xa = hx.a(alpha)
-        ok_ra &= is_zero(curvature_R(xa) - hx.d_top(alpha))
+        alpha = random_numerators(rng, n_low)
+        xa = a(alpha)
+        _require_cocycle(xa)
+        ok_ra &= is_zero(xa.wn - d_top(alpha))
         ok_ia &= hx.h_high_z.class_is_zero(xa.c)
     record("R_after_a_is_delta", ok_ra)
     record("I_after_a_vanishes", ok_ia)
 
-    # right diamond: [R(x)]_Q = [I(x)]_Q on random cocycles
+    # right diamond: [R(x)]_Q = [I(x)]_Q on random cocycles; over Q a class
+    # vanishes with its multiple by L
     ok = True
     for _ in range(max(10, samples // 5)):
         x = random_cocycle(K, m, rng)
-        ok &= hx.h_high_q.classes_equal(x.omega, x.c)
+        ok &= hx.h_high_q.class_is_zero(x.wn - x.L * x.c)
     record("right_diamond_commutes", ok)
 
-    # left diamond: a(incl(z)) = flat_lift(reduce(z)) in the element node
+    # left diamond: a(incl(z)) = flat_lift(reduce(z)) in the element node,
+    # with incl(z) = z and reduce(z) = -z, the sign that makes it commute
+    # with the pinned a and flat_part
     ok = True
-    gens = hx.h_low_q.gens
     for j in range(gens.shape[1]):
-        z = gens[:, j] * random_rational(rng)
-        eq, _ = equal_classes(hx.a(hx.incl_a(z)), hx.flat_lift(hx.reduce_qz(z)))
-        ok &= eq
+        z = gens[:, j] * random_numerator(rng)
+        ok &= equal_classes(a(z), flat_lift(-z))[0]
     for _ in range(5):
-        z = sum((random_rational(rng) * gens[:, j] for j in range(gens.shape[1])),
-                zeros(n_low, 1).reshape(-1))
-        eq, _ = equal_classes(hx.a(hx.incl_a(z)), hx.flat_lift(hx.reduce_qz(z)))
-        ok &= eq
+        z = closed_sample()
+        ok &= equal_classes(a(z), flat_lift(-z))[0]
     record("left_diamond_commutes", ok)
 
     # bottom triangle: I(flat_lift(u)) = bockstein(u)
     ok = True
     for _ in range(max(10, samples // 5)):
-        u = hx.h_low_qz.random_class(rng)
-        lifted = hx.flat_lift(u)
-        ok &= hx.h_high_z.classes_equal(lifted.c, hx.bockstein(u))
+        u = qz.random_class_numerators(rng)
+        ok &= hx.h_high_z.classes_equal(flat_lift(*u).c, qz.bockstein_over(*u))
     record("bottom_triangle_commutes", ok)
 
-    # upper row exactness: ker(d_top) = image of H^(m-1)(K;Q) in the A-node
+    # upper row exactness: ker(d_top) = image of H^(m-1)(K;Q) in the A-node;
+    # express and the A-node equality are linear, so they run on numerators
     ok = True
     for _ in range(max(10, samples // 5)):
-        z = sum((random_rational(rng) * gens[:, j] for j in range(gens.shape[1])),
-                zeros(n_low, 1).reshape(-1))
-        alpha = z + mv(hx.delta_below, random_rational_vector(rng, K.n_cells(m - 2)))
-        if not is_zero(hx.d_top(alpha)):
+        alpha = closed_sample() + int_mv(
+            hx.delta_below, random_numerators(rng, K.n_cells(m - 2)))
+        if not is_zero(d_top(alpha)):
             ok = False
             continue
         coords = hx.h_low_q.express(alpha)
-        ok &= coords is not None and hx.a_node_equal(
-            alpha, sum((coords[j] * gens[:, j] for j in range(gens.shape[1])),
-                       zeros(n_low, 1).reshape(-1)))
+        ok &= coords is not None and hx._a_exact.solve_numerators(
+            alpha - sum((coords[j] * gens[:, j] for j in range(gens.shape[1])),
+                        _zeros(K, m - 1)), D) is not None
     record("exact_at_forms_node", ok)
 
     # upper row exactness at the closed-forms node: ker(cls_Q) = im(d_top)
     ok = True
     for _ in range(max(10, samples // 5)):
-        eta = random_rational_vector(rng, n_low)
-        omega = hx.d_top(eta)
-        preim = hx._z_exact.solve(omega)
-        ok &= preim is not None and hx.h_high_q.class_is_zero(omega)
+        omega = d_top(random_numerators(rng, n_low))
+        ok &= hx._z_exact.solve_numerators(omega, D) is not None \
+            and hx.h_high_q.class_is_zero(omega)
     record("exact_at_closed_forms_node", ok)
 
     # a/I diagonal, exactness at the element node: I(x) = 0 gives x = a(h + b)
     ok = True
     for _ in range(samples):
-        b = random_int_vector(rng, n_low, bound=4)
-        c = mv(hx.delta_a, b)
-        h = random_rational_vector(rng, n_low)
-        omega = c + mv(hx.delta_a, h)
-        x = DifferentialCochain(K, m, m, c, h, omega)
+        c = d_top(random_int_vector(rng, n_low, bound=4))
+        h = random_numerators(rng, n_low)
+        x = DifferentialCochain(K, m, m, c, h, D * c + d_top(h), D)
         bp = hx._int_primitive.solve(x.c)
         if bp is None:
             ok = False
             continue
-        eq, wit = equal_classes(x, hx.a(x.h + bp))
+        eq, wit = equal_classes(x, a(x.hn + D * bp))
         ok &= eq and wit is not None
     record("exact_aI_diagonal_at_element_node", ok)
 
     # I is onto: integral classes lift to differential classes
     ok = True
-    zgens = hx.h_high_z.gens
     for j in range(zgens.shape[1]):
         c = zgens[:, j]
-        x = DifferentialCochain(K, m, m, c, zeros(n_low, 1).reshape(-1),
-                                c * Fraction(1))
-        coords = hx.I(x)
+        x = DifferentialCochain(K, m, m, c, _zeros(K, m - 1), c, 1)
+        coords = underlying_I(x, hx.h_high_z)[0]
         want = zeros(zgens.shape[1], 1).reshape(-1)
         want[j] = 1
         ok &= hx.h_high_z.classes_equal(mv(zgens, coords), mv(zgens, want))
     record("I_onto_integral_classes", ok)
 
     # flat/R diagonal, exactness at the element node: R(x) = 0 gives
-    # x = flat_lift(flat_part(x))
+    # x = flat_lift(flat_part(x)), with flat_part(x) = -h
     ok = True
     for _ in range(samples):
-        u = hx.h_low_qz.random_class(rng)
-        x = hx.flat_lift(u) + random_coboundary(K, m, rng)
-        fp = flat_part(x)
-        if fp is None:
+        un, L = qz.random_class_numerators(rng)
+        x = flat_lift(un, L) + random_coboundary(K, m, rng)
+        _require_cocycle(x)
+        if not is_zero(x.wn):
             ok = False
             continue
-        eq, wit = equal_classes(x, hx.flat_lift(fp))
+        eq, wit = equal_classes(x, flat_lift(-x.hn, x.L))
         ok &= eq and wit is not None
-        ok &= hx.h_low_qz.classes_equal(fp, u)
+        # [flat_part(x)] = [u]: -x.h - u has the class of x.h + u
+        ok &= qz.is_zero_over(L * x.hn + x.L * un, L * x.L)
     record("exact_flatR_diagonal_at_element_node", ok)
 
     # injectivity of the flat inclusion: flat_lift(u) trivial iff [u] = 0
     ok = True
     for _ in range(max(10, samples // 5)):
-        u = hx.h_low_qz.random_class(rng)
-        triv, _ = class_is_trivial(hx.flat_lift(u))
-        ok &= triv == hx.h_low_qz.class_is_zero(u)
+        u = qz.random_class_numerators(rng)
+        triv, _ = class_is_trivial(flat_lift(*u))
+        ok &= triv == qz.is_zero_over(*u)
     record("flat_inclusion_detects_triviality", ok)
 
     # lower row exactness at H^(m-1)(Q/Z): ker(bockstein) = rational classes
     ok = True
     for _ in range(max(10, samples // 5)):
-        z = sum((random_rational(rng) * gens[:, j] for j in range(gens.shape[1])),
-                zeros(n_low, 1).reshape(-1))
-        u = z + mv(hx.delta_below, random_rational_vector(rng, K.n_cells(m - 2))) \
-            + random_int_vector(rng, n_low)
-        beta = hx.bockstein(u)
+        u = closed_sample() + int_mv(
+            hx.delta_below, random_numerators(rng, K.n_cells(m - 2))) \
+            + D * random_int_vector(rng, n_low)
+        beta = qz.bockstein_over(u, D)
         if not hx.h_high_z.class_is_zero(beta):
             ok = False
             continue
@@ -658,9 +684,9 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
         # reduces to [u]
         ok &= bvec is not None
         if bvec is not None:
-            closed = u - bvec
-            ok &= is_zero(hx.d_top(closed))
-            ok &= hx.h_low_qz.classes_equal(hx.reduce_qz(-closed), u)
+            closed = u - D * bvec
+            ok &= is_zero(d_top(closed))
+            ok &= qz.is_zero_over(closed - u, D)
     record("exact_at_QZ_node", ok)
 
     # lower row exactness at H^m(Z): ker(coeff) = torsion = im(bockstein)
@@ -668,17 +694,16 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
     for i, k in enumerate(hx.h_high_z.orders):
         if k in (0, 1):
             continue
-        t = hx.h_high_z.gens[:, i]
+        t = zgens[:, i]
         ok &= hx.h_high_q.class_is_zero(t)
         bvec = hx._int_primitive.solve(k * t)
         if bvec is None:
             ok = False
             continue
-        u = bvec * Fraction(1, k)
-        ok &= hx.h_high_z.classes_equal(hx.bockstein(u), t)
+        ok &= hx.h_high_z.classes_equal(qz.bockstein_over(bvec, k), t)
     for i, k in enumerate(hx.h_high_z.orders):
         if k == 0:
-            t = hx.h_high_z.gens[:, i]
+            t = zgens[:, i]
             ok &= not hx.h_high_q.class_is_zero(t)
     record("exact_at_integral_node", ok)
 
@@ -700,12 +725,15 @@ def pullback_cochain(f, vec, degree, ring=RING_Q):
 def end_pullback(prod: ProductComplex, which: str, x: DifferentialCochain
                  ) -> DifferentialCochain:
     f = prod.sections[which]
-    K = prod.base
-    return DifferentialCochain(
-        K, x.m, x.n,
-        check_int_entries(pullback_cochain(f, x.c, x.n)),
-        pullback_cochain(f, x.h, x.n - 1),
-        pullback_cochain(f, x.omega, x.n))
+    pb = lambda v, d: int_mv(f.chain_matrix(d).T, v)
+    return DifferentialCochain(prod.base, x.m, x.n, pb(x.c, x.n),
+                               pb(x.hn, x.n - 1), pb(x.wn, x.n), x.L)
+
+
+def _fiber_integral(prod: ProductComplex, v, d: int) -> np.ndarray:
+    """pi_! over the prism or circle fiber of prod; linear, so it keeps L."""
+    z = Cochain(prod.complex, d, RING_Q, v)
+    return fiber_integrate_prism(prod, z).values
 
 
 def homotopy_formula_check(prod: ProductComplex, x: DifferentialCochain,
@@ -719,22 +747,15 @@ def homotopy_formula_check(prod: ProductComplex, x: DifferentialCochain,
     K, m, n = prod.base, x.m, x.n
     e1 = end_pullback(prod, "end1", x)
     e0 = end_pullback(prod, "end0", x)
-    omega_cochain = Cochain(prod.complex, n, RING_Q, x.omega)
-    fiber = fiber_integrate_prism(prod, omega_cochain)
-    diff = (e1 - e0) - forms_a(K, m, fiber.values, n=n)
+    diff = (e1 - e0) - _forms_a(K, m, n, _fiber_integral(prod, x.wn, n), x.L)
     if expect_strict_zero:
         strict = diff.is_zero()
         return {"passed": strict, "strict_zero": strict, "witness": None}
     eq, wit = equal_classes(diff, DifferentialCochain.zero(K, m, n))
     # the explicit witness (pi_! c, -pi_! h, 0) always works; cross-check
-    pic = fiber_integrate_prism(prod, Cochain(prod.complex, n, RING_Z, x.c))
-    if n - 1 >= 1:
-        pih_values = fiber_integrate_prism(
-            prod, Cochain(prod.complex, n - 1, RING_Q, x.h)).values
-    else:
-        pih_values = zeros(K.n_cells(n - 2), 1).reshape(-1)
-    w0 = DifferentialCochain(K, m, n - 1, pic.values, -pih_values,
-                             zeros(K.n_cells(n - 1), 1).reshape(-1))
+    pih = _fiber_integral(prod, x.hn, n - 1) if n > 1 else _zeros(K, n - 2)
+    w0 = DifferentialCochain(K, m, n - 1, _fiber_integral(prod, x.c, n),
+                             -pih, _zeros(K, n - 1), x.L)
     strict = (diff - w0.dhat()).is_zero()
     return {"passed": bool(eq and strict), "witness_found": eq,
             "explicit_witness_exact": strict}
@@ -758,12 +779,11 @@ def s1_integrate(prod: ProductComplex, x: DifferentialCochain
         raise ValueError(
             "input must vanish on the base section (reduced object "
             "requirement for circle integration)")
-    K, n = prod.base, x.n
-    pic = fiber_integrate_circle(prod, Cochain(prod.complex, n, RING_Z, x.c))
-    pih = fiber_integrate_circle(prod, Cochain(prod.complex, n - 1, RING_Q, x.h))
-    pio = fiber_integrate_circle(prod, Cochain(prod.complex, n, RING_Q, x.omega))
-    out = DifferentialCochain(K, x.m - 1, n - 1, pic.values, -pih.values,
-                              pio.values)
+    n = x.n
+    out = DifferentialCochain(
+        prod.base, x.m - 1, n - 1, _fiber_integral(prod, x.c, n),
+        -_fiber_integral(prod, x.hn, n - 1), _fiber_integral(prod, x.wn, n),
+        x.L)
     if not out.is_cocycle():
         raise RuntimeError("circle integration did not give a cocycle")
     return out
@@ -786,8 +806,9 @@ def pullback_classification_check(K: CellComplex, m: int, samples: int = 50,
     def record(name, passed, detail=""):
         checks.append({"check": name, "passed": bool(passed), "detail": detail})
 
-    n_low = K.n_cells(m - 1)
-    zgens = hx.h_high_z.gens
+    n_low, D = K.n_cells(m - 1), SAMPLE_DEN
+    zgens, gens = hx.h_high_z.gens, hx.h_low_q.gens
+    d_top = lambda an: int_mv(hx.delta_a, an)
 
     # surjectivity onto the fiber product
     ok = True
@@ -795,13 +816,13 @@ def pullback_classification_check(K: CellComplex, m: int, samples: int = 50,
         coeffs = [rng.randint(-3, 3) if o == 0 else rng.randrange(max(o, 1))
                   for o in hx.h_high_z.orders]
         c = sum((coeffs[j] * zgens[:, j] for j in range(zgens.shape[1])),
-                zeros(K.n_cells(m), 1).reshape(-1))
-        h = random_rational_vector(rng, n_low)
-        z = c + mv(hx.delta_a, h)
-        # (class of c, z) is a compatible pair; reconstruct a preimage
-        x = DifferentialCochain(K, m, m, c, h, z)
+                _zeros(K, m))
+        h = random_numerators(rng, n_low)
+        z = D * c + d_top(h)
+        # (class of c, z / D) is a compatible pair; reconstruct a preimage
+        x = DifferentialCochain(K, m, m, c, h, z, D)
         ok &= x.is_cocycle()
-        ok &= is_zero(curvature_R(x) - z)
+        ok &= is_zero(x.wn - z)
         ok &= hx.h_high_z.classes_equal(x.c, c)
     record("IR_onto_fiber_product", ok)
 
@@ -809,19 +830,16 @@ def pullback_classification_check(K: CellComplex, m: int, samples: int = 50,
     ok = True
     for _ in range(samples):
         b = random_int_vector(rng, n_low, bound=3)
-        eta = sum((random_rational(rng) * hx.h_low_q.gens[:, j]
-                   for j in range(hx.h_low_q.gens.shape[1])),
-                  zeros(n_low, 1).reshape(-1))
-        x = DifferentialCochain(
-            K, m, m, mv(hx.delta_a, b), -b * Fraction(1) + eta,
-            zeros(K.n_cells(m), 1).reshape(-1))
+        eta = sum((random_numerator(rng) * gens[:, j]
+                   for j in range(gens.shape[1])), _zeros(K, m - 1))
+        x = DifferentialCochain(K, m, m, d_top(b), eta - D * b, _zeros(K, m),
+                                D)
         if not (x.is_cocycle() and hx.h_high_z.class_is_zero(x.c)):
             ok = False
             continue
-        witness = x.h + b
-        ok &= is_zero(hx.d_top(witness))
-        eq, _ = equal_classes(x, hx.a(witness))
-        ok &= eq
+        witness = x.hn + D * b
+        ok &= is_zero(d_top(witness))
+        ok &= equal_classes(x, _forms_a(K, m, m, witness, D))[0]
     record("kernel_elements_are_a_of_closed_forms", ok)
 
     # kernel = image of H^(m-1)(K;Q) modulo integral classes: a(z) is
@@ -829,24 +847,19 @@ def pullback_classification_check(K: CellComplex, m: int, samples: int = 50,
     # z = b + delta s with b integral, which is [z] = 0 in H^(m-1)(K;Q/Z)
     ok = True
     kernel_witnesses = []
-    for j in range(hx.h_low_q.gens.shape[1]):
-        z = hx.h_low_q.gens[:, j] * Fraction(1, 2)
-        xz = hx.a(z)
-        triv, _ = class_is_trivial(xz)
-        integral = hx.h_low_qz.class_is_zero(z)
-        ok &= triv == integral
+    for j in range(gens.shape[1]):
+        triv, _ = class_is_trivial(_forms_a(K, m, m, gens[:, j], 2))
+        ok &= triv == hx.h_low_qz.is_zero_over(gens[:, j], 2)
         if not triv:
             kernel_witnesses.append(j)
-        zi = hx.h_low_q.gens[:, j]
-        if hx.h_low_qz.class_is_zero(zi):
-            triv_i, _ = class_is_trivial(hx.a(zi))
-            ok &= triv_i
+        if hx.h_low_qz.is_zero_over(gens[:, j], 1):
+            ok &= class_is_trivial(_forms_a(K, m, m, gens[:, j], 1))[0]
     # independence of the kernel witnesses
     for i in range(len(kernel_witnesses)):
         for j in range(i + 1, len(kernel_witnesses)):
-            za = hx.h_low_q.gens[:, kernel_witnesses[i]] * Fraction(1, 2)
-            zb = hx.h_low_q.gens[:, kernel_witnesses[j]] * Fraction(1, 2)
-            eq, _ = equal_classes(hx.a(za), hx.a(zb))
+            eq, _ = equal_classes(
+                _forms_a(K, m, m, gens[:, kernel_witnesses[i]], 2),
+                _forms_a(K, m, m, gens[:, kernel_witnesses[j]], 2))
             ok &= not eq
     record("kernel_is_rational_classes_mod_integral", ok,
            detail=f"{len(kernel_witnesses)} independent kernel witnesses")

@@ -2,50 +2,53 @@
 
 Every result here is exact.  An integer matrix is stored once, where it
 enters the system (int_storage): read-only on int64 when every entry lies
-below INT_BOUND in absolute value, else as an object array of Python ints.
-Rational matrices and all vectors are object arrays of Python ints and
-fractions.Fraction entries.  Nothing rescans an int64 matrix: the entry
-checks pass it through, and a product of two int64 matrices stays on int64
-while a bound proves it exact.  Other products split each factor into
-integer numerators and denominators: every row of the left factor and
-every column of the right one is scaled to integers by the lcm of its
-denominators.  The numerators are multiplied on machine numbers under the
-same bound, else as Python integers, and each entry of the result is
-divided once, coming back as a plain int where it is integral and as a
-Fraction elsewhere.  The Smith normal form U A V = D tracks U^-1 and
-V^-1 along with U and V; it runs on int64 under the same kind of bound and
-falls back to big integers; both paths compute the same numbers.
+below INT_BOUND in absolute value, with its max |entry| recorded so that no
+product rescans it, else as an object array of Python ints.  Rational
+matrices are object arrays of Python ints and fractions.Fraction entries; a
+rational vector inside the package is its integer numerators over one
+denominator (to_numerators), and from_numerators builds it where it leaves.
+The entry checks pass an int64 matrix through, and a product of two int64
+matrices stays on int64 while a bound proves it exact.  Other products
+split each factor into integer numerators and denominators: every row of
+the left factor and every column of the right one is scaled to integers by
+the lcm of its denominators.  The numerators are multiplied on machine
+numbers under the same bound, else as Python integers, and each entry of
+the result is divided once, coming back as a plain int where it is integral
+and as a Fraction elsewhere.  The Smith normal form U A V = D tracks U^-1
+and V^-1 along with U and V; it runs on int64 under the same kind of bound
+and falls back to big integers; both paths compute the same numbers.
 
 Rank and invariant factors alone (invariant_factors, behind rat_rank and
 chains.homology) need no transforms: the +-1 pivots, which make up nearly
 all of a cellular or total differential, are eliminated first on sparse
 rows, and only the core left over goes through the Smith normal form.
 
-Every exact solve goes through a solver object that factors its matrix
-once and is reused across right-hand sides; the ring is chosen by the
-class.  IntSolver runs one Smith normal form and gives rank, integer
-kernel, integer solutions and coordinates in the kernel.  RatSolver holds
-the IntSolver of its matrix with the columns scaled to integers and gives
-rank, kernel, left null space and solutions over Q.  MixedSolver, behind
-Q/Z membership and so the flat half of class equality, solves for an
-integral and a rational unknown with one solver of each kind.  A RatSolver can be built on the
-IntSolver of an integer matrix and a MixedSolver on a RatSolver, sharing
-their factorization: a complex keeps the IntSolver of each integral
-differential (chains.Complex.int_solver), shared with the same complex
-over the other ring, and a cell complex keeps its cochain complexes
-(cells.cochain_complex), so the homology over both rings and the
-solvers of diffcoh share one factorization of each coboundary.  The
-solvers store their fixed integer factors once, on int64 whenever they
-fit it, with their bounds.  A solve writes its right-hand
-side once as integer numerators over one denominator, multiplies only
-integers against the fixed factors, checks integrality and residuals as
-integer identities, and builds a Fraction only for a non-integral entry
-of the returned solution.
+Every exact solve goes through a solver object that factors its matrix once
+and is reused across right-hand sides; the ring is chosen by the class.
+IntSolver runs one Smith normal form and gives rank, integer kernel,
+integer solutions and coordinates in the kernel.  RatSolver holds the
+IntSolver of its matrix with the columns scaled to integers and gives rank,
+kernel, left null space and solutions over Q.  MixedSolver, behind Q/Z
+membership and so the flat half of class equality, solves for an integral
+and a rational unknown with one solver of each kind.  A RatSolver can be
+built on the IntSolver of an integer matrix and a MixedSolver on a
+RatSolver, sharing their factorization: a complex keeps the IntSolver of
+each integral differential (chains.Complex.int_solver), shared with the
+same complex over the other ring, and a cell complex keeps its cochain
+complexes (cells.cochain_complex), so the homology over both rings and the
+solvers of diffcoh share one factorization of each coboundary.  The solvers
+store their fixed integer factors once, on int64 whenever they fit it.  A
+solve takes its right-hand side as integer numerators over one denominator,
+multiplies only integers against the fixed factors, checks integrality and
+residuals as integer identities and returns numerators (solve_numerators);
+solve builds Fractions only for a non-integral entry of the returned
+solution.
 solve_int, solve_int_many and int_kernel_basis factor for one call.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from math import lcm
 
@@ -116,10 +119,31 @@ def int_storage(a: np.ndarray, bound: int = INT_BOUND) -> np.ndarray:
             return a
     elif a.flags.writeable:
         a = a.copy()
-    if _amax(a) >= bound:
+    amax = _amax(a)
+    if amax >= bound:
         a = a.astype(object)
     a.setflags(write=False)
+    if a.dtype == np.int64 and a.base is None:   # a view may change
+        key = id(a)
+        _BOUNDS[key] = (weakref.ref(a, lambda _, k=key: _BOUNDS.pop(k, None)),
+                        amax)
     return a
+
+
+# (weak reference, max |entry|) by id of each int64 matrix stored above;
+# facts about read-only matrices, so every caller may share them
+_BOUNDS: dict[int, tuple] = {}
+
+
+def _int64_bound(a: np.ndarray) -> int:
+    """max |entry| of an int64 array: the one recorded for a or for the
+    stored matrix a views, else a scan (always for a writable array)."""
+    for owner in (a, a.base):
+        ref, bound = _BOUNDS.get(id(owner), (None, None))
+        if ref is not None and ref() is owner and not (
+                a.flags.writeable or owner.flags.writeable):
+            return bound
+    return _amax(a)
 
 
 def as_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -255,25 +279,24 @@ def _amax(a: np.ndarray) -> int:
 
 def _bounded(a: np.ndarray):
     """(a on int64, max |entry|) for an integer matrix, or (a, None) when
-    an entry lies outside int64."""
+    an entry lies outside int64.  A stored matrix is not scanned."""
     if a.dtype != np.int64:
         try:
             a = a.astype(np.int64)
         except OverflowError:
             return a, None
-    return a, _amax(a)
+    return a, _int64_bound(a)
 
 
 def _to_object(a: np.ndarray) -> np.ndarray:
     return a if a.dtype == object else a.astype(object)
 
 
-def _int_product(A: np.ndarray, B: np.ndarray, a: int | None = None
-                 ) -> np.ndarray:
+def _int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B for integer matrices (B may be a vector), on int64 when both
     fit int64 and |a| |b| k < 2^61 bounds every partial sum, else on Python
-    integers (object).  a is max |entry| of A when the caller already
-    knows it (a solver's fixed factor), else None.
+    integers (object).  Only a factor that int_storage did not store is
+    scanned for its bound.
 
     numpy multiplies int64 matrices with a scalar loop.  A product of at
     least _SIMD_WORK multiply-adds with |a| |b| k < 2^53 runs as a float64
@@ -282,8 +305,7 @@ def _int_product(A: np.ndarray, B: np.ndarray, a: int | None = None
     einsum, unlike @ on float64, keeps off the multithreaded BLAS and its
     buffers.
     """
-    if a is None:
-        A, a = _bounded(A)
+    A, a = _bounded(A)
     B, b = _bounded(B)
     bound = None if a is None or b is None else a * b * A.shape[1]
     if bound is None or bound >= _INT64_SAFE:
@@ -334,6 +356,32 @@ def mv(A, v) -> np.ndarray:
     """Exact matrix-vector product (the same path as mm)."""
     v = v if isinstance(v, np.ndarray) else as_vector(v)
     return mm(A, v.reshape(-1, 1)).reshape(-1)
+
+
+def to_numerators(b: np.ndarray):
+    """(n, L) with b = n / L: numerators n, Python ints, over the lcm L of
+    the denominators of the entries of b (TypeError for an inexact one)."""
+    n, lcms = _numerators(b.reshape(-1, 1), 0)
+    return _to_object(n).reshape(b.shape), (lcms[0] if lcms else 1)
+
+
+def from_numerators(n: np.ndarray, L: int) -> np.ndarray:
+    """The vector n / L, an int where L divides the entry, else a Fraction."""
+    return np.array([_div(x, L) for x in n.tolist()], dtype=object)
+
+
+def int_mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v as Python ints for integers A and v: A (v / L) over L."""
+    return _to_object(_int_product(A, v))
+
+
+def divide_exactly(Y: np.ndarray, L: int):
+    """Y // L for an integer array Y, or None unless L divides every entry."""
+    if L == 1:
+        return Y
+    if Y.dtype != object and L >= 2 ** 63:
+        Y = Y.astype(object)
+    return Y // L if is_zero(Y % L) else None
 
 
 # ---------------------------------------------------------------------------
@@ -577,23 +625,6 @@ def invariant_factors(A) -> list[int]:
     return [1] * units + snf.diag[:snf.rank]
 
 
-def _over_one_denominator(b: np.ndarray):
-    """(n, L): the integer numerators n of b over one denominator L > 0,
-    the lcm of the denominators of its entries, so that b = n / L (see
-    _numerators)."""
-    n, lcms = _numerators(b.reshape(-1, 1), 0)
-    return n.reshape(b.shape), (lcms[0] if lcms else 1)
-
-
-def _divide_exactly(Y: np.ndarray, L: int):
-    """Y // L for an integer array Y, or None unless L divides every entry."""
-    if L == 1:
-        return Y
-    if Y.dtype != object and L >= 2 ** 63:
-        Y = Y.astype(object)
-    return Y // L if is_zero(Y % L) else None
-
-
 class IntSolver:
     """Rank, integer kernel and integer solutions of an integer matrix A,
     all read off one Smith normal form and reusable across right-hand sides.
@@ -605,15 +636,15 @@ class IntSolver:
     because V is unimodular.
 
     A, U, V and V^-1 are stored once, on int64 whenever they fit it
-    (int_storage with bound 2^63), and max |U| and max |V| are found once,
-    here.  A solve writes its right-hand side once as integer numerators n
-    over one denominator L and multiplies only integers: U b is integral
-    exactly when L divides every entry of U n.  So a solve scans nothing
-    but its right-hand side.  RatSolver and MixedSolver can be built on
-    this factorization instead of factoring A again.
+    (int_storage with bound 2^63), with their bounds.  A solve writes its
+    right-hand side once as integer numerators n over one denominator L and
+    multiplies only integers: U b is integral exactly when L divides every
+    entry of U n.  So a solve scans nothing but its right-hand side.
+    RatSolver and MixedSolver can be built on this factorization instead of
+    factoring A again.
     """
 
-    __slots__ = ("A", "rank", "diag", "_U", "_V", "_Vinv", "_Ub", "_Vb", "_d")
+    __slots__ = ("A", "rank", "diag", "_U", "_V", "_Vinv", "_d")
 
     def __init__(self, A):
         self.A = int_storage(check_int_entries(as_matrix(A)), 2 ** 63)
@@ -623,7 +654,6 @@ class IntSolver:
         self._U = int_storage(snf.U, 2 ** 63)
         self._V = int_storage(snf.V, 2 ** 63)
         self._Vinv = int_storage(snf.Vinv, 2 ** 63)
-        self._Ub, self._Vb = _bounded(self._U)[1], _bounded(self._V)[1]
         self._d = int_storage(
             np.array(self.diag, dtype=object).reshape(-1, 1), 2 ** 63)
 
@@ -635,13 +665,13 @@ class IntSolver:
 
     def solve_many(self, B):
         """Solve A X = B column by column over Z; None if any column fails."""
-        N, L = _over_one_denominator(as_matrix(B))
-        Y = _divide_exactly(_int_product(self._U, N, self._Ub), L)
+        N, L = to_numerators(as_matrix(B))
+        Y = divide_exactly(_int_product(self._U, N), L)
         r = self.rank
         if Y is None or not is_zero(Y[r:]) or not is_zero(Y[:r] % self._d):
             return None
         return _to_object(
-            _int_product(self._V[:, :r], Y[:r] // self._d, self._Vb))
+            _int_product(self._V[:, :r], Y[:r] // self._d))
 
     def kernel_basis(self) -> np.ndarray:
         """Columns form a basis of the integer kernel lattice."""
@@ -698,10 +728,9 @@ class RatSolver:
     null space.  Given the IntSolver of an integer matrix in place of A,
     the RatSolver shares its factorization (S = 1).
 
-    A solve stays on integers up to its result: with b = n / L (one
-    denominator L), D the lcm of d_1, ..., d_r, y = U n, w_i = y_i D / d_i
-    and t = V[:, :r] w, the solution is x = S t / (L D), each entry built
-    once, as a plain int where it is integral and a Fraction elsewhere.
+    A solve stays on integers: with b = n / L (one denominator L), D the
+    lcm of d_1, ..., d_r, y = U n, w_i = y_i D / d_i and t = V[:, :r] w,
+    the solution is x = S t / (L D).
     """
 
     __slots__ = ("A", "scales", "rank", "int", "_D", "_w")
@@ -722,24 +751,25 @@ class RatSolver:
     def _numerator_solution(self, n: np.ndarray):
         """t with x = S t / (L D) for b = n / L (see the class docstring),
         or None when U n does not vanish below row r."""
-        y = _int_product(self.int._U, n, self.int._Ub)
+        y = _int_product(self.int._U, n)
         r = self.rank
         if not is_zero(y[r:]):
             return None
         w = np.array([a * f for a, f in zip(y[:r].tolist(), self._w)],
                      dtype=object)
-        return _int_product(self.int._V[:, :r], w, self.int._Vb)
+        return _int_product(self.int._V[:, :r], w)
 
-    def _fractions(self, t: np.ndarray, den: int) -> np.ndarray:
-        """S t / den, one division per entry."""
-        return np.array([_div(s * x, den) for s, x in
-                         zip(self.scales.tolist(), t.tolist())], dtype=object)
+    def solve_numerators(self, n: np.ndarray, L: int):
+        """The numerators and the denominator of one rational solution of
+        A x = n / L, or None."""
+        t = self._numerator_solution(n)
+        return None if t is None else (self.scales * t, L * self._D)
 
     def solve(self, b):
         """One rational solution of A x = b, or None."""
-        n, L = _over_one_denominator(as_vector(b, self.A.shape[0]))
-        t = self._numerator_solution(n)
-        return None if t is None else self._fractions(t, L * self._D)
+        sol = self.solve_numerators(
+            *to_numerators(as_vector(b, self.A.shape[0])))
+        return None if sol is None else from_numerators(*sol)
 
     def kernel_basis(self) -> np.ndarray:
         """Columns form a basis of the rational null space."""
@@ -768,7 +798,7 @@ class MixedSolver:
     integer matrix the RatSolver factored.
     """
 
-    __slots__ = ("rat", "int", "_A_int", "_P", "_Ab", "_Pb", "_Nb")
+    __slots__ = ("rat", "int", "_A_int", "_P")
 
     def __init__(self, A_int, A_rat):
         A_int = check_int_entries(as_matrix(A_int))
@@ -777,33 +807,33 @@ class MixedSolver:
         if A_int.shape[0] != A_rat.shape[0]:
             raise ValueError("A_int and A_rat must have the same number of rows")
         self.rat = rat or RatSolver(A_rat)
-        # the integer factors every solve multiplies by, stored and bounded
-        # once
+        # the integer factors every solve multiplies by, stored once
         self._A_int = int_storage(A_int, 2 ** 63)
         self._P = self.rat.int._U[self.rat.rank:]
         self.int = IntSolver(mm(self._P, self._A_int))
-        self._Ab, self._Pb = _bounded(self._A_int)[1], _bounded(self._P)[1]
-        self._Nb = _bounded(self.rat.int.A)[1]
 
-    def solve(self, b):
-        """Return (u, v) with exact zero residual, or None."""
-        n, L = _over_one_denominator(as_vector(b, self._A_int.shape[0]))
-        c = _divide_exactly(_int_product(self._P, n, self._Pb), L)
+    def solve_numerators(self, n: np.ndarray, L: int):
+        """solve of b = n / L, with v as its numerators and denominator."""
+        c = divide_exactly(_int_product(self._P, n), L)
         if c is None:
             return None
         u = self.int.solve_many(c.reshape(-1, 1))
         if u is None:
             return None
         u = u[:, 0]
-        au = _to_object(_int_product(self._A_int, u, self._Ab))
-        n = _to_object(n)
+        au = int_mv(self._A_int, u)
         t = self.rat._numerator_solution(n - L * au)
         D = self.rat._D
         if t is None or not is_zero(
-                L * D * au - D * n
-                + _to_object(_int_product(self.rat.int.A, t, self._Nb))):
+                L * D * au - D * n + int_mv(self.rat.int.A, t)):
             raise RuntimeError("mixed solve produced a nonzero residual")
-        return u, self.rat._fractions(t, L * D)
+        return u, self.rat.scales * t, L * D
+
+    def solve(self, b):
+        """Return (u, v) with exact zero residual, or None."""
+        sol = self.solve_numerators(
+            *to_numerators(as_vector(b, self._A_int.shape[0])))
+        return None if sol is None else (sol[0], from_numerators(*sol[1:]))
 
 
 def mixed_solve(A_int, A_rat, b):

@@ -371,6 +371,31 @@ def test_m_below_one_is_input_error(capsys, argv):
     assert err.startswith("input error:") and "m >= 1" in err
 
 
+@pytest.mark.parametrize("argv,need", [
+    (["hexagon", "circle3", "--m", "9"], "1 <= m <= 2"),
+    # the largest m whose sampled cochains are not empty is dim K + 1 on the
+    # prism and dim K + 2 on the circle product
+    (["homotopy-formula", "circle3", "--m", "9"], "1 <= m <= 2"),
+    (["homotopy-formula", "circle3", "--m", "3"], "1 <= m <= 2"),
+    (["s1-integrate", "circle3", "--m", "9"], "2 <= m <= 3"),
+    (["s1-integrate", "circle3", "--m", "4"], "2 <= m <= 3"),
+])
+def test_m_above_range_is_input_error(capsys, argv, need):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"input error: m = {argv[-1]} out of range for a "
+                   f"1-complex (need {need})\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["homotopy-formula", "circle3", "--m", "2", "--samples", "2"],
+    ["s1-integrate", "circle3", "--m", "3", "--samples", "2"],
+])
+def test_largest_m_in_range_runs(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "PASS" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["homology", "circle3", "--steps", "0"],
     ["descent", "circle3", "--samples", "5"],

@@ -589,8 +589,11 @@ def _difference(K, m, n, kind, rng):
         parts = [p for p in ("c", "h", "omega") if getattr(e, p).size
                  and (p != "omega" or n >= m)]
         if parts:
-            part = getattr(e, rng.choice(parts))
+            vecs = {p: getattr(e, p) for p in ("c", "h", "omega")}
+            part = vecs[rng.choice(parts)]
             part[rng.randrange(part.size)] += 1
+            e = dc.DifferentialCochain(K, m, n, vecs["c"], vecs["h"],
+                                       vecs["omega"])
         return e
     return _random_element(K, m, n, rng)
 
@@ -652,3 +655,223 @@ def test_complex_is_freed_without_the_cyclic_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Vector lengths, Fraction counts and stored bounds
+# ---------------------------------------------------------------------------
+
+def test_homology_classes_equal_rejects_a_vector_of_the_wrong_length():
+    # a length-1 vector must not broadcast against the other one
+    K = cl.bundled_complex("csaszar_torus")
+    hd = dc.integral_cohomology(K, 1)
+    full = zeros(K.n_cells(1), 1).reshape(-1)
+    assert hd.classes_equal(full, full)
+    for v, w in (([0], full), (full, [0])):
+        with pytest.raises(ValueError, match="expected vector of length 21"):
+            hd.classes_equal(v, w)
+
+
+def test_qz_classes_equal_rejects_a_vector_of_the_wrong_length():
+    K = cl.bundled_complex("csaszar_torus")
+    qz = dc.qz_cohomology(K, 1)
+    u = qz.random_class(random.Random(0))
+    assert qz.classes_equal(u, u)
+    for v, w in (([Fraction(1, 2)], u), (u, [Fraction(1, 2)])):
+        with pytest.raises(ValueError, match="expected vector of length 21"):
+            qz.classes_equal(v, w)
+
+
+def test_hexagon_builds_few_fractions(monkeypatch):
+    # cochains, samples and solves stay on integer numerators; Fractions are
+    # built only where a vector leaves diffcoh.  17643 before, 0 now
+    K = cl.bundled_complex("csaszar_torus")
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(1)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert dc.hexagon_exactness(K, 2, samples=10, seed=0)["passed"]
+    monkeypatch.undo()
+    assert len(built) <= 4410
+
+
+def test_mm_scans_only_unstored_int64_factors(monkeypatch):
+    scanned = []
+    amax = la._amax
+
+    def counted(a):
+        scanned.append(a.shape)
+        return amax(a)
+
+    A = la.int_storage(np.array([[1, -2, 3], [4, 5, -6]]))
+    B = la.int_storage(np.array([[1, 0], [0, 1], [2, 3]]))
+    monkeypatch.setattr(la, "_amax", counted)
+    # a stored factor, its transpose and a slice of it use the stored bound
+    for P, Q in ((A, B), (B.T, A.T), (A[:, :2], B[:2]), (B, A)):
+        assert (la.mm(P, Q) == P.astype(object) @ Q.astype(object)).all()
+    assert scanned == []
+    # a writable operand is scanned on every product, so changing it is safe
+    W = np.array([[1, 1], [1, 1], [1, 1]], dtype=np.int64)
+    assert (la.mm(A, W) == [[2, 2], [3, 3]]).all()
+    assert scanned == [(3, 2)]
+    W[0, 0] = 2 ** 62
+    assert la.mm(A, W)[0, 0] == 2 ** 62 + 1
+    assert la.mm(W.T, A.T)[0, 0] == 2 ** 62 + 1
+    assert scanned == [(3, 2), (3, 2), (2, 3)]
+    # a read-only view of a writable array is kept as it is, and its bound
+    # is not recorded: the array under it may still change
+    W[0, 0] = 1
+    V = W[:, :1]
+    V.setflags(write=False)
+    S = la.int_storage(V)
+    W[0, 0] = 2 ** 62
+    assert S is V and la.mm(la.int_storage(np.array([[4, 0, 0]])), S)[0, 0] \
+        == 2 ** 64
+
+
+# ---------------------------------------------------------------------------
+# Numerator cochains against a Fraction reference
+# ---------------------------------------------------------------------------
+
+# 2^31 - 1 and 2^61 - 1 are prime, so two entries over them put the lcm of
+# the denominators past 2^63
+BIG_DENOMINATORS = (2 ** 31 - 1, 2 ** 61 - 1, 3 ** 40)
+
+
+def _ref_delta(K, deg, v):
+    rows = K.boundary_matrix(deg + 1).T.tolist()
+    return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in rows]
+
+
+def _ref_dhat(K, n, x):
+    c, h, w = x
+    return (_ref_delta(K, n, c),
+            [a - b - e for a, b, e in zip(w, c, _ref_delta(K, n - 1, h))],
+            _ref_delta(K, n, w))
+
+
+def _ref_combine(x, y, sign):
+    return tuple([a + sign * b for a, b in zip(p, q)] for p, q in zip(x, y))
+
+
+def _ref_of(x):
+    return (list(x.c), list(map(Fraction, x.h)), list(map(Fraction, x.omega)))
+
+
+def _matches(x, ref):
+    """x has the reference values, c as ints and h and omega as ints where
+    integral, Fractions elsewhere."""
+    for got, want in zip((x.c, x.h, x.omega), ref):
+        assert list(got) == want
+        assert [type(v) for v in got] == [
+            int if Fraction(f).denominator == 1 else Fraction for f in want]
+
+
+@st.composite
+def numerator_cases(draw):
+    name = draw(st.sampled_from(BUNDLED))
+    K = _bundled(name)
+    m, n = draw(st.integers(1, K.dim + 1)), draw(st.integers(1, K.dim + 1))
+    frac = st.builds(Fraction, st.integers(-40, 40),
+                     st.one_of(st.integers(1, 12),
+                               st.sampled_from(BIG_DENOMINATORS)))
+
+    def vec(k, elems):
+        return draw(st.lists(elems, min_size=k, max_size=k))
+
+    def element(deg):
+        omega = (vec(K.n_cells(deg), frac) if deg >= m
+                 else [Fraction(0)] * K.n_cells(deg))
+        return (vec(K.n_cells(deg), st.integers(-5, 5)),
+                vec(K.n_cells(deg - 1), frac), omega)
+
+    x = element(n)
+    # y = x + a difference that is a coboundary, an integral (z, 0, z) with
+    # z = delta b (never a class at n = m unless z = 0), or arbitrary
+    kind = draw(st.sampled_from(("coboundary", "integral", "random")))
+    if kind == "coboundary":
+        diff = _ref_dhat(K, n - 1, element(n - 1))
+    elif kind == "integral" and n >= m:
+        z = _ref_delta(K, n - 1, vec(K.n_cells(n - 1), st.integers(-3, 3)))
+        diff = ([int(v) for v in z], [Fraction(0)] * K.n_cells(n - 1), z)
+    else:
+        diff = element(n)
+    return name, m, n, x, _ref_combine(x, diff, 1), draw(
+        st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=numerator_cases())
+@example(case=("octahedron", 2, 2,
+               ([1, 0, 0, 0, 0, 0, 0, 0],
+                [Fraction(1, 2 ** 61 - 1)] + [Fraction(0)] * 11,
+                [Fraction(3, 2 ** 31 - 1)] + [Fraction(0)] * 7),
+               ([1, 0, 0, 0, 0, 0, 0, 0],
+                [Fraction(1, 2 ** 61 - 1)] + [Fraction(0)] * 11,
+                [Fraction(3, 2 ** 31 - 1)] + [Fraction(0)] * 7), 0))
+def test_numerator_cochains_agree_with_a_fraction_reference(case):
+    name, m, n, xr, yr, seed = case
+    K = _bundled(name)
+    x, y = (dc.DifferentialCochain(K, m, n, *r) for r in (xr, yr))
+    _matches(x, xr)
+    _matches(y, yr)
+    _matches(x.dhat(), _ref_dhat(K, n, xr))
+    _matches(x + y, _ref_combine(xr, yr, 1))
+    _matches(x - y, _ref_combine(xr, yr, -1))
+    _matches(-x, _ref_combine(xr, xr, -2))
+    dr = _ref_combine(xr, yr, -1)
+    assert (x - y).is_zero() == (not any(map(any, dr)))
+    assert x.is_cocycle() == (not any(map(any, _ref_dhat(K, n, xr))))
+    # JSON carries the reference values as strings and reads them back
+    obj = x.to_json()
+    assert obj["h"] == [str(f) for f in xr[1]]
+    assert obj["omega"] == [str(f) for f in xr[2]]
+    _matches(dc.DifferentialCochain.from_json(K, obj), xr)
+    # omega vanishes below the truncation degree, however it is built
+    if n < m and K.n_cells(n):
+        bad = [Fraction(1, 3)] + [Fraction(0)] * (K.n_cells(n) - 1)
+        with pytest.raises(ValueError, match="omega must vanish"):
+            dc.DifferentialCochain(K, m, n, xr[0], xr[1], bad)
+        obj["omega"] = [str(f) for f in bad]
+        with pytest.raises(ValueError, match="omega must vanish"):
+            dc.DifferentialCochain.from_json(K, obj)
+    # the verdict of the block system, and a witness the reference verifies
+    solver, has_omega_eq = _block_system(name, m, n)
+    rhs = np.array(dr[0] + dr[1] + (dr[2] if has_omega_eq else []),
+                   dtype=object)
+    eq, w = dc.equal_classes(x, y)
+    assert eq == (solver.solve(rhs) is not None)
+    if eq:
+        assert w.n == n - 1 and (n - 1 >= m or not any(w.omega))
+        assert not any(map(any, _ref_combine(
+            dr, _ref_dhat(K, n - 1, _ref_of(w)), -1)))
+        # a class solver whose integral part is negated still solves its
+        # own system, so only the witness check can catch it
+        if any(w.c):
+            real = dc.class_solver(K, m, n)
+            bad = (la.IntSolver(-real.A) if n - 1 >= m
+                   else la.MixedSolver(-real._A_int, real.rat))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dc, "class_solver", lambda K, m, n: bad)
+                with pytest.raises(RuntimeError, match="does not verify"):
+                    dc.equal_classes(x, y)
+    else:
+        assert w is None
+    # the numerator samplers draw what the Fraction samplers drew, from the
+    # same rng calls: p / q with p in -9..9 and q in 1..6, p drawn first
+    rng, ref = random.Random(seed), random.Random(seed)
+    k = K.n_cells(n)
+    want = [Fraction(ref.randint(-9, 9), ref.randint(1, 6)) for _ in range(k)]
+    assert list(dc.random_numerators(rng, k) * Fraction(1, dc.SAMPLE_DEN)) \
+        == want
+    assert dc.random_rational_vector(random.Random(seed), k).tolist() == want
+    assert dc.random_rational(rng) == Fraction(ref.randint(-9, 9),
+                                               ref.randint(1, 6))
+    qz = dc.qz_cohomology(K, n - 1)
+    un, L = qz.random_class_numerators(rng)
+    assert list(un * Fraction(1, L)) == list(qz.random_class(ref))
+    assert rng.getstate() == ref.getstate()
