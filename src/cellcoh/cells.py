@@ -217,9 +217,6 @@ class Cochain:
     def __neg__(self):
         return Cochain(self.complex, self.degree, self.ring, -self.values)
 
-    def scale(self, a):
-        return Cochain(self.complex, self.degree, self.ring, self.values * a)
-
     def _compat(self, other):
         if self.complex is not other.complex or self.degree != other.degree:
             raise ValueError("cochains live on different complexes or degrees")
@@ -400,13 +397,20 @@ def _fiber_integrate(prod: ProductComplex, z: Cochain) -> Cochain:
 # Subcomplexes and covers
 # ---------------------------------------------------------------------------
 
-def subcomplex(K: CellComplex, cell_ids) -> CellComplex:
-    """Subcomplex spanned by the given cells (must be closed under faces)."""
+def check_face_closed(K: CellComplex, cell_ids) -> set:
+    """The given cells of K as a set; raises ValueError unless it is closed
+    under faces."""
     keep = set(cell_ids)
     for c in keep:
         for b, _ in K.boundary[c]:
             if b not in keep:
                 raise ValueError(f"{c!r} has face {b!r} outside the subcomplex")
+    return keep
+
+
+def subcomplex(K: CellComplex, cell_ids) -> CellComplex:
+    """Subcomplex spanned by the given cells (must be closed under faces)."""
+    keep = check_face_closed(K, cell_ids)
     return CellComplex([(c, K.dim_of[c], K.boundary[c]) for c in keep])
 
 
@@ -440,16 +444,6 @@ def closed_star_cells(K: CellComplex, vertex) -> set:
 def star_cover(K: CellComplex) -> list:
     """Closed vertex stars, one per vertex, as cell-id sets; covers K."""
     return [closed_star_cells(K, v) for v in K.cells(0)]
-
-
-def restriction_matrix(big: CellComplex, small: CellComplex,
-                       degree: int) -> np.ndarray:
-    """Cochain restriction along an inclusion of subcomplexes (cells are
-    shared ids); a 0/1 matrix stored by linalg.int_storage."""
-    m = int_zeros(small.n_cells(degree), big.n_cells(degree))
-    for i, c in enumerate(small.cells(degree)):
-        m[i, big.index[c]] = 1
-    return int_storage(m)
 
 
 # ---------------------------------------------------------------------------

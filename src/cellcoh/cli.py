@@ -65,10 +65,12 @@ def _window(text, default):
     if text is None:
         return default
     try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
+        lo, hi = map(int, text.split(":"))
     except ValueError:
         raise InputError(f"bad window {text!r}; expected LO:HI")
+    if hi < lo:
+        raise InputError(f"empty window {text!r}; need LO <= HI")
+    return lo, hi
 
 
 def _emit(obj, fmt: str, table_lines):

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import (CellComplex, cochain_complex, restriction_matrix,
-                    standard_simplex, subcomplex)
+import numpy as np
+
+from .cells import (CellComplex, check_face_closed, cochain_complex,
+                    standard_simplex)
 from .chains import ChainMap, Complex, homology, truncate_above
-from .linalg import block_zeros, int_zeros, is_zero, mm
+from .linalg import block_zeros, is_zero, mm
 
 
 class InsufficientTruncation(ValueError):
@@ -157,8 +159,30 @@ def total_complex(A: _Truncated, window) -> Complex:
 
 
 # ---------------------------------------------------------------------------
-# Cech double complexes for subcomplex covers
+# Cech double complexes of subcomplex covers, on index blocks of K
 # ---------------------------------------------------------------------------
+
+def _on_blocks(rows, cols, D=None):
+    """D, a matrix between the cells of one cell complex, on the labelled
+    cells rows x cols and zero between different blocks; without D the 0/1
+    matrix matching each row to the same cell in the same block.  rows and
+    cols are pairs (block labels, cell labels; indices when D is given),
+    one entry per basis element or one block label for a single block."""
+    (rb, rc), (cb, cc) = rows, cols
+    same = np.equal.outer(rb, cb)
+    if D is None:
+        return (same & np.equal.outer(rc, cc)).astype(np.int64)
+    return D[np.ix_(rc, cc)] * same
+
+
+def _level(C: Complex, labels) -> Complex:
+    """The cochain complex C of a cell complex on the index blocks labels[d]
+    (pairs as in _on_blocks), in degrees 0..len(labels) - 1: the direct sum
+    over blocks of C on the cells of each block."""
+    return Complex(C.ring, 0, [len(c) for _, c in labels],
+                   [_on_blocks(labels[d + 1], labels[d], C.diff(d))
+                    for d in range(len(labels) - 1)])
+
 
 def cech_double(K: CellComplex, cover, ring="Z", N: int | None = None
                 ) -> CosimplicialComplexTrunc:
@@ -166,76 +190,49 @@ def cech_double(K: CellComplex, cover, ring="Z", N: int | None = None
     sets (e.g. closed vertex stars).
 
     Level q carries the product of the cochain complexes of the nonempty
-    (q+1)-fold intersections (over strictly increasing index tuples); the
-    cofaces drop one index and restrict.
+    (q+1)-fold intersections (over strictly increasing index tuples), each
+    kept as the indices of its cells in K; the cofaces drop one index and
+    restrict.
     """
     cover = [frozenset(u) for u in cover]
     if not cover:
         raise ValueError("empty cover")
-    covered = set().union(*cover)
-    if covered != set(K.dim_of):
+    if set().union(*cover) != set(K.dim_of):
         raise ValueError("cover does not cover the complex")
     if N is None:
         N = len(cover) - 1
+    for u in cover:
+        check_face_closed(K, u)
+    C = cochain_complex(K, ring)
+    cells = [c for d in range(K.dim + 1) for c in K.cells(d)]
+    ends = np.cumsum([0] + [K.n_cells(d) for d in range(K.dim + 1)])
+    member = np.array([[c in u for c in cells] for u in cover], dtype=bool)
 
-    subs = {}
+    # the nonempty intersections of q + 1 cover elements in lexicographic
+    # order, each as its membership mask over the cells of K
+    inter = {(i,): u for i, u in enumerate(member) if u.any()}
+    tuples = [list(inter)]
+    for q in range(N):
+        nxt = [(t + (j,), m) for t in tuples[q]
+               for j in range(t[-1] + 1, len(cover))
+               if (m := inter[t] & member[j]).any()]
+        inter.update(nxt)
+        tuples.append([t for t, _ in nxt])
 
-    def intersection(tup):
-        if tup not in subs:
-            cells = set.intersection(*[set(cover[i]) for i in tup])
-            subs[tup] = subcomplex(K, cells) if cells else None
-        return subs[tup]
-
-    from itertools import combinations
-    level_tuples = []
-    for q in range(N + 1):
-        tups = [t for t in combinations(range(len(cover)), q + 1)
-                if intersection(t) is not None]
-        level_tuples.append(tups)
-
-    levels = []
-    offsets = []   # per level: {tuple: {degree: offset}}
-    for q in range(N + 1):
-        tups = level_tuples[q]
-        ranks = [0] * (K.dim + 1)
-        offs = {t: {} for t in tups}
-        for t in tups:
-            km = intersection(t)
-            for d in range(K.dim + 1):
-                offs[t][d] = ranks[d]
-                ranks[d] += km.n_cells(d)
-        diffs = []
-        for d in range(K.dim + 1):
-            blks = [intersection(t).boundary_matrix(d + 1).T
-                    for t in tups] if d + 1 <= K.dim else []
-            m = block_zeros(ranks[d + 1] if d + 1 <= K.dim else 0, ranks[d],
-                            blks)
-            for t, blk in zip(tups, blks):
-                m[offs[t][d + 1]:offs[t][d + 1] + blk.shape[0],
-                  offs[t][d]:offs[t][d] + blk.shape[1]] = blk
-            diffs.append(m)
-        levels.append(Complex(ring, 0, ranks, diffs))
-        offsets.append(offs)
+    labels = []    # per level and degree: (tuple position, index in K)
+    for tups in tuples:
+        M = np.vstack([inter[t] for t in tups] or [member[:0]])
+        labels.append([np.nonzero(M[:, a:b]) for a, b in zip(ends, ends[1:])])
+    levels = [_level(C, lab) for lab in labels]
 
     cofaces = []
     for q in range(N):
-        maps = []
-        for i in range(q + 2):
-            comps = {}
-            for d in range(K.dim + 1):
-                m = int_zeros(levels[q + 1].rank(d), levels[q].rank(d))
-                for t in level_tuples[q + 1]:
-                    src = t[:i] + t[i + 1:]
-                    if src not in offsets[q]:
-                        continue
-                    big = intersection(src)
-                    small = intersection(t)
-                    blk = restriction_matrix(big, small, d)
-                    m[offsets[q + 1][t][d]:offsets[q + 1][t][d] + blk.shape[0],
-                      offsets[q][src][d]:offsets[q][src][d] + blk.shape[1]] = blk
-                comps[d] = m
-            maps.append(ChainMap(levels[q], levels[q + 1], comps))
-        cofaces.append(maps)
+        pos = {t: k for k, t in enumerate(tuples[q])}
+        srcs = [np.array([pos[t[:i] + t[i + 1:]] for t in tuples[q + 1]])
+                for i in range(q + 2)]     # tuple position with i removed
+        cofaces.append([ChainMap(levels[q], levels[q + 1], {
+            d: _on_blocks((src[b], c), labels[q][d])
+            for d, (b, c) in enumerate(labels[q + 1])}) for src in srcs])
 
     return CosimplicialComplexTrunc(N, levels, cofaces)
 
@@ -271,27 +268,33 @@ def descent_check(K: CellComplex, cover, ring="Z", window=None) -> dict:
 
 def simplex_resolution(m: int, N: int) -> SimplicialComplexOfComplexes:
     """The simplicial complex-of-complexes q -> (cochains of the standard
-    q-simplex over Q, truncated to degrees >= m), faces by restriction."""
-    simplices = [standard_simplex(q) for q in range(N + 1)]
-    levels = [truncate_above(cochain_complex(simplices[q], "Q"), m)
-              for q in range(N + 1)]
-    faces = []
+    q-simplex over Q, truncated to degrees >= m), faces by restriction.
+
+    Every level is read off the one standard N-simplex: the q-simplex is
+    its faces with all vertices <= q, in the same (repr) order."""
+    S = standard_simplex(N)
+    # the vertices of each cell of S as a bit mask, per degree in S's order;
+    # the q-simplex is the cells with masks below 2^(q + 1)
+    bits = [np.array([sum(1 << v for v in s) for s in S.cells(n)],
+                     dtype=np.int64) for n in range(N + 1)]
+    levels = [truncate_above(_level(cochain_complex(S, "Q"), [
+        (0, np.flatnonzero(b < 2 << q)) for b in bits[:q + 1]]), m)
+        for q in range(N + 1)]
+    maps = []
     for q in range(N):
-        maps = []
-        big, small = simplices[q + 1], simplices[q]
-        for i in range(q + 2):
-            # vertex map of the i-th coface: j -> j + (j >= i)
-            comps = {}
-            for n in levels[q + 1].degrees():
-                mmat = int_zeros(levels[q].rank(n), levels[q + 1].rank(n))
-                if n <= small.dim and n >= m:
-                    for col, s in enumerate(small.cells(n)):
-                        img = tuple(v if v < i else v + 1 for v in s)
-                        mmat[col, big.index[img]] = 1
-                comps[n] = mmat
-            maps.append(ChainMap(levels[q + 1], levels[q], comps))
-        faces.append(maps)
-    return SimplicialComplexOfComplexes(N, levels, faces)
+        # face i moves the mask r of each n-face of the q-simplex by
+        # j -> j + (j >= i) (bits below i stay, the rest move up one) and
+        # matches it to the (q + 1)-simplex's cell of that mask; all i at
+        # once, for n <= q + 1 (ChainMap fills the rest with zeros)
+        i, match = np.arange(q + 2)[:, None], {}
+        for n in range(levels[q + 1].lo, q + 2):
+            r, c = bits[n][bits[n] < 2 << q], bits[n][bits[n] < 4 << q]
+            match[n] = _on_blocks((0, r & (1 << i) - 1 | (r >> i) << i + 1),
+                                  (0, c))
+        maps.append([ChainMap(levels[q + 1], levels[q],
+                              {n: f[k] for n, f in match.items()})
+                     for k in range(q + 2)])
+    return SimplicialComplexOfComplexes(N, levels, maps)
 
 
 def underlying_at_point(m: int, N: int, window) -> dict:

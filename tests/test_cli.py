@@ -62,6 +62,19 @@ def test_malformed_json_reports_offset(capsys, tmp_path):
     assert "offset" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["descent", "circle3", "--window=2:0"],
+    ["underlying-point", "--m", "1", "--level", "4", "--window=1:0"],
+    ["homology", "circle3", "--window=3:1"],
+], ids=["descent", "underlying-point", "homology"])
+def test_reversed_window_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+    window = argv[-1].split("=")[1]
+    assert err.startswith("input error:") and repr(window) in err
+
+
 def test_hexagon_pass_and_m_range(capsys):
     code, out, _ = run(capsys, "hexagon", "circle3", "--m", "1",
                        "--samples", "15")

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,158 @@ def test_truncation_empties_low_levels():
     # complex in level 0 (for any m >= 1 the point has no forms left)
     res0 = tt.simplex_resolution(1, 0)
     assert res0.N == 0 and res0.levels[0].is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Reference: the constructions rebuilt from new cell complexes, one
+# subcomplex per intersection and one standard q-simplex per level
+# ---------------------------------------------------------------------------
+
+def _block_diag(blocks, rows, cols):
+    m = np.zeros((rows, cols), dtype=np.int64)
+    r = c = 0
+    for b in blocks:
+        m[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return m
+
+
+def _reference_cech(K, cover, ring, N):
+    cover = [set(u) for u in cover]
+    if N is None:
+        N = len(cover) - 1
+    subs = {}
+    for q in range(N + 1):
+        for t in combinations(range(len(cover)), q + 1):
+            cells = set.intersection(*(cover[i] for i in t))
+            if cells:
+                subs[t] = cl.subcomplex(K, cells)
+    tuples = [[t for t in subs if len(t) == q + 1] for q in range(N + 1)]
+    degs = range(K.dim + 1)
+    offsets = []    # per level: {tuple: [offset per degree]}
+    levels = []
+    for tups in tuples:
+        ranks = [sum(subs[t].n_cells(d) for t in tups) for d in degs]
+        offsets.append({t: [sum(subs[s].n_cells(d) for s in tups[:k])
+                            for d in degs] for k, t in enumerate(tups)})
+        diffs = [_block_diag([subs[t].boundary_matrix(d + 1).T for t in tups],
+                             ranks[d + 1], ranks[d]) for d in range(K.dim)]
+        levels.append(ch.Complex(ring, 0, ranks, diffs))
+    maps = []
+    for q in range(N):
+        maps.append([])
+        for i in range(q + 2):
+            comps = {}
+            for d in degs:
+                m = np.zeros((levels[q + 1].rank(d), levels[q].rank(d)),
+                             dtype=np.int64)
+                for t in tuples[q + 1]:
+                    src = t[:i] + t[i + 1:]
+                    for r, c in enumerate(subs[t].cells(d)):
+                        m[offsets[q + 1][t][d] + r,
+                          offsets[q][src][d] + subs[src].index[c]] = 1
+                comps[d] = m
+            maps[q].append(ch.ChainMap(levels[q], levels[q + 1], comps))
+    return levels, maps
+
+
+def _reference_simplex_resolution(m, N):
+    simplices = [cl.standard_simplex(q) for q in range(N + 1)]
+    levels = [ch.truncate_above(cl.cochain_complex(S, "Q"), m)
+              for S in simplices]
+    maps = []
+    for q in range(N):
+        maps.append([])
+        big, small = simplices[q + 1], simplices[q]
+        for i in range(q + 2):
+            comps = {}
+            for n in levels[q + 1].degrees():
+                mat = np.zeros((levels[q].rank(n), levels[q + 1].rank(n)),
+                               dtype=np.int64)
+                if m <= n <= small.dim:
+                    for row, s in enumerate(small.cells(n)):
+                        img = tuple(v if v < i else v + 1 for v in s)
+                        mat[row, big.index[img]] = 1
+                comps[n] = mat
+            maps[q].append(ch.ChainMap(levels[q + 1], levels[q], comps))
+    return levels, maps
+
+
+def _assert_same_matrices(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert (a == b).all()
+
+
+def _assert_matches_reference(A, levels, maps):
+    assert A.N + 1 == len(levels) and len(A.maps) == len(maps)
+    for got, want in zip(A.levels, levels):
+        assert (got.ring, got.lo, got.hi, got.ranks) == \
+            (want.ring, want.lo, want.hi, want.ranks)
+        for a, b in zip(got.diffs, want.diffs):
+            _assert_same_matrices(a, b)
+    for got_q, want_q in zip(A.maps, maps):
+        assert len(got_q) == len(want_q)
+        for f, g in zip(got_q, want_q):
+            assert f.mats.keys() == g.mats.keys()
+            for n in f.mats:
+                _assert_same_matrices(f.mats[n], g.mats[n])
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+@pytest.mark.parametrize("name", ["circle3", "octahedron", "csaszar_torus",
+                                  "rp2_6"])
+def test_cech_double_matches_subcomplex_reference(name, ring):
+    K = cl.bundled_complex(name)
+    cover = cl.star_cover(K)
+    for N in (None, K.dim + 2, len(cover) + 2):
+        _assert_matches_reference(tt.cech_double(K, cover, ring, N),
+                                  *_reference_cech(K, cover, ring, N))
+
+
+def test_cech_double_matches_reference_on_small_covers():
+    K = cl.bundled_complex("circle3")
+    U = {(0,), (1,), (2,), (0, 1), (1, 2)}
+    V = {(0,), (2,), (0, 2)}
+    octahedron = cl.bundled_complex("octahedron")
+    for K, cover, N in ((K, [U, V], 4), (K, [U, V], None),
+                        (octahedron, [set(octahedron.dim_of)], 4)):
+        _assert_matches_reference(tt.cech_double(K, cover, "Z", N),
+                                  *_reference_cech(K, cover, "Z", N))
+
+
+def test_simplex_resolution_matches_reference():
+    for m in range(1, 5):
+        for N in range(9):
+            _assert_matches_reference(tt.simplex_resolution(m, N),
+                                      *_reference_simplex_resolution(m, N))
+
+
+def test_cech_double_rejects_cover_element_not_closed_under_faces():
+    K = cl.bundled_complex("circle3")
+    cover = cl.star_cover(K) + [{(0, 1)}]    # an edge without its vertices
+    with pytest.raises(ValueError, match="outside the subcomplex"):
+        tt.cech_double(K, cover, "Z")
+
+
+def _count_cell_complexes(monkeypatch):
+    calls = []
+    init = cl.CellComplex.__init__
+    monkeypatch.setattr(cl.CellComplex, "__init__",
+                        lambda self, *a, **k: calls.append(1) or
+                        init(self, *a, **k))
+    return calls
+
+
+def test_descent_builds_no_cell_complex(monkeypatch):
+    K = cl.bundled_complex("octahedron")
+    cover = cl.star_cover(K)
+    calls = _count_cell_complexes(monkeypatch)
+    assert tt.descent_check(K, cover, "Z")["match"]
+    assert not calls
+
+
+@pytest.mark.parametrize("m, N", [(1, 0), (1, 6), (3, 8)])
+def test_simplex_resolution_builds_one_cell_complex(monkeypatch, m, N):
+    calls = _count_cell_complexes(monkeypatch)
+    tt.simplex_resolution(m, N)
+    assert len(calls) == 1
