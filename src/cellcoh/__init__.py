@@ -10,8 +10,7 @@ for expression-defined connections.
 """
 
 from .chains import (ChainMap, Complex, FgAbGroup, atom, cone, direct_sum,
-                     fiber, homology, mixed_solve, shift, truncate_above,
-                     truncate_below)
+                     fiber, homology, shift, truncate_above, truncate_below)
 from .cells import (CellComplex, Cochain, bundled_complex,
                     circle_product, cochain_complex, fiber_integrate_circle,
                     fiber_integrate_prism, prism, simplicial_from_facets,

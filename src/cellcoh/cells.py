@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import RING_Q, RING_Z, Complex
+from .chains import RING_Q, RING_Z, Complex, parse_int
 from .linalg import as_vector, int_storage, int_zeros, is_zero, mm, mv, zeros
 
 
@@ -103,8 +103,8 @@ class CellComplex:
     def from_json(cls, obj: dict) -> "CellComplex":
         if "facets" in obj:
             return simplicial_from_facets([tuple(f) for f in obj["facets"]])
-        cells = [( _id_load(c["id"]), c["dim"],
-                   [( _id_load(b), inc) for b, inc in c["boundary"]])
+        cells = [(_id_load(c["id"]), parse_int(c["dim"]),
+                  [(_id_load(b), parse_int(inc)) for b, inc in c["boundary"]])
                  for c in obj["cells"]]
         return cls(cells)
 

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .linalg import (IntSolver, RatSolver, as_matrix, as_vector, block_zeros,
                      exact_storage, eye, int_storage, int_zeros,
                      integerize_rows, invariant_factors, is_zero, mm, mv,
@@ -164,12 +163,15 @@ class Complex:
     @classmethod
     def from_json(cls, obj: dict) -> "Complex":
         ring = _check_ring(obj["ring"])
-        lo, hi = int(obj["lo"]), int(obj["hi"])
-        ranks = [int(r) for r in obj["ranks"]]
+        lo, hi = parse_int(obj["lo"]), parse_int(obj["hi"])
+        ranks = [parse_int(r) for r in obj["ranks"]]
         if len(ranks) != hi - lo + 1:
             raise ValueError("ranks do not match the window")
         diffs = []
         raw = obj["differentials"]
+        if len(raw) > len(ranks):
+            raise ValueError(f"{len(raw)} differentials for a window of "
+                             f"{len(ranks)} degrees")
         for i in range(len(ranks)):
             rows = ranks[i + 1] if i + 1 < len(ranks) else 0
             flat = [parse_entry(x) for x in raw[i]] if i < len(raw) else []
@@ -186,10 +188,11 @@ def _entry_str(x) -> str:
 
 
 def parse_entry(x):
-    """Entries in JSON are decimal strings (unbounded), 'p/q' strings or ints."""
+    """Entries in JSON are decimal strings (unbounded), 'p/q' strings or ints
+    (not booleans)."""
     if isinstance(x, str):
         f = Fraction(x)
-    elif isinstance(x, int):
+    elif isinstance(x, int) and not isinstance(x, bool):
         f = Fraction(x)
     else:
         raise ValueError(f"bad matrix entry {x!r}")
@@ -548,8 +551,3 @@ def exact_at_middle(f: ChainMap, g: ChainMap, n: int) -> bool:
     img = solver(np.concatenate([P, mid_rel], axis=1))
     return all(img.solve(ker[:Q.shape[1], j]) is not None
                for j in range(ker.shape[1]))
-
-
-# re-exported with the chain-level API: an integral plus a rational unknown,
-# the shape of the Q/Z membership question the cohomology layers ask
-mixed_solve = linalg.mixed_solve

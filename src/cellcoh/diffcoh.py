@@ -40,7 +40,7 @@ from .cells import CellComplex, Cochain, ProductComplex, cochain_complex, \
     fiber_integrate_prism
 from .chains import RING_Q, RING_Z, FgAbGroup, HomologyData, parse_int
 from .linalg import (MixedSolver, RatSolver, as_vector, check_int_entries,
-                     divide_exactly, eye, from_numerators, int_kernel_basis,
+                     divide_exactly, from_numerators, int_kernel_basis,
                      int_mv, int_storage, is_zero, mv, to_numerators, zeros)
 
 
@@ -132,7 +132,7 @@ class DifferentialCochain:
     @classmethod
     def from_json(cls, K: CellComplex, obj: dict) -> "DifferentialCochain":
         parse = lambda vals: np.array([Fraction(v) for v in vals], dtype=object)
-        return cls(K, int(obj["m"]), int(obj["n"]),
+        return cls(K, parse_int(obj["m"]), parse_int(obj["n"]),
                    np.array([parse_int(v) for v in obj["c"]], dtype=object),
                    parse(obj["h"]), parse(obj["omega"]))
 
@@ -221,7 +221,7 @@ def _qz_member(K: CellComplex, n: int) -> MixedSolver:
     key = ("QZmember", n)
     if key not in cache:
         cache[key] = MixedSolver(
-            eye(K.n_cells(n)), RatSolver(cochain_complex(K).int_solver(n - 1)))
+            RatSolver(cochain_complex(K).int_solver(n - 1)))
     return cache[key]
 
 

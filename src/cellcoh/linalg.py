@@ -28,21 +28,21 @@ and is reused across right-hand sides; the ring is chosen by the class.
 IntSolver runs one Smith normal form and gives rank, integer kernel,
 integer solutions and coordinates in the kernel.  RatSolver holds the
 IntSolver of its matrix with the columns scaled to integers and gives rank,
-kernel, left null space and solutions over Q.  MixedSolver, behind Q/Z
-membership and so the flat half of class equality, solves for an integral
-and a rational unknown with one solver of each kind.  A RatSolver can be
-built on the IntSolver of an integer matrix and a MixedSolver on a
-RatSolver, sharing their factorization: a complex keeps the IntSolver of
-each integral differential (chains.Complex.int_solver), shared with the
-same complex over the other ring, and a cell complex keeps its cochain
-complexes (cells.cochain_complex), so the homology over both rings and the
-solvers of diffcoh share one factorization of each coboundary.  The solvers
-store their fixed integer factors once, on int64 whenever they fit it.  A
-solve takes its right-hand side as integer numerators over one denominator,
-multiplies only integers against the fixed factors, checks integrality and
-residuals as integer identities and returns numerators (solve_numerators);
-solve builds Fractions only for a non-integral entry of the returned
-solution.
+kernel and solutions over Q.  MixedSolver, the Q/Z membership solver behind
+QZCohomology and the flat half of class equality, solves u + A v = b with
+u integral and v rational; it has no factorization of its own and reads
+the answer off the RatSolver of A.  A RatSolver can be built on the
+IntSolver of an integer matrix and a MixedSolver on a RatSolver, sharing
+their factorization: a complex keeps the IntSolver of each integral
+differential (chains.Complex.int_solver), shared with the same complex
+over the other ring, and a cell complex keeps its cochain complexes
+(cells.cochain_complex), so the homology over both rings and the solvers
+of diffcoh share one factorization of each coboundary.  The solvers store
+their fixed integer factors once, on int64 whenever they fit it.  A solve
+takes its right-hand side as integer numerators over one denominator,
+multiplies only integers against the fixed factors, checks integrality as
+divisibility and returns numerators (solve_numerators); solve builds
+Fractions only for a non-integral entry of the returned solution.
 solve_int, solve_int_many and int_kernel_basis factor for one call.
 """
 
@@ -105,8 +105,8 @@ def int_storage(a: np.ndarray, bound: int = INT_BOUND) -> np.ndarray:
     A sum that leaves the bound (a total differential with larger entries)
     is stored again through this function and becomes an object array.
 
-    The factors of the solvers (Smith transforms, the integer block of a
-    mixed system) are only ever multiplied, and mm checks the bound of each
+    The factors of the solvers (the matrix and Smith transforms of an
+    IntSolver) are only ever multiplied, and mm checks the bound of each
     product itself, so they are stored with bound = 2^63: on int64 whenever
     they fit it.
     """
@@ -640,8 +640,8 @@ class IntSolver:
     right-hand side once as integer numerators n over one denominator L and
     multiplies only integers: U b is integral exactly when L divides every
     entry of U n.  So a solve scans nothing but its right-hand side.
-    RatSolver and MixedSolver can be built on this factorization instead of
-    factoring A again.
+    A RatSolver, and a MixedSolver on it, can be built on this
+    factorization instead of factoring A again.
     """
 
     __slots__ = ("A", "rank", "diag", "_U", "_V", "_Vinv", "_d")
@@ -717,16 +717,15 @@ def rat_rank(A) -> int:
 
 
 class RatSolver:
-    """Rank, kernel, left null space and solutions of a rational matrix A,
-    all read off one Smith normal form and reusable across right-hand sides.
+    """Rank, kernel and solutions of a rational matrix A, all read off one
+    Smith normal form and reusable across right-hand sides.
 
     Column j is scaled by the lcm s_j of its denominators, which keeps the
-    column span and the left null space.  With S = diag(s) and the
-    IntSolver of A S, U (A S) V = diag(d_1, ..., d_r, 0, ...), a solution
-    of A x = b is S V[:, :r] ((U b)[:r] / d) when (U b)[r:] vanishes, the
-    kernel is spanned by S V[:, r:], and the rows U[r:, :] span the left
-    null space.  Given the IntSolver of an integer matrix in place of A,
-    the RatSolver shares its factorization (S = 1).
+    column span.  With S = diag(s) and the IntSolver of A S,
+    U (A S) V = diag(d_1, ..., d_r, 0, ...), a solution of A x = b is
+    S V[:, :r] ((U b)[:r] / d) when (U b)[r:] vanishes, and the kernel is
+    spanned by S V[:, r:].  Given the IntSolver of an integer matrix in
+    place of A, the RatSolver shares its factorization (S = 1).
 
     A solve stays on integers: with b = n / L (one denominator L), D the
     lcm of d_1, ..., d_r, y = U n, w_i = y_i D / d_i and t = V[:, :r] w,
@@ -748,22 +747,20 @@ class RatSolver:
         self._D = lcm(*self.int.diag)
         self._w = [self._D // d for d in self.int.diag]
 
-    def _numerator_solution(self, n: np.ndarray):
-        """t with x = S t / (L D) for b = n / L (see the class docstring),
-        or None when U n does not vanish below row r."""
+    def _split(self, n: np.ndarray):
+        """(y[r:], t) for b = n / L with y = U n (see the class docstring):
+        b lies in the column span exactly when y[r:] vanishes."""
         y = _int_product(self.int._U, n)
         r = self.rank
-        if not is_zero(y[r:]):
-            return None
         w = np.array([a * f for a, f in zip(y[:r].tolist(), self._w)],
                      dtype=object)
-        return _int_product(self.int._V[:, :r], w)
+        return y[r:], _int_product(self.int._V[:, :r], w)
 
     def solve_numerators(self, n: np.ndarray, L: int):
         """The numerators and the denominator of one rational solution of
         A x = n / L, or None."""
-        t = self._numerator_solution(n)
-        return None if t is None else (self.scales * t, L * self._D)
+        rest, t = self._split(n)
+        return (self.scales * t, L * self._D) if is_zero(rest) else None
 
     def solve(self, b):
         """One rational solution of A x = b, or None."""
@@ -775,78 +772,43 @@ class RatSolver:
         """Columns form a basis of the rational null space."""
         return self.int._V[:, self.rank:] * self.scales.reshape(-1, 1)
 
-    def left_nullspace(self) -> np.ndarray:
-        """Integer rows forming a basis of {y : y @ A == 0} over Q."""
-        return self.int._U[self.rank:, :].astype(object)
-
 
 class MixedSolver:
-    """Solver for  A_int @ u + A_rat @ v = b  with u integral, v rational.
+    """Solver for  u + A v = b  with u integral and v rational: whether b
+    lies in Z^m + im_Q(A), the Q/Z membership question.
 
-    The factorizations are computed once, so repeated right-hand sides are
-    cheap.  The integer rows P of the left null space of A_rat, from its
-    RatSolver, turn the problem into the integer system (P A_int) u = P b,
-    solvable only when P b is integral and then solved by the IntSolver of
-    P A_int; v is recovered from the same factorization of A_rat.  A_rat
-    may be given as its RatSolver, whose factorization is then shared.
-
-    A solve writes b once as n / L and stays on integers up to v: P b is
-    integral exactly when L divides P n; v = S t / (L D) solves
-    A_rat v = (n - L A_int u) / L as in RatSolver; and the residual
-    A_int u + A_rat v - b = 0 is checked as the integer identity
-    L D (A_int u) + N t - D n = 0, with N = A_rat S the column-scaled
-    integer matrix the RatSolver factored.
+    It is read off the RatSolver of A, with no factorization of its own.
+    U is unimodular and U (A S) V = diag(d_1, ..., d_r, 0, ...), so b
+    solves exactly when (U b)[r:] is integral: when L divides y[r:] for
+    b = n / L and y = U n.  Then v = S t / (L D) is the RatSolver's
+    solution of the first r rows, and u = b - A v = (D n - N t) / (L D),
+    with N = A S the integer matrix the RatSolver factored, is
+    U^-1[:, r:] y[r:] / L, integral by construction; the solve checks that
+    and raises RuntimeError if it fails.  A may be given as its RatSolver,
+    whose factorization is then shared.
     """
 
-    __slots__ = ("rat", "int", "_A_int", "_P")
+    __slots__ = ("rat",)
 
-    def __init__(self, A_int, A_rat):
-        A_int = check_int_entries(as_matrix(A_int))
-        rat = A_rat if isinstance(A_rat, RatSolver) else None
-        A_rat = rat.A if rat else as_matrix(A_rat)
-        if A_int.shape[0] != A_rat.shape[0]:
-            raise ValueError("A_int and A_rat must have the same number of rows")
-        self.rat = rat or RatSolver(A_rat)
-        # the integer factors every solve multiplies by, stored once
-        self._A_int = int_storage(A_int, 2 ** 63)
-        self._P = self.rat.int._U[self.rat.rank:]
-        self.int = IntSolver(mm(self._P, self._A_int))
+    def __init__(self, A):
+        self.rat = A if isinstance(A, RatSolver) else RatSolver(A)
 
     def solve_numerators(self, n: np.ndarray, L: int):
         """solve of b = n / L, with v as its numerators and denominator."""
-        c = divide_exactly(_int_product(self._P, n), L)
-        if c is None:
+        rest, t = self.rat._split(n)
+        if divide_exactly(rest, L) is None:
             return None
-        u = self.int.solve_many(c.reshape(-1, 1))
-        if u is None:
-            return None
-        u = u[:, 0]
-        au = int_mv(self._A_int, u)
-        t = self.rat._numerator_solution(n - L * au)
         D = self.rat._D
-        if t is None or not is_zero(
-                L * D * au - D * n + int_mv(self.rat.int.A, t)):
-            raise RuntimeError("mixed solve produced a nonzero residual")
+        u = divide_exactly(D * n - int_mv(self.rat.int.A, t), L * D)
+        if u is None:
+            raise RuntimeError("mixed solve left a non-integral residual u")
         return u, self.rat.scales * t, L * D
 
     def solve(self, b):
-        """Return (u, v) with exact zero residual, or None."""
+        """Return (u, v) with u + A v = b exactly, or None."""
         sol = self.solve_numerators(
-            *to_numerators(as_vector(b, self._A_int.shape[0])))
+            *to_numerators(as_vector(b, self.rat.A.shape[0])))
         return None if sol is None else (sol[0], from_numerators(*sol[1:]))
-
-
-def mixed_solve(A_int, A_rat, b):
-    """One solution (u, v) of the mixed system, or None.
-
-    >>> mixed_solve([[2]], np.zeros((1, 0)), [4])[0].tolist()
-    [2]
-    >>> mixed_solve([[2]], np.zeros((1, 0)), [3]) is None
-    True
-    >>> mixed_solve(np.zeros((1, 0)), [[2]], [3])[1].tolist()
-    [Fraction(3, 2)]
-    """
-    return MixedSolver(A_int, A_rat).solve(b)
 
 
 # ---------------------------------------------------------------------------

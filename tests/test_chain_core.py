@@ -318,11 +318,6 @@ def test_homology_outside_window_is_zero():
     assert ch.homology(C, -99).is_trivial()
 
 
-def test_mixed_solve_reexported_and_verified():
-    sol = ch.mixed_solve([[2]], np.zeros((1, 0)), [4])
-    assert sol[0][0] == 2
-
-
 def test_complex_dd_validation():
     with pytest.raises(ValueError):
         ch.Complex("Z", 0, (1, 1, 1), [[[1]], [[1]]])

@@ -251,7 +251,17 @@ def test_deterministic_output_for_fixed_seed(capsys):
     {"ring": "Z", "lo": 0, "ranks": [1, 1], "differentials": [["1"], []]},
     {"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1],
      "differentials": [["x"], []]},
-], ids=["d_squared_nonzero", "fraction_over_Z", "missing_hi", "bad_entry"])
+    {"ring": "Z", "lo": 0.5, "hi": 1, "ranks": [1, 1],
+     "differentials": [["1"], []]},
+    {"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1.9],
+     "differentials": [["1"], []]},
+    {"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1],
+     "differentials": [[True], []]},
+    {"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1],
+     "differentials": [["1"], [], ["7", "8"]]},
+], ids=["d_squared_nonzero", "fraction_over_Z", "missing_hi", "bad_entry",
+        "fractional_lo", "fractional_rank", "boolean_entry",
+        "extra_differential"])
 def test_malformed_cochain_complex_is_input_error(capsys, tmp_path, obj):
     p = tmp_path / "complex.json"
     p.write_text(json.dumps(obj))
@@ -261,15 +271,18 @@ def test_malformed_cochain_complex_is_input_error(capsys, tmp_path, obj):
 
 
 def test_null_incidence_is_input_error(capsys, tmp_path):
+    # a null, fractional or boolean incidence or dimension is an input
+    # error, never truncated to an integer
     p = tmp_path / "cells.json"
-    p.write_text(json.dumps({"cells": [
-        {"id": "v", "dim": 0, "boundary": []},
-        {"id": "e", "dim": 1, "boundary": [["v", None]]}]}))
-    for argv in (["homology", str(p)], ["descent", str(p)],
-                 ["hexagon", str(p), "--m", "1"]):
-        code, _, err = run(capsys, *argv)
-        assert code == 2, argv
-        assert err.startswith("input error:"), argv
+    for v_dim, inc in ((0, None), (0, 1.9), (0, True), (0.7, 1)):
+        p.write_text(json.dumps({"cells": [
+            {"id": "v", "dim": v_dim, "boundary": []},
+            {"id": "e", "dim": 1, "boundary": [["v", inc]]}]}))
+        for argv in (["homology", str(p)], ["descent", str(p)],
+                     ["hexagon", str(p), "--m", "1"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, (argv, v_dim, inc)
+            assert err.startswith("input error:"), (argv, v_dim, inc)
 
 
 def _monopole_file(tmp_path, n_first=None):

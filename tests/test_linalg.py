@@ -98,42 +98,44 @@ def test_rat_solver_and_kernel():
 
 
 def test_mixed_solve_spec_examples():
-    assert la.mixed_solve([[2]], np.zeros((1, 0)), [4])[0][0] == 2
-    assert la.mixed_solve([[2]], np.zeros((1, 0)), [3]) is None
-    u, v = la.mixed_solve(np.zeros((1, 0)), [[2]], [3])
-    assert v[0] == Fraction(3, 2)
+    # u + 0 v = b: b itself when it is integral, else no solution
+    solver = la.MixedSolver(np.zeros((1, 0), dtype=object))
+    assert solver.solve([4])[0].tolist() == [4]
+    assert solver.solve([Fraction(3, 2)]) is None
+    # u + 2 v = 3/2: u = 0 and v = 3/4
+    u, v = la.MixedSolver([[2]]).solve([Fraction(3, 2)])
+    assert u.tolist() == [0] and v.tolist() == [Fraction(3, 4)]
 
 
 def test_mixed_solve_dimension_mismatch_is_error():
     with pytest.raises(ValueError):
-        la.mixed_solve([[1], [2]], [[1]], [1, 2])
+        la.MixedSolver([[1], [2]]).solve([1])
 
 
 def test_mixed_solve_randomized_soundness_and_completeness():
     rng = random.Random(4)
     for _ in range(60):
-        rows = rng.randint(1, 4)
-        pi, pr = rng.randint(0, 3), rng.randint(0, 3)
-        A = rand_int_matrix(rng, rows, pi, bound=4)
-        B = np.array([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                       for _ in range(pr)] for _ in range(rows)], dtype=object)
+        rows, cols = rng.randint(1, 4), rng.randint(0, 3)
+        A = np.array([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                       for _ in range(cols)] for _ in range(rows)],
+                     dtype=object).reshape(rows, cols)
         # build a solvable instance from a known solution
-        u0 = np.array([rng.randint(-3, 3) for _ in range(pi)], dtype=object)
+        u0 = np.array([rng.randint(-3, 3) for _ in range(rows)], dtype=object)
         v0 = np.array([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                       for _ in range(pr)], dtype=object)
-        b = la.mv(A, u0) + (B @ v0 if pr else np.zeros(rows, dtype=object))
-        sol = la.mixed_solve(A, B, b)
+                       for _ in range(cols)], dtype=object)
+        b = u0 + (A @ v0 if cols else 0)
+        sol = la.MixedSolver(A).solve(b)
         assert sol is not None
         u, v = sol
-        resid = la.mv(A, u) + (B @ v if pr else 0) - b
+        resid = u + (A @ v if cols else 0) - b
         assert all(Fraction(x) == 0 for x in np.atleast_1d(resid).flat)
 
 
 def test_mixed_solve_unsolvable_instance():
-    # 2u + 0v = 1 has no integral u even though rationally solvable
-    assert la.mixed_solve([[2]], np.zeros((1, 0)), [1]) is None
-    # u + 2v = 1/2 with v rational: solvable
-    assert la.mixed_solve([[1]], [[2]], [Fraction(1, 2)]) is not None
+    # u1 + 2 v = 1/2 and u2 + 2 v = 0 force u1 = u2 + 1/2: no integral u
+    assert la.MixedSolver([[2], [2]]).solve([Fraction(1, 2), 0]) is None
+    # u + 2 v = 1/2 alone is solvable
+    assert la.MixedSolver([[2]]).solve([Fraction(1, 2)]) is not None
 
 
 def test_fundamental_cocycle_not_a_coboundary_on_sphere():
@@ -213,42 +215,33 @@ def test_smith_form_invariants(A):
 
 
 @st.composite
-def mixed_systems(draw):
-    rows = draw(st.integers(1, 4))
-    A_int = _matrix(draw, rows, draw(st.integers(0, 3)), INTS,
-                    big=draw(st.booleans()))
-    A_rat = _matrix(draw, rows, draw(st.integers(0, 3)), RATS)
-    return A_int, A_rat
-
-
-@st.composite
 def rational_matrices(draw):
     return _matrix(draw, draw(st.integers(0, 4)), draw(st.integers(0, 4)),
                    RATS, big=draw(st.booleans()))
 
 
 @PROPERTY
-@given(mixed_systems(), st.data())
-def test_mixed_solver_solves_planted_systems(system, data):
-    A_int, A_rat = system
-    u0 = [data.draw(INTS) for _ in range(A_int.shape[1])]
-    v0 = [data.draw(RATS) for _ in range(A_rat.shape[1])]
-    b = np.array([x + y for x, y in zip(_apply(A_int, u0), _apply(A_rat, v0))],
-                 dtype=object)
-    sol = la.MixedSolver(A_int, A_rat).solve(b)
+@given(rational_matrices(), st.data())
+def test_mixed_solver_solves_planted_systems(A, data):
+    u0 = [data.draw(INTS) for _ in range(A.shape[0])]
+    v0 = [data.draw(RATS) for _ in range(A.shape[1])]
+    b = np.array([x + y for x, y in zip(u0, _apply(A, v0))],
+                 dtype=object).reshape(A.shape[0])
+    sol = la.MixedSolver(A).solve(b)
     assert sol is not None
     u, v = sol
     assert all(isinstance(x, int) for x in u)
-    resid = [x + y - z for x, y, z in zip(_apply(A_int, u), _apply(A_rat, v), b)]
+    resid = [x + y - z for x, y, z in zip(u, _apply(A, v), b)]
     assert all(x == 0 for x in resid)
 
 
 @PROPERTY
-@given(mixed_systems())
-def test_mixed_solver_rejects_non_integral_projection(system):
-    A_int, A_rat = system
-    solver = la.MixedSolver(A_int, A_rat)
-    P = solver.rat.left_nullspace()
+@given(rational_matrices())
+def test_mixed_solver_rejects_non_integral_projection(A):
+    solver = la.MixedSolver(A)
+    # the rows of the Smith transform U below the rank span the left null
+    # space of A; b solves exactly when P b is integral
+    P = solver.rat.int._U[solver.rat.rank:].astype(object)
     assume(P.shape[0] > 0)
     # rows of a unimodular matrix are primitive, so the first row of P has
     # an odd entry; half the matching unit vector makes P b non-integral,
@@ -275,7 +268,8 @@ def test_rat_solver_rank_kernel_and_left_nullspace(A):
                for x in _apply(A, ker[:, j]))
     if ker.shape[1]:
         assert la.rat_rank(ker) == ker.shape[1]
-    left = s.left_nullspace()
+    # the rows of U below the rank, which MixedSolver's membership test reads
+    left = s.int._U[s.rank:].astype(object)
     assert left.shape == (m - s.rank, m)
     assert all(isinstance(x, int) for x in left.flat)
     assert all(x == 0 for i in range(left.shape[0])
@@ -696,33 +690,34 @@ def test_rat_solver_against_the_reference(data):
 @SOLVER_PROPERTY
 @given(st.data())
 def test_mixed_solver_against_the_reference(data):
-    rows = data.draw(st.integers(0, 4))
-    A_int = _draw_matrix(data.draw, rows, data.draw(st.integers(0, 3)), INTS)
-    A_rat = _draw_matrix(data.draw, rows, data.draw(st.integers(0, 3)), RATS)
-    A = np.concatenate([A_int, A_rat], axis=1)
-    b = data.draw(right_hand_sides(
-        A, st.one_of(INTS, RATS) if A_rat.shape[1] else INTS))
-    solvers = [la.MixedSolver(A_int, A_rat)]
-    if all(Fraction(v).denominator == 1 for v in A_rat.flat):
-        solvers.append(la.MixedSolver(
-            A_int, la.RatSolver(la.IntSolver(A_rat))))
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 3))
+    A = _draw_matrix(data.draw, rows, cols,
+                     data.draw(st.sampled_from([INTS, RATS])))
+    I = np.eye(rows, dtype=object)
+    IA = np.concatenate([I, A], axis=1)
+    b = data.draw(right_hand_sides(IA, st.one_of(INTS, RATS)))
+    solvers = [la.MixedSolver(A)]
+    if all(Fraction(v).denominator == 1 for v in A.flat):
+        # an integer matrix: the solver on the RatSolver of its IntSolver
+        # shares that factorization
+        solvers.append(la.MixedSolver(la.RatSolver(la.IntSolver(A))))
     for solver in solvers:
         sol = solver.solve(b)
-        assert (sol is None) == (not _solvable_mixed(A_int, A_rat, b))
+        assert (sol is None) == (not _solvable_mixed(I, A, b))
         if sol is not None:
             u, v = sol
             assert all(type(x) is int for x in u)
             _assert_output_convention(v)
-            _assert_exact_solution(A, list(u) + list(v), b)
+            _assert_exact_solution(IA, list(u) + list(v), b)
 
 
 def test_mixed_solver_with_a_corrupted_factor_fails_its_residual_check():
-    # u + 0 v = 1, 0 u + 2 v = 3: u = 1, v = 3/2
-    solver = la.MixedSolver([[1], [0]], [[0], [2]])
-    u, v = solver.solve([1, 3])
-    assert list(u) == [1] and list(v) == [Fraction(3, 2)]
-    # a wrong transform V in the rational factorization gives v = 3; the
-    # integer residual identity catches it
+    # u + 2 v = 3/2: u = 0, v = 3/4
+    solver = la.MixedSolver([[2]])
+    u, v = solver.solve([Fraction(3, 2)])
+    assert u.tolist() == [0] and v.tolist() == [Fraction(3, 4)]
+    # a wrong transform V in the factorization gives v = 3/2, and the
+    # residual u = 3/2 - 2 v = -3/2 that the solve returns is not integral
     solver.rat.int._V = 2 * solver.rat.int._V
-    with pytest.raises(RuntimeError, match="nonzero residual"):
-        solver.solve([1, 3])
+    with pytest.raises(RuntimeError, match="non-integral residual"):
+        solver.solve([Fraction(3, 2)])
