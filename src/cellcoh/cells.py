@@ -38,6 +38,8 @@ class CellComplex:
             if cid in self.dim_of:
                 raise ValueError(f"duplicate cell id {cid!r}")
             self.dim_of[cid] = int(dim)
+            if self.dim_of[cid] < 0:
+                raise ValueError(f"cell {cid!r} has negative dimension {dim}")
             self.boundary[cid] = tuple((b, int(inc)) for b, inc in bnd)
         for cid, bnd in self.boundary.items():
             d = self.dim_of[cid]
@@ -140,6 +142,8 @@ def simplicial_from_facets(facets) -> CellComplex:
     simplices = set()
     for f in facets:
         vs = tuple(sorted(set(f)))
+        if not vs:
+            raise ValueError("a facet must have a vertex")
         if len(vs) != len(f):
             raise ValueError(f"facet {f!r} repeats a vertex")
         for mask in range(1, 1 << len(vs)):

@@ -18,9 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import (IntSolver, RatSolver, as_matrix, as_vector, block_zeros,
-                     exact_storage, eye, int_storage, int_zeros,
-                     integerize_rows, invariant_factors, is_zero, mm, mv,
-                     rat_rank, smith_normal_form, zeros)
+                     exact_storage, eye, int_zeros, integerize_rows,
+                     invariant_factors, is_zero, mm, mv, rat_rank,
+                     smith_normal_form, zeros)
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -458,7 +458,7 @@ class HomologyData:
         tor = tuple(sorted(d for d in orders if d != 0))
         self.group = FgAbGroup(C.ring, rank=orders.count(0), torsion=tor)
         self._out, self._rows = out, rows
-        self._U = int_storage(rsnf.U, 2 ** 63)
+        self._U = rsnf.U
         self._diag = np.array(rsnf.diag[:rsnf.rank], dtype=object)
 
     # -- class arithmetic ----------------------------------------------

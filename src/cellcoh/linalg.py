@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Z and Q.
+"""Exact linear algebra over Z and Q.
 
 Every result here is exact.  An integer matrix is stored once, where it
 enters the system (int_storage): read-only on int64 when every entry lies
@@ -14,14 +14,13 @@ the left factor and every column of the right one is scaled to integers by
 the lcm of its denominators.  The numerators are multiplied on machine
 numbers under the same bound, else as Python integers, and each entry of
 the result is divided once, coming back as a plain int where it is integral
-and as a Fraction elsewhere.  The Smith normal form U A V = D tracks U^-1
-and V^-1 along with U and V; it runs on int64 under the same kind of bound
-and falls back to big integers; both paths compute the same numbers.
+and as a Fraction elsewhere.
 
-Rank and invariant factors alone (invariant_factors, behind rat_rank and
-chains.homology) need no transforms: the +-1 pivots, which make up nearly
-all of a cellular or total differential, are eliminated first on sparse
-rows, and only the core left over goes through the Smith normal form.
+One elimination on sparse rows of Python ints gives the Smith normal form
+U A V = D: the +-1 pivots, nearly all of a cellular or total differential,
+go first, then the smallest entry of what is left.  smith_normal_form
+applies each step to U, U^-1, V and V^-1 and stores them like any integer
+matrix; invariant_factors (behind rat_rank and chains.homology) builds none.
 
 Every exact solve goes through a solver object that factors its matrix once
 and is reused across right-hand sides; the ring is chosen by the class.
@@ -392,237 +391,208 @@ class SmithForm:
     """Decomposition U @ A @ V == D with U, V unimodular, D diagonal.
 
     The diagonal entries are non-negative and each divides the next.
-    Uinv and Vinv are the exact inverses of U and V.
+    Uinv and Vinv are the exact inverses of U and V.  All five matrices
+    are stored by int_storage with bound 2^63: read-only, on int64 whenever
+    they fit it.
     """
 
     __slots__ = ("U", "D", "V", "Uinv", "Vinv", "diag", "rank")
 
     def __init__(self, U, D, V, Uinv, Vinv):
         self.U, self.D, self.V, self.Uinv, self.Vinv = U, D, V, Uinv, Vinv
-        n = min(D.shape)
-        self.diag = [int(D[i, i]) for i in range(n)]
+        self.diag = [int(D[i, i]) for i in range(min(D.shape))]
         self.rank = sum(1 for d in self.diag if d != 0)
 
 
-class _SnfState:
-    """Mutable state for the reduction; int64 while provably safe.
+def _axpy(x: dict, y: dict, f: int):
+    """x -= f y for sparse vectors (dicts of index -> nonzero int), f != 0."""
+    for l, v in y.items():
+        w = x.get(l, 0) - f * v
+        if w:
+            x[l] = w
+        else:
+            del x[l]
 
-    Before every arithmetic update a conservative bound on the largest
-    possible new entry is checked; if it could reach 2^61 the five matrices
-    are promoted to big-integer (object) arrays and the same vectorized
-    expressions continue exactly.
+
+class _Elimination:
+    """An integer matrix reduced to Smith normal form by unimodular row and
+    column operations on sparse rows of Python ints, exact at any size.
+
+    rows[i] maps each column to the nonzero entry of row i, cols[j] is the
+    set of rows with an entry in column j, and pivots lists (row, column,
+    d) for each diagonal entry d split off, in order: the +-1 pivots first
+    (_units), then those of the core left over (_core).  With transforms,
+    each operation is applied to U and V^-1, kept as sparse rows, and to
+    U^-1 and V, kept as sparse columns, from the identity on, so that U A V
+    is the reduced matrix throughout.
     """
 
-    def __init__(self, A: np.ndarray):
+    def __init__(self, A: np.ndarray, transforms: bool):
         m, n = A.shape
-        D, bound = _bounded(A)
-        self.obj = bound is None or bound >= _INT64_SAFE
-        self.maxdim = max(m, n, 1)
-        dtype = object if self.obj else np.int64
-        self.D = D.astype(dtype) if self.obj or D is A else D
-        self.U, self.Uinv = np.eye(m, dtype=dtype), np.eye(m, dtype=dtype)
-        self.V, self.Vinv = np.eye(n, dtype=dtype), np.eye(n, dtype=dtype)
+        self.rows: dict[int, dict[int, int]] = {}
+        self.cols: dict[int, set[int]] = {}
+        r, c = np.nonzero(A)
+        for i, j, v in zip(r.tolist(), c.tolist(), A[r, c].tolist()):
+            self.rows.setdefault(i, {})[j] = v
+            self.cols.setdefault(j, set()).add(i)
+        self.pivots: list[tuple[int, int, int]] = []
+        self.transforms = transforms
+        if transforms:
+            self.U, self.Uinv = ([{i: 1} for i in range(m)] for _ in range(2))
+            self.V, self.Vinv = ([{j: 1} for j in range(n)] for _ in range(2))
+        self._units()
+        self._core()
 
-    def _demote(self):
-        if not self.obj:
-            self.D, self.U, self.Uinv, self.V, self.Vinv = map(
-                _to_object, (self.D, self.U, self.Uinv, self.V, self.Vinv))
-            self.obj = True
+    def _negate_row(self, i: int):
+        for vec in ((self.rows[i], self.U[i], self.Uinv[i])
+                    if self.transforms else (self.rows[i],)):
+            for l in vec:
+                vec[l] = -vec[l]
 
-    @staticmethod
-    def _amax(a) -> int:
-        if not isinstance(a, np.ndarray):
-            return abs(int(a))
-        if a.dtype == object:
-            return max((abs(int(x)) for x in a.flat), default=0)
-        return _amax(a)
+    def _row_sub(self, k: int, i: int, f: int):
+        """row k -= f row i."""
+        rk, cols = self.rows[k], self.cols
+        for l, v in self.rows[i].items():
+            w = rk.get(l, 0) - f * v
+            if w:
+                rk[l] = w
+                cols[l].add(k)
+            else:
+                del rk[l]
+                cols[l].discard(k)
+        if not rk:
+            del self.rows[k]
+        if self.transforms:
+            _axpy(self.U[k], self.U[i], f)
+            _axpy(self.Uinv[i], self.Uinv[k], -f)
 
-    def _guard(self, qmax: int):
-        """Promote to big integers unless (maxentry+1)(qmax+1)(dim+1) < 2^61,
-        which bounds any single vectorized update below."""
-        if self.obj:
-            return
-        entries = max(self._amax(self.D), self._amax(self.U),
-                      self._amax(self.Uinv), self._amax(self.V),
-                      self._amax(self.Vinv))
-        if (entries + 1) * (abs(int(qmax)) + 1) * (self.maxdim + 1) >= _INT64_SAFE:
-            self._demote()
+    def _col_sub(self, l: int, j: int, f: int):
+        """column l -= f column j."""
+        rows, cl = self.rows, self.cols[l]
+        for k in self.cols[j]:
+            rk = rows[k]
+            w = rk.get(l, 0) - f * rk[j]
+            if w:
+                rk[l] = w
+                cl.add(k)
+            else:
+                del rk[l]
+                cl.discard(k)
+        if self.transforms:
+            _axpy(self.V[l], self.V[j], f)
+            _axpy(self.Vinv[j], self.Vinv[l], -f)
 
-    def rows_reduce(self, t: int, q):
-        """rows below t: row_i -= q_i * row_t (and transforms)."""
-        self._guard(self._amax(q))
-        if self.obj and isinstance(q, np.ndarray) and q.dtype != object:
-            q = _to_object(q)
-        self.D[t + 1:, :] -= np.outer(q, self.D[t, :])
-        self.U[t + 1:, :] -= np.outer(q, self.U[t, :])
-        self.Uinv[:, t] += self.Uinv[:, t + 1:] @ q
+    def _retire(self, i: int, j: int):
+        """Split off the pivot (i, j), alone in its column and dividing its
+        row: column operations clear the row, which touches no other row."""
+        row = self.rows.pop(i)
+        d = row.pop(j)
+        del self.cols[j]
+        for l, v in row.items():
+            self.cols[l].discard(i)
+            if self.transforms:
+                _axpy(self.V[l], self.V[j], v // d)
+                _axpy(self.Vinv[j], self.Vinv[l], -v // d)
+        self.pivots.append((i, j, d))
 
-    def cols_reduce(self, t: int, q):
-        self._guard(self._amax(q))
-        if self.obj and isinstance(q, np.ndarray) and q.dtype != object:
-            q = _to_object(q)
-        self.D[:, t + 1:] -= np.outer(self.D[:, t], q)
-        self.V[:, t + 1:] -= np.outer(self.V[:, t], q)
-        self.Vinv[t, :] += q @ self.Vinv[t + 1:, :]
+    def _units(self):
+        """Passes over the rows by index, while one pivots: on the +-1 entry
+        whose column has the fewest nonzeros (ties by index).  Clearing the
+        column leaves A ~ [1] + (Schur complement)."""
+        rows, cols = self.rows, self.cols
+        pivoted = True
+        while pivoted:
+            pivoted = False
+            for i in sorted(rows):
+                row = rows.get(i)
+                if row is None:
+                    continue
+                cand = [(len(cols[j]), j) for j, v in row.items()
+                        if v in (1, -1)]
+                if not cand:
+                    continue
+                j = min(cand)[1]
+                if row[j] == -1:
+                    self._negate_row(i)
+                for k in cols[j] - {i}:
+                    self._row_sub(k, i, rows[k][j])
+                self._retire(i, j)
+                pivoted = True
 
-    def row_add(self, i: int, j: int, q: int):
-        self._guard(q)
-        self.D[i, :] += q * self.D[j, :]
-        self.U[i, :] += q * self.U[j, :]
-        self.Uinv[:, j] -= q * self.Uinv[:, i]
+    def _core(self):
+        """Pivot on the smallest |entry| (ties by row, then column), made
+        positive, and reduce its column and row modulo it, until no
+        remainder is left.  Split it off if it divides every other entry;
+        else add the first row with an entry it does not divide to its row."""
+        rows, cols = self.rows, self.cols
+        while rows:
+            _, i, j = min((abs(v), i, j) for i, row in rows.items()
+                          for j, v in row.items())
+            if rows[i][j] < 0:
+                self._negate_row(i)
+            p = rows[i][j]
+            for k in sorted(cols[j] - {i}):
+                self._row_sub(k, i, rows[k][j] // p)
+            for l in sorted(rows[i].keys() - {j}):
+                self._col_sub(l, j, rows[i][l] // p)
+            if len(cols[j]) > 1 or len(rows[i]) > 1:
+                continue
+            bad = min((k for k, row in rows.items()
+                       if k != i and any(v % p for v in row.values())),
+                      default=None)
+            if bad is None:
+                self._retire(i, j)
+            else:
+                self._row_sub(i, bad, -1)
 
-    def row_swap(self, i, j):
-        if i == j:
-            return
-        self.D[[i, j], :] = self.D[[j, i], :]
-        self.U[[i, j], :] = self.U[[j, i], :]
-        self.Uinv[:, [i, j]] = self.Uinv[:, [j, i]]
 
-    def col_swap(self, i, j):
-        if i == j:
-            return
-        self.D[:, [i, j]] = self.D[:, [j, i]]
-        self.V[:, [i, j]] = self.V[:, [j, i]]
-        self.Vinv[[i, j], :] = self.Vinv[[j, i], :]
-
-    def row_negate(self, i):
-        self.D[i, :] = -self.D[i, :]
-        self.U[i, :] = -self.U[i, :]
-        self.Uinv[:, i] = -self.Uinv[:, i]
-
-    def find_pivot(self, t: int):
-        """Position of the smallest nonzero |entry| of the trailing block,
-        or None if the block vanishes."""
-        block = self.D[t:, t:]
-        if block.size == 0:
-            return None
-        if block.dtype != object:
-            ab = np.abs(block)
-            big = np.iinfo(np.int64).max
-            ab = np.where(block != 0, ab, big)
-            flat = int(ab.argmin())
-            bi, bj = divmod(flat, block.shape[1])
-            if ab[bi, bj] == big:
-                return None
-            return t + bi, t + bj
-        best, pos = None, None
-        for (i, j), v in np.ndenumerate(block):
-            if v != 0:
-                a = abs(int(v))
-                if best is None or a < best:
-                    best, pos = a, (t + i, t + j)
-        return pos
+def _stored(vecs, shape: tuple[int, int], columns: bool = False):
+    """The matrix with the sparse vectors vecs as its rows (or columns),
+    stored by int_storage with bound 2^63."""
+    r = np.array([t for t, vec in enumerate(vecs) for _ in vec], dtype=np.intp)
+    c = np.array([l for vec in vecs for l in vec], dtype=np.intp)
+    vals = [x for vec in vecs for x in vec.values()]
+    if columns:
+        r, c = c, r
+    try:
+        a = np.zeros(shape, dtype=np.int64)
+        a[r, c] = vals
+    except OverflowError:
+        a = np.zeros(shape, dtype=object)
+        a[r, c] = vals
+    return int_storage(a, 2 ** 63)
 
 
 def smith_normal_form(A) -> SmithForm:
-    """Smith normal form of an integer matrix, pivoting on the smallest
-    nonzero entry; off-pivot entries are reduced modulo the pivot at every
-    step, which keeps coefficient growth in check.  Deterministic.
-    """
+    """Smith normal form of an integer matrix, with U, V and their
+    inverses.  The pivots of the elimination, in order, take the leading
+    diagonal positions; the rows and columns left over follow by index."""
     A = check_int_entries(as_matrix(A))
     m, n = A.shape
-    st = _SnfState(A)
-
-    for t in range(min(m, n)):
-        while True:
-            pos = st.find_pivot(t)
-            if pos is None:
-                break
-            st.row_swap(t, pos[0])
-            st.col_swap(t, pos[1])
-            if st.D[t, t] < 0:
-                st.row_negate(t)
-            p = int(st.D[t, t])
-            col = st.D[t + 1:, t]
-            if col.size and (col != 0).any():
-                st.rows_reduce(t, col // p)
-            row = st.D[t, t + 1:]
-            if row.size and (row != 0).any():
-                st.cols_reduce(t, row // p)
-            if (st.D[t + 1:, t] != 0).any() or (st.D[t, t + 1:] != 0).any():
-                continue
-            # enforce the divisibility chain
-            rest = st.D[t + 1:, t + 1:]
-            bad = None
-            if rest.size:
-                mod = rest % p
-                nz = np.argwhere(mod != 0)
-                if len(nz):
-                    bad = int(nz[0][0]) + t + 1
-            if bad is None:
-                break
-            st.row_add(t, bad, 1)
-
-    return SmithForm(*map(_to_object, (st.U, st.D, st.V, st.Uinv, st.Vinv)))
+    e = _Elimination(A, transforms=True)
+    pr = [i for i, _, _ in e.pivots]
+    pc = [j for _, j, _ in e.pivots]
+    pr += sorted(set(range(m)).difference(pr))
+    pc += sorted(set(range(n)).difference(pc))
+    return SmithForm(
+        _stored([e.U[i] for i in pr], (m, m)),
+        _stored([{t: d} for t, (_, _, d) in enumerate(e.pivots)], (m, n)),
+        _stored([e.V[j] for j in pc], (n, n), columns=True),
+        _stored([e.Uinv[i] for i in pr], (m, m), columns=True),
+        _stored([e.Vinv[j] for j in pc], (n, n)))
 
 
 def invariant_factors(A) -> list[int]:
-    """The nonzero diagonal of the Smith normal form of an integer matrix;
-    its length is the rank.
-
-    The unit pivots are eliminated first, on sparse rows of Python ints:
-    rows are visited by index, and in each row the +-1 entry whose column
-    has the fewest nonzeros (ties by index) is the pivot.  Clearing its
-    column by row operations and then its row by column operations is
-    unimodular and leaves A ~ [1] + (Schur complement), so k pivots split
-    off k unit factors.  Passes repeat while they find a pivot; only the
-    nonzero core left over goes through smith_normal_form.
+    """The nonzero diagonal of the Smith normal form of an integer matrix
+    (its length is the rank), by the same elimination, building no transform.
 
     >>> invariant_factors([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
     [2, 6, 12]
     >>> invariant_factors([[1, 2], [3, 4], [5, 6]])
     [1, 2]
     """
-    A = check_int_entries(as_matrix(A))
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    r, c = np.nonzero(A)
-    for i, j, v in zip(r.tolist(), c.tolist(), A[r, c].tolist()):
-        rows.setdefault(i, {})[j] = v
-        cols.setdefault(j, set()).add(i)
-    units = 0
-    pivoted = True
-    while pivoted:
-        pivoted = False
-        for i in sorted(rows):
-            row = rows.get(i)
-            if row is None:
-                continue
-            cand = [(len(cols[j]), j) for j, v in row.items() if v in (1, -1)]
-            if not cand:
-                continue
-            j = min(cand)[1]
-            u = row.pop(j)
-            del rows[i]
-            for l in row:
-                cols[l].discard(i)
-            others = cols.pop(j)
-            others.discard(i)
-            for k in others:
-                rk = rows[k]
-                f = rk.pop(j) * u
-                for l, v in row.items():
-                    w = rk.get(l, 0) - f * v
-                    if w:
-                        rk[l] = w
-                        cols[l].add(k)
-                    else:
-                        rk.pop(l, None)
-                        cols[l].discard(k)
-                if not rk:
-                    del rows[k]
-            units += 1
-            pivoted = True
-    if not rows:
-        return [1] * units
-    keep = sorted(rows)
-    where = {j: t for t, j in enumerate(sorted(set().union(*rows.values())))}
-    core = zeros(len(keep), len(where))
-    for s, i in enumerate(keep):
-        for j, v in rows[i].items():
-            core[s, where[j]] = v
-    snf = smith_normal_form(core)
-    return [1] * units + snf.diag[:snf.rank]
+    e = _Elimination(check_int_entries(as_matrix(A)), transforms=False)
+    return [d for _, _, d in e.pivots]
 
 
 class IntSolver:
@@ -635,11 +605,11 @@ class IntSolver:
     V[:, r:] are a basis of the kernel lattice, a direct summand of Z^n
     because V is unimodular.
 
-    A, U, V and V^-1 are stored once, on int64 whenever they fit it
-    (int_storage with bound 2^63), with their bounds.  A solve writes its
-    right-hand side once as integer numerators n over one denominator L and
-    multiplies only integers: U b is integral exactly when L divides every
-    entry of U n.  So a solve scans nothing but its right-hand side.
+    A is stored like the transforms U, V and V^-1 (int_storage with bound
+    2^63): once, on int64 whenever it fits, with its bound.  A solve writes
+    its right-hand side once as integer numerators n over one denominator L
+    and multiplies only integers: U b is integral exactly when L divides
+    every entry of U n.  So a solve scans nothing but its right-hand side.
     A RatSolver, and a MixedSolver on it, can be built on this
     factorization instead of factoring A again.
     """
@@ -651,9 +621,7 @@ class IntSolver:
         snf = smith_normal_form(self.A)
         self.rank = snf.rank
         self.diag = snf.diag[:snf.rank]
-        self._U = int_storage(snf.U, 2 ** 63)
-        self._V = int_storage(snf.V, 2 ** 63)
-        self._Vinv = int_storage(snf.Vinv, 2 ** 63)
+        self._U, self._V, self._Vinv = snf.U, snf.V, snf.Vinv
         self._d = int_storage(
             np.array(self.diag, dtype=object).reshape(-1, 1), 2 ** 63)
 

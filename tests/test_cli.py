@@ -272,17 +272,23 @@ def test_malformed_cochain_complex_is_input_error(capsys, tmp_path, obj):
 
 def test_null_incidence_is_input_error(capsys, tmp_path):
     # a null, fractional or boolean incidence or dimension is an input
-    # error, never truncated to an integer
+    # error, never truncated to an integer; a cell of negative dimension
+    # (whose incidences would drop out of every ordering) and an empty
+    # facet are input errors too
     p = tmp_path / "cells.json"
-    for v_dim, inc in ((0, None), (0, 1.9), (0, True), (0.7, 1)):
-        p.write_text(json.dumps({"cells": [
-            {"id": "v", "dim": v_dim, "boundary": []},
-            {"id": "e", "dim": 1, "boundary": [["v", inc]]}]}))
+    cases = [{"cells": [{"id": "v", "dim": v_dim, "boundary": []},
+                        {"id": "e", "dim": 1, "boundary": [["v", inc]]}]}
+             for v_dim, inc in ((0, None), (0, 1.9), (0, True), (0.7, 1))]
+    cases += [{"cells": [{"id": "e", "dim": -1, "boundary": []},
+                         {"id": "v", "dim": 0, "boundary": [["e", 1]]}]},
+              {"facets": [[]]}]
+    for obj in cases:
+        p.write_text(json.dumps(obj))
         for argv in (["homology", str(p)], ["descent", str(p)],
                      ["hexagon", str(p), "--m", "1"]):
             code, _, err = run(capsys, *argv)
-            assert code == 2, (argv, v_dim, inc)
-            assert err.startswith("input error:"), (argv, v_dim, inc)
+            assert code == 2, (argv, obj)
+            assert err.startswith("input error:"), (argv, obj)
 
 
 def _monopole_file(tmp_path, n_first=None):

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,10 +343,16 @@ def test_rat_rank_matches_sympy(A):
 
 
 def test_invariant_factors_factor_only_a_unit_free_core(monkeypatch):
+    # the +-1 pivots go first: what is left for the smallest-entry pivots
+    # holds no unit, and nothing at all for the boundaries of a sphere
     cores = []
-    snf = la.smith_normal_form
-    monkeypatch.setattr(la, "smith_normal_form",
-                        lambda M: cores.append(M) or snf(M))
+    core = la._Elimination._core
+
+    def spy(self):
+        cores.append([v for row in self.rows.values() for v in row.values()])
+        core(self)
+
+    monkeypatch.setattr(la._Elimination, "_core", spy)
     rng = random.Random(5)
     D = la.zeros(5, 5)
     for i, d in enumerate([1, 1, 1, 2, 6]):
@@ -350,18 +360,14 @@ def test_invariant_factors_factor_only_a_unit_free_core(monkeypatch):
     A = la.mm(la.mm(la.random_unimodular(5, rng), D),
               la.random_unimodular(5, rng))
     assert la.invariant_factors(A) == [1, 1, 1, 2, 6]
-    assert len(cores) == 1 and cores[0].shape[0] < 5
-    for M in cores:
-        assert all(abs(x) != 1 for x in M.flat)
-        assert (M != 0).any(axis=0).all() and (M != 0).any(axis=1).all()
-    # the boundaries of a sphere reduce to units alone
+    assert cores[0] and all(abs(v) != 1 for v in cores[0])
     from cellcoh import cells as cl
     K = cl.bundled_complex("octahedron")
     cores.clear()
     assert [len(la.invariant_factors(K.boundary_matrix(q)))
             for q in (1, 2)] == [5, 7]
     assert la.invariant_factors(la.eye(4)) == [1, 1, 1, 1]
-    assert cores == []
+    assert cores == [[], [], []]
 
 
 # ---------------------------------------------------------------------------
@@ -721,3 +727,212 @@ def test_mixed_solver_with_a_corrupted_factor_fails_its_residual_check():
     solver.rat.int._V = 2 * solver.rat.int._V
     with pytest.raises(RuntimeError, match="non-integral residual"):
         solver.solve([Fraction(3, 2)])
+
+
+# ---------------------------------------------------------------------------
+# The sparse elimination against the dense Smith kernel it replaced
+# ---------------------------------------------------------------------------
+
+class _DenseSnf:
+    """The dense Smith kernel that smith_normal_form ran before the sparse
+    elimination, as the reference: U, D, V, U^-1 and V^-1 on int64 while a
+    bound proves every update exact, else on Python ints; the pivot is the
+    smallest |entry| of the trailing block, off-pivot entries are reduced
+    modulo it, and a row is added to restore the divisibility chain."""
+
+    def __init__(self, A):
+        A = la.check_int_entries(la.as_matrix(A))
+        m, n = A.shape
+        D, bound = la._bounded(A)
+        self.obj = bound is None or bound >= 2 ** 61
+        self.maxdim = max(m, n, 1)
+        dtype = object if self.obj else np.int64
+        self.D = D.astype(dtype)
+        self.U, self.Uinv = np.eye(m, dtype=dtype), np.eye(m, dtype=dtype)
+        self.V, self.Vinv = np.eye(n, dtype=dtype), np.eye(n, dtype=dtype)
+        for t in range(min(m, n)):
+            self._step(t)
+        self.U, self.D, self.V, self.Uinv, self.Vinv = (
+            a.astype(object) for a in (self.U, self.D, self.V, self.Uinv,
+                                       self.Vinv))
+        self.diag = [int(self.D[i, i]) for i in range(min(m, n))]
+        self.rank = sum(1 for d in self.diag if d)
+
+    @staticmethod
+    def _amax(a):
+        if not isinstance(a, np.ndarray):
+            return abs(int(a))
+        return max((abs(int(x)) for x in a.flat), default=0)
+
+    def _guard(self, qmax):
+        if self.obj:
+            return
+        entries = max(map(self._amax, (self.D, self.U, self.Uinv, self.V,
+                                       self.Vinv)))
+        if (entries + 1) * (self._amax(qmax) + 1) * (self.maxdim + 1) \
+                >= 2 ** 61:
+            self.D, self.U, self.Uinv, self.V, self.Vinv = (
+                a.astype(object) for a in (self.D, self.U, self.Uinv, self.V,
+                                           self.Vinv))
+            self.obj = True
+
+    def _q(self, q):
+        return q.astype(object) if self.obj else q
+
+    def _step(self, t):
+        while True:
+            block = self.D[t:, t:]
+            nz = [(abs(int(v)), i, j) for (i, j), v in np.ndenumerate(block)
+                  if v != 0]
+            if not nz:
+                return
+            _, i, j = min(nz)
+            i, j = i + t, j + t
+            self.D[[t, i], :] = self.D[[i, t], :]
+            self.U[[t, i], :] = self.U[[i, t], :]
+            self.Uinv[:, [t, i]] = self.Uinv[:, [i, t]]
+            self.D[:, [t, j]] = self.D[:, [j, t]]
+            self.V[:, [t, j]] = self.V[:, [j, t]]
+            self.Vinv[[t, j], :] = self.Vinv[[j, t], :]
+            if self.D[t, t] < 0:
+                self.D[t, :] = -self.D[t, :]
+                self.U[t, :] = -self.U[t, :]
+                self.Uinv[:, t] = -self.Uinv[:, t]
+            p = int(self.D[t, t])
+            col = self.D[t + 1:, t]
+            if col.size and (col != 0).any():
+                q = col // p
+                self._guard(q)
+                q = self._q(q)
+                self.D[t + 1:, :] -= np.outer(q, self.D[t, :])
+                self.U[t + 1:, :] -= np.outer(q, self.U[t, :])
+                self.Uinv[:, t] += self.Uinv[:, t + 1:] @ q
+            row = self.D[t, t + 1:]
+            if row.size and (row != 0).any():
+                q = row // p
+                self._guard(q)
+                q = self._q(q)
+                self.D[:, t + 1:] -= np.outer(self.D[:, t], q)
+                self.V[:, t + 1:] -= np.outer(self.V[:, t], q)
+                self.Vinv[t, :] += q @ self.Vinv[t + 1:, :]
+            if (self.D[t + 1:, t] != 0).any() or \
+                    (self.D[t, t + 1:] != 0).any():
+                continue
+            rest = self.D[t + 1:, t + 1:]
+            bad = np.argwhere(rest % p != 0) if rest.size else []
+            if not len(bad):
+                return
+            k = int(bad[0][0]) + t + 1
+            self._guard(1)
+            self.D[t, :] += self.D[k, :]
+            self.U[t, :] += self.U[k, :]
+            self.Uinv[:, k] -= self.Uinv[:, t]
+
+    def solvable(self, b) -> bool:
+        """Whether A x = b has an integer solution: U b is integral,
+        vanishes below the rank and has row i divisible by d_i."""
+        y = [sum((Fraction(int(u)) * _exact(x) for u, x in zip(row, b)),
+                 Fraction(0)) for row in self.U]
+        return all(v.denominator == 1 for v in y) and \
+            all(v == 0 for v in y[self.rank:]) and \
+            all(v % d == 0 for v, d in zip(y, self.diag[:self.rank]))
+
+
+def _in_lattice(basis, v) -> bool:
+    """Whether v is an integer combination of the columns of basis,
+    verified by the product."""
+    x = la.IntSolver(basis).solve(v)
+    return x is not None and _apply(basis, x) == [_exact(c) for c in v]
+
+
+def _assert_inverse_pair(M, Minv):
+    n = M.shape[0]
+    assert (M.astype(object) @ Minv.astype(object)
+            == np.eye(n, dtype=object)).all()
+
+
+# a unit pivot whose column clearing puts 2^70 into V, V^-1 and U^-1
+PAST_INT64 = np.array([[2 ** 70, 1, 0], [1, 0, 3], [0, 2, 2 ** 66]],
+                      dtype=object)
+
+
+@st.composite
+def smith_inputs(draw):
+    """An integer matrix, from the Smith-form and the factor strategies,
+    with two right-hand sides."""
+    A = draw(st.one_of(integer_matrices(), factor_inputs()))
+    return A, [draw(right_hand_sides(A, INTS)) for _ in range(2)]
+
+
+@SOLVER_PROPERTY
+# starts on int64 and moves to big integers in the middle of the dense
+# reduction
+@example((np.array([[2 ** 40, 1], [1, 2 ** 40]], dtype=object),
+          [[2 ** 40 + 1, 2 ** 40 + 1], [1, 0]]))
+@example((PAST_INT64, [_apply(PAST_INT64, [1, -1, 2]), [1, 0, 0]]))
+@given(smith_inputs())
+def test_sparse_elimination_against_the_dense_kernel(case):
+    A, rhs = case
+    ref, snf = _DenseSnf(A), la.smith_normal_form(A)
+    assert snf.diag == ref.diag and snf.rank == ref.rank
+    assert (snf.U.astype(object) @ A @ snf.V.astype(object) == snf.D).all()
+    _assert_inverse_pair(snf.U, snf.Uinv)
+    _assert_inverse_pair(snf.V, snf.Vinv)
+    for M in (snf.U, snf.D, snf.V, snf.Uinv, snf.Vinv):
+        assert not M.flags.writeable
+        assert (M.dtype == object) == any(abs(int(x)) >= BIG for x in M.flat)
+    solver = la.IntSolver(A)
+    for b in rhs:
+        x = solver.solve(b)
+        assert (x is None) == (not ref.solvable(b))
+        if x is not None:
+            _assert_exact_solution(A, x, b)
+    # the kernel lattices are equal: each basis solves in the other
+    ker, ker_ref = solver.kernel_basis(), ref.V[:, ref.rank:]
+    assert ker.shape == ker_ref.shape
+    assert all(_in_lattice(ker, ker_ref[:, j]) and
+               _in_lattice(ker_ref, ker[:, j]) for j in range(ker.shape[1]))
+
+
+def test_transforms_past_int64_are_stored_as_object_and_solve_exactly():
+    snf = la.smith_normal_form(PAST_INT64)
+    assert snf.V.dtype == object and snf.Vinv.dtype == object
+    assert max(abs(x) for x in snf.V.flat) >= 2 ** 70
+    solver = la.IntSolver(PAST_INT64)
+    assert solver._V.dtype == object
+    for x0 in ([1, -1, 2], [0, 5, -3], [7, 0, 1]):
+        b = _apply(PAST_INT64, x0)
+        x = solver.solve(b)
+        assert x is not None and _apply(PAST_INT64, x) == b
+    assert solver.solve([1, 0, 0]) is None
+    assert solver.kernel_basis().shape == (3, 0)
+
+
+# Hashes the five matrices of the Smith form of every coboundary of the
+# 7-vertex torus; run with a given PYTHONHASHSEED.
+TRANSFORM_DIGEST = """
+import hashlib
+from cellcoh import cells, linalg
+C = cells.cochain_complex(cells.bundled_complex("csaszar_torus"))
+h = hashlib.sha256()
+for n in C.degrees():
+    snf = linalg.smith_normal_form(C.diff(n))
+    for M in (snf.U, snf.D, snf.V, snf.Uinv, snf.Vinv):
+        h.update(repr((M.shape, M.tolist())).encode())
+print(h.hexdigest())
+"""
+
+
+def test_smith_transforms_do_not_depend_on_the_hash_seed():
+    # the pivot order follows the iteration order of dicts and sets, which
+    # for integer keys does not depend on the hash seed
+    src = str(Path(la.__file__).resolve().parents[1])
+    digests = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        digests.append(subprocess.run(
+            [sys.executable, "-c", TRANSFORM_DIGEST], env=env, check=True,
+            capture_output=True, text=True, timeout=120).stdout)
+    assert digests[0] == digests[1] != ""
