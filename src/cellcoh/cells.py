@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import RING_Q, RING_Z, Complex, parse_int
-from .linalg import as_vector, int_storage, int_zeros, is_zero, mm, mv, zeros
+from .linalg import as_vector, int_storage, is_zero, mm, mv, zeros
 
 
 class CellComplex:
@@ -28,6 +28,9 @@ class CellComplex:
 
     Cell ids are arbitrary hashable values; per-dimension orderings are
     fixed at construction time and index the cochain coefficient vectors.
+    Whatever is derived from the cells (boundary matrices, cochain
+    complexes, the cohomology and solvers of diffcoh, the fundamental
+    cycle of lattice) is kept in one store, through kept.
     """
 
     def __init__(self, cells, labels=None):
@@ -56,8 +59,7 @@ class CellComplex:
         self.index = {c: i for d in range(self.dim + 1)
                       for i, c in enumerate(self.cells_by_dim[d])}
         self.labels = dict(labels or {})
-        self._bnd_mats = {}
-        self._cochains = {}
+        self._kept = {}
         for d in range(1, self.dim + 1):
             if not is_zero(mm(self.boundary_matrix(d - 1), self.boundary_matrix(d))):
                 raise ValueError(f"dd != 0 in dimension {d}")
@@ -72,19 +74,26 @@ class CellComplex:
             return self.cells_by_dim[d]
         return []
 
+    def kept(self, key, build):
+        """The object kept under key, made by build() (never None) on first
+        use.  The caller that names a key owns it; what it keeps must not
+        change."""
+        obj = self._kept.get(key)
+        if obj is None:
+            obj = self._kept[key] = build()
+        return obj
+
     def boundary_matrix(self, d: int) -> np.ndarray:
         """Matrix of the boundary C_d -> C_(d-1) in the fixed orderings,
         stored once (linalg.int_storage) and shared by every caller."""
-        if d in self._bnd_mats:
-            return self._bnd_mats[d]
-        rows, cols = self.n_cells(d - 1), self.n_cells(d)
-        m = zeros(rows, cols)
-        if d >= 1:
-            for j, cid in enumerate(self.cells(d)):
-                for b, inc in self.boundary[cid]:
-                    m[self.index[b], j] += inc
-        m = self._bnd_mats[d] = int_storage(m)
-        return m
+        return self.kept(("boundary", d), lambda: self._boundary_matrix(d))
+
+    def _boundary_matrix(self, d: int) -> np.ndarray:
+        m = zeros(self.n_cells(d - 1), self.n_cells(d))
+        for j, cid in enumerate(self.cells(d)):
+            for b, inc in self.boundary[cid]:
+                m[self.index[b], j] += inc
+        return int_storage(m)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * self.n_cells(d) for d in range(self.dim + 1))
@@ -166,20 +175,15 @@ def standard_simplex(q: int) -> CellComplex:
 
 def cochain_complex(K: CellComplex, ring: str = RING_Z) -> Complex:
     """Cochain complex with d the transpose of the boundary, kept by K for
-    each ring; the second ring asked for gets it through Complex.over, so
-    both share the IntSolver of each coboundary (Complex.int_solver)."""
-    C = K._cochains.get(ring)
-    if C is None:
-        if K._cochains:
-            (C,) = K._cochains.values()
-            C = C.over(ring)
-        else:
-            ranks = [K.n_cells(d) for d in range(K.dim + 1)]
-            diffs = [K.boundary_matrix(d + 1).T for d in range(K.dim)]
-            diffs.append(int_zeros(0, ranks[-1]))
-            C = Complex(ring, 0, ranks, diffs)
-        K._cochains[ring] = C
-    return C
+    each ring; over Q it is the one over Z through Complex.over, so both
+    share what is derived from each coboundary (Complex.int_solver,
+    Complex.factors)."""
+    if ring != RING_Z:
+        return K.kept(("cochains", ring),
+                      lambda: cochain_complex(K).over(ring))
+    return K.kept(("cochains", ring), lambda: Complex(
+        ring, 0, [K.n_cells(d) for d in range(K.dim + 1)],
+        [K.boundary_matrix(d + 1).T for d in range(K.dim)]))
 
 
 @dataclass

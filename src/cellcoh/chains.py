@@ -19,8 +19,8 @@ import numpy as np
 
 from .linalg import (IntSolver, RatSolver, as_matrix, as_vector, block_zeros,
                      exact_storage, eye, int_zeros, integerize_rows,
-                     invariant_factors, is_zero, mm, mv, rat_rank,
-                     smith_normal_form, zeros)
+                     invariant_factors, is_zero, mm, mv, smith_normal_form,
+                     zeros)
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -39,10 +39,12 @@ class Complex:
     d^(lo+i): rank(lo+i) -> rank(lo+i+1), acting on column vectors, stored
     read-only, on int64 when it is integral (see linalg.int_storage).
     Construction checks d o d = 0 and raises ValueError where it fails.
-    The IntSolver of an integral differential is kept once it is built
-    (int_solver), as is the Smith form of the relations of each H^n
-    (HomologyData), and both are shared with the same complex over the
-    other ring (over).
+    What is derived from the differentials is kept in one store, once it is
+    built, and shared with the same complex over the other ring (over): the
+    IntSolver of an integral differential (int_solver), the invariant
+    factors of each differential (factors) and the Smith form of the
+    relations of each H^n (HomologyData).  factors reads the diag of a
+    kept IntSolver, so homology eliminates each differential at most once.
     """
 
     __slots__ = ("ring", "lo", "hi", "ranks", "diffs", "_solvers")
@@ -102,9 +104,23 @@ class Complex:
             s = self._solvers[n] = IntSolver(d)
         return s
 
+    def factors(self, n: int) -> tuple[int, ...]:
+        """The invariant factors of diff(n) with its rows scaled to
+        integers, as many as its rank over Q: the diag of a kept IntSolver,
+        else found by invariant_factors, which builds no transform, and
+        kept."""
+        s = self._solvers.get(n)
+        if s is not None:
+            return tuple(s.diag)
+        f = self._solvers.get(("factors", n))
+        if f is None:
+            f = self._solvers["factors", n] = tuple(invariant_factors(
+                integerize_rows(self.diff(n))))
+        return f
+
     def over(self, ring: str) -> "Complex":
         """This complex over ring, with the same differentials and the same
-        kept Smith forms: a Smith form does not depend on the ring."""
+        store: a Smith form does not depend on the ring."""
         if ring == self.ring:
             return self
         C = Complex(ring, self.lo, self.ranks, self.diffs)
@@ -501,15 +517,16 @@ def homology(C: Complex, n: int) -> FgAbGroup:
 
     The free rank is rank C^n - rank d^n - rank d^(n-1).  The kernel of d^n
     is a direct summand, so the torsion is that of the cokernel of
-    d^(n-1): its invariant factors above 1 (none over Q).  Rows are scaled
-    to integers first, which keeps every rank; each rank is the number of
-    invariant factors.
+    d^(n-1): its invariant factors above 1 (none over Q).  Both are read
+    off the invariant factors C keeps (Complex.factors): rows scaled to
+    integers keep every rank, and each rank is the number of factors.  So
+    a sweep over the degrees eliminates each differential at most once.
     """
     if n < C.lo or n > C.hi:
         return zero_group(C.ring)
-    d_in = invariant_factors(integerize_rows(C.diff(n - 1)))
+    d_in = C.factors(n - 1)
     torsion = [d for d in d_in if d > 1] if C.ring == RING_Z else []
-    return FgAbGroup(C.ring, rank=C.rank(n) - rat_rank(C.diff(n)) - len(d_in),
+    return FgAbGroup(C.ring, rank=C.rank(n) - len(C.factors(n)) - len(d_in),
                      torsion=torsion)
 
 

@@ -2,8 +2,9 @@
 
 Every subcommand loads JSON inputs, dispatches to the library and emits a
 JSON or table report.  Exit codes: 0 on success (all checks pass), 1 when
-a verification fails, 2 on input errors.  All randomized suites accept
---seed and --samples, so runs are reproducible.
+a verification fails, 2 on input errors, 141 (128 + SIGPIPE) when the
+reader of stdout has gone.  All randomized suites accept --seed and
+--samples, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import signal
 import sys
 
 import numpy as np
@@ -79,6 +82,7 @@ def _emit(obj, fmt: str, table_lines):
     else:
         for line in table_lines:
             print(line)
+    sys.stdout.flush()  # a closed stdout shows here, not at exit
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +394,9 @@ def _common(p, samples=None, steps=None):
     p.add_argument("--format", choices=("json", "table"), default="table")
 
 
+WINDOW_HELP = "degrees LO to HI; a negative LO needs the = form, --window=-1:2"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process: parsing
@@ -402,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="Smith-form cohomology of a complex")
     p.add_argument("input")
     p.add_argument("--ring", choices=("Z", "Q"), default="Z")
-    p.add_argument("--window")
+    p.add_argument("--window", metavar="LO:HI", help=WINDOW_HELP)
     _common(p)
     p.set_defaults(func=cmd_homology)
 
@@ -421,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("descent", help="Cech star-cover descent comparison")
     p.add_argument("input")
     p.add_argument("--ring", choices=("Z", "Q"), default="Z")
-    p.add_argument("--window")
+    p.add_argument("--window", metavar="LO:HI", help=WINDOW_HELP)
     _common(p)
     p.set_defaults(func=cmd_descent)
 
@@ -445,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--level", type=int, default=8,
                    help="simplicial truncation level N")
-    p.add_argument("--window")
+    p.add_argument("--window", metavar="LO:HI", help=WINDOW_HELP)
     _common(p)
     p.set_defaults(func=cmd_underlying_point)
 
@@ -503,6 +510,11 @@ def main(argv=None) -> int:
     except CheckFailure as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader has gone: end as SIGPIPE would, with stdout on devnull
+        # so that the flush at exit has nothing to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
 
 
 if __name__ == "__main__":

@@ -86,7 +86,7 @@ class DifferentialCochain:
         return cls(K, m, n, _zeros(K, n), _zeros(K, n - 1), _zeros(K, n), 1)
 
     def _delta(self, vec, deg):
-        return int_mv(_delta_matrix(self.complex, deg), vec)
+        return int_mv(cochain_complex(self.complex).diff(deg), vec)
 
     def dhat(self) -> "DifferentialCochain":
         """(delta c, omega - c - delta h, delta omega), degree n + 1."""
@@ -156,7 +156,7 @@ def forms_a(K: CellComplex, m: int, alpha, n: int | None = None
 def _forms_a(K: CellComplex, m: int, n: int, an, L) -> DifferentialCochain:
     """a(an / L) in degree n."""
     return DifferentialCochain(K, m, n, _zeros(K, n), an,
-                               int_mv(_delta_matrix(K, n - 1), an), L)
+                               int_mv(cochain_complex(K).diff(n - 1), an), L)
 
 
 def curvature_R(x: DifferentialCochain) -> np.ndarray:
@@ -182,34 +182,17 @@ def _require_cocycle(x: DifferentialCochain):
 
 
 # ---------------------------------------------------------------------------
-# Cached presentations and solvers per complex
+# Presentations and solvers, kept per complex (CellComplex.kept)
 # ---------------------------------------------------------------------------
 
-def _cache(K: CellComplex) -> dict:
-    if not hasattr(K, "_diffcoh_cache"):
-        K._diffcoh_cache = {}
-    return K._diffcoh_cache
-
-
 def integral_cohomology(K: CellComplex, n: int) -> HomologyData:
-    cache = _cache(K)
-    key = ("HZ", n)
-    if key not in cache:
-        cache[key] = HomologyData(cochain_complex(K, RING_Z), n)
-    return cache[key]
+    return K.kept(("HZ", n),
+                  lambda: HomologyData(cochain_complex(K, RING_Z), n))
 
 
 def rational_cohomology(K: CellComplex, n: int) -> HomologyData:
-    cache = _cache(K)
-    key = ("HQ", n)
-    if key not in cache:
-        cache[key] = HomologyData(cochain_complex(K, RING_Q), n)
-    return cache[key]
-
-
-def _delta_matrix(K: CellComplex, n: int) -> np.ndarray:
-    """Coboundary matrix from degree n to n + 1."""
-    return K.boundary_matrix(n + 1).T
+    return K.kept(("HQ", n),
+                  lambda: HomologyData(cochain_complex(K, RING_Q), n))
 
 
 def _qz_member(K: CellComplex, n: int) -> MixedSolver:
@@ -217,12 +200,8 @@ def _qz_member(K: CellComplex, n: int) -> MixedSolver:
     cochain, u of degree n: [u] = 0 in H^n(K; Q/Z) exactly when it solves.
     Built on the kept factorization of delta^(n-1) and kept once per
     degree, for the Q/Z cohomology and for class equality alike."""
-    cache = _cache(K)
-    key = ("QZmember", n)
-    if key not in cache:
-        cache[key] = MixedSolver(
-            RatSolver(cochain_complex(K).int_solver(n - 1)))
-    return cache[key]
+    return K.kept(("QZmember", n), lambda: MixedSolver(
+        RatSolver(cochain_complex(K).int_solver(n - 1))))
 
 
 def class_solver(K: CellComplex, m: int, n: int):
@@ -283,14 +262,14 @@ class QZCohomology:
     [u] = 0 iff u = delta g + z with g rational, z integral, decided by the
     mixed solver.  The Bockstein sends [u] to [delta u] in H^(n+1)(K; Z).
     Only the two coboundaries around degree n and solvers on the
-    factorizations the cochain complex of K keeps are held, not K, whose
-    cache holds this object.
+    factorizations the cochain complex of K keeps are held, not K, which
+    keeps this object.
     """
 
     def __init__(self, K: CellComplex, n: int):
         self.n = n
-        self.delta_below = _delta_matrix(K, n - 1)
-        self.delta = _delta_matrix(K, n)
+        C = cochain_complex(K)
+        self.delta_below, self.delta = C.diff(n - 1), C.diff(n)
         self.n_cells = K.n_cells(n)
         self.rational = rational_cohomology(K, n)
         self.integral_next = integral_cohomology(K, n + 1)
@@ -300,7 +279,7 @@ class QZCohomology:
         self._member = _qz_member(K, n)
         # integral primitives b of delta b = c, for the torsion lifts below
         # and the hexagon's exactness witnesses
-        self.primitive = cochain_complex(K).int_solver(n)
+        self.primitive = C.int_solver(n)
         # lifts of the torsion part: k [t] = 0 gives k t = delta b, u = b / k
         self._lifts = []
         for i, k in enumerate(self.integral_next.orders):
@@ -353,11 +332,7 @@ class QZCohomology:
 
 
 def qz_cohomology(K: CellComplex, n: int) -> QZCohomology:
-    cache = _cache(K)
-    key = ("HQZ", n)
-    if key not in cache:
-        cache[key] = QZCohomology(K, n)
-    return cache[key]
+    return K.kept(("HQZ", n), lambda: QZCohomology(K, n))
 
 
 def flat_part(x: DifferentialCochain):
@@ -378,7 +353,7 @@ def flat_include(K: CellComplex, m: int, u, n: int | None = None
 def _flat_include(K: CellComplex, m: int, n: int, un, L
                   ) -> DifferentialCochain:
     """flat_include of un / L."""
-    c = _integral_image(_delta_matrix(K, n - 1), un, L)
+    c = _integral_image(cochain_complex(K).diff(n - 1), un, L)
     return DifferentialCochain(K, m, n, c, -un, _zeros(K, n), L)
 
 
@@ -425,17 +400,13 @@ def random_cocycle(K: CellComplex, m: int, rng, n: int | None = None
     """Random dhat-cocycle: c a random integral cocycle, h arbitrary,
     omega = c + delta h."""
     n = m if n is None else n
-    cache = _cache(K)
-    key = ("zker", n)
-    if key not in cache:
-        cache[key] = int_storage(
-            cochain_complex(K).int_solver(n).kernel_basis())
-    ker = cache[key]
+    C = cochain_complex(K)
+    ker = K.kept(("zker", n),
+                 lambda: int_storage(C.int_solver(n).kernel_basis()))
     c = int_mv(ker, random_int_vector(rng, ker.shape[1], bound=3))
     hn = random_numerators(rng, K.n_cells(n - 1))
     return DifferentialCochain(
-        K, m, n, c, hn, SAMPLE_DEN * c + int_mv(_delta_matrix(K, n - 1), hn),
-        SAMPLE_DEN)
+        K, m, n, c, hn, SAMPLE_DEN * c + int_mv(C.diff(n - 1), hn), SAMPLE_DEN)
 
 
 def random_reduced_cocycle(prod: ProductComplex, m: int, rng,
@@ -444,23 +415,22 @@ def random_reduced_cocycle(prod: ProductComplex, m: int, rng,
     section (the inputs accepted by circle integration)."""
     n = m if n is None else n
     P, K = prod.complex, prod.base
-    base_v = ("v", 0)
-    cache = _cache(P)
-    key = ("zker_reduced", n)
-    if key not in cache:
+    C, base_v = cochain_complex(P), ("v", 0)
+
+    def kernel():
         sel = zeros(K.n_cells(n), P.n_cells(n))
         for i, s in enumerate(K.cells(n)):
             sel[i, P.index[(base_v, s)]] = 1
-        cache[key] = int_storage(int_kernel_basis(
-            np.concatenate([_delta_matrix(P, n), sel], axis=0)))
-    ker = cache[key]
+        return int_storage(int_kernel_basis(
+            np.concatenate([C.diff(n), sel], axis=0)))
+
+    ker = P.kept(("zker_reduced", n), kernel)
     c = int_mv(ker, random_int_vector(rng, ker.shape[1], bound=2))
     hn = random_numerators(rng, P.n_cells(n - 1))
     for s in K.cells(n - 1):
         hn[P.index[(base_v, s)]] = 0
     return DifferentialCochain(
-        P, m, n, c, hn, SAMPLE_DEN * c + int_mv(_delta_matrix(P, n - 1), hn),
-        SAMPLE_DEN)
+        P, m, n, c, hn, SAMPLE_DEN * c + int_mv(C.diff(n - 1), hn), SAMPLE_DEN)
 
 
 def random_element(K: CellComplex, m: int, n: int, rng
@@ -502,9 +472,8 @@ class Hexagon:
         self.h_high_q = rational_cohomology(K, m)
         self.h_high_z = integral_cohomology(K, m)
         self.h_low_qz = qz_cohomology(K, m - 1)
-        self.delta_a = _delta_matrix(K, m - 1)
-        self.delta_below = _delta_matrix(K, m - 2)
         C = cochain_complex(K)
+        self.delta_a, self.delta_below = C.diff(m - 1), C.diff(m - 2)
         self._a_exact = RatSolver(C.int_solver(m - 2))  # A-node equality
         self._z_exact = RatSolver(C.int_solver(m - 1))  # exactness at Zcl
         self._int_primitive = self.h_low_qz.primitive  # integral b, delta b = c

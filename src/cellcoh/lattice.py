@@ -25,7 +25,7 @@ import numpy as np
 from .bundles import SmoothConnection, gauss_legendre01, transgress_ch
 from .cells import CellComplex, bundled_complex
 from .chains import parse_int
-from .diffcoh import (DifferentialCochain, _cache, equal_classes, forms_a,
+from .diffcoh import (DifferentialCochain, equal_classes, forms_a,
                       integral_cohomology)
 from .linalg import (as_vector, check_int_entries, int_kernel_basis, is_zero,
                      mv, zeros)
@@ -35,12 +35,7 @@ def fundamental_cycle(K: CellComplex) -> np.ndarray:
     """Integral 2-cycle generating H_2 of a closed oriented surface; the
     sign is normalized so the first nonzero coefficient is positive.
     Computed once per complex and kept read-only."""
-    cache = _cache(K)
-    if "fundamental_cycle" not in cache:
-        z = _fundamental_cycle(K)
-        z.setflags(write=False)
-        cache["fundamental_cycle"] = z
-    return cache["fundamental_cycle"]
+    return K.kept("fundamental_cycle", lambda: _fundamental_cycle(K))
 
 
 def _fundamental_cycle(K: CellComplex) -> np.ndarray:
@@ -58,6 +53,7 @@ def _fundamental_cycle(K: CellComplex) -> np.ndarray:
             break
     if any(abs(int(x)) != 1 for x in z):
         raise ValueError("fundamental cycle is not unimodular on facets")
+    z.setflags(write=False)
     return z
 
 

@@ -20,7 +20,8 @@ One elimination on sparse rows of Python ints gives the Smith normal form
 U A V = D: the +-1 pivots, nearly all of a cellular or total differential,
 go first, then the smallest entry of what is left.  smith_normal_form
 applies each step to U, U^-1, V and V^-1 and stores them like any integer
-matrix; invariant_factors (behind rat_rank and chains.homology) builds none.
+matrix; invariant_factors (behind rat_rank and chains.Complex.factors)
+builds none.
 
 Every exact solve goes through a solver object that factors its matrix once
 and is reused across right-hand sides; the ring is chosen by the class.

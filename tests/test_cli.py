@@ -2,7 +2,11 @@ import argparse
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -528,3 +532,39 @@ def test_evaluation_time_errors_are_input_errors(capsys, tmp_path, case,
     assert out == ""
     assert err.startswith("input error:")
     assert message in err
+
+
+def test_closed_stdout_ends_quietly_with_the_sigpipe_code():
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from cellcoh.cli import main; sys.exit(main())",
+             "homology", "octahedron", "--format", "json"],
+            stdout=w, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["homology", "circle3"], "homology"),
+    (["descent", "circle3"], "degrees"),
+    (["underlying-point", "--m", "1", "--level", "6"], "degrees")])
+def test_window_help_shows_the_form_for_a_negative_start(capsys, argv, key):
+    with pytest.raises(SystemExit) as e:
+        cli.main([argv[0], "--help"])
+    assert e.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--window LO:HI" in text and "--window=-1:2" in text
+    code, out, _ = run(capsys, *argv, "--window=-1:1", "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)[key]) == ["-1", "0", "1"]

@@ -366,6 +366,10 @@ def test_differential_cochain_json_rejects_fractional_degrees(key):
         dc.DifferentialCochain.from_json(K, obj)
 
 
+def _not_kept():
+    pytest.fail("the random cocycle kernel basis was not kept")
+
+
 def test_cached_matrices_and_solver_factors_are_read_only():
     # the solvers' int64 forms are copies made once, so nothing they were
     # made from may change afterwards
@@ -386,8 +390,8 @@ def test_cached_matrices_and_solver_factors_are_read_only():
     rat = member.rat
     assert rat.int is cl.cochain_complex(K).int_solver(0)
     cached = [K.boundary_matrix(d) for d in range(1, K.dim + 1)] + [
-        K._diffcoh_cache[("zker", 2)],
-        S.complex._diffcoh_cache[("zker_reduced", 2)],
+        K.kept(("zker", 2), _not_kept),
+        S.complex.kept(("zker_reduced", 2), _not_kept),
         rat.A, rat.scales, rat.int._U, rat.int._V,
         cobound.A, cobound._U, cobound._V]
     for a in cached:
