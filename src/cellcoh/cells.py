@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import RING_Q, RING_Z, Complex, parse_int
-from .linalg import as_vector, int_storage, is_zero, mm, mv, zeros
+from .linalg import as_vector, int_storage, int_zeros, is_zero, mm, mv, zeros
 
 
 class CellComplex:
@@ -233,11 +233,6 @@ class Cochain:
         m = self.complex.boundary_matrix(self.degree + 1).T
         return Cochain(self.complex, self.degree + 1, self.ring, mv(m, self.values))
 
-    def pair(self, chain_vector):
-        """Evaluation against a chain (vector in the same dimension)."""
-        v = as_vector(chain_vector, self.complex.n_cells(self.degree))
-        return sum(a * b for a, b in zip(self.values, v))
-
     def is_zero(self) -> bool:
         return is_zero(self.values)
 
@@ -245,32 +240,38 @@ class Cochain:
 @dataclass(frozen=True)
 class CellularMap:
     """Chain-level cellular map: each cell maps to a signed combination of
-    cells (possibly empty, for collapsed cells).  Commutes with boundaries.
+    cells (possibly empty, for collapsed cells).  Commutes with boundaries;
+    the chain matrices that construction checks this on are kept.
     """
 
     source: CellComplex
     target: CellComplex
     images: dict  # cell id -> tuple[(cell id, int)]
+    _mats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for c in self.source.dim_of:
-            for t, _ in self.images.get(c, ()):
-                if self.target.dim_of[t] != self.source.dim_of[c]:
-                    raise ValueError("cellular map must preserve dimension")
+        mats = []
+        for d in range(self.source.dim + 1):
+            m = zeros(self.target.n_cells(d), self.source.n_cells(d))
+            for j, c in enumerate(self.source.cells(d)):
+                for t, inc in self.images.get(c, ()):
+                    if self.target.dim_of[t] != d:
+                        raise ValueError("cellular map must preserve dimension")
+                    m[self.target.index[t], j] += inc
+            mats.append(int_storage(m))
+        object.__setattr__(self, "_mats", tuple(mats))
         for d in range(1, self.source.dim + 1):
-            lhs = mm(self.chain_matrix(d - 1), self.source.boundary_matrix(d))
-            rhs = mm(self.target.boundary_matrix(d), self.chain_matrix(d))
+            lhs = mm(mats[d - 1], self.source.boundary_matrix(d))
+            rhs = mm(self.target.boundary_matrix(d), mats[d])
             if not is_zero(lhs - rhs):
                 raise ValueError(f"not a chain map in dimension {d}")
 
     def chain_matrix(self, d: int) -> np.ndarray:
         """Matrix of the map on d-chains, in the stored form of
-        linalg.int_storage."""
-        m = zeros(self.target.n_cells(d), self.source.n_cells(d))
-        for j, c in enumerate(self.source.cells(d)):
-            for t, inc in self.images.get(c, ()):
-                m[self.target.index[t], j] += inc
-        return int_storage(m)
+        linalg.int_storage; built once, with the map."""
+        if 0 <= d <= self.source.dim:
+            return self._mats[d]
+        return int_storage(int_zeros(self.target.n_cells(d), 0))
 
     def pullback(self, z: Cochain) -> Cochain:
         """(f* z)(tau) = z(f tau); commutes with delta."""
@@ -315,6 +316,17 @@ class ProductComplex:
     sections: dict = field(default_factory=dict)   # name -> CellularMap K -> A x K
     proj: CellularMap | None = None                # A x K -> K
     fiber_cycle: tuple = ()                        # [(factor edge id, coeff)]
+
+    def fiber_matrix(self, d: int) -> np.ndarray:
+        """Matrix of pi_! on d-cochains (see _fiber_integrate), stored once
+        (linalg.int_storage) and kept by the product complex."""
+        def build():
+            m = zeros(self.base.n_cells(d - 1), self.complex.n_cells(d))
+            for i, s in enumerate(self.base.cells(d - 1)):
+                for e, coeff in self.fiber_cycle:
+                    m[i, self.complex.index[(e, s)]] += coeff
+            return int_storage(m)
+        return self.complex.kept(("fiber", d), build)
 
 
 def _product(A: CellComplex, K: CellComplex) -> CellComplex:
@@ -391,14 +403,8 @@ def _fiber_integrate(prod: ProductComplex, z: Cochain) -> Cochain:
         raise ValueError(
             "fiber integration needs degree >= 1; a degree-0 input has no "
             "degree -1 target")
-    K = prod.base
-    out = Cochain.zero(K, z.degree - 1, z.ring)
-    for s in K.cells(z.degree - 1):
-        acc = 0
-        for e, coeff in prod.fiber_cycle:
-            acc = acc + coeff * z.values[prod.complex.index[(e, s)]]
-        out.values[K.index[s]] = acc
-    return out
+    return Cochain(prod.base, z.degree - 1, z.ring,
+                   mv(prod.fiber_matrix(z.degree), z.values))
 
 
 # ---------------------------------------------------------------------------
@@ -467,3 +473,18 @@ def bundled_complex(name: str) -> CellComplex:
     from importlib import resources
     ref = resources.files("cellcoh").joinpath(f"data/complexes/{name}.json")
     return CellComplex.from_json(json.loads(ref.read_text()))
+
+
+def named_complex(ref) -> CellComplex:
+    """The complex in the JSON file ref when ref is a path (it has a / or
+    ends in .json), else the bundled complex named ref.  Every fault, a
+    missing file or name included, raises ValueError naming ref."""
+    ref = str(ref)
+    path = ref.endswith(".json") or "/" in ref
+    try:
+        return load_complex(ref) if path else bundled_complex(ref)
+    except FileNotFoundError:
+        raise ValueError(f"no such file: {ref}" if path
+                         else f"unknown bundled complex {ref!r}") from None
+    except (ValueError, KeyError, TypeError) as e:
+        raise ValueError(f"{ref}: {e}") from None

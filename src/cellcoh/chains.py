@@ -433,7 +433,9 @@ class HomologyData:
     with kernel coordinates x has class coordinates y = U' x in the columns
     of ker U'^-1, of which those with D'_i != 1 (over Q, D'_i = 0) are the
     generators; the class is zero exactly when each D'_i divides y_i.  C
-    keeps the Smith form of rel, which does not depend on the ring.
+    keeps the Smith form of rel, which does not depend on the ring; where
+    d^n = 0, rel is d^(n-1), and the kept IntSolver of an integral one
+    holds it.
 
     >>> h = HomologyData(Complex(RING_Z, 0, (1, 1), [[[2]]]), 1)
     >>> str(h.group), h.gens.tolist(), h.orders
@@ -454,6 +456,8 @@ class HomologyData:
         # over Q are the free classes of the integer computation.
         out = C.int_solver(n) or IntSolver(integerize_rows(C.diff(n)))
         rsnf = C._solvers.get(("rel", n))
+        if rsnf is None and is_zero(C.diff(n)) and C.int_solver(n - 1):
+            rsnf = C._solvers["rel", n] = C.int_solver(n - 1).snf
         if rsnf is None:
             rel = out.kernel_coordinates(
                 integerize_rows(C.diff(n - 1).T).T)

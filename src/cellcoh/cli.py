@@ -47,21 +47,22 @@ def _load_json(path) -> dict:
 
 def _load_complex_arg(arg) -> cl.CellComplex:
     """A triangulation/cell JSON path, or the name of a bundled complex."""
-    if "/" not in str(arg) and not str(arg).endswith(".json"):
-        try:
-            K = cl.bundled_complex(arg)
-            K.labels["name"] = str(arg)
-            return K
-        except FileNotFoundError:
-            raise InputError(f"unknown bundled complex {arg!r}")
     try:
-        K = cl.load_complex(arg)
-    except FileNotFoundError:
-        raise InputError(f"no such file: {arg}")
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
-        raise InputError(f"{arg}: {e}")
+        K = cl.named_complex(arg)
+    except ValueError as e:
+        raise InputError(str(e))
     K.labels["name"] = str(arg)
     return K
+
+
+def _load(path, from_json):
+    """from_json of the JSON object in the file at path; whatever is wrong
+    with the object, a complex it names included, is an input error."""
+    obj = _load_json(path)
+    try:
+        return from_json(obj)
+    except (ParseError, EvalError, ValueError, KeyError, TypeError) as e:
+        raise InputError(f"{path}: {e}")
 
 
 def _window(text, default):
@@ -132,8 +133,8 @@ def cmd_hexagon(args) -> int:
 
 
 def cmd_holonomy(args) -> int:
-    conn = _load_connection(args.connection)
-    loop = _load_loop(args.loop)
+    conn = _load(args.connection, bd.SmoothConnection.from_json)
+    loop = _load(args.loop, bd.Loop.from_json)
     U = bd.holonomy(conn, loop, steps=args.steps)
     tr = complex(np.trace(U))
     rep = {"trace": [tr.real, tr.imag],
@@ -178,12 +179,7 @@ def cmd_homotopy_formula(args) -> int:
         r = dc.homotopy_formula_check(P, x)
         failures += 0 if r["passed"] else 1
     # the projection pullback must give a strict zero
-    y = dc.random_cocycle(K, args.m, rng)
-    xp = dc.DifferentialCochain(
-        P.complex, args.m, args.m,
-        dc.pullback_cochain(P.proj, y.c, args.m),
-        dc.pullback_cochain(P.proj, y.h, args.m - 1),
-        dc.pullback_cochain(P.proj, y.omega, args.m))
+    xp = dc.differential_pullback(P.proj, dc.random_cocycle(K, args.m, rng))
     strict = dc.homotopy_formula_check(P, xp, expect_strict_zero=True)["passed"]
     rep = {"samples": args.samples, "failures": failures,
            "projection_strict_zero": strict,
@@ -212,9 +208,9 @@ def cmd_s1_integrate(args) -> int:
         x = dc.random_reduced_cocycle(S, args.m, rng)
         out = dc.s1_integrate(S, x)
         ok &= out.is_cocycle()
-        fib = cl.fiber_integrate_circle(
-            S, cl.Cochain(S.complex, x.n, "Q", x.omega))
-        ok &= dc.is_zero(dc.curvature_R(out) - fib.values)
+        # R(out) = pi_! R(x), on numerators over the denominators of each
+        fib = dc.int_mv(S.fiber_matrix(x.n), x.wn)
+        ok &= dc.is_zero(x.L * out.wn - out.L * fib)
     rep = {"samples": args.samples, "passed": bool(ok),
            "last_result": out.to_json() if out is not None else None}
     _emit(rep, args.format,
@@ -246,7 +242,7 @@ def cmd_underlying_point(args) -> int:
 
 
 def cmd_ch(args) -> int:
-    conn = _load_connection(args.connection)
+    conn = _load(args.connection, bd.SmoothConnection.from_json)
     form = bd.chern_character_form(conn)
     resid = bd.closedness_residual(form, conn)
     const = form.constant_value()
@@ -270,7 +266,7 @@ def cmd_ch(args) -> int:
 
 
 def cmd_transgress(args) -> int:
-    conn = _load_connection(args.connection)
+    conn = _load(args.connection, bd.SmoothConnection.from_json)
     form, converged = bd.transgress_ch(conn, steps=args.steps)
     if not converged:
         raise CheckFailure(
@@ -296,14 +292,9 @@ def cmd_transgress(args) -> int:
 
 
 def cmd_lattice_class(args) -> int:
-    obj = _load_json(args.bundle)
-    try:
-        L = lt.LatticeLineBundle.from_json(obj)
-    except (ValueError, KeyError, TypeError) as e:
-        raise InputError(f"{args.bundle}: {e}")
+    L = _load(args.bundle, lt.LatticeLineBundle.from_json)
     x = lt.lattice_class(L)
-    hd = dc.integral_cohomology(L.complex, 2)
-    coords, _ = dc.underlying_I(x, hd)
+    coords, _ = dc.underlying_I(x)
     rep = {"class": x.to_json(),
            "underlying_class": [str(c) for c in coords],
            "total_flux": str(L.total_flux())}
@@ -315,20 +306,11 @@ def cmd_lattice_class(args) -> int:
 
 def cmd_character(args) -> int:
     import random
-    obj = _load_json(args.bundle)
-    try:
-        L = lt.LatticeLineBundle.from_json(obj)
-    except (ValueError, KeyError, TypeError) as e:
-        raise InputError(f"{args.bundle}: {e}")
+    L = _load(args.bundle, lt.LatticeLineBundle.from_json)
     lines, rep = [], {}
     if args.cycle:
-        zobj = _load_json(args.cycle)
-        try:
-            z = np.array([ch.parse_int(v) for v in zobj["cycle"]],
-                         dtype=object)
-            val = lt.differential_character(L, z)
-        except (ValueError, KeyError, TypeError) as e:
-            raise InputError(f"{args.cycle}: {e}")
+        val = _load(args.cycle, lambda obj: lt.differential_character(
+            L, np.array([ch.parse_int(v) for v in obj["cycle"]], dtype=object)))
         rep["character"] = str(val)
         lines.append(f"character value: {val} (mod 1)")
     rng = random.Random(args.seed)
@@ -347,11 +329,8 @@ def cmd_character(args) -> int:
 
 
 def cmd_cycle_map_check(args) -> int:
-    conn = _load_connection(args.connection)
-    try:
-        chart = lt.SurfaceChart.load(args.chart)
-    except (ValueError, KeyError, TypeError) as e:
-        raise InputError(f"{args.chart}: {e}")
+    conn = _load(args.connection, bd.SmoothConnection.from_json)
+    chart = _load(args.chart, lt.SurfaceChart.from_json)
     rep = lt.cycle_map_homotopy_check(conn, chart, steps=args.steps)
     lines = [f"cycle map homotopy check: "
              f"{'PASS' if rep['passed'] else 'FAIL'}"]
@@ -361,22 +340,6 @@ def cmd_cycle_map_check(args) -> int:
     if not rep["passed"]:
         raise CheckFailure(rep.get("error") or "cycle map check failed")
     return 0
-
-
-def _load_connection(path) -> bd.SmoothConnection:
-    obj = _load_json(path)
-    try:
-        return bd.SmoothConnection.from_json(obj)
-    except (ParseError, EvalError, ValueError, KeyError, TypeError) as e:
-        raise InputError(f"{path}: {e}")
-
-
-def _load_loop(path) -> bd.Loop:
-    obj = _load_json(path)
-    try:
-        return bd.Loop.from_json(obj)
-    except (ParseError, EvalError, ValueError, KeyError, TypeError) as e:
-        raise InputError(f"{path}: {e}")
 
 
 # ---------------------------------------------------------------------------

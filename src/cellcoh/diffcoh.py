@@ -36,8 +36,7 @@ from math import lcm
 
 import numpy as np
 
-from .cells import CellComplex, Cochain, ProductComplex, cochain_complex, \
-    fiber_integrate_prism
+from .cells import CellComplex, CellularMap, ProductComplex, cochain_complex
 from .chains import RING_Q, RING_Z, FgAbGroup, HomologyData, parse_int
 from .linalg import (MixedSolver, RatSolver, as_vector, check_int_entries,
                      divide_exactly, from_numerators, int_kernel_basis,
@@ -686,23 +685,30 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
 # Homotopy formula and circle integration
 # ---------------------------------------------------------------------------
 
-def pullback_cochain(f, vec, degree, ring=RING_Q):
-    z = Cochain(f.target, degree, ring, vec)
-    return f.pullback(z).values
+def pullback_cochain(f: CellularMap, vec, degree: int) -> np.ndarray:
+    """f* of a rational cochain of the given degree on the target of f."""
+    n, L = to_numerators(as_vector(vec, f.target.n_cells(degree)))
+    return from_numerators(int_mv(f.chain_matrix(degree).T, n), L)
+
+
+def differential_pullback(f: CellularMap, x: DifferentialCochain
+                          ) -> DifferentialCochain:
+    """f* x = (f* c, f* h, f* omega) on the source of f, over the same L."""
+    if x.complex is not f.target:
+        raise ValueError("cochain does not live on the target complex")
+    pb = lambda v, d: int_mv(f.chain_matrix(d).T, v)
+    return DifferentialCochain(f.source, x.m, x.n, pb(x.c, x.n),
+                               pb(x.hn, x.n - 1), pb(x.wn, x.n), x.L)
 
 
 def end_pullback(prod: ProductComplex, which: str, x: DifferentialCochain
                  ) -> DifferentialCochain:
-    f = prod.sections[which]
-    pb = lambda v, d: int_mv(f.chain_matrix(d).T, v)
-    return DifferentialCochain(prod.base, x.m, x.n, pb(x.c, x.n),
-                               pb(x.hn, x.n - 1), pb(x.wn, x.n), x.L)
+    return differential_pullback(prod.sections[which], x)
 
 
 def _fiber_integral(prod: ProductComplex, v, d: int) -> np.ndarray:
     """pi_! over the prism or circle fiber of prod; linear, so it keeps L."""
-    z = Cochain(prod.complex, d, RING_Q, v)
-    return fiber_integrate_prism(prod, z).values
+    return int_mv(prod.fiber_matrix(d), v)
 
 
 def homotopy_formula_check(prod: ProductComplex, x: DifferentialCochain,

@@ -7,6 +7,11 @@ triple (n, a, delta a + n) with truncation 2; holonomies of 1-cycles are
 the rational numbers a(z) mod 1, and the differential-character property
 says the holonomy of a boundary is the curvature integral mod 1.
 
+A bundle keeps a and its curvature as integer numerators over one
+denominator, like every rational cochain of the package: holonomies and the
+character check are integer dot products, and Fractions are built only
+where a value leaves the module.
+
 The chart machinery at the bottom discretizes a smooth rank-1 connection
 path onto a surface complex (edge and face integrals by quadrature, then
 nearest-rational rounding) and verifies the cycle-map homotopy formula:
@@ -19,16 +24,18 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
 from .bundles import SmoothConnection, gauss_legendre01, transgress_ch
-from .cells import CellComplex, bundled_complex
+from .cells import CellComplex, named_complex
 from .chains import parse_int
 from .diffcoh import (DifferentialCochain, equal_classes, forms_a,
                       integral_cohomology)
-from .linalg import (as_vector, check_int_entries, int_kernel_basis, is_zero,
-                     mv, zeros)
+from .linalg import (as_vector, check_int_entries, from_numerators,
+                     int_kernel_basis, int_mv, is_zero, to_numerators,
+                     zeros)
 
 
 def fundamental_cycle(K: CellComplex) -> np.ndarray:
@@ -57,60 +64,53 @@ def _fundamental_cycle(K: CellComplex) -> np.ndarray:
     return z
 
 
-@dataclass
 class LatticeLineBundle:
-    """(n, a) on a closed oriented surface complex."""
+    """(n, a) on a closed oriented surface complex.
 
-    complex: CellComplex
-    n: np.ndarray        # integral 2-cochain
-    a: np.ndarray        # rational 1-cochain
+    n is kept as Python ints, a as integer numerators an over one
+    denominator den > 0 and the curvature delta a + n as its numerators
+    wn = delta an + den n; .a and .curvature() build the rational vectors.
+    Given den, n and a are taken as such ints and numerators, unchecked.
+    """
 
-    def __post_init__(self):
-        K = self.complex
-        self.n = check_int_entries(as_vector(self.n, K.n_cells(2)))
-        self.a = as_vector(self.a, K.n_cells(1))
-        # on a surface the top coboundary is zero; check it all the same
-        if K.dim > 2 and not is_zero(mv(K.boundary_matrix(3).T, self.n)):
-            raise ValueError("n must be a cocycle")
-        self._fund = fundamental_cycle(K)
+    __slots__ = ("complex", "n", "an", "den", "wn", "_fund")
+
+    def __init__(self, complex: CellComplex, n, a, den: int | None = None):
+        if den is None:
+            n = check_int_entries(as_vector(n, complex.n_cells(2)))
+            a, den = to_numerators(as_vector(a, complex.n_cells(1)))
+        self._fund = fundamental_cycle(complex)
+        self.complex, self.n, self.an, self.den = complex, n, a, den
+        self.wn = int_mv(complex.boundary_matrix(2).T, a) + den * n
+
+    @property
+    def a(self) -> np.ndarray:
+        return from_numerators(self.an, self.den)
 
     def curvature(self) -> np.ndarray:
         """delta a + n, the 2 pi normalized field strength per face."""
-        return mv(self.complex.boundary_matrix(2).T, self.a) + self.n
+        return from_numerators(self.wn, self.den)
 
     def total_flux(self) -> Fraction:
-        w = self.curvature()
-        return sum((Fraction(x) * int(c) for x, c in zip(w, self._fund)),
-                   Fraction(0))
+        return Fraction(self.wn @ self._fund, self.den)
 
     @classmethod
-    def from_json(cls, obj: dict, K: CellComplex | None = None
-                  ) -> "LatticeLineBundle":
-        if K is None:
-            ref = str(obj["complex"])
-            if ref.endswith(".json") or "/" in ref:
-                from .cells import load_complex
-                K = load_complex(ref)
-            else:
-                K = bundled_complex(ref)
+    def from_json(cls, obj: dict) -> "LatticeLineBundle":
         n = [parse_int(v) for v in obj["n"]]
         a = [Fraction(str(v)) for v in obj["a"]]
-        return cls(K, np.array(n, dtype=object), np.array(a, dtype=object))
+        return cls(named_complex(obj["complex"]), np.array(n, dtype=object),
+                   np.array(a, dtype=object))
 
 
 def lattice_class(L: LatticeLineBundle) -> DifferentialCochain:
     """The differential class (n, a, delta a + n) with m = 2, degree 2."""
-    return DifferentialCochain(L.complex, 2, 2, L.n, L.a, L.curvature())
+    return DifferentialCochain(L.complex, 2, 2, L.n, L.an, L.wn, L.den)
 
 
 def monopole(K: CellComplex, charge: int) -> LatticeLineBundle:
     """n = charge times the dual of one positively oriented facet, a = 0."""
-    fund = fundamental_cycle(K)
     n = zeros(K.n_cells(2), 1).reshape(-1)
-    for i, c in enumerate(fund):
-        if c == 1:
-            n[i] = charge
-            break
+    n[list(fundamental_cycle(K)).index(1)] = charge
     return LatticeLineBundle(K, n, zeros(K.n_cells(1), 1).reshape(-1))
 
 
@@ -118,31 +118,35 @@ def gauge_transform(L: LatticeLineBundle, lam, mu) -> LatticeLineBundle:
     """a -> a + delta lam + mu, n -> n - delta mu for a rational 0-cochain
     lam and an integral 1-cochain mu; the class is unchanged."""
     K = L.complex
-    lam = as_vector(lam, K.n_cells(0))
+    lam, q = to_numerators(as_vector(lam, K.n_cells(0)))
     mu = check_int_entries(as_vector(mu, K.n_cells(1)))
     d0, d1 = K.boundary_matrix(1).T, K.boundary_matrix(2).T
-    return LatticeLineBundle(K, L.n - mv(d1, mu), L.a + mv(d0, lam) + mu)
+    den = lcm(L.den, q)
+    an = den // L.den * L.an + den // q * int_mv(d0, lam) + den * mu
+    return LatticeLineBundle(K, L.n - int_mv(d1, mu), an, den)
+
+
+def _holonomy(L: LatticeLineBundle, z) -> int:
+    """The numerator of a(z) mod 1 over L.den, for an integral 1-cycle z."""
+    K = L.complex
+    z = check_int_entries(as_vector(z, K.n_cells(1)))
+    if not is_zero(int_mv(K.boundary_matrix(1), z)):
+        raise ValueError("argument must be a 1-cycle")
+    return L.an @ z % L.den
 
 
 def differential_character(L: LatticeLineBundle, z) -> Fraction:
     """Holonomy a(z) mod 1 of an integral 1-cycle z, valued in [0, 1)."""
-    K = L.complex
-    z = check_int_entries(as_vector(z, K.n_cells(1)))
-    if not is_zero(mv(K.boundary_matrix(1), z)):
-        raise ValueError("argument must be a 1-cycle")
-    val = sum((Fraction(x) * int(c) for x, c in zip(L.a, z)), Fraction(0))
-    return val % 1
+    return Fraction(_holonomy(L, z), L.den)
 
 
 def cs_property_check(L: LatticeLineBundle, w) -> bool:
-    """chi(boundary w) = <curvature, w> mod 1 for any integral 2-chain w."""
+    """chi(boundary w) = <curvature, w> mod 1 for any integral 2-chain w,
+    on numerators over L.den."""
     K = L.complex
     w = check_int_entries(as_vector(w, K.n_cells(2)))
-    bnd = mv(K.boundary_matrix(2), w)
-    chi = differential_character(L, bnd)
-    pairing = sum((Fraction(x) * int(c)
-                   for x, c in zip(L.curvature(), w)), Fraction(0))
-    return chi == pairing % 1
+    chi = _holonomy(L, int_mv(K.boundary_matrix(2), w))
+    return chi == L.wn @ w % L.den
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +210,7 @@ class SurfaceChart:
 
     @classmethod
     def from_json(cls, obj: dict, coords=("s", "t")) -> "SurfaceChart":
-        K = bundled_complex(obj["complex"])
+        K = named_complex(obj["complex"])
         positions = {}
         for vid, (x, y) in obj["vertices"].items():
             label = int(vid) if str(vid).lstrip("-").isdigit() else vid
@@ -298,10 +302,11 @@ def discretize_connection(conn: SmoothConnection, chart: SurfaceChart,
         v = comp[0][0].eval({**pt, **fixed})
         return v.real if si < ti else -v.real
 
-    da = mv(K.boundary_matrix(2).T, a)
-    n = [int(round(flux - float(d)))
+    an, den = to_numerators(a)
+    da = int_mv(K.boundary_matrix(2).T, an)
+    n = [int(round(flux - d / den))
          for flux, d in zip(_face_integrals(chart, f_eval, steps), da)]
-    return LatticeLineBundle(K, np.array(n, dtype=object), a)
+    return LatticeLineBundle(K, np.array(n, dtype=object), an, den)
 
 
 def cycle_map_homotopy_check(path: SmoothConnection, chart: SurfaceChart,

@@ -606,51 +606,51 @@ class IntSolver:
     V[:, r:] are a basis of the kernel lattice, a direct summand of Z^n
     because V is unimodular.
 
-    A is stored like the transforms U, V and V^-1 (int_storage with bound
-    2^63): once, on int64 whenever it fits, with its bound.  A solve writes
-    its right-hand side once as integer numerators n over one denominator L
-    and multiplies only integers: U b is integral exactly when L divides
-    every entry of U n.  So a solve scans nothing but its right-hand side.
-    A RatSolver, and a MixedSolver on it, can be built on this
-    factorization instead of factoring A again.
+    A is stored like the transforms of its Smith form snf (int_storage
+    with bound 2^63), which the solver keeps for chains.HomologyData: once,
+    on int64 whenever it fits, with its bound.  A solve writes its
+    right-hand side once as integer numerators n over one denominator L and
+    multiplies only integers: U b is integral exactly when L divides every
+    entry of U n.  So a solve scans nothing but its right-hand side.  A
+    RatSolver, and a MixedSolver on it, can be built on this factorization
+    instead of factoring A again.
     """
 
-    __slots__ = ("A", "rank", "diag", "_U", "_V", "_Vinv", "_d")
+    __slots__ = ("A", "snf", "rank", "diag", "_d")
 
     def __init__(self, A):
         self.A = int_storage(check_int_entries(as_matrix(A)), 2 ** 63)
-        snf = smith_normal_form(self.A)
+        snf = self.snf = smith_normal_form(self.A)
         self.rank = snf.rank
         self.diag = snf.diag[:snf.rank]
-        self._U, self._V, self._Vinv = snf.U, snf.V, snf.Vinv
         self._d = int_storage(
             np.array(self.diag, dtype=object).reshape(-1, 1), 2 ** 63)
 
     def solve(self, b):
         """One integer solution of A x = b, or None.  b may have rational
         entries; the system is then unsolvable unless U b is integral."""
-        X = self.solve_many(as_vector(b, self._U.shape[0]).reshape(-1, 1))
+        X = self.solve_many(as_vector(b, self.snf.U.shape[0]).reshape(-1, 1))
         return None if X is None else X[:, 0]
 
     def solve_many(self, B):
         """Solve A X = B column by column over Z; None if any column fails."""
         N, L = to_numerators(as_matrix(B))
-        Y = divide_exactly(_int_product(self._U, N), L)
+        Y = divide_exactly(_int_product(self.snf.U, N), L)
         r = self.rank
         if Y is None or not is_zero(Y[r:]) or not is_zero(Y[:r] % self._d):
             return None
         return _to_object(
-            _int_product(self._V[:, :r], Y[:r] // self._d))
+            _int_product(self.snf.V[:, :r], Y[:r] // self._d))
 
     def kernel_basis(self) -> np.ndarray:
         """Columns form a basis of the integer kernel lattice."""
-        return self._V[:, self.rank:].astype(object)
+        return self.snf.V[:, self.rank:].astype(object)
 
     def kernel_coordinates(self, B):
         """X with B = kernel_basis() @ X, or None unless every column of B
         (or B, a vector) lies in the kernel: the rows of V^-1 B above r
         vanish exactly on the kernel.  B may have rational entries."""
-        Y = mm(self._Vinv, B)
+        Y = mm(self.snf.Vinv, B)
         return Y[self.rank:] if is_zero(Y[:self.rank]) else None
 
 
@@ -719,11 +719,11 @@ class RatSolver:
     def _split(self, n: np.ndarray):
         """(y[r:], t) for b = n / L with y = U n (see the class docstring):
         b lies in the column span exactly when y[r:] vanishes."""
-        y = _int_product(self.int._U, n)
+        y = _int_product(self.int.snf.U, n)
         r = self.rank
         w = np.array([a * f for a, f in zip(y[:r].tolist(), self._w)],
                      dtype=object)
-        return y[r:], _int_product(self.int._V[:, :r], w)
+        return y[r:], _int_product(self.int.snf.V[:, :r], w)
 
     def solve_numerators(self, n: np.ndarray, L: int):
         """The numerators and the denominator of one rational solution of
@@ -739,7 +739,7 @@ class RatSolver:
 
     def kernel_basis(self) -> np.ndarray:
         """Columns form a basis of the rational null space."""
-        return self.int._V[:, self.rank:] * self.scales.reshape(-1, 1)
+        return self.int.snf.V[:, self.rank:] * self.scales.reshape(-1, 1)
 
 
 class MixedSolver:

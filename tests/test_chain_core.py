@@ -329,3 +329,28 @@ def test_complex_json_round_trip(rng):
     Q = ch.Complex("Q", 0, (2, 1), [[[Fraction(1, 2), Fraction(-1, 2)]]])
     R = ch.Complex.from_json(Q.to_json())
     assert R == Q
+
+
+def test_compose_multiplies_components_and_rejects_a_mismatch(rng):
+    A, B, C = (random_complex(rng, lo=0, length=3) for _ in range(3))
+    f, g = random_chain_map(A, B, rng), random_chain_map(B, C, rng)
+    h = g.compose(f)
+    assert h.source is A and h.target is C
+    for n in range(-1, 4):
+        want = la.mm(g.component(n), f.component(n))
+        assert (h.component(n) == want).all()
+    # one more rank in degree 0 than A, so it cannot feed f
+    other = ch.ChainMap.identity(ch.direct_sum(A, ch.atom("Z", 0)))
+    with pytest.raises(ValueError, match="composition mismatch"):
+        f.compose(other)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kind": "R"}, "bad kind"),
+    ({"kind": "Z", "torsion": (2, 1)}, "must exceed 1"),
+    ({"kind": "QZ", "torsion": (0,)}, "must exceed 1"),
+    ({"kind": "Z", "torsion": (2, 3)}, "must divide the next"),
+])
+def test_group_rejects_a_bad_kind_or_torsion(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ch.FgAbGroup(**kwargs)

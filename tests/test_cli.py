@@ -338,6 +338,24 @@ def test_null_bundle_field_is_input_error(capsys, tmp_path):
     assert err.startswith("input error:")
 
 
+@pytest.mark.parametrize("ref", ["no_such_complex", "no/such/complex.json"])
+@pytest.mark.parametrize("command",
+                         ["lattice-class", "character", "cycle-map-check"])
+def test_unknown_complex_of_a_bundle_or_chart_is_input_error(
+        capsys, tmp_path, command, ref):
+    # the complex a bundle or chart names is input like the file itself
+    if command == "cycle-map-check":
+        chart = json.loads(Path(data("charts/csaszar_flat.json")).read_text())
+        argv = [data("connections/torus_wilson_path.json"),
+                _write(tmp_path, "chart.json", {**chart, "complex": ref})]
+    else:
+        bundle = json.loads(Path(_monopole_file(tmp_path)).read_text())
+        argv = [_write(tmp_path, "named.json", {**bundle, "complex": ref})]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and ref in err
+
+
 def test_parser_is_built_once_per_process(capsys):
     # an argparse tree is cyclic; one built per call would leave a dead
     # tree to the cyclic collector on every in-process call

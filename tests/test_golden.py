@@ -17,7 +17,9 @@ from cellcoh import cli
 GOLDEN = Path(__file__).parent / "golden"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 DATA = Path(cli.__file__).parent / "data"
+FIXTURES = Path(__file__).parent / "fixtures"
 SAMPLED = ["--samples", "3", "--seed", "1"]
+TORUS_BUNDLE = str(FIXTURES / "bundle_csaszar_torus.json")
 CASES = {
     "hexagon_circle3_m1": ["hexagon", "circle3", "--m", "1", *SAMPLED],
     "hexagon_octahedron_m2": ["hexagon", "octahedron", "--m", "2", *SAMPLED],
@@ -36,6 +38,19 @@ CASES = {
     "underlying_point_m2_level8":
         ["underlying-point", "--m", "2", "--level", "8", "--window=-1:2"],
     "homology_rp2_6": ["homology", "rp2_6"],
+    "lattice_class_csaszar_torus": ["lattice-class", TORUS_BUNDLE],
+    "lattice_class_octahedron":
+        ["lattice-class", str(FIXTURES / "bundle_octahedron.json")],
+    "character_csaszar_torus":
+        ["character", TORUS_BUNDLE,
+         "--cycle", str(FIXTURES / "cycle_csaszar_torus.json"), *SAMPLED],
+    "s1_integrate_circle3_m2":
+        ["s1-integrate", "circle3", "--m", "2", *SAMPLED],
+    "s1_integrate_octahedron_m3":
+        ["s1-integrate", "octahedron", "--m", "3", *SAMPLED],
+    "cycle_map_check_torus_wilson_path":
+        ["cycle-map-check", str(DATA / "connections" / "torus_wilson_path.json"),
+         str(DATA / "charts" / "csaszar_flat.json")],
 }
 
 
@@ -70,8 +85,8 @@ def test_no_report_value_reaches_the_json_default(tmp_path, monkeypatch,
     # `_emit` serializes with default=str, which would print a numpy int64
     # or bool_ as the string "3" or "True" without a word; every value of
     # a report must be a plain JSON type
-    argvs = list(CASES.values()) + _bench_ops(("classes", "cohomology"),
-                                              tmp_path)
+    argvs = list(CASES.values()) + _bench_ops(
+        ("classes", "cohomology", "holonomy"), tmp_path)
     dumps, leaked = json.dumps, []
 
     def strict(obj, **kw):

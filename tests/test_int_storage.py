@@ -54,8 +54,8 @@ def test_whole_fractions_over_q_are_stored_int64():
 def test_solver_factors_past_the_bound_stay_on_int64(monkeypatch):
     # the Smith transform V of [[2^40 + 1, 2^40]] has entries near 2^40
     solver = la.IntSolver(la.as_matrix([[2 ** 40 + 1, 2 ** 40]]))
-    assert_stored_int64(solver._U, solver._V)
-    assert int(np.abs(solver._V).max()) >= BOUND
+    assert_stored_int64(solver.snf.U, solver.snf.V)
+    assert int(np.abs(solver.snf.V).max()) >= BOUND
     # the mixed solver on it keeps no factor of its own
     assert la.MixedSolver(la.RatSolver(solver)).rat.int is solver
     scanned = []
@@ -64,7 +64,7 @@ def test_solver_factors_past_the_bound_stay_on_int64(monkeypatch):
                         lambda a: scanned.append(a) or entry_kind(a))
     x = solver.solve([7])
     assert (2 ** 40 + 1) * x[0] + 2 ** 40 * x[1] == 7
-    assert scanned and not any(a is solver._U or a is solver._V
+    assert scanned and not any(a is solver.snf.U or a is solver.snf.V
                                for a in scanned)
 
 

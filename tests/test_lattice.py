@@ -244,3 +244,30 @@ def test_bundle_json():
            "a": ["1/2"] + ["0"] * (K.n_cells(1) - 1)}
     L = lt.LatticeLineBundle.from_json(obj)
     assert L.a[0] == Fraction(1, 2)
+
+
+def test_character_check_builds_no_fraction_per_sample(monkeypatch):
+    # a bundle keeps integer numerators over one denominator, so the
+    # character-curvature check is integer arithmetic: 25 samples build as
+    # many Fractions as one (it built 133 per sample when it summed them)
+    K = cl.bundled_complex("csaszar_torus")
+    rng = random.Random(4)
+    L = lt.LatticeLineBundle(K, dc.random_int_vector(rng, K.n_cells(2)),
+                             dc.random_rational_vector(rng, K.n_cells(1)))
+    new = Fraction.__new__
+    counts = []
+    for samples in (1, 25):
+        built = []
+
+        def counted(cls, *args, **kwargs):
+            built.append(1)
+            return new(cls, *args, **kwargs)
+
+        chains = [dc.random_int_vector(rng, K.n_cells(2))
+                  for _ in range(samples)]
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        ok = all(lt.cs_property_check(L, w) for w in chains)
+        monkeypatch.undo()
+        assert ok
+        counts.append(len(built))
+    assert counts[0] == counts[1]

@@ -245,7 +245,7 @@ def test_mixed_solver_rejects_non_integral_projection(A):
     solver = la.MixedSolver(A)
     # the rows of the Smith transform U below the rank span the left null
     # space of A; b solves exactly when P b is integral
-    P = solver.rat.int._U[solver.rat.rank:].astype(object)
+    P = solver.rat.int.snf.U[solver.rat.rank:].astype(object)
     assume(P.shape[0] > 0)
     # rows of a unimodular matrix are primitive, so the first row of P has
     # an odd entry; half the matching unit vector makes P b non-integral,
@@ -273,7 +273,7 @@ def test_rat_solver_rank_kernel_and_left_nullspace(A):
     if ker.shape[1]:
         assert la.rat_rank(ker) == ker.shape[1]
     # the rows of U below the rank, which MixedSolver's membership test reads
-    left = s.int._U[s.rank:].astype(object)
+    left = s.int.snf.U[s.rank:].astype(object)
     assert left.shape == (m - s.rank, m)
     assert all(isinstance(x, int) for x in left.flat)
     assert all(x == 0 for i in range(left.shape[0])
@@ -724,7 +724,7 @@ def test_mixed_solver_with_a_corrupted_factor_fails_its_residual_check():
     assert u.tolist() == [0] and v.tolist() == [Fraction(3, 4)]
     # a wrong transform V in the factorization gives v = 3/2, and the
     # residual u = 3/2 - 2 v = -3/2 that the solve returns is not integral
-    solver.rat.int._V = 2 * solver.rat.int._V
+    solver.rat.int.snf.V = 2 * solver.rat.int.snf.V
     with pytest.raises(RuntimeError, match="non-integral residual"):
         solver.solve([Fraction(3, 2)])
 
@@ -899,7 +899,7 @@ def test_transforms_past_int64_are_stored_as_object_and_solve_exactly():
     assert snf.V.dtype == object and snf.Vinv.dtype == object
     assert max(abs(x) for x in snf.V.flat) >= 2 ** 70
     solver = la.IntSolver(PAST_INT64)
-    assert solver._V.dtype == object
+    assert solver.snf.V.dtype == object
     for x0 in ([1, -1, 2], [0, 5, -3], [7, 0, 1]):
         b = _apply(PAST_INT64, x0)
         x = solver.solve(b)
