@@ -685,12 +685,6 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
 # Homotopy formula and circle integration
 # ---------------------------------------------------------------------------
 
-def pullback_cochain(f: CellularMap, vec, degree: int) -> np.ndarray:
-    """f* of a rational cochain of the given degree on the target of f."""
-    n, L = to_numerators(as_vector(vec, f.target.n_cells(degree)))
-    return from_numerators(int_mv(f.chain_matrix(degree).T, n), L)
-
-
 def differential_pullback(f: CellularMap, x: DifferentialCochain
                           ) -> DifferentialCochain:
     """f* x = (f* c, f* h, f* omega) on the source of f, over the same L."""
@@ -699,11 +693,6 @@ def differential_pullback(f: CellularMap, x: DifferentialCochain
     pb = lambda v, d: int_mv(f.chain_matrix(d).T, v)
     return DifferentialCochain(f.source, x.m, x.n, pb(x.c, x.n),
                                pb(x.hn, x.n - 1), pb(x.wn, x.n), x.L)
-
-
-def end_pullback(prod: ProductComplex, which: str, x: DifferentialCochain
-                 ) -> DifferentialCochain:
-    return differential_pullback(prod.sections[which], x)
 
 
 def _fiber_integral(prod: ProductComplex, v, d: int) -> np.ndarray:
@@ -720,8 +709,8 @@ def homotopy_formula_check(prod: ProductComplex, x: DifferentialCochain,
         raise ValueError("cochain does not live on the prism complex")
     _require_cocycle(x)
     K, m, n = prod.base, x.m, x.n
-    e1 = end_pullback(prod, "end1", x)
-    e0 = end_pullback(prod, "end0", x)
+    e1 = differential_pullback(prod.sections["end1"], x)
+    e0 = differential_pullback(prod.sections["end0"], x)
     diff = (e1 - e0) - _forms_a(K, m, n, _fiber_integral(prod, x.wn, n), x.L)
     if expect_strict_zero:
         strict = diff.is_zero()
@@ -749,7 +738,7 @@ def s1_integrate(prod: ProductComplex, x: DifferentialCochain
     if x.m < 2:
         raise ValueError("need m >= 2 so the target truncation m - 1 >= 1")
     _require_cocycle(x)
-    res = end_pullback(prod, "base", x)
+    res = differential_pullback(prod.sections["base"], x)
     if not res.is_zero():
         raise ValueError(
             "input must vanish on the base section (reduced object "

@@ -20,7 +20,6 @@ the difference of the endpoint classes is a( discretized transgression ).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -222,11 +221,6 @@ class SurfaceChart:
         if obj.get("periods"):
             periods = tuple(Fraction(str(p)) for p in obj["periods"])
         return cls(K, tuple(coords), positions, periods)
-
-    @classmethod
-    def load(cls, path) -> "SurfaceChart":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

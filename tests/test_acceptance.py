@@ -63,12 +63,8 @@ def test_criterion_2_homotopy_formula():
                     vec = dc.random_rational_vector(rng, K.n_cells(deg))
                     z = P.proj.pullback(cl.Cochain(K, deg, "Q", vec))
                     ok &= cl.fiber_integrate_prism(P, z).is_zero()
-            y = dc.random_cocycle(K, m, rng)
-            xp = dc.DifferentialCochain(
-                P.complex, m, m,
-                dc.pullback_cochain(P.proj, y.c, m),
-                dc.pullback_cochain(P.proj, y.h, m - 1),
-                dc.pullback_cochain(P.proj, y.omega, m))
+            xp = dc.differential_pullback(
+                P.proj, dc.random_cocycle(K, m, rng))
             ok &= dc.homotopy_formula_check(
                 P, xp, expect_strict_zero=True)["passed"]
     report(2, "homotopy formula witnesses on 100 random prism cocycles, "

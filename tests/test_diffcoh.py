@@ -225,12 +225,7 @@ def test_homotopy_formula_strict_zero_on_projection_pullbacks():
     K = octa()
     P = cl.prism(K)
     for m in (1, 2):
-        y = dc.random_cocycle(K, m, rng)
-        xp = dc.DifferentialCochain(
-            P.complex, m, m,
-            dc.pullback_cochain(P.proj, y.c, m),
-            dc.pullback_cochain(P.proj, y.h, m - 1),
-            dc.pullback_cochain(P.proj, y.omega, m))
+        xp = dc.differential_pullback(P.proj, dc.random_cocycle(K, m, rng))
         r = dc.homotopy_formula_check(P, xp, expect_strict_zero=True)
         assert r["passed"]
 
@@ -256,7 +251,8 @@ def test_omega_concentrated_on_prism_cells_gives_exact_equality():
     for cell in P.complex.cells(1):
         if cell[0][0] != "e":
             assert x.omega[P.complex.index[cell]] == 0   # prism-concentrated
-    diff = dc.end_pullback(P, "end1", x) - dc.end_pullback(P, "end0", x)
+    diff = (dc.differential_pullback(P.sections["end1"], x)
+            - dc.differential_pullback(P.sections["end0"], x))
     fib = cl.fiber_integrate_prism(P, cl.Cochain(P.complex, 1, "Q", x.omega))
     assert (diff - dc.forms_a(K, m, fib.values)).is_zero()
 
@@ -269,12 +265,7 @@ def test_s1_integrate_requires_truncation_and_reduction():
     with pytest.raises(ValueError, match="m >= 2"):
         bad = dc.DifferentialCochain(S.complex, 1, 2, x.c, x.h, x.omega)
         dc.s1_integrate(S, bad)
-    y = dc.random_cocycle(K, 2, rng)
-    xp = dc.DifferentialCochain(
-        S.complex, 2, 2,
-        dc.pullback_cochain(S.proj, y.c, 2),
-        dc.pullback_cochain(S.proj, y.h, 1),
-        dc.pullback_cochain(S.proj, y.omega, 2))
+    xp = dc.differential_pullback(S.proj, dc.random_cocycle(K, 2, rng))
     # projection pullbacks restrict to y on the base section
     with pytest.raises(ValueError, match="reduced"):
         dc.s1_integrate(S, xp)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from importlib import resources
@@ -14,6 +15,11 @@ from cellcoh.linalg import is_zero, mv, zeros
 
 def data(path):
     return str(resources.files("cellcoh").joinpath("data/" + path))
+
+
+def flat_chart():
+    with open(data("charts/csaszar_flat.json")) as fh:
+        return lt.SurfaceChart.from_json(json.load(fh))
 
 
 def test_fundamental_cycle_unimodular_on_surfaces():
@@ -161,7 +167,7 @@ def test_torus_wilson_lines():
 
 
 def test_chart_geometry_consistency():
-    chart = lt.SurfaceChart.load(data("charts/csaszar_flat.json"))
+    chart = flat_chart()
     K = chart.complex
     # lifted triangle edges match the standalone edge lifts
     for f in K.cells(2):
@@ -189,7 +195,7 @@ def test_chart_geometry_consistency():
 
 
 def test_discretization_of_flat_wilson_connection():
-    chart = lt.SurfaceChart.load(data("charts/csaszar_flat.json"))
+    chart = flat_chart()
     path = bd.SmoothConnection.load(data("connections/torus_wilson_path.json"))
     L0 = lt.discretize_connection(path, chart, 0)
     assert is_zero(L0.a) and is_zero(L0.n)
@@ -202,14 +208,14 @@ def test_discretization_of_flat_wilson_connection():
 
 
 def test_cycle_map_homotopy_formula_on_wilson_path():
-    chart = lt.SurfaceChart.load(data("charts/csaszar_flat.json"))
+    chart = flat_chart()
     path = bd.SmoothConnection.load(data("connections/torus_wilson_path.json"))
     rep = lt.cycle_map_homotopy_check(path, chart)
     assert rep["passed"] and rep["transgression_converged"]
 
 
 def test_cycle_map_constant_path_both_sides_zero():
-    chart = lt.SurfaceChart.load(data("charts/csaszar_flat.json"))
+    chart = flat_chart()
     const = bd.SmoothConnection.from_json(
         {"rank": 1, "coords": ["u", "s", "t"],
          "domain": {"u": ["0", "1"], "s": ["0", "1"], "t": ["0", "1"]},
@@ -219,7 +225,7 @@ def test_cycle_map_constant_path_both_sides_zero():
 
 
 def test_cycle_map_rejects_monopole_number_change():
-    chart = lt.SurfaceChart.load(data("charts/csaszar_flat.json"))
+    chart = flat_chart()
     path = bd.SmoothConnection.load(data("connections/torus_wilson_path.json"))
     T = chart.complex
     L0 = lt.LatticeLineBundle(T, zeros(T.n_cells(2), 1).reshape(-1),
