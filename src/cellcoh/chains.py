@@ -12,13 +12,13 @@ the window are zero.  Conventions pinned here once and used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .linalg import (IntSolver, RatSolver, as_matrix, as_vector, block_zeros,
-                     exact_storage, eye, int_zeros, integerize_rows,
+                     exact_storage, int_zeros, integerize_rows,
                      invariant_factors, is_zero, mm, mv, smith_normal_form,
                      zeros)
 
@@ -117,6 +117,21 @@ class Complex:
             f = self._solvers["factors", n] = tuple(invariant_factors(
                 integerize_rows(self.diff(n))))
         return f
+
+    def _selecting(self, n: int):
+        """Kept for selection maps: the positions of degree n in the basis of
+        all degrees after a -1, diff(n) with a zero row and column appended,
+        and the rows, columns and values of the nonzeros of diff(n)."""
+        s = self._solvers.get(("selecting", n))
+        if s is None:
+            d, start = self.diff(n), sum(self.ranks[:max(n - self.lo, 0)])
+            pos = np.arange(start - 1, start + d.shape[1])
+            pos[0] = -1
+            pad = np.zeros((d.shape[0] + 1, d.shape[1] + 1), d.dtype)
+            pad[:-1, :-1] = d
+            nz = np.nonzero(d)
+            s = self._solvers["selecting", n] = pos, pad, (*nz, d[nz])
+        return s
 
     def over(self, ring: str) -> "Complex":
         """This complex over ring, with the same differentials and the same
@@ -218,7 +233,7 @@ def parse_entry(x):
 def parse_int(x) -> int:
     """An integer given in JSON as an int or a decimal or 'p/q' string; a
     non-integral value is an error, never truncated."""
-    f = Fraction(str(x))
+    f = x if type(x) is int else Fraction(str(x))
     if f.denominator != 1:
         raise ValueError(f"non-integer value {x!r}")
     return int(f)
@@ -228,18 +243,26 @@ def parse_int(x) -> int:
 class ChainMap:
     """Degreewise matrices commuting with the differentials, stored like
     the differentials of a Complex; construction raises ValueError where
-    a component does not commute with d."""
+    a component does not commute with d.  A selection map has index =
+    {n: idx} in place of mats: row r of component(n) is source basis vector
+    idx[r], or zero where idx[r] = -1, and flat lists the rows of all
+    degrees as positions in the source basis of all degrees (or -1), then
+    a -1, so that g o f selects f.flat[g.flat]."""
 
     source: Complex
     target: Complex
-    mats: dict  # degree -> matrix rank_target(n) x rank_source(n)
+    mats: dict = field(default_factory=dict)  # degree -> rank_t x rank_s
+    index: dict | None = None
 
     def __post_init__(self):
         if self.source.ring != self.target.ring:
             raise ValueError("mismatched rings")
+        degs = range(min(self.source.lo, self.target.lo),
+                     max(self.source.hi, self.target.hi) + 1)
+        if self.index is not None:
+            return self._select(degs)
         full = {}
-        for n in range(min(self.source.lo, self.target.lo),
-                       max(self.source.hi, self.target.hi) + 1):
+        for n in degs:
             m = self.mats.get(n)
             if m is None:
                 m = int_zeros(self.target.rank(n), self.source.rank(n))
@@ -250,21 +273,57 @@ class ChainMap:
                 raise ValueError(f"component in degree {n} has wrong shape")
             full[n] = m
         object.__setattr__(self, "mats", full)
-        for n in list(full)[:-1]:
+        for n in degs[:-1]:
             lhs = mm(self.component(n + 1), self.source.diff(n))
             rhs = mm(self.target.diff(n), self.component(n))
             if not is_zero(lhs - rhs):
                 raise ValueError(f"does not commute with d in degree {n}")
 
+    def _select(self, degs):
+        index, flat = {}, []
+        for n in degs:
+            rows = self.target.rank(n)
+            idx = np.asarray(self.index[n] if n in self.index else [-1] * rows)
+            if idx.shape != (rows,) or rows and idx.dtype.kind not in "iu":
+                raise ValueError(f"selection in degree {n} needs {rows} "
+                                 f"integer indices")
+            index[n] = idx = idx.astype(np.int64)
+            idx.setflags(write=False)
+            try:    # as unsigned, idx + 1 is in range for -1 <= idx < rank
+                if rows:
+                    flat.append(self.source._selecting(n)[0][
+                        (idx + 1).view(np.uint64)])
+            except IndexError:
+                raise ValueError(f"selection in degree {n} is out of "
+                                 f"range") from None
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "flat", np.concatenate(flat + [[-1]]))
+        for n in degs[:-1]:
+            if len(index[n + 1]) and self.source.rank(n):
+                d = self.source._selecting(n)[1]
+                r, c, v = self.target._selecting(n)[2]
+                lhs = d[index[n + 1]]
+                if lhs.dtype != v.dtype:
+                    lhs = lhs.astype(object)
+                np.subtract.at(lhs, (r, index[n][c]), v)  # -1: last column
+                lhs[:, -1] = 0
+                if np.count_nonzero(lhs):
+                    raise ValueError(f"does not commute with d in degree {n}")
+
     def component(self, n: int) -> np.ndarray:
         m = self.mats.get(n)
         if m is None:
-            m = int_zeros(self.target.rank(n), self.source.rank(n))
+            m = int_zeros(self.target.rank(n), self.source.rank(n) + 1)
+            if self.index is not None and n in self.index:
+                m[np.arange(len(m)), self.index[n]] = 1   # -1: last column
+            m.setflags(write=False)
+            m = m[:, :-1]
         return m
 
     @staticmethod
     def identity(C: Complex) -> "ChainMap":
-        return ChainMap(C, C, {n: eye(C.rank(n)) for n in C.degrees()})
+        return ChainMap(C, C, index={n: np.arange(C.rank(n))
+                                     for n in C.degrees()})
 
     @staticmethod
     def zero(source: Complex, target: Complex) -> "ChainMap":
@@ -274,9 +333,9 @@ class ChainMap:
         """self o other."""
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition mismatch")
-        degs = set(self.mats) | set(other.mats)
-        return ChainMap(other.source, self.target,
-                        {n: mm(self.component(n), other.component(n)) for n in degs})
+        return ChainMap(other.source, self.target, {
+            n: mm(self.component(n), other.component(n))
+            for n in other.source.degrees()})
 
 
 @dataclass(frozen=True)
@@ -397,18 +456,11 @@ def cone(f: ChainMap):
         d[rb1:, rb:] = -dA
         diffs.append(d)
     C = Complex(A.ring, lo, ranks, diffs)
-    incl = {}
-    proj = {}
-    shifted = shift(A, 1)
-    for n in range(lo, hi + 1):
-        rb, ra = B.rank(n), A.rank(n + 1)
-        mi = int_zeros(rb + ra, rb)
-        mi[:rb, :rb] = eye(rb)
-        incl[n] = mi
-        mp = int_zeros(ra, rb + ra)
-        mp[:, rb:] = eye(ra)
-        proj[n] = mp
-    return C, ChainMap(B, C, incl), ChainMap(C, shifted, proj)
+    degs = range(lo, hi + 1)
+    return C, ChainMap(B, C, index={
+        n: np.r_[:B.rank(n), np.full(A.rank(n + 1), -1)] for n in degs}), \
+        ChainMap(C, shift(A, 1), index={n: np.arange(B.rank(n), C.rank(n))
+                                        for n in degs})
 
 
 def fiber(f: ChainMap) -> Complex:

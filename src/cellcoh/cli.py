@@ -227,7 +227,7 @@ def cmd_underlying_point(args) -> int:
     lo, hi = _window(args.window, (-1, 2))
     try:
         rep = tt.underlying_at_point(args.m, args.level, (lo, hi))
-    except tt.InsufficientTruncation as e:
+    except (tt.InsufficientTruncation, tt.LevelTooLarge) as e:
         raise InputError(str(e))
     rows = {n: {"group": str(v["group"]), "stable": v["stable"]}
             for n, v in rep.items()}

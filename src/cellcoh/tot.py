@@ -32,6 +32,10 @@ class InsufficientTruncation(ValueError):
         self.needed = needed
 
 
+class LevelTooLarge(ValueError):
+    """A level past 62: the faces of the N-simplex are int64 bit masks."""
+
+
 @dataclass
 class _Truncated:
     """Levels A[0..N] and, for each q < N, the q + 2 maps d_0..d_(q+1)
@@ -58,10 +62,23 @@ class _Truncated:
 
     def _check_identities(self, identity):
         """identity(i, j) -> ((b, a), (b', a')) with d_b d_a = d_b' d_a' for
-        i < j, where d_a is applied first; components are compared degree by
-        degree on the source level of the composites."""
+        i < j, where d_a is applied first.  Where the maps out of two levels
+        are selections, all pairs are compared at once on their stacked flats
+        (F[a, S[b]] is d_b d_a); otherwise, and to name the first failure,
+        components are compared degree by degree on the source level."""
+        pairs = np.array([(i, j) for j in range(self.N + 1) for i in range(j)],
+                         dtype=np.int64).reshape(-1, 2)
+        (sb, sa), (sb2, sa2) = identity(*pairs.T)
+        flats = [None if any(f.index is None for f in maps)
+                 else np.array([f.flat for f in maps]) for maps in self.maps]
         for q in range(self.N - 1):
             first, second = self.maps[q:q + 2][::self.step]
+            F, S = flats[q:q + 2][::self.step]
+            p = (q + 3) * (q + 2) // 2
+            if F is not None and S is not None:
+                C = F[:, S]
+                if (C[sa[:p], sb[:p]] == C[sa2[:p], sb2[:p]]).all():
+                    continue
             for j in range(q + 3):
                 for i in range(j):
                     (b, a), (b2, a2) = identity(i, j)
@@ -162,26 +179,13 @@ def total_complex(A: _Truncated, window) -> Complex:
 # Cech double complexes of subcomplex covers, on index blocks of K
 # ---------------------------------------------------------------------------
 
-def _on_blocks(rows, cols, D=None):
-    """D, a matrix between the cells of one cell complex, on the labelled
-    cells rows x cols and zero between different blocks; without D the 0/1
-    matrix matching each row to the same cell in the same block.  rows and
-    cols are pairs (block labels, cell labels; indices when D is given),
-    one entry per basis element or one block label for a single block."""
-    (rb, rc), (cb, cc) = rows, cols
-    same = np.equal.outer(rb, cb)
-    if D is None:
-        return (same & np.equal.outer(rc, cc)).astype(np.int64)
-    return D[np.ix_(rc, cc)] * same
-
-
 def _level(C: Complex, labels) -> Complex:
-    """The cochain complex C of a cell complex on the index blocks labels[d]
-    (pairs as in _on_blocks), in degrees 0..len(labels) - 1: the direct sum
-    over blocks of C on the cells of each block."""
-    return Complex(C.ring, 0, [len(c) for _, c in labels],
-                   [_on_blocks(labels[d + 1], labels[d], C.diff(d))
-                    for d in range(len(labels) - 1)])
+    """The direct sum over blocks of the cochain complex C of a cell complex
+    on the cells of each block, labels[d] = (block labels, cell indices) in
+    degree d, one entry per basis element or one label for one block."""
+    return Complex(C.ring, 0, [len(c) for _, c in labels], [
+        C.diff(d)[np.ix_(rc, cc)] * np.equal.outer(rb, cb)
+        for d, ((cb, cc), (rb, rc)) in enumerate(zip(labels, labels[1:]))])
 
 
 def cech_double(K: CellComplex, cover, ring="Z", N: int | None = None
@@ -228,11 +232,17 @@ def cech_double(K: CellComplex, cover, ring="Z", N: int | None = None
     cofaces = []
     for q in range(N):
         pos = {t: k for k, t in enumerate(tuples[q])}
-        srcs = [np.array([pos[t[:i] + t[i + 1:]] for t in tuples[q + 1]])
-                for i in range(q + 2)]     # tuple position with i removed
-        cofaces.append([ChainMap(levels[q], levels[q + 1], {
-            d: _on_blocks((src[b], c), labels[q][d])
-            for d, (b, c) in enumerate(labels[q + 1])}) for src in srcs])
+        # per coface i and (q + 2)-tuple, the position of the tuple with i
+        # removed; each cell selects the same cell of the larger intersection
+        srcs = np.array([[pos[t[:i] + t[i + 1:]] for t in tuples[q + 1]]
+                         for i in range(q + 2)], dtype=np.int64)
+        index = []
+        for d, ((b0, c0), (b, c)) in enumerate(zip(labels[q], labels[q + 1])):
+            at = np.full((len(tuples[q]), K.n_cells(d)), -1)
+            at[b0, c0] = np.arange(len(c0))
+            index.append(at[srcs[:, b], c])
+        cofaces.append([ChainMap(levels[q], levels[q + 1], index={
+            d: idx[i] for d, idx in enumerate(index)}) for i in range(q + 2)])
 
     return CosimplicialComplexTrunc(N, levels, cofaces)
 
@@ -272,6 +282,9 @@ def simplex_resolution(m: int, N: int) -> SimplicialComplexOfComplexes:
 
     Every level is read off the one standard N-simplex: the q-simplex is
     its faces with all vertices <= q, in the same (repr) order."""
+    if N > 62:
+        raise LevelTooLarge(f"truncation level N={N} is too large; "
+                            f"need N <= 62")
     S = standard_simplex(N)
     # the vertices of each cell of S as a bit mask, per degree in S's order;
     # the q-simplex is the cells with masks below 2^(q + 1)
@@ -284,16 +297,16 @@ def simplex_resolution(m: int, N: int) -> SimplicialComplexOfComplexes:
     for q in range(N):
         # face i moves the mask r of each n-face of the q-simplex by
         # j -> j + (j >= i) (bits below i stay, the rest move up one) and
-        # matches it to the (q + 1)-simplex's cell of that mask; all i at
-        # once, for n <= q + 1 (ChainMap fills the rest with zeros)
-        i, match = np.arange(q + 2)[:, None], {}
+        # selects the (q + 1)-simplex's cell of that mask; all i at once,
+        # for n <= q + 1 (ChainMap selects nothing in the other degrees)
+        i, index = np.arange(q + 2)[:, None], {}
         for n in range(levels[q + 1].lo, q + 2):
             r, c = bits[n][bits[n] < 2 << q], bits[n][bits[n] < 4 << q]
-            match[n] = _on_blocks((0, r & (1 << i) - 1 | (r >> i) << i + 1),
-                                  (0, c))
-        maps.append([ChainMap(levels[q + 1], levels[q],
-                              {n: f[k] for n, f in match.items()})
-                     for k in range(q + 2)])
+            order = np.argsort(c)
+            index[n] = order[np.searchsorted(
+                c, r & (1 << i) - 1 | (r >> i) << i + 1, sorter=order)]
+        maps.append([ChainMap(levels[q + 1], levels[q], index={
+            n: idx[k] for n, idx in index.items()}) for k in range(q + 2)])
     return SimplicialComplexOfComplexes(N, levels, maps)
 
 

@@ -200,3 +200,26 @@ def test_cochain_complex_is_transpose_of_boundary():
     C = cl.cochain_complex(K, "Z")
     for n in range(K.dim):
         assert (C.diff(n) == K.boundary_matrix(n + 1).T).all()
+
+
+def test_reading_a_ladder_complex_builds_no_fraction(monkeypatch):
+    # dimensions and incidences given as JSON ints are taken as they are
+    obj = cl.circle_product(cl.bundled_complex("circle3")).complex.to_json()
+    new, built = Fraction.__new__, []
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kwargs:
+                        built.append(1) or new(cls, *args, **kwargs))
+    K = cl.CellComplex.from_json(obj)
+    monkeypatch.undo()
+    assert not built
+    assert K.to_json() == obj
+
+
+def test_parse_int_takes_ints_and_parses_strings():
+    assert [ch.parse_int(x) for x in (7, -2 ** 70, "12", "-4/2")] == \
+        [7, -2 ** 70, 12, -2]
+    for x, message in ((True, "Invalid literal for Fraction: 'True'"),
+                       (None, "Invalid literal for Fraction: 'None'"),
+                       (1.5, "non-integer value 1.5"),
+                       ("3/2", "non-integer value '3/2'")):
+        with pytest.raises(ValueError, match=message):
+            ch.parse_int(x)

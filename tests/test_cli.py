@@ -586,3 +586,12 @@ def test_window_help_shows_the_form_for_a_negative_start(capsys, argv, key):
     code, out, _ = run(capsys, *argv, "--window=-1:1", "--format", "json")
     assert code == 0
     assert list(json.loads(out)[key]) == ["-1", "0", "1"]
+
+
+def test_underlying_point_level_past_the_vertex_masks_is_input_error(capsys):
+    # the faces of the N-simplex are int64 bit masks: a level past 62 is
+    # refused before the simplex is built
+    code, out, err = run(capsys, "underlying-point", "--m", "1", "--level",
+                         "100000000000", "--window=0:0")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "N <= 62" in err

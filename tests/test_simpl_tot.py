@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -281,9 +282,9 @@ def _assert_matches_reference(A, levels, maps):
     for got_q, want_q in zip(A.maps, maps):
         assert len(got_q) == len(want_q)
         for f, g in zip(got_q, want_q):
-            assert f.mats.keys() == g.mats.keys()
-            for n in f.mats:
-                _assert_same_matrices(f.mats[n], g.mats[n])
+            assert f.index.keys() == g.mats.keys()
+            for n in g.mats:
+                _assert_same_matrices(f.component(n), g.mats[n])
 
 
 @pytest.mark.parametrize("ring", ["Z", "Q"])
@@ -344,3 +345,142 @@ def test_simplex_resolution_builds_one_cell_complex(monkeypatch, m, N):
     calls = _count_cell_complexes(monkeypatch)
     tt.simplex_resolution(m, N)
     assert len(calls) == 1
+
+
+def test_simplex_resolution_refuses_levels_past_the_vertex_masks(monkeypatch):
+    # N = 63 would enumerate 2^64 faces: the check runs before the
+    # standard simplex is built
+    monkeypatch.setattr(tt, "standard_simplex",
+                        lambda N: pytest.fail("the simplex was built"))
+    with pytest.raises(tt.LevelTooLarge, match="N <= 62"):
+        tt.simplex_resolution(1, 63)
+
+
+# ---------------------------------------------------------------------------
+# Selection maps: the index checks against the dense products
+# ---------------------------------------------------------------------------
+
+def _selection_matrix(idx, cols):
+    m = np.zeros((len(idx), cols), dtype=np.int64)
+    for r, c in enumerate(idx):
+        if c >= 0:
+            m[r, c] = 1
+    return m
+
+
+def _built(build):
+    """build(), or the message of the ValueError it raises."""
+    try:
+        return build()
+    except ValueError as e:
+        return str(e)
+
+
+def _with(A, maps, q, changes):
+    """'accepted', or the message, of rebuilding A on maps with maps[q][k]
+    replaced by g for each k: g in changes."""
+    got = _built(lambda: type(A)(A.N, A.levels, [
+        [changes.get(k, g) for k, g in enumerate(ms)] if p == q else ms
+        for p, ms in enumerate(maps)]))
+    return got if isinstance(got, str) else "accepted"
+
+
+def _selection_objects():
+    for name in ("circle3", "octahedron", "csaszar_torus", "rp2_6"):
+        K = cl.bundled_complex(name)
+        for ring in ("Z", "Q"):
+            yield tt.cech_double(K, cl.star_cover(K), ring)
+    for m in (1, 2, 3):
+        for N in range(9):
+            yield tt.simplex_resolution(m, N)
+
+
+def test_index_checks_agree_with_dense_products():
+    # every object is rebuilt from dense copies of its maps, whose checks
+    # multiply components; then one selection has an index permuted or set
+    # to -1, or two faces or cofaces of a level are swapped (each map still
+    # commutes with d), and both forms must give the same outcome
+    rng = np.random.default_rng(0)
+    seen = set()
+    for A in _selection_objects():
+        dense = [[ch.ChainMap(f.source, f.target,
+                              {n: f.component(n) for n in f.index})
+                  for f in maps] for maps in A.maps]
+        assert all(f.index is None for maps in dense for f in maps)
+        assert _with(A, dense, 0, {}) == "accepted"
+        levels = [q for q, maps in enumerate(A.maps)
+                  if any(len(i) > 1 for i in maps[0].index.values())]
+        for _ in range(3 if levels else 0):
+            q = int(rng.choice(levels))
+            k = int(rng.integers(len(A.maps[q])))
+            f = A.maps[q][k]
+            n = int(rng.choice([n for n, i in f.index.items() if len(i) > 1]))
+            unselected = f.index[n].copy()
+            unselected[rng.integers(len(unselected))] = -1
+            for corrupt in (np.roll(f.index[n], 1), unselected):
+                index = {**f.index, n: corrupt}
+                got = []
+                for maps, build in (
+                        (A.maps, lambda: ch.ChainMap(f.source, f.target,
+                                                     index=index)),
+                        (dense, lambda: ch.ChainMap(f.source, f.target, {
+                            d: _selection_matrix(i, f.source.rank(d))
+                            for d, i in index.items()}))):
+                    g = _built(build)
+                    got.append(g if isinstance(g, str)
+                               else _with(A, maps, q, {k: g}))
+                assert got[0] == got[1]
+                seen.add(got[0].split(" in degree")[0].split(" at ")[0])
+            i, j = (int(x) for x in rng.choice(len(A.maps[q]), 2,
+                                                replace=False))
+            got = [_with(A, maps, q, {i: maps[q][j], j: maps[q][i]})
+                   for maps in (A.maps, dense)]
+            assert got[0] == got[1]
+            seen.add(got[0].split(" at ")[0])
+    assert {"does not commute with d", "cosimplicial identity fails",
+            "simplicial identity fails"} <= seen
+
+
+def _products_by_check(monkeypatch):
+    """Calls of mm made inside _check_identities or inside the construction
+    of a selection map, counted by wrapping mm where tot and chains call it;
+    the dense identity and commutation checks are counted too."""
+    counted = {"identities": 0, "selection": 0, "dense": 0}
+
+    def counting(mm):
+        def wrapped(A, B):
+            frame = sys._getframe(1)
+            while frame is not None:
+                self = frame.f_locals.get("self")
+                if frame.f_code.co_name == "_check_identities":
+                    counted["identities"] += 1
+                    break
+                if isinstance(self, ch.ChainMap):
+                    counted["dense" if self.index is None
+                            else "selection"] += 1
+                    break
+                frame = frame.f_back
+            return mm(A, B)
+        return wrapped
+
+    for module in (tt, ch):
+        monkeypatch.setattr(module, "mm", counting(module.mm))
+    return counted
+
+
+def test_selection_checks_multiply_nothing(monkeypatch):
+    counted = _products_by_check(monkeypatch)
+    for name in ("circle3", "octahedron", "csaszar_torus", "rp2_6"):
+        K = cl.bundled_complex(name)
+        assert tt.descent_check(K, cl.star_cover(K), "Z")["match"]
+    for m in (1, 2, 3):
+        assert all(row["stable"] for row in
+                   tt.underlying_at_point(m, 6, (-1, 1)).values())
+    assert counted == {"identities": 0, "selection": 0, "dense": 0}
+    # the same checks on dense maps are counted
+    A = tt.simplex_resolution(1, 4)
+    type(A)(A.N, A.levels, [[ch.ChainMap(f.source, f.target, {
+        n: f.component(n) for n in f.index}) for f in maps]
+        for maps in A.maps])
+    assert counted["identities"] > 0 and counted["dense"] > 0
+    assert counted["selection"] == 0
