@@ -129,8 +129,9 @@ class Complex:
             pos[0] = -1
             pad = np.zeros((d.shape[0] + 1, d.shape[1] + 1), d.dtype)
             pad[:-1, :-1] = d
-            nz = np.nonzero(d)
-            s = self._solvers["selecting", n] = pos, pad, (*nz, d[nz])
+            nz = np.flatnonzero(d)
+            s = self._solvers["selecting", n] = (
+                pos, pad, (*np.divmod(nz, d.shape[1]), d.ravel()[nz]))
         return s
 
     def over(self, ring: str) -> "Complex":

@@ -76,8 +76,9 @@ class _Truncated:
             F, S = flats[q:q + 2][::self.step]
             p = (q + 3) * (q + 2) // 2
             if F is not None and S is not None:
-                C = F[:, S]
-                if (C[sa[:p], sb[:p]] == C[sa2[:p], sb2[:p]]).all():
+                C = F[:, S]     # one column, the last -1, when it is empty
+                if C.shape[2] == 1 or (
+                        C[sa[:p], sb[:p]] == C[sa2[:p], sb2[:p]]).all():
                     continue
             for j in range(q + 3):
                 for i in range(j):

@@ -395,11 +395,21 @@ def _selection_objects():
             yield tt.simplex_resolution(m, N)
 
 
-def test_index_checks_agree_with_dense_products():
+def test_index_checks_agree_with_dense_products(monkeypatch):
     # every object is rebuilt from dense copies of its maps, whose checks
     # multiply components; then one selection has an index permuted or set
     # to -1, or two faces or cofaces of a level are swapped (each map still
-    # commutes with d), and both forms must give the same outcome
+    # commutes with d), and both forms must give the same outcome; the
+    # selection form must accept with no product (the products only name
+    # a failure)
+    counted = _products_by_check(monkeypatch)
+
+    def by_index(*args):
+        before = counted["identities"]
+        got = _with(*args)
+        assert got != "accepted" or counted["identities"] == before
+        return got
+
     rng = np.random.default_rng(0)
     seen = set()
     for A in _selection_objects():
@@ -407,7 +417,8 @@ def test_index_checks_agree_with_dense_products():
                               {n: f.component(n) for n in f.index})
                   for f in maps] for maps in A.maps]
         assert all(f.index is None for maps in dense for f in maps)
-        assert _with(A, dense, 0, {}) == "accepted"
+        assert by_index(A, A.maps, 0, {}) == _with(A, dense, 0, {}) == \
+            "accepted"
         levels = [q for q, maps in enumerate(A.maps)
                   if any(len(i) > 1 for i in maps[0].index.values())]
         for _ in range(3 if levels else 0):
@@ -420,21 +431,23 @@ def test_index_checks_agree_with_dense_products():
             for corrupt in (np.roll(f.index[n], 1), unselected):
                 index = {**f.index, n: corrupt}
                 got = []
-                for maps, build in (
-                        (A.maps, lambda: ch.ChainMap(f.source, f.target,
-                                                     index=index)),
-                        (dense, lambda: ch.ChainMap(f.source, f.target, {
-                            d: _selection_matrix(i, f.source.rank(d))
-                            for d, i in index.items()}))):
+                for maps, check, build in (
+                        (A.maps, by_index,
+                         lambda: ch.ChainMap(f.source, f.target,
+                                             index=index)),
+                        (dense, _with,
+                         lambda: ch.ChainMap(f.source, f.target, {
+                             d: _selection_matrix(i, f.source.rank(d))
+                             for d, i in index.items()}))):
                     g = _built(build)
                     got.append(g if isinstance(g, str)
-                               else _with(A, maps, q, {k: g}))
+                               else check(A, maps, q, {k: g}))
                 assert got[0] == got[1]
                 seen.add(got[0].split(" in degree")[0].split(" at ")[0])
             i, j = (int(x) for x in rng.choice(len(A.maps[q]), 2,
                                                 replace=False))
-            got = [_with(A, maps, q, {i: maps[q][j], j: maps[q][i]})
-                   for maps in (A.maps, dense)]
+            got = [check(A, maps, q, {i: maps[q][j], j: maps[q][i]})
+                   for maps, check in ((A.maps, by_index), (dense, _with))]
             assert got[0] == got[1]
             seen.add(got[0].split(" at ")[0])
     assert {"does not commute with d", "cosimplicial identity fails",
