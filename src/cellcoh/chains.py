@@ -197,6 +197,8 @@ class Complex:
         ring = _check_ring(obj["ring"])
         lo, hi = parse_int(obj["lo"]), parse_int(obj["hi"])
         ranks = [parse_int(r) for r in obj["ranks"]]
+        if any(r < 0 for r in ranks):
+            raise ValueError("ranks must be non-negative")
         if len(ranks) != hi - lo + 1:
             raise ValueError("ranks do not match the window")
         diffs = []

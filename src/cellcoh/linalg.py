@@ -12,7 +12,8 @@ matrices stays on int64 while a bound proves it exact.  Other products
 split each factor into integer numerators and denominators: every row of
 the left factor and every column of the right one is scaled to integers by
 the lcm of its denominators.  The numerators are multiplied on machine
-numbers under the same bound, else as Python integers, and each entry of
+numbers under the same bound, else as Python integers; an array of Python
+ints gets its bound from a cast to int32, not from a scan.  Each entry of
 the result is divided once, coming back as a plain int where it is integral
 and as a Fraction elsewhere.
 
@@ -38,7 +39,7 @@ differential (chains.Complex.int_solver), shared with the same complex
 over the other ring, and a cell complex keeps its cochain complexes
 (cells.cochain_complex), so the homology over both rings and the solvers
 of diffcoh share one factorization of each coboundary.  The solvers store
-their fixed integer factors once, on int64 whenever they fit it.  A solve
+their fixed integer factors once, by int_storage.  A solve
 takes its right-hand side as integer numerators over one denominator,
 multiplies only integers against the fixed factors, checks integrality as
 divisibility and returns numerators (solve_numerators); solve builds
@@ -80,12 +81,11 @@ def block_zeros(rows: int, cols: int, blocks) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.result_type(np.int64, *blocks))
 
 
-def int_storage(a: np.ndarray, bound: int = INT_BOUND) -> np.ndarray:
+def int_storage(a: np.ndarray) -> np.ndarray:
     """The stored form of a matrix of integers, made once where it enters
-    the system: read-only int64 when every |entry| < bound (by default
-    INT_BOUND = 2^31), else a read-only object array of Python ints.  A
-    writable int64 input is copied, so that no caller can change it
-    afterwards.
+    the system: read-only int64 when every |entry| < INT_BOUND = 2^31, else
+    a read-only object array of Python ints.  A writable int64 input is
+    copied, so that no caller can change it afterwards.
 
     The bound makes every elementwise operation the package applies to
     stored matrices exact on int64, whose range is [-2^63, 2^63):
@@ -104,11 +104,6 @@ def int_storage(a: np.ndarray, bound: int = INT_BOUND) -> np.ndarray:
 
     A sum that leaves the bound (a total differential with larger entries)
     is stored again through this function and becomes an object array.
-
-    The factors of the solvers (the matrix and Smith transforms of an
-    IntSolver) are only ever multiplied, and mm checks the bound of each
-    product itself, so they are stored with bound = 2^63: on int64 whenever
-    they fit it.
     """
     if a.dtype != np.int64:
         try:
@@ -120,7 +115,7 @@ def int_storage(a: np.ndarray, bound: int = INT_BOUND) -> np.ndarray:
     elif a.flags.writeable:
         a = a.copy()
     amax = _amax(a)
-    if amax >= bound:
+    if amax >= INT_BOUND:
         a = a.astype(object)
     a.setflags(write=False)
     if a.dtype == np.int64 and a.base is None:   # a view may change
@@ -133,17 +128,6 @@ def int_storage(a: np.ndarray, bound: int = INT_BOUND) -> np.ndarray:
 # (weak reference, max |entry|) by id of each int64 matrix stored above;
 # facts about read-only matrices, so every caller may share them
 _BOUNDS: dict[int, tuple] = {}
-
-
-def _int64_bound(a: np.ndarray) -> int:
-    """max |entry| of an int64 array: the one recorded for a or for the
-    stored matrix a views, else a scan (always for a writable array)."""
-    for owner in (a, a.base):
-        ref, bound = _BOUNDS.get(id(owner), (None, None))
-        if ref is not None and ref() is owner and not (
-                a.flags.writeable or owner.flags.writeable):
-            return bound
-    return _amax(a)
 
 
 def as_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -182,14 +166,6 @@ def is_zero(a: np.ndarray) -> bool:
     return a.size == 0 or bool((a == 0).all())
 
 
-def _as_frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    raise TypeError(f"not an exact scalar: {x!r} of type {type(x).__name__}")
-
-
 def _entry_kind(a: np.ndarray):
     """int when every entry of a is a plain int, Fraction when every entry
     is an int or a Fraction, None otherwise (numpy scalars, floats, ...)."""
@@ -201,54 +177,47 @@ def _entry_kind(a: np.ndarray):
     return None
 
 
-def check_int_entries(a: np.ndarray) -> np.ndarray:
-    """a with every entry a plain int (int64 passes through unscanned);
-    TypeError for a non-integer entry."""
-    if a.dtype == np.int64:
-        return a
-    if _entry_kind(a) is int:
-        return a.astype(object)
-    out = np.empty(a.shape, dtype=object)
-    for idx, x in np.ndenumerate(a):
-        if isinstance(x, (int, np.integer)):
-            out[idx] = int(x)
-        elif isinstance(x, Fraction) and x.denominator == 1:
-            out[idx] = int(x)
-        else:
-            raise TypeError(f"non-integer entry {x!r}")
-    return out
-
-
-def _rat_entries(a: np.ndarray):
-    """(a validated, whether every entry is an integer).  Integers stay
+def _checked(a: np.ndarray, integral: bool):
+    """(a validated, whether every entry is an integer).  Integers become
     plain ints and whole Fractions are normalized to ints, so that integer
-    fast paths still apply to rational-coefficient matrices that happen to
-    be integral; int64 passes through unscanned."""
+    fast paths still apply to rational matrices that happen to be integral;
+    other Fractions are kept unless integral is set, and int64 passes
+    through unscanned.  Any other entry raises TypeError."""
     if a.dtype == np.int64:
         return a, True
     if _entry_kind(a) is int:
         return a.astype(object), True
     out = np.empty(a.shape, dtype=object)
-    integral = True
+    whole = True
     for idx, x in np.ndenumerate(a):
-        f = _as_frac(x)
-        integral = integral and f.denominator == 1
-        out[idx] = f if f.denominator != 1 else int(f)
-    return out, integral
+        if isinstance(x, (int, np.integer)) or (
+                isinstance(x, Fraction) and x.denominator == 1):
+            out[idx] = int(x)
+        elif integral:
+            raise TypeError(f"non-integer entry {x!r}")
+        elif isinstance(x, Fraction):
+            out[idx], whole = x, False
+        else:
+            raise TypeError(
+                f"not an exact scalar: {x!r} of type {type(x).__name__}")
+    return out, whole
+
+
+def check_int_entries(a: np.ndarray) -> np.ndarray:
+    """a with every entry a plain int (int64 passes through unscanned);
+    TypeError for a non-integer entry."""
+    return _checked(a, integral=True)[0]
 
 
 def exact_storage(a: np.ndarray, integral: bool) -> np.ndarray:
     """The validated stored form of an exact matrix: int_storage when every
     entry is an integer, else (rationals allowed unless integral) a
     read-only object array of ints and Fractions."""
-    if integral:
-        a = check_int_entries(a)
-    else:
-        a, integral = _rat_entries(a)
-        if not integral:
-            a.setflags(write=False)
-            return a
-    return int_storage(a)
+    a, whole = _checked(a, integral)
+    if whole:
+        return int_storage(a)
+    a.setflags(write=False)
+    return a
 
 
 def _numerators(a: np.ndarray, axis: int):
@@ -260,8 +229,8 @@ def _numerators(a: np.ndarray, axis: int):
         return a, None
     kind = _entry_kind(a)
     if kind is None:
-        a, integral = _rat_entries(a)
-        kind = int if integral else Fraction
+        a, whole = _checked(a, integral=False)
+        kind = int if whole else Fraction
     if kind is int:
         return a, None
     lines = (a.T if axis == 0 else a).tolist()
@@ -278,14 +247,30 @@ def _amax(a: np.ndarray) -> int:
 
 
 def _bounded(a: np.ndarray):
-    """(a on int64, max |entry|) for an integer matrix, or (a, None) when
-    an entry lies outside int64.  A stored matrix is not scanned."""
-    if a.dtype != np.int64:
+    """(a on int64, a bound on its max |entry|) for an integer matrix, or
+    (a, None) for an object one with an entry outside [-2^31, 2^31).
+
+    * An int64 matrix that int_storage stored, or a read-only view of one,
+      has the bound recorded there; any other int64 array is scanned.
+    * An object array of Python ints is cast to int32, which raises
+      OverflowError for an entry outside [-2^31, 2^31), so a cast that
+      succeeds proves the bound INT_BOUND without a scan.  The int32 cast
+      is a range check only: products run on int64, because int32 @ would
+      accumulate on int32.
+    """
+    if a.dtype == object:
         try:
-            a = a.astype(np.int64)
+            return a.astype(np.int32).astype(np.int64), INT_BOUND
         except OverflowError:
             return a, None
-    return a, _int64_bound(a)
+    if a.dtype != np.int64:
+        a = a.astype(np.int64)
+    for owner in (a, a.base):
+        ref, bound = _BOUNDS.get(id(owner), (None, None))
+        if ref is not None and ref() is owner and not (
+                a.flags.writeable or owner.flags.writeable):
+            return a, bound
+    return a, _amax(a)
 
 
 def _to_object(a: np.ndarray) -> np.ndarray:
@@ -293,10 +278,10 @@ def _to_object(a: np.ndarray) -> np.ndarray:
 
 
 def _int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B for integer matrices (B may be a vector), on int64 when both
-    fit int64 and |a| |b| k < 2^61 bounds every partial sum, else on Python
-    integers (object).  Only a factor that int_storage did not store is
-    scanned for its bound.
+    """A @ B for integer matrices (B may be a vector), on int64 when the
+    bounds a and b of the factors (_bounded) give |a| |b| k < 2^61, which
+    bounds every partial sum, else on Python integers (object).  Only an
+    int64 factor that int_storage did not store is scanned for its bound.
 
     numpy multiplies int64 matrices with a scalar loop.  A product of at
     least _SIMD_WORK multiply-adds with |a| |b| k < 2^53 runs as a float64
@@ -393,8 +378,7 @@ class SmithForm:
 
     The diagonal entries are non-negative and each divides the next.
     Uinv and Vinv are the exact inverses of U and V.  All five matrices
-    are stored by int_storage with bound 2^63: read-only, on int64 whenever
-    they fit it.
+    are stored by int_storage.
     """
 
     __slots__ = ("U", "D", "V", "Uinv", "Vinv", "diag", "rank")
@@ -549,7 +533,7 @@ class _Elimination:
 
 def _stored(vecs, shape: tuple[int, int], columns: bool = False):
     """The matrix with the sparse vectors vecs as its rows (or columns),
-    stored by int_storage with bound 2^63."""
+    stored by int_storage."""
     r = np.array([t for t, vec in enumerate(vecs) for _ in vec], dtype=np.intp)
     c = np.array([l for vec in vecs for l in vec], dtype=np.intp)
     vals = [x for vec in vecs for x in vec.values()]
@@ -561,7 +545,7 @@ def _stored(vecs, shape: tuple[int, int], columns: bool = False):
     except OverflowError:
         a = np.zeros(shape, dtype=object)
         a[r, c] = vals
-    return int_storage(a, 2 ** 63)
+    return int_storage(a)
 
 
 def smith_normal_form(A) -> SmithForm:
@@ -606,12 +590,12 @@ class IntSolver:
     V[:, r:] are a basis of the kernel lattice, a direct summand of Z^n
     because V is unimodular.
 
-    A is stored like the transforms of its Smith form snf (int_storage
-    with bound 2^63), which the solver keeps for chains.HomologyData: once,
-    on int64 whenever it fits, with its bound.  A solve writes its
+    A is stored by int_storage, like the transforms of its Smith form snf,
+    which the solver keeps for chains.HomologyData.  A solve writes its
     right-hand side once as integer numerators n over one denominator L and
     multiplies only integers: U b is integral exactly when L divides every
-    entry of U n.  So a solve scans nothing but its right-hand side.  A
+    entry of U n.  So a solve scans no fixed factor, only the entry types of
+    its right-hand side and the int64 array (U n)[:r] / d.  A
     RatSolver, and a MixedSolver on it, can be built on this factorization
     instead of factoring A again.
     """
@@ -619,12 +603,11 @@ class IntSolver:
     __slots__ = ("A", "snf", "rank", "diag", "_d")
 
     def __init__(self, A):
-        self.A = int_storage(check_int_entries(as_matrix(A)), 2 ** 63)
+        self.A = int_storage(check_int_entries(as_matrix(A)))
         snf = self.snf = smith_normal_form(self.A)
         self.rank = snf.rank
         self.diag = snf.diag[:snf.rank]
-        self._d = int_storage(
-            np.array(self.diag, dtype=object).reshape(-1, 1), 2 ** 63)
+        self._d = int_storage(np.array(self.diag, dtype=object).reshape(-1, 1))
 
     def solve(self, b):
         """One integer solution of A x = b, or None.  b may have rational

@@ -314,11 +314,13 @@ def simplex_resolution(m: int, N: int) -> SimplicialComplexOfComplexes:
 def underlying_at_point(m: int, N: int, window) -> dict:
     """Cohomology of tot of the simplicial resolution at the point, with a
     stabilization flag per degree (stable = unchanged from level N-1 to N).
+    N must be at least 2 (hi - lo) + 2, and N - 1 at least the hi - lo + 2
+    that tot at level N - 1 needs.
     """
     if m < 1:
         raise ValueError("truncation parameter m must be >= 1")
     lo, hi = window
-    needed = 2 * (hi - lo) + 2
+    needed = max(2 * (hi - lo) + 2, hi - lo + 3)
     if N < needed:
         raise InsufficientTruncation(needed, N)
     res = simplex_resolution(m, N)

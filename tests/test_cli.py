@@ -172,6 +172,19 @@ def test_underlying_point_command(capsys):
     assert "insufficient" in err
 
 
+def test_underlying_point_single_degree_window_names_the_given_level(capsys):
+    # tot at level N - 1 needs N - 1 >= 2 for one degree, so N >= 3, and the
+    # error names the N that was given
+    code, out, err = run(capsys, "underlying-point", "--m", "1", "--level",
+                         "2", "--window=0:0")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:")
+    assert "N=2 is insufficient; need N >= 3" in err
+    code, out, _ = run(capsys, "underlying-point", "--m", "1", "--level", "3",
+                       "--window=0:0")
+    assert code == 0 and "H0 = Q (stable)" in out
+
+
 def test_ch_and_transgress_commands(capsys):
     code, out, _ = run(capsys, "ch", data("connections/rotation_plane.json"))
     assert code == 0
@@ -247,31 +260,41 @@ def test_deterministic_output_for_fixed_seed(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("obj", [
-    {"ring": "Z", "lo": 0, "hi": 2, "ranks": [1, 1, 1],
-     "differentials": [["1"], ["1"], []]},
-    {"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1],
-     "differentials": [["1/2"], []]},
-    {"ring": "Z", "lo": 0, "ranks": [1, 1], "differentials": [["1"], []]},
-    {"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1],
-     "differentials": [["x"], []]},
-    {"ring": "Z", "lo": 0.5, "hi": 1, "ranks": [1, 1],
-     "differentials": [["1"], []]},
-    {"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1.9],
-     "differentials": [["1"], []]},
-    {"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1],
-     "differentials": [[True], []]},
-    {"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1],
-     "differentials": [["1"], [], ["7", "8"]]},
+@pytest.mark.parametrize("obj, message", [
+    ({"ring": "Z", "lo": 0, "hi": 2, "ranks": [1, 1, 1],
+      "differentials": [["1"], ["1"], []]}, "d o d != 0"),
+    ({"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1],
+      "differentials": [["1/2"], []]}, "non-integer entry"),
+    ({"ring": "Z", "lo": 0, "ranks": [1, 1], "differentials": [["1"], []]},
+     "'hi'"),
+    ({"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1],
+      "differentials": [["x"], []]}, "Invalid literal"),
+    ({"ring": "Z", "lo": 0.5, "hi": 1, "ranks": [1, 1],
+      "differentials": [["1"], []]}, "non-integer value 0.5"),
+    ({"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1.9],
+      "differentials": [["1"], []]}, "non-integer value 1.9"),
+    ({"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1],
+      "differentials": [[True], []]}, "bad matrix entry True"),
+    ({"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, 1],
+      "differentials": [["1"], [], ["7", "8"]]}, "3 differentials"),
+    # negative ranks are refused before the entries are counted
+    ({"ring": "Z", "lo": 0, "hi": 1, "ranks": [1, -1],
+      "differentials": [[]]}, "ranks must be non-negative"),
+    ({"ring": "Z", "lo": 0, "hi": 1, "ranks": [-2, -3],
+      "differentials": [["1"] * 6]}, "ranks must be non-negative"),
+    ({"ring": "Z", "lo": 0, "hi": 1, "ranks": [0, -1],
+      "differentials": [[]]}, "ranks must be non-negative"),
 ], ids=["d_squared_nonzero", "fraction_over_Z", "missing_hi", "bad_entry",
         "fractional_lo", "fractional_rank", "boolean_entry",
-        "extra_differential"])
-def test_malformed_cochain_complex_is_input_error(capsys, tmp_path, obj):
+        "extra_differential", "negative_rank", "negative_ranks_six_entries",
+        "negative_rank_no_entries"])
+def test_malformed_cochain_complex_is_input_error(capsys, tmp_path, obj,
+                                                  message):
     p = tmp_path / "complex.json"
     p.write_text(json.dumps(obj))
     code, _, err = run(capsys, "homology", str(p))
     assert code == 2
-    assert err.startswith("input error:")
+    assert err.startswith("input error:") and message in err
 
 
 def test_null_incidence_is_input_error(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -745,6 +746,16 @@ def test_mm_scans_only_unstored_int64_factors(monkeypatch):
     for P, Q in ((A, B), (B.T, A.T), (A[:, :2], B[:2]), (B, A)):
         assert (la.mm(P, Q) == P.astype(object) @ Q.astype(object)).all()
     assert scanned == []
+    # a Python-int operand gets its bound from its int32 cast, not a scan,
+    # and one past the cast multiplies on Python ints
+    for v in (np.array([7, -2 ** 31, 2 ** 31 - 1], dtype=object),
+              np.array([7, 2 ** 31, -2 ** 70], dtype=object)):
+        want = [sum(a * x for a, x in zip(row, v)) for row in A.tolist()]
+        assert la.int_mv(A, v).tolist() == want
+        assert la.mv(A, v).tolist() == want
+        assert la.mm(v.reshape(1, -1), B).tolist() == \
+            [[sum(x * b for x, b in zip(v, col)) for col in B.T.tolist()]]
+    assert scanned == []
     # a writable operand is scanned on every product, so changing it is safe
     W = np.array([[1, 1], [1, 1], [1, 1]], dtype=np.int64)
     assert (la.mm(A, W) == [[2, 2], [3, 3]]).all()
@@ -762,6 +773,30 @@ def test_mm_scans_only_unstored_int64_factors(monkeypatch):
     W[0, 0] = 2 ** 62
     assert S is V and la.mm(la.int_storage(np.array([[4, 0, 0]])), S)[0, 0] \
         == 2 ** 64
+
+
+def test_hexagon_scans_few_product_operands(monkeypatch):
+    # stored matrices keep the bound found when they were stored, and
+    # Python-int numerators get theirs from an int32 cast: a product scans
+    # only the int64 intermediates of the solves.  900 scans before, 81 now
+    K = cl.bundled_complex("csaszar_torus")
+    assert dc.hexagon_exactness(K, 2, samples=10, seed=0)["passed"]
+    scanned = []
+    amax = la._amax
+
+    def counted(a):
+        frame = sys._getframe(1)
+        for _ in range(3):
+            if frame.f_code is la._int_product.__code__:
+                scanned.append(a.shape)
+                break
+            frame = frame.f_back
+        return amax(a)
+
+    monkeypatch.setattr(la, "_amax", counted)
+    assert dc.hexagon_exactness(K, 2, samples=10, seed=0)["passed"]
+    monkeypatch.undo()
+    assert len(scanned) <= 100
 
 
 # ---------------------------------------------------------------------------

@@ -57,21 +57,77 @@ def test_whole_fractions_over_q_are_stored_int64():
     assert C.diffs[0].tolist() == [[2, -1]]
 
 
-def test_solver_factors_past_the_bound_stay_on_int64(monkeypatch):
-    # the Smith transform V of [[2^40 + 1, 2^40]] has entries near 2^40
+def test_solver_factors_past_the_bound_are_stored_as_python_ints(monkeypatch):
+    # one bound for every stored matrix, solver factors too: the Smith
+    # transform V of [[2^40 + 1, 2^40]] has entries near 2^40
     solver = la.IntSolver(la.as_matrix([[2 ** 40 + 1, 2 ** 40]]))
-    assert_stored_int64(solver.snf.U, solver.snf.V)
-    assert int(np.abs(solver.snf.V).max()) >= BOUND
+    assert_stored_int64(solver.snf.U)
+    for M in (solver.A, solver.snf.V, solver.snf.Vinv):
+        assert M.dtype == object and not M.flags.writeable
+        assert max(abs(x) for x in M.flat) >= BOUND
     # the mixed solver on it keeps no factor of its own
     assert la.MixedSolver(la.RatSolver(solver)).rat.int is solver
     scanned = []
-    entry_kind = la._entry_kind
+    entry_kind, amax = la._entry_kind, la._amax
     monkeypatch.setattr(la, "_entry_kind",
                         lambda a: scanned.append(a) or entry_kind(a))
-    x = solver.solve([7])
-    assert (2 ** 40 + 1) * x[0] + 2 ** 40 * x[1] == 7
-    assert scanned and not any(a is solver.snf.U or a is solver.snf.V
-                               for a in scanned)
+    monkeypatch.setattr(la, "_amax", lambda a: scanned.append(a) or amax(a))
+    for b in (7, -2 ** 45, 2 ** 70 + 3):
+        x = solver.solve([b])
+        assert (2 ** 40 + 1) * x[0] + 2 ** 40 * x[1] == b
+    assert scanned and not any(a is M or a.base is M for a in scanned
+                               for M in (solver.snf.U, solver.snf.V))
+
+
+@pytest.mark.parametrize("x, fits", [
+    (2 ** 31 - 1, True), (-2 ** 31, True), (2 ** 31, False),
+    (2 ** 31 + 1, False), (-2 ** 31 - 1, False), (2 ** 70, False)])
+def test_the_int32_cast_of_python_ints_checks_the_range(x, fits):
+    # products take the bound of a Python-int operand from this cast; a
+    # numpy that wrapped out-of-range values here would give wrong products
+    a = np.array([3, x, -4], dtype=object)
+    if fits:
+        assert a.astype(np.int32).tolist() == [3, x, -4]
+    else:
+        with pytest.raises(OverflowError):
+            a.astype(np.int32)
+
+
+EDGES = [-2 ** 31, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 2 ** 40, 2 ** 62,
+         2 ** 70]
+
+
+def _forms(a):
+    """a as Python ints, stored, and (where it fits) as writable int64."""
+    out = [a, la.int_storage(a)]
+    if all(abs(x) < 2 ** 63 for x in a.flat):
+        out.append(a.astype(np.int64))
+    return out
+
+
+@pytest.mark.parametrize("x", EDGES)
+def test_products_at_and_past_the_bound_match_python_integers(x):
+    A = np.array([[x, 1, -1], [2, -x, 3]], dtype=object)
+    B = np.array([[x, 0], [-1, x], [5, 1]], dtype=object)
+    want = [[sum(a * b for a, b in zip(row, col)) for col in B.T.tolist()]
+            for row in A.tolist()]
+    for P in _forms(A):
+        for Q in _forms(B):
+            assert la.mm(P, Q).tolist() == want
+            for j in range(2):
+                col = [row[j] for row in want]
+                assert la.int_mv(P, Q[:, j]).tolist() == col
+                assert la.mv(P, Q[:, j]).tolist() == col
+
+
+def test_python_int_factors_multiply_on_int64_not_int32():
+    # both int32 casts succeed, but an int32 accumulator would wrap
+    a = 2 ** 31 - 1
+    A = np.array([[a, a]], dtype=object)
+    B = np.array([[a], [a]], dtype=object)
+    assert la.mm(A, B).tolist() == [[2 * a * a]]
+    assert la.int_mv(A, B[:, 0]).tolist() == [2 * a * a]
+    assert la.mm(A.astype(np.int64), B).tolist() == [[2 * a * a]]
 
 
 def test_cech_levels_cofaces_and_total_complex_are_read_only_int64():

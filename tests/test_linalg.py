@@ -865,8 +865,11 @@ def smith_inputs(draw):
 
 
 @SOLVER_PROPERTY
-# starts on int64 and moves to big integers in the middle of the dense
+# the reference starts on int64 and moves to big integers during the dense
 # reduction
+@example((np.array([[2 ** 30, 1], [1, 2 ** 30]], dtype=object),
+          [[2 ** 30 + 1, 2 ** 30 + 1], [1, 0]]))
+# past the storage bound: V and V^-1 hold 2^40 and are stored as object
 @example((np.array([[2 ** 40, 1], [1, 2 ** 40]], dtype=object),
           [[2 ** 40 + 1, 2 ** 40 + 1], [1, 0]]))
 @example((PAST_INT64, [_apply(PAST_INT64, [1, -1, 2]), [1, 0, 0]]))
@@ -880,7 +883,8 @@ def test_sparse_elimination_against_the_dense_kernel(case):
     _assert_inverse_pair(snf.V, snf.Vinv)
     for M in (snf.U, snf.D, snf.V, snf.Uinv, snf.Vinv):
         assert not M.flags.writeable
-        assert (M.dtype == object) == any(abs(int(x)) >= BIG for x in M.flat)
+        assert (M.dtype == object) == \
+            any(abs(int(x)) >= la.INT_BOUND for x in M.flat)
     solver = la.IntSolver(A)
     for b in rhs:
         x = solver.solve(b)
