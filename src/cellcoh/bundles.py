@@ -573,7 +573,9 @@ def _wrap_env(conn: SmoothConnection, loop: Loop, env: dict) -> dict:
 
 # Steps of `transport` whose propagators are built and multiplied in one
 # batch: enough to make the per-call cost vanish, few enough to keep the
-# node and propagator arrays small.
+# node and propagator arrays small.  8192 steps per block left the
+# holonomy benchmark's verdict time near 0.019 s (0.018-0.019 s in two 10 s
+# runs) and raised its peak resident memory by 2.5 MB (35.8 -> 38.3 MB).
 TRANSPORT_BLOCK = 1024
 
 
@@ -587,7 +589,13 @@ def transport(conn: SmoothConnection, loop: Loop, u0: float, u1: float,
     block of TRANSPORT_BLOCK steps, all Phi_k are built as one batched
     array and multiplied in order by a pairwise tree of batched products;
     multiplying the Phi_k one after another instead would lose about ten
-    times more to rounding."""
+    times more to rounding.
+
+    Every stack of matrices here is entry-major, shape (r, r, steps), so
+    that each matrix entry is one contiguous vector over the steps, and
+    is multiplied by _stack_product: np.matmul on a stack of shape
+    (steps, r, r) makes one BLAS call per matrix, which for r = 2 costs
+    over ten times the r broadcast multiply-adds of the whole stack."""
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     missing = set(conn.coords) - set(loop.exprs)
@@ -605,31 +613,45 @@ def transport(conn: SmoothConnection, loop: Loop, u0: float, u1: float,
     return U
 
 
+def _stack_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products a_n b_n of two entry-major stacks of r x r matrices,
+    shape (r, r, n): sum over k of column k of a times row k of b, as r
+    broadcast multiply-adds over all n matrices at once."""
+    out = a[:, :1] * b[:1]
+    for k in range(1, a.shape[1]):
+        out += a[:, k:k + 1] * b[k:k + 1]
+    return out
+
+
 def _rk4_propagators(M: np.ndarray, h: float) -> np.ndarray:
-    """The RK4 step matrices Phi_k, shape (steps, r, r), from the
-    generators M at the 2 steps + 1 step ends and midpoints."""
-    one = np.eye(M.shape[-1])
-    k1 = M[:-1:2]
-    k2 = M[1::2] @ (one + h / 2 * k1)
-    k3 = M[1::2] @ (one + h / 2 * k2)
-    k4 = M[2::2] @ (one + h * k3)
+    """The RK4 step matrices Phi_k, entry-major of shape (r, r, steps),
+    from the generators M, entry-major at the 2 steps + 1 step ends and
+    midpoints."""
+    one = np.eye(M.shape[0])[:, :, None]
+    mid = M[:, :, 1::2]
+    k1 = M[:, :, :-1:2]
+    k2 = _stack_product(mid, one + h / 2 * k1)
+    k3 = _stack_product(mid, one + h / 2 * k2)
+    k4 = _stack_product(M[:, :, 2::2], one + h * k3)
     return one + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _ordered_product(P: np.ndarray) -> np.ndarray:
-    """P[n-1] @ ... @ P[0] by a pairwise tree of batched products; an odd
-    last factor is carried up a level."""
-    while len(P) > 1:
-        even = len(P) - len(P) % 2
-        pairs = P[1:even:2] @ P[0:even:2]
-        P = np.concatenate((pairs, P[even:]))
-    return P[0]
+    """P_{n-1} ... P_0 of an entry-major stack P of shape (r, r, n), by a
+    pairwise tree of stack products; an odd last factor is carried up a
+    level."""
+    while P.shape[-1] > 1:
+        even = P.shape[-1] - P.shape[-1] % 2
+        pairs = _stack_product(P[:, :, 1:even:2], P[:, :, 0:even:2])
+        P = np.concatenate((pairs, P[:, :, even:]), axis=-1)
+    return P[:, :, 0]
 
 
 def _generator(conn: SmoothConnection, loop: Loop, u: np.ndarray
                ) -> np.ndarray:
-    """-A(gamma(u)) gamma'(u), shape (len(u), r, r), with A_c evaluated
-    only where c moves; LoopOutsideDomain at the first u outside."""
+    """-A(gamma(u)) gamma'(u), entry-major of shape (r, r, len(u)), with
+    A_c evaluated only where c moves; LoopOutsideDomain at the first u
+    outside."""
     env = _wrap_env(conn, loop, loop.point(u))
     inside = conn.contains(env)
     if not np.all(inside):
@@ -637,12 +659,18 @@ def _generator(conn: SmoothConnection, loop: Loop, u: np.ndarray
         raise LoopOutsideDomain(float(u[j]),
                                 {c: float(v[j]) for c, v in env.items()})
     vel = loop.velocity(u)
-    M = np.zeros((len(u), conn.rank, conn.rank), dtype=complex)
+    M = np.zeros((conn.rank, conn.rank, len(u)), dtype=complex)
     for name in (c for c in conn.coords if c in conn.comps):
         moving = vel[name] != 0.0
         at = {c: v[moving] for c, v in env.items()}
-        M[moving] += conn.evaluate_at(name, at) * vel[name][moving, None, None]
-    return -M
+        # A is zero where c stands still, and so is the velocity there (a
+        # masked += on the last axis costs more); evaluate_at moves the
+        # axes of an (r, r, points) array, so moving them back is a view
+        A = np.zeros_like(M)
+        A[:, :, moving] = np.moveaxis(conn.evaluate_at(name, at),
+                                      (-2, -1), (0, 1))
+        M -= A * vel[name]
+    return M
 
 
 def holonomy(conn: SmoothConnection, loop: Loop, steps: int = 4096

@@ -378,13 +378,18 @@ def evaluate(e: Expr, env: dict):
     points = dict(zip(env, arrays))
     shape = arrays[0].shape if arrays else ()
     with np.errstate(all="ignore"):
-        val = np.broadcast_to(_eval(e, points), shape)
+        val = _eval(e, points)
     _raise_at(~np.isfinite(val), "non-finite value", points)
+    val = np.broadcast_to(val, shape)
     return val if shape else float(val)
 
 
 def _raise_at(bad, what: str, points: dict) -> None:
-    """Raise EvalError at the first point where bad holds, if any."""
+    """Raise EvalError at the first point where bad holds, if any.  The
+    mask is broadcast to the points only on a hit: a bad constant over
+    zero points is no hit."""
+    if not np.any(bad):
+        return
     shape = np.broadcast_shapes(*(v.shape for v in points.values()))
     bad = np.broadcast_to(bad, shape)
     if np.any(bad):

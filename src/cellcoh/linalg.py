@@ -257,6 +257,9 @@ def _bounded(a: np.ndarray):
       succeeds proves the bound INT_BOUND without a scan.  The int32 cast
       is a range check only: products run on int64, because int32 @ would
       accumulate on int32.
+    * Any other integer dtype is cast to int64 and scanned when int64
+      holds all its values, else (uint64, whose cast to int64 would wrap
+      2^63 and above) made Python ints and taken as an object array.
     """
     if a.dtype == object:
         try:
@@ -264,6 +267,8 @@ def _bounded(a: np.ndarray):
         except OverflowError:
             return a, None
     if a.dtype != np.int64:
+        if not np.can_cast(a.dtype, np.int64):
+            return _bounded(a.astype(object))
         a = a.astype(np.int64)
     for owner in (a, a.base):
         ref, bound = _BOUNDS.get(id(owner), (None, None))

@@ -215,6 +215,25 @@ def noncommuting_plane():
                "t": [[["0", "0"], ["0", "s"]], [["s*t", "0"], ["0", "0"]]]}})
 
 
+def noncommuting_connection(rank):
+    """A rank-r connection in the pattern of noncommuting_plane: t on the
+    superdiagonal of A_s, i s and s t on the two off-diagonals of A_t, and
+    the phases i t / (k + 1) and -i (k + 1) s on their diagonals, so that
+    A_s and A_t do not commute for r >= 2 and rank 1 still has curvature."""
+    def matrix(diag, upper, lower):
+        return [[diag(i) if i == j else upper if j == i + 1
+                 else lower if i == j + 1 else ["0", "0"]
+                 for j in range(rank)] for i in range(rank)]
+
+    return bd.SmoothConnection.from_json(
+        {"rank": rank, "coords": ["s", "t"],
+         "domain": {"s": ["-2", "2"], "t": ["-2", "2"]},
+         "A": {"s": matrix(lambda k: ["0", f"t/{k + 1}"], ["t", "0"],
+                           ["0", "0"]),
+               "t": matrix(lambda k: ["0", f"-{k + 1}*s"], ["0", "s"],
+                           ["s*t", "0"])}})
+
+
 def stepwise_transport(conn, loop, u0, u1, steps):
     """Plain RK4 on U, one step after another, with the generators
     -A(gamma)gamma' at the step ends and midpoints evaluated up front."""
@@ -235,12 +254,14 @@ def stepwise_transport(conn, loop, u0, u1, steps):
 
 @pytest.mark.parametrize("u0,u1", [(0.0, 1.0), (0.5, 1.0), (1.0, 0.0)])
 def test_noncommuting_transport_matches_stepwise_rk4(u0, u1):
-    conn = noncommuting_plane()
+    # rank 2, and the ranks around it: the stack product sums over k
     loop = bd.Loop.load(data("loops/circle_r08.json"))
-    for steps in (1, 2, 3, 255, 256, 257, 1000, 4097, 8192):
-        want = stepwise_transport(conn, loop, u0, u1, steps)
-        got = bd.transport(conn, loop, u0, u1, steps)
-        assert np.abs(got - want).max() <= 1e-12, steps
+    for conn in (noncommuting_plane(), *map(noncommuting_connection,
+                                            (1, 3, 4))):
+        for steps in (1, 2, 3, 255, 256, 257, 1000, 4097, 8192):
+            want = stepwise_transport(conn, loop, u0, u1, steps)
+            got = bd.transport(conn, loop, u0, u1, steps)
+            assert np.abs(got - want).max() <= 1e-12, (conn.rank, steps)
 
 
 def test_noncommuting_holonomy_concatenation_is_product():

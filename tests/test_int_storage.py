@@ -130,6 +130,19 @@ def test_python_int_factors_multiply_on_int64_not_int32():
     assert la.mm(A.astype(np.int64), B).tolist() == [[2 * a * a]]
 
 
+def test_unsigned_factors_are_not_wrapped_to_int64():
+    # a cast of uint64 to int64 would wrap 2^63 to -2^63
+    big = la.mm(np.array([[2 ** 63]], dtype=np.uint64),
+                np.array([[1]], dtype=object))
+    assert big.tolist() == [[2 ** 63]]
+    assert la.int_mv(np.array([[2 ** 64 - 1]], dtype=np.uint64),
+                     np.array([-1], dtype=object)).tolist() == [-2 ** 64 + 1]
+    # a small unsigned dtype fits int64 and multiplies as before
+    small = la.mm(np.array([[200, 7]], dtype=np.uint8),
+                  np.array([[3], [2]], dtype=object))
+    assert small.dtype == object and small.tolist() == [[614]]
+
+
 def test_cech_levels_cofaces_and_total_complex_are_read_only_int64():
     K = cl.bundled_complex("circle3")
     A = tot.cech_double(K, cl.star_cover(K), "Z", N=4)
