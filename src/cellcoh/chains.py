@@ -17,10 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import (IntSolver, RatSolver, as_matrix, as_vector, block_zeros,
-                     exact_storage, int_zeros, integerize_rows,
+from .linalg import (IntSolver, RatSolver, as_columns, as_matrix,
+                     block_zeros, exact_storage, int_zeros, integerize_rows,
                      invariant_factors, is_zero, mm, mv, smith_normal_form,
-                     zeros)
+                     zero_columns, zeros)
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -514,9 +514,9 @@ class HomologyData:
         if rsnf is None and is_zero(C.diff(n)) and C.int_solver(n - 1):
             rsnf = C._solvers["rel", n] = C.int_solver(n - 1).snf
         if rsnf is None:
-            rel = out.kernel_coordinates(
+            rel, ok = out.kernel_coordinates(
                 integerize_rows(C.diff(n - 1).T).T)
-            if rel is None:
+            if not ok.all():
                 raise RuntimeError("image not contained in kernel")
             rsnf = C._solvers["rel", n] = smith_normal_form(rel)
         ker = out.kernel_basis()
@@ -534,40 +534,49 @@ class HomologyData:
         self.group = FgAbGroup(C.ring, rank=orders.count(0), torsion=tor)
         self._out, self._rows = out, rows
         self._U = rsnf.U
-        self._diag = np.array(rsnf.diag[:rsnf.rank], dtype=object)
+        self._diag = np.array(rsnf.diag[:rsnf.rank],
+                              dtype=object).reshape(-1, 1)
 
     # -- class arithmetic ----------------------------------------------
 
-    def _coordinates(self, vec):
-        """y = U' x for the kernel coordinates x of v, or None when v is no
-        cocycle or, over Z, not integral."""
-        x = self._out.kernel_coordinates(
-            as_vector(vec, self.complex.rank(self.degree)))
-        if x is None:
-            return None
-        y = mv(self._U, x)
-        if self.complex.ring == RING_Z and not is_zero(y % 1):
-            return None
-        return y
+    def _coordinates(self, B):
+        """(y, ok): y = U' x for the kernel coordinates x of each column of
+        the matrix B, and whether each column is a cocycle and, over Z,
+        integral (y holds only there)."""
+        x, ok = self._out.kernel_coordinates(B)
+        y = mm(self._U, x)
+        if self.complex.ring == RING_Z:
+            ok = ok & zero_columns(y % 1)
+        return y, ok
 
     def express(self, vec):
         """Coordinates of the class of a cocycle in the generators, or
-        None."""
-        y = self._coordinates(vec)
-        return None if y is None else y[self._rows]
+        None.  Given a (rank, k) matrix, (the coordinates of each column,
+        whether each column has them)."""
+        B, batch = as_columns(vec, self.complex.rank(self.degree))
+        y, ok = self._coordinates(B)
+        y = y[self._rows]
+        if batch:
+            return y, ok
+        return y[:, 0] if ok[0] else None
 
-    def class_is_zero(self, vec) -> bool:
-        y = self._coordinates(vec)
-        if y is None:
-            return False
+    def class_is_zero(self, vec):
+        """Whether the class of a cocycle vanishes (False for a vector that
+        is no cocycle); one verdict per column of a (rank, k) matrix."""
+        B, batch = as_columns(vec, self.complex.rank(self.degree))
+        y, ok = self._coordinates(B)
         s = len(self._diag)
         # over Q a nonzero D'_i divides every y_i
-        return is_zero(y[s:]) and (self.complex.ring == RING_Q
-                                   or is_zero(y[:s] % self._diag))
+        ok = ok & zero_columns(y[s:])
+        if self.complex.ring == RING_Z:
+            ok = ok & zero_columns(y[:s] % self._diag)
+        return ok if batch else bool(ok[0])
 
-    def classes_equal(self, v, w) -> bool:
+    def classes_equal(self, v, w):
         n = self.complex.rank(self.degree)
-        return self.class_is_zero(as_vector(v, n) - as_vector(w, n))
+        (v, batch), (w, _) = as_columns(v, n), as_columns(w, n)
+        ok = self.class_is_zero(v - w)
+        return ok if batch else bool(ok[0])
 
 
 def homology(C: Complex, n: int) -> FgAbGroup:

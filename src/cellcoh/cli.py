@@ -173,11 +173,8 @@ def cmd_homotopy_formula(args) -> int:
     _m_in_range(args.m, K, 1, K.dim + 1)   # above, every sample is empty
     P = cl.prism(K)
     rng = random.Random(args.seed)
-    failures = 0
-    for _ in range(args.samples):
-        x = dc.random_cocycle(P.complex, args.m, rng)
-        r = dc.homotopy_formula_check(P, x)
-        failures += 0 if r["passed"] else 1
+    x = dc.random_cocycles(P.complex, args.m, rng, args.samples)
+    failures = int((~dc.homotopy_formula_check(P, x)["passed"]).sum())
     # the projection pullback must give a strict zero
     xp = dc.differential_pullback(P.proj, dc.random_cocycle(K, args.m, rng))
     strict = dc.homotopy_formula_check(P, xp, expect_strict_zero=True)["passed"]
@@ -202,17 +199,14 @@ def cmd_s1_integrate(args) -> int:
     _m_in_range(args.m, K, 2, K.dim + 2)   # above, every sample is empty
     S = cl.circle_product(K)
     rng = random.Random(args.seed)
-    ok = True
-    out = None
-    for _ in range(args.samples):
-        x = dc.random_reduced_cocycle(S, args.m, rng)
-        out = dc.s1_integrate(S, x)
-        ok &= out.is_cocycle()
-        # R(out) = pi_! R(x), on numerators over the denominators of each
-        fib = dc.int_mv(S.fiber_matrix(x.n), x.wn)
-        ok &= dc.is_zero(x.L * out.wn - out.L * fib)
-    rep = {"samples": args.samples, "passed": bool(ok),
-           "last_result": out.to_json() if out is not None else None}
+    x = dc.random_reduced_cocycles(S, args.m, rng, args.samples)
+    out = dc.s1_integrate(S, x)
+    # R(out) = pi_! R(x), on numerators over the denominators of each
+    fib = dc.int_mv(S.fiber_matrix(x.n), x.wn)
+    ok = bool(np.all(out.is_cocycle()
+                     & dc.zero_columns(x.L * out.wn - out.L * fib)))
+    rep = {"samples": args.samples, "passed": ok,
+           "last_result": out.column(-1).to_json()}
     _emit(rep, args.format,
           [f"s1-integrate on S1 x {args.input} m={args.m}: "
            f"{'PASS' if ok else 'FAIL'} ({args.samples} reduced cocycles)"])

@@ -21,6 +21,17 @@ Rational cochains, h and w included, are integer numerators over one
 denominator (linalg.to_numerators), every sampled one over SAMPLE_DEN = 60;
 Fractions are built only where a vector leaves the module (.h, to_json, ...).
 
+A differential cochain may be a batch: c, h and w then hold one column per
+sample, shape (cells, k), over one denominator.  dhat, sums, pullbacks and
+fiber integrals act column by column, and so do the verdicts: is_zero,
+is_cocycle and equal_classes give one per column, as do the class queries
+of HomologyData and QZCohomology on a (cells, k) matrix and the solvers of
+linalg.  A single cochain is the batch of its one column on the same code.
+The sample checks (hexagon_exactness, random_cocycles and the homotopy and
+circle-integration commands of the CLI) draw their samples one after
+another, in the rng order of single samples, and then stack them, so each
+map, solve and witness check runs once per check, not once per sample.
+
 One sign convention worth recording: with flat_part(x) = [-h] the flat
 inclusion is u -> (delta u, -u, 0), and the hexagon's left diamond then
 commutes when the coefficient reduction H^(m-1)(Q) -> H^(m-1)(Q/Z) is
@@ -38,9 +49,10 @@ import numpy as np
 
 from .cells import CellComplex, CellularMap, ProductComplex, cochain_complex
 from .chains import RING_Q, RING_Z, FgAbGroup, HomologyData, parse_int
-from .linalg import (MixedSolver, RatSolver, as_vector, check_int_entries,
-                     divide_exactly, from_numerators, int_kernel_basis,
-                     int_mv, int_storage, is_zero, mv, to_numerators, zeros)
+from .linalg import (MixedSolver, RatSolver, as_columns, as_vector,
+                     check_int_entries, divide_columns, from_numerators,
+                     int_kernel_basis, int_mv, int_storage, is_zero, mm,
+                     to_numerators, zero_columns, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +64,8 @@ class DifferentialCochain:
 
     c is kept as Python ints, h and omega as integer numerators hn and wn
     over one denominator L > 0; .h and .omega build the rational vectors.
-    Given L, h and omega are taken as such numerators, unchecked.
+    Given L, h and omega are taken as such numerators, unchecked, and c, hn
+    and wn may be matrices with one column per sample (a batch).
     """
 
     __slots__ = ("complex", "m", "n", "c", "hn", "wn", "L")
@@ -84,6 +97,19 @@ class DifferentialCochain:
     def zero(cls, K: CellComplex, m: int, n: int) -> "DifferentialCochain":
         return cls(K, m, n, _zeros(K, n), _zeros(K, n - 1), _zeros(K, n), 1)
 
+    def column(self, j: int) -> "DifferentialCochain":
+        """Column j of a batch, a single cochain."""
+        return DifferentialCochain(self.complex, self.m, self.n, self.c[:, j],
+                                   self.hn[:, j], self.wn[:, j], self.L)
+
+    def _as_batch(self) -> "DifferentialCochain":
+        """self as a batch: a single cochain is the batch of its one column."""
+        if self.c.ndim == 2:
+            return self
+        col = lambda v: v.reshape(-1, 1)
+        return DifferentialCochain(self.complex, self.m, self.n, col(self.c),
+                                   col(self.hn), col(self.wn), self.L)
+
     def _delta(self, vec, deg):
         return int_mv(cochain_complex(self.complex).diff(deg), vec)
 
@@ -95,7 +121,8 @@ class DifferentialCochain:
             self.wn - L * self.c - self._delta(self.hn, n - 1),
             self._delta(self.wn, n), L)
 
-    def is_cocycle(self) -> bool:
+    def is_cocycle(self):
+        """Whether dhat vanishes; per column for a batch."""
         return self.dhat().is_zero()
 
     def __add__(self, other):
@@ -118,8 +145,11 @@ class DifferentialCochain:
                 or self.n != other.n):
             raise ValueError("incompatible differential cochains")
 
-    def is_zero(self) -> bool:
-        return is_zero(self.c) and is_zero(self.hn) and is_zero(self.wn)
+    def is_zero(self):
+        """Whether c, h and omega all vanish: a bool, or for a batch a bool
+        array with one verdict per column."""
+        return (zero_columns(self.c) & zero_columns(self.hn)
+                & zero_columns(self.wn))
 
     # -- serialization ---------------------------------------------------
 
@@ -136,8 +166,32 @@ class DifferentialCochain:
                    parse(obj["h"]), parse(obj["omega"]))
 
 
-def _zeros(K: CellComplex, d: int) -> np.ndarray:
-    return np.zeros(K.n_cells(d), dtype=object)
+def _zeros(K: CellComplex, d: int, cols: tuple = ()) -> np.ndarray:
+    """The zero cochain of degree d, with the column shape cols (() for a
+    single cochain, (k,) for a batch)."""
+    return np.zeros((K.n_cells(d), *cols), dtype=object)
+
+
+def _columns(vectors, length: int) -> np.ndarray:
+    """The vectors, each of the given length, as the columns of a matrix."""
+    return np.array(vectors, dtype=object).reshape(len(vectors), length).T
+
+
+def _draw(k: int, *parts) -> list:
+    """k samples drawn one after another, each drawing its parts in turn,
+    stacked: one (length, k) batch per part (length, draw), where draw()
+    gives a vector of that length."""
+    vecs = [[part() for _, part in parts] for _ in range(k)]
+    return [_columns([v[i] for v in vecs], length)
+            for i, (length, _) in enumerate(parts)]
+
+
+def _stack(K: CellComplex, m: int, n: int, xs) -> DifferentialCochain:
+    """The batch of the sampled degree-n cochains xs, all over SAMPLE_DEN."""
+    return DifferentialCochain(
+        K, m, n, _columns([x.c for x in xs], K.n_cells(n)),
+        _columns([x.hn for x in xs], K.n_cells(n - 1)),
+        _columns([x.wn for x in xs], K.n_cells(n)), SAMPLE_DEN)
 
 
 def dhat(x: DifferentialCochain) -> DifferentialCochain:
@@ -154,7 +208,7 @@ def forms_a(K: CellComplex, m: int, alpha, n: int | None = None
 
 def _forms_a(K: CellComplex, m: int, n: int, an, L) -> DifferentialCochain:
     """a(an / L) in degree n."""
-    return DifferentialCochain(K, m, n, _zeros(K, n), an,
+    return DifferentialCochain(K, m, n, _zeros(K, n, an.shape[1:]), an,
                                int_mv(cochain_complex(K).diff(n - 1), an), L)
 
 
@@ -166,17 +220,18 @@ def curvature_R(x: DifferentialCochain) -> np.ndarray:
 
 def underlying_I(x: DifferentialCochain, hdata: HomologyData | None = None):
     """Class of c in H^n(K; Z): coordinate vector in the tracked generators
-    of the homology presentation (returned alongside)."""
+    of the homology presentation (returned alongside); for a batch, one
+    column of coordinates per column of x."""
     _require_cocycle(x)
     hd = hdata or integral_cohomology(x.complex, x.n)
-    coords = hd.express(x.c)
-    if coords is None:
+    coords, ok = hd.express(x._as_batch().c)
+    if not ok.all():
         raise RuntimeError("underlying cocycle has no class coordinates")
-    return coords, hd
+    return (coords if x.c.ndim == 2 else coords[:, 0]), hd
 
 
 def _require_cocycle(x: DifferentialCochain):
-    if not x.is_cocycle():
+    if not np.all(x.is_cocycle()):
         raise ValueError("input must be a dhat-cocycle")
 
 
@@ -218,36 +273,46 @@ def equal_classes(x: DifferentialCochain, y: DifferentialCochain):
     """Whether x and y present the same class, with the witness w such that
     x - y = dhat(w) when they do.
 
-    Returns (bool, witness-or-None).
+    Returns (bool, witness-or-None); for batches, (a bool array with one
+    verdict per column, the batch of witnesses, each valid where its
+    column's verdict holds).
     """
     x._compat(y)
-    K, m, n = x.complex, x.m, x.n
-    d = x - y
-    solver = class_solver(K, m, n)
-    # dhat o dhat = 0, so d = dhat(w) needs the h-part of dhat(d),
-    # omega - c - delta h, to vanish
-    if not is_zero(d.wn - d.L * d.c - d._delta(d.hn, n - 1)):
-        return False, None
-    if n - 1 >= m:
-        # d.c = delta c_w gives w = (c_w, 0, d.h + c_w)
-        c_w = solver.solve(d.c)
-        w = None if c_w is None else DifferentialCochain(
-            K, m, n - 1, c_w, _zeros(K, n - 2), d.hn + d.L * c_w, d.L)
-    else:
-        # omega_w = 0: d.omega = 0 and d.h = u + delta v with u integral give
-        # w = (-u, -v, 0)
-        sol = solver.solve_numerators(d.hn, d.L) if is_zero(d.wn) else None
-        w = None if sol is None else DifferentialCochain(
-            K, m, n - 1, -sol[0], -sol[1], _zeros(K, n - 1), sol[2])
-    if w is None:
-        return False, None
-    if not (d - w.dhat()).is_zero():
-        raise RuntimeError("class-equality witness does not verify")
-    return True, w
+    return _dhat_exact(x - y)
 
 
 def class_is_trivial(x: DifferentialCochain):
-    return equal_classes(x, DifferentialCochain.zero(x.complex, x.m, x.n))
+    return _dhat_exact(x)
+
+
+def _dhat_exact(d: DifferentialCochain):
+    """Whether d = dhat(w), with w, as equal_classes(d, 0) returns them.
+    Every witness found is checked; one that does not verify raises
+    RuntimeError."""
+    K, m, n = d.complex, d.m, d.n
+    batch, d = d.c.ndim == 2, d._as_batch()
+    cols = d.c.shape[1:]
+    solver = class_solver(K, m, n)
+    # dhat o dhat = 0, so d = dhat(w) needs the h-part of dhat(d),
+    # omega - c - delta h, to vanish
+    ok = zero_columns(d.wn - d.L * d.c - d._delta(d.hn, n - 1))
+    if n - 1 >= m:
+        # d.c = delta c_w gives w = (c_w, 0, d.h + c_w)
+        c_w, solved = solver.solve_many(d.c)
+        w = DifferentialCochain(K, m, n - 1, c_w, _zeros(K, n - 2, cols),
+                                d.hn + d.L * c_w, d.L)
+    else:
+        # omega_w = 0: d.omega = 0 and d.h = u + delta v with u integral give
+        # w = (-u, -v, 0)
+        u, v, L, solved = solver.solve_numerators(d.hn, d.L)
+        solved &= zero_columns(d.wn)
+        w = DifferentialCochain(K, m, n - 1, -u, -v, _zeros(K, n - 1, cols), L)
+    ok &= solved
+    if not ((d - w.dhat()).is_zero() | ~ok).all():
+        raise RuntimeError("class-equality witness does not verify")
+    if batch:
+        return ok, w
+    return (True, w.column(0)) if ok[0] else (False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +354,15 @@ class QZCohomology:
             if bvec is None:
                 raise RuntimeError("torsion class has no integral primitive")
             self._lifts.append((bvec, k))
+        # random classes are over L, the generator and delta g coefficients
+        # over SAMPLE_DEN and a torsion residue r over k: u = M draws + L z
+        L = self._L = lcm(SAMPLE_DEN, *(k for _, k in self._lifts))
+        s = L // SAMPLE_DEN
+        self._draw_map = int_storage(np.concatenate(
+            [s * self.rational.gens]
+            + [(L // k) * b.reshape(-1, 1) for b, k in self._lifts]
+            + [s * self.delta_below.astype(object)], axis=1))
+        self._draw_len = self._draw_map.shape[1] + self.n_cells
 
     @property
     def torsion_lifts(self) -> list:
@@ -297,9 +371,12 @@ class QZCohomology:
     def class_is_zero(self, u) -> bool:
         return self.is_zero_over(*to_numerators(as_vector(u, self.n_cells)))
 
-    def is_zero_over(self, un, L) -> bool:
-        """class_is_zero of un / L."""
-        return self._member.solve_numerators(un, L) is not None
+    def is_zero_over(self, un, L):
+        """class_is_zero of un / L; one verdict per column of a (cells, k)
+        matrix un."""
+        B, batch = as_columns(un, self.n_cells)
+        ok = self._member.solve_numerators(B, L)[-1]
+        return ok if batch else bool(ok[0])
 
     def classes_equal(self, u, v) -> bool:
         return self.class_is_zero(
@@ -319,15 +396,26 @@ class QZCohomology:
 
     def random_class_numerators(self, rng):
         """(un, L): random_class(rng) as un / L, from the same rng calls."""
-        L = lcm(SAMPLE_DEN, *(k for _, k in self._lifts))
-        s, u = L // SAMPLE_DEN, np.zeros(self.n_cells, dtype=object)
-        for j in range(self.rational.gens.shape[1]):
-            u = u + s * random_numerator(rng) * self.rational.gens[:, j]
-        for b, k in self._lifts:
-            u = u + rng.randrange(k) * (L // k) * b
-        g = random_numerators(rng, self.delta_below.shape[1])
-        z = random_int_vector(rng, self.n_cells)
-        return u + s * int_mv(self.delta_below, g) + L * z, L
+        un, L = self._classes(self._class_draws(rng).reshape(-1, 1))
+        return un[:, 0], L
+
+    def _class_draws(self, rng) -> np.ndarray:
+        """The rng draws of one random class, in order, as one vector: a
+        numerator over SAMPLE_DEN per rational generator, a residue mod k
+        per torsion lift, numerators of a cochain g one degree down and an
+        integral cochain z."""
+        return np.array(
+            [random_numerator(rng) for _ in range(self.rational.gens.shape[1])]
+            + [rng.randrange(k) for _, k in self._lifts]
+            + random_numerators(rng, self.delta_below.shape[1]).tolist()
+            + random_int_vector(rng, self.n_cells).tolist(), dtype=object)
+
+    def _classes(self, V: np.ndarray):
+        """(U, L): the classes u = U / L with the draws of _class_draws as
+        the columns of V: u mixes the rational generators, the torsion lifts
+        and delta g by the draws, plus the integral z."""
+        p = V.shape[0] - self.n_cells
+        return int_mv(self._draw_map, V[:p]) + self._L * V[p:], self._L
 
 
 def qz_cohomology(K: CellComplex, n: int) -> QZCohomology:
@@ -353,14 +441,14 @@ def _flat_include(K: CellComplex, m: int, n: int, un, L
                   ) -> DifferentialCochain:
     """flat_include of un / L."""
     c = _integral_image(cochain_complex(K).diff(n - 1), un, L)
-    return DifferentialCochain(K, m, n, c, -un, _zeros(K, n), L)
+    return DifferentialCochain(K, m, n, c, -un, _zeros(K, n, un.shape[1:]), L)
 
 
 def _integral_image(A: np.ndarray, un, L) -> np.ndarray:
     """A (un / L), which must be integral (else the entry check raises)."""
     du = int_mv(A, un)
-    out = divide_exactly(du, L)
-    return check_int_entries(from_numerators(du, L)) if out is None else out
+    out, ok = divide_columns(du, L)
+    return out if np.all(ok) else check_int_entries(from_numerators(du, L))
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +486,47 @@ def random_cocycle(K: CellComplex, m: int, rng, n: int | None = None
                    ) -> DifferentialCochain:
     """Random dhat-cocycle: c a random integral cocycle, h arbitrary,
     omega = c + delta h."""
+    return random_cocycles(K, m, rng, 1, n).column(0)
+
+
+def random_cocycles(K: CellComplex, m: int, rng, k: int,
+                    n: int | None = None) -> DifferentialCochain:
+    """k random_cocycle draws, in the same rng order, as one batch."""
     n = m if n is None else n
     C = cochain_complex(K)
     ker = K.kept(("zker", n),
                  lambda: int_storage(C.int_solver(n).kernel_basis()))
-    c = int_mv(ker, random_int_vector(rng, ker.shape[1], bound=3))
-    hn = random_numerators(rng, K.n_cells(n - 1))
+    return _cocycles(K, m, n, ker, 3, k, rng)
+
+
+def _cocycles(K: CellComplex, m: int, n: int, ker, bound: int, k: int, rng,
+              fixed=()) -> DifferentialCochain:
+    """k cocycles (c, h, c + delta h) over SAMPLE_DEN, one per column: c
+    the kernel basis ker times integers in [-bound, bound], h random
+    numerators that vanish on the cells fixed, each sample drawing its c
+    coefficients, then its h."""
+    r, q = ker.shape[1], K.n_cells(n - 1)
+    coefs, hn = _draw(k, (r, lambda: random_int_vector(rng, r, bound=bound)),
+                      (q, lambda: random_numerators(rng, q)))
+    c = int_mv(ker, coefs)
+    hn[list(fixed)] = 0
     return DifferentialCochain(
-        K, m, n, c, hn, SAMPLE_DEN * c + int_mv(C.diff(n - 1), hn), SAMPLE_DEN)
+        K, m, n, c, hn,
+        SAMPLE_DEN * c + int_mv(cochain_complex(K).diff(n - 1), hn),
+        SAMPLE_DEN)
 
 
 def random_reduced_cocycle(prod: ProductComplex, m: int, rng,
                            n: int | None = None) -> DifferentialCochain:
     """Random dhat-cocycle on a circle product vanishing on the base
     section (the inputs accepted by circle integration)."""
+    return random_reduced_cocycles(prod, m, rng, 1, n).column(0)
+
+
+def random_reduced_cocycles(prod: ProductComplex, m: int, rng, k: int,
+                            n: int | None = None) -> DifferentialCochain:
+    """k random_reduced_cocycle draws, in the same rng order, as one
+    batch."""
     n = m if n is None else n
     P, K = prod.complex, prod.base
     C, base_v = cochain_complex(P), ("v", 0)
@@ -424,12 +539,8 @@ def random_reduced_cocycle(prod: ProductComplex, m: int, rng,
             np.concatenate([C.diff(n), sel], axis=0)))
 
     ker = P.kept(("zker_reduced", n), kernel)
-    c = int_mv(ker, random_int_vector(rng, ker.shape[1], bound=2))
-    hn = random_numerators(rng, P.n_cells(n - 1))
-    for s in K.cells(n - 1):
-        hn[P.index[(base_v, s)]] = 0
-    return DifferentialCochain(
-        P, m, n, c, hn, SAMPLE_DEN * c + int_mv(C.diff(n - 1), hn), SAMPLE_DEN)
+    return _cocycles(P, m, n, ker, 2, k, rng,
+                     fixed=[P.index[(base_v, s)] for s in K.cells(n - 1)])
 
 
 def random_element(K: CellComplex, m: int, n: int, rng
@@ -500,162 +611,127 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
                       seed: int = 0) -> dict:
     """Constructive verification of the hexagon: vanishing composites,
     commuting squares on samples, and exactness with explicit witnesses.
-    Mathematical failures are reported, not raised."""
+    Mathematical failures are reported, not raised.  Each check draws its
+    samples in turn and runs its maps, solves and witness checks once, on
+    the batch of them; it passes when every column does."""
     hx = Hexagon(K, m)
     rng = random.Random(seed)
     checks = []
 
     def record(name, passed, detail=""):
-        checks.append({"check": name, "passed": bool(passed), "detail": detail})
+        checks.append({"check": name, "passed": bool(np.all(passed)),
+                       "detail": detail})
 
     # the maps take numerators over D, or over L for a Q/Z class (un, L)
-    n_low, D = K.n_cells(m - 1), SAMPLE_DEN
+    n_low, n_below, D = K.n_cells(m - 1), K.n_cells(m - 2), SAMPLE_DEN
     qz, gens, zgens = hx.h_low_qz, hx.h_low_q.gens, hx.h_high_z.gens
+    b, many = gens.shape[1], max(10, samples // 5)
     d_top = lambda an: int_mv(hx.delta_a, an)
     a = lambda an, L=D: _forms_a(K, m, m, an, L)
     flat_lift = lambda un, L=D: _flat_include(K, m, m, un, L)
+    num = lambda length: (length, lambda: random_numerators(rng, length))
+    ints = lambda length, bound=9: (
+        length, lambda: random_int_vector(rng, length, bound))
+    qz_class = (qz._draw_len, lambda: qz._class_draws(rng))
+    # a random rational combination of the generators of H^(m-1)(Q), from
+    # one numerator per generator
+    closed = lambda coefs: int_mv(gens, coefs)
 
-    def closed_sample():
-        """A random rational combination of the generators of H^(m-1)(Q)."""
-        return sum((random_numerator(rng) * gens[:, j]
-                    for j in range(gens.shape[1])), _zeros(K, m - 1))
-
-    # dhat o dhat = 0 on random (non-cocycle) elements
-    ok = True
+    # dhat o dhat = 0 on random (non-cocycle) elements, batched by degree
+    elements = {m - 1: [], m: []}
     for _ in range(samples):
-        x = random_element(K, m, rng.choice([m - 1, m]), rng)
-        ok &= x.dhat().dhat().is_zero()
-    record("dhat_squared_zero", ok)
+        n = rng.choice([m - 1, m])
+        elements[n].append(random_element(K, m, n, rng))
+    record("dhat_squared_zero", all(
+        np.all(_stack(K, m, n, xs).dhat().dhat().is_zero())
+        for n, xs in elements.items()))
 
     # R o a = delta and I o a = 0
-    ok_ra, ok_ia = True, True
-    for _ in range(samples):
-        alpha = random_numerators(rng, n_low)
-        xa = a(alpha)
-        _require_cocycle(xa)
-        ok_ra &= is_zero(xa.wn - d_top(alpha))
-        ok_ia &= hx.h_high_z.class_is_zero(xa.c)
-    record("R_after_a_is_delta", ok_ra)
-    record("I_after_a_vanishes", ok_ia)
+    alpha, = _draw(samples, num(n_low))
+    xa = a(alpha)
+    _require_cocycle(xa)
+    record("R_after_a_is_delta", zero_columns(xa.wn - d_top(alpha)))
+    record("I_after_a_vanishes", hx.h_high_z.class_is_zero(xa.c))
 
     # right diamond: [R(x)]_Q = [I(x)]_Q on random cocycles; over Q a class
     # vanishes with its multiple by L
-    ok = True
-    for _ in range(max(10, samples // 5)):
-        x = random_cocycle(K, m, rng)
-        ok &= hx.h_high_q.class_is_zero(x.wn - x.L * x.c)
-    record("right_diamond_commutes", ok)
+    x = random_cocycles(K, m, rng, many)
+    record("right_diamond_commutes",
+           hx.h_high_q.class_is_zero(x.wn - x.L * x.c))
 
     # left diamond: a(incl(z)) = flat_lift(reduce(z)) in the element node,
     # with incl(z) = z and reduce(z) = -z, the sign that makes it commute
-    # with the pinned a and flat_part
-    ok = True
-    for j in range(gens.shape[1]):
-        z = gens[:, j] * random_numerator(rng)
-        ok &= equal_classes(a(z), flat_lift(-z))[0]
-    for _ in range(5):
-        z = closed_sample()
-        ok &= equal_classes(a(z), flat_lift(-z))[0]
-    record("left_diamond_commutes", ok)
+    # with the pinned a and flat_part; z runs over multiples of each
+    # generator, then over 5 random combinations
+    scale, = _draw(1, num(b))
+    coefs, = _draw(5, num(b))
+    z = np.concatenate([gens * scale.T, closed(coefs)], axis=1)
+    record("left_diamond_commutes", equal_classes(a(z), flat_lift(-z))[0])
 
     # bottom triangle: I(flat_lift(u)) = bockstein(u)
-    ok = True
-    for _ in range(max(10, samples // 5)):
-        u = qz.random_class_numerators(rng)
-        ok &= hx.h_high_z.classes_equal(flat_lift(*u).c, qz.bockstein_over(*u))
-    record("bottom_triangle_commutes", ok)
+    u, L = qz._classes(*_draw(many, qz_class))
+    record("bottom_triangle_commutes", hx.h_high_z.classes_equal(
+        flat_lift(u, L).c, qz.bockstein_over(u, L)))
 
     # upper row exactness: ker(d_top) = image of H^(m-1)(K;Q) in the A-node;
     # express and the A-node equality are linear, so they run on numerators
-    ok = True
-    for _ in range(max(10, samples // 5)):
-        alpha = closed_sample() + int_mv(
-            hx.delta_below, random_numerators(rng, K.n_cells(m - 2)))
-        if not is_zero(d_top(alpha)):
-            ok = False
-            continue
-        coords = hx.h_low_q.express(alpha)
-        ok &= coords is not None and hx._a_exact.solve_numerators(
-            alpha - sum((coords[j] * gens[:, j] for j in range(gens.shape[1])),
-                        _zeros(K, m - 1)), D) is not None
-    record("exact_at_forms_node", ok)
+    coefs, g = _draw(many, num(b), num(n_below))
+    alpha = closed(coefs) + int_mv(hx.delta_below, g)
+    coords, ok = hx.h_low_q.express(alpha)
+    record("exact_at_forms_node", zero_columns(d_top(alpha)) & ok
+           & hx._a_exact.solve_numerators(alpha - mm(gens, coords), D)[-1])
 
     # upper row exactness at the closed-forms node: ker(cls_Q) = im(d_top)
-    ok = True
-    for _ in range(max(10, samples // 5)):
-        omega = d_top(random_numerators(rng, n_low))
-        ok &= hx._z_exact.solve_numerators(omega, D) is not None \
-            and hx.h_high_q.class_is_zero(omega)
-    record("exact_at_closed_forms_node", ok)
+    omega = d_top(*_draw(many, num(n_low)))
+    record("exact_at_closed_forms_node",
+           hx._z_exact.solve_numerators(omega, D)[-1]
+           & hx.h_high_q.class_is_zero(omega))
 
     # a/I diagonal, exactness at the element node: I(x) = 0 gives x = a(h + b)
-    ok = True
-    for _ in range(samples):
-        c = d_top(random_int_vector(rng, n_low, bound=4))
-        h = random_numerators(rng, n_low)
-        x = DifferentialCochain(K, m, m, c, h, D * c + d_top(h), D)
-        bp = hx._int_primitive.solve(x.c)
-        if bp is None:
-            ok = False
-            continue
-        eq, wit = equal_classes(x, a(x.hn + D * bp))
-        ok &= eq and wit is not None
-    record("exact_aI_diagonal_at_element_node", ok)
+    c, h = _draw(samples, ints(n_low, bound=4), num(n_low))
+    c = d_top(c)
+    x = DifferentialCochain(K, m, m, c, h, D * c + d_top(h), D)
+    bp, ok = hx._int_primitive.solve_many(x.c)
+    record("exact_aI_diagonal_at_element_node",
+           ok & equal_classes(x, a(x.hn + D * bp))[0])
 
-    # I is onto: integral classes lift to differential classes
-    ok = True
-    for j in range(zgens.shape[1]):
-        c = zgens[:, j]
-        x = DifferentialCochain(K, m, m, c, _zeros(K, m - 1), c, 1)
-        coords = underlying_I(x, hx.h_high_z)[0]
-        want = zeros(zgens.shape[1], 1).reshape(-1)
-        want[j] = 1
-        ok &= hx.h_high_z.classes_equal(mv(zgens, coords), mv(zgens, want))
-    record("I_onto_integral_classes", ok)
+    # I is onto: integral classes lift to differential classes, the lift of
+    # generator j having class coordinates e_j
+    x = DifferentialCochain(K, m, m, zgens, _zeros(K, m - 1, zgens.shape[1:]),
+                            zgens, 1)
+    coords = underlying_I(x, hx.h_high_z)[0]
+    record("I_onto_integral_classes",
+           hx.h_high_z.classes_equal(mm(zgens, coords), zgens))
 
     # flat/R diagonal, exactness at the element node: R(x) = 0 gives
     # x = flat_lift(flat_part(x)), with flat_part(x) = -h
-    ok = True
+    draws, elements = [], []
     for _ in range(samples):
-        un, L = qz.random_class_numerators(rng)
-        x = flat_lift(un, L) + random_coboundary(K, m, rng)
-        _require_cocycle(x)
-        if not is_zero(x.wn):
-            ok = False
-            continue
-        eq, wit = equal_classes(x, flat_lift(-x.hn, x.L))
-        ok &= eq and wit is not None
-        # [flat_part(x)] = [u]: -x.h - u has the class of x.h + u
-        ok &= qz.is_zero_over(L * x.hn + x.L * un, L * x.L)
-    record("exact_flatR_diagonal_at_element_node", ok)
+        draws.append(qz._class_draws(rng))
+        elements.append(random_element(K, m, m - 1, rng))
+    un, L = qz._classes(_columns(draws, qz._draw_len))
+    x = flat_lift(un, L) + _stack(K, m, m - 1, elements).dhat()
+    _require_cocycle(x)
+    # [flat_part(x)] = [u]: -x.h - u has the class of x.h + u
+    record("exact_flatR_diagonal_at_element_node",
+           zero_columns(x.wn) & equal_classes(x, flat_lift(-x.hn, x.L))[0]
+           & qz.is_zero_over(L * x.hn + x.L * un, L * x.L))
 
     # injectivity of the flat inclusion: flat_lift(u) trivial iff [u] = 0
-    ok = True
-    for _ in range(max(10, samples // 5)):
-        u = qz.random_class_numerators(rng)
-        triv, _ = class_is_trivial(flat_lift(*u))
-        ok &= triv == qz.is_zero_over(*u)
-    record("flat_inclusion_detects_triviality", ok)
+    u, L = qz._classes(*_draw(many, qz_class))
+    record("flat_inclusion_detects_triviality",
+           class_is_trivial(flat_lift(u, L))[0] == qz.is_zero_over(u, L))
 
     # lower row exactness at H^(m-1)(Q/Z): ker(bockstein) = rational classes
-    ok = True
-    for _ in range(max(10, samples // 5)):
-        u = closed_sample() + int_mv(
-            hx.delta_below, random_numerators(rng, K.n_cells(m - 2))) \
-            + D * random_int_vector(rng, n_low)
-        beta = qz.bockstein_over(u, D)
-        if not hx.h_high_z.class_is_zero(beta):
-            ok = False
-            continue
-        bvec = hx._int_primitive.solve(beta)
-        # constructive preimage: u - b is closed rational, and its negative
-        # reduces to [u]
-        ok &= bvec is not None
-        if bvec is not None:
-            closed = u - D * bvec
-            ok &= is_zero(d_top(closed))
-            ok &= qz.is_zero_over(closed - u, D)
-    record("exact_at_QZ_node", ok)
+    coefs, g, z = _draw(many, num(b), num(n_below), ints(n_low))
+    u = closed(coefs) + int_mv(hx.delta_below, g) + D * z
+    beta = qz.bockstein_over(u, D)
+    bvec, ok = hx._int_primitive.solve_many(beta)
+    # constructive preimage: u - b is closed rational, and its negative
+    # reduces to [u]
+    closed_u = u - D * bvec
+    record("exact_at_QZ_node", hx.h_high_z.class_is_zero(beta) & ok
+           & zero_columns(d_top(closed_u)) & qz.is_zero_over(closed_u - u, D))
 
     # lower row exactness at H^m(Z): ker(coeff) = torsion = im(bockstein)
     ok = True
@@ -704,7 +780,8 @@ def homotopy_formula_check(prod: ProductComplex, x: DifferentialCochain,
                            expect_strict_zero: bool = False) -> dict:
     """Verify end1* x - end0* x - a(pi_! omega) is dhat-exact, witness
     included; for pullbacks along the projection the difference vanishes
-    identically."""
+    identically.  For a batch x each verdict is a bool array, one per
+    column."""
     if x.complex is not prod.complex:
         raise ValueError("cochain does not live on the prism complex")
     _require_cocycle(x)
@@ -715,20 +792,23 @@ def homotopy_formula_check(prod: ProductComplex, x: DifferentialCochain,
     if expect_strict_zero:
         strict = diff.is_zero()
         return {"passed": strict, "strict_zero": strict, "witness": None}
-    eq, wit = equal_classes(diff, DifferentialCochain.zero(K, m, n))
+    eq, _ = class_is_trivial(diff)
     # the explicit witness (pi_! c, -pi_! h, 0) always works; cross-check
-    pih = _fiber_integral(prod, x.hn, n - 1) if n > 1 else _zeros(K, n - 2)
+    cols = x.c.shape[1:]
+    pih = (_fiber_integral(prod, x.hn, n - 1) if n > 1
+           else _zeros(K, n - 2, cols))
     w0 = DifferentialCochain(K, m, n - 1, _fiber_integral(prod, x.c, n),
-                             -pih, _zeros(K, n - 1), x.L)
+                             -pih, _zeros(K, n - 1, cols), x.L)
     strict = (diff - w0.dhat()).is_zero()
-    return {"passed": bool(eq and strict), "witness_found": eq,
+    return {"passed": eq & strict, "witness_found": eq,
             "explicit_witness_exact": strict}
 
 
 def s1_integrate(prod: ProductComplex, x: DifferentialCochain
                  ) -> DifferentialCochain:
     """Integration over the circle factor: (pi_! c, -pi_! h, pi_! omega)
-    with truncation and degree both dropping by one.
+    with truncation and degree both dropping by one; column by column for
+    a batch.
 
     Requires m >= 2 and x vanishing on the base section (the reduced-object
     condition modelling classes trivialized along the marked section).
@@ -739,7 +819,7 @@ def s1_integrate(prod: ProductComplex, x: DifferentialCochain
         raise ValueError("need m >= 2 so the target truncation m - 1 >= 1")
     _require_cocycle(x)
     res = differential_pullback(prod.sections["base"], x)
-    if not res.is_zero():
+    if not np.all(res.is_zero()):
         raise ValueError(
             "input must vanish on the base section (reduced object "
             "requirement for circle integration)")
@@ -748,7 +828,7 @@ def s1_integrate(prod: ProductComplex, x: DifferentialCochain
         prod.base, x.m - 1, n - 1, _fiber_integral(prod, x.c, n),
         -_fiber_integral(prod, x.hn, n - 1), _fiber_integral(prod, x.wn, n),
         x.L)
-    if not out.is_cocycle():
+    if not np.all(out.is_cocycle()):
         raise RuntimeError("circle integration did not give a cocycle")
     return out
 

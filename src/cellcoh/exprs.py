@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import pi
 
 import numpy as np
@@ -72,6 +73,12 @@ class Const(Expr):
 
     def __str__(self):
         return str(self.value)
+
+    @cached_property
+    def as_float(self) -> np.float64:
+        """The value as a float, converted on the first evaluation only; not
+        a field, so equality, hash and repr are those of the value."""
+        return np.float64(self.value)
 
 
 @dataclass(frozen=True)
@@ -400,7 +407,7 @@ def _raise_at(bad, what: str, points: dict) -> None:
 
 def _eval(e: Expr, points: dict):
     if isinstance(e, Const):
-        return np.float64(e.value)
+        return e.as_float
     if isinstance(e, Pi):
         return np.float64(pi)
     if isinstance(e, Var):

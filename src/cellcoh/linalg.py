@@ -40,11 +40,14 @@ over the other ring, and a cell complex keeps its cochain complexes
 (cells.cochain_complex), so the homology over both rings and the solvers
 of diffcoh share one factorization of each coboundary.  The solvers store
 their fixed integer factors once, by int_storage.  A solve
-takes its right-hand side as integer numerators over one denominator,
-multiplies only integers against the fixed factors, checks integrality as
-divisibility and returns numerators (solve_numerators); solve builds
-Fractions only for a non-integral entry of the returned solution.
-solve_int, solve_int_many and int_kernel_basis factor for one call.
+takes its right-hand sides as the columns of one matrix of integer
+numerators over one denominator, multiplies only integers against the
+fixed factors, checks integrality as divisibility and returns numerators
+with one verdict per column (solve_many, kernel_coordinates,
+solve_numerators); solve, on one vector, is the batch of its one column,
+and builds Fractions only for a non-integral entry of the returned
+solution.  solve_int, solve_int_many and int_kernel_basis factor for one
+call.
 """
 
 from __future__ import annotations
@@ -164,6 +167,24 @@ def as_vector(entries, length: int | None = None) -> np.ndarray:
 
 def is_zero(a: np.ndarray) -> bool:
     return a.size == 0 or bool((a == 0).all())
+
+
+def zero_columns(a: np.ndarray):
+    """Whether each column of the matrix a vanishes, a bool array (True for
+    every column of a matrix without rows); for a vector, one bool."""
+    return (a == 0).all(axis=0) if a.ndim == 2 else is_zero(a)
+
+
+def as_columns(b, length: int | None = None):
+    """(B, batch): the right-hand sides b as the columns of a (length, k)
+    matrix B, and whether b was given as such a batch (a 2-D array).  Any
+    other b is one vector, the batch of its one column."""
+    if isinstance(b, np.ndarray) and b.ndim == 2:
+        if length is not None and b.shape[0] != length:
+            raise ValueError(f"expected columns of length {length}, "
+                             f"got {b.shape[0]}")
+        return b, True
+    return as_vector(b, length).reshape(-1, 1), False
 
 
 def _entry_kind(a: np.ndarray):
@@ -356,8 +377,9 @@ def to_numerators(b: np.ndarray):
 
 
 def from_numerators(n: np.ndarray, L: int) -> np.ndarray:
-    """The vector n / L, an int where L divides the entry, else a Fraction."""
-    return np.array([_div(x, L) for x in n.tolist()], dtype=object)
+    """The array n / L, an int where L divides the entry, else a Fraction."""
+    return np.array([_div(x, L) for x in n.ravel().tolist()],
+                    dtype=object).reshape(n.shape)
 
 
 def int_mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -365,13 +387,15 @@ def int_mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _to_object(_int_product(A, v))
 
 
-def divide_exactly(Y: np.ndarray, L: int):
-    """Y // L for an integer array Y, or None unless L divides every entry."""
+def divide_columns(Y: np.ndarray, L: int):
+    """(Y // L, ok) for an integer array Y: ok says, per column of a matrix
+    (zero_columns), whether L divides every entry; the quotient holds only
+    there."""
     if L == 1:
-        return Y
+        return Y, zero_columns(Y[:0])   # no rows: True for every column
     if Y.dtype != object and L >= 2 ** 63:
         Y = Y.astype(object)
-    return Y // L if is_zero(Y % L) else None
+    return Y // L, zero_columns(Y % L)
 
 
 # ---------------------------------------------------------------------------
@@ -617,29 +641,32 @@ class IntSolver:
     def solve(self, b):
         """One integer solution of A x = b, or None.  b may have rational
         entries; the system is then unsolvable unless U b is integral."""
-        X = self.solve_many(as_vector(b, self.snf.U.shape[0]).reshape(-1, 1))
-        return None if X is None else X[:, 0]
+        X, ok = self.solve_many(
+            as_vector(b, self.snf.U.shape[0]).reshape(-1, 1))
+        return X[:, 0] if ok[0] else None
 
     def solve_many(self, B):
-        """Solve A X = B column by column over Z; None if any column fails."""
+        """(X, ok): for each column j of B, ok[j] says whether A x = B[:, j]
+        has an integer solution, and then X[:, j] is one (X is zero in the
+        other columns).  B may have rational entries."""
         N, L = to_numerators(as_matrix(B))
-        Y = divide_exactly(_int_product(self.snf.U, N), L)
+        Y, ok = divide_columns(_int_product(self.snf.U, N), L)
         r = self.rank
-        if Y is None or not is_zero(Y[r:]) or not is_zero(Y[:r] % self._d):
-            return None
-        return _to_object(
-            _int_product(self.snf.V[:, :r], Y[:r] // self._d))
+        ok = ok & zero_columns(Y[r:]) & zero_columns(Y[:r] % self._d)
+        X = _to_object(_int_product(self.snf.V[:, :r], Y[:r] // self._d))
+        X[:, ~ok] = 0
+        return X, ok
 
     def kernel_basis(self) -> np.ndarray:
         """Columns form a basis of the integer kernel lattice."""
         return self.snf.V[:, self.rank:].astype(object)
 
     def kernel_coordinates(self, B):
-        """X with B = kernel_basis() @ X, or None unless every column of B
-        (or B, a vector) lies in the kernel: the rows of V^-1 B above r
+        """(X, ok): ok[j] says whether column j of B lies in the kernel, and
+        then B[:, j] = kernel_basis() @ X[:, j]; the rows of V^-1 B above r
         vanish exactly on the kernel.  B may have rational entries."""
         Y = mm(self.snf.Vinv, B)
-        return Y[self.rank:] if is_zero(Y[:self.rank]) else None
+        return Y[self.rank:], zero_columns(Y[:self.rank])
 
 
 def int_kernel_basis(A) -> np.ndarray:
@@ -654,7 +681,8 @@ def solve_int(A, b):
 
 def solve_int_many(A, B):
     """Solve A X = B column by column over Z; None if any column fails."""
-    return IntSolver(A).solve_many(B)
+    X, ok = IntSolver(A).solve_many(B)
+    return X if ok.all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -698,36 +726,40 @@ class RatSolver:
             A = exact_storage(as_matrix(A), integral=False)
             nums, lcms = _numerators(A, 0)
             self.int, self.A = IntSolver(nums), A
-        self.scales = np.array(lcms or [1] * self.A.shape[1], dtype=object)
+        # the column scales and the row weights D / d_i, as columns
+        self.scales = np.array(lcms or [1] * self.A.shape[1],
+                               dtype=object).reshape(-1, 1)
         self.scales.setflags(write=False)
         self.rank = self.int.rank
         self._D = lcm(*self.int.diag)
-        self._w = [self._D // d for d in self.int.diag]
+        self._w = np.array([self._D // d for d in self.int.diag],
+                           dtype=object).reshape(-1, 1)
+        self._w.setflags(write=False)
 
-    def _split(self, n: np.ndarray):
-        """(y[r:], t) for b = n / L with y = U n (see the class docstring):
-        b lies in the column span exactly when y[r:] vanishes."""
-        y = _int_product(self.int.snf.U, n)
+    def _split(self, N: np.ndarray):
+        """(Y[r:], T) for the columns b = N[:, j] / L with Y = U N (see the
+        class docstring): column j lies in the column span exactly when
+        Y[r:, j] vanishes."""
+        Y = _int_product(self.int.snf.U, N)
         r = self.rank
-        w = np.array([a * f for a, f in zip(y[:r].tolist(), self._w)],
-                     dtype=object)
-        return y[r:], _int_product(self.int.snf.V[:, :r], w)
+        return Y[r:], _int_product(self.int.snf.V[:, :r], Y[:r] * self._w)
 
-    def solve_numerators(self, n: np.ndarray, L: int):
-        """The numerators and the denominator of one rational solution of
-        A x = n / L, or None."""
-        rest, t = self._split(n)
-        return (self.scales * t, L * self._D) if is_zero(rest) else None
+    def solve_numerators(self, N: np.ndarray, L: int):
+        """(X, L', ok) for the columns b_j = N[:, j] / L of a (rows, k)
+        matrix N: ok[j] says whether A x = b_j has a rational solution, and
+        then X[:, j] / L' is one."""
+        rest, T = self._split(N)
+        return self.scales * T, L * self._D, zero_columns(rest)
 
     def solve(self, b):
         """One rational solution of A x = b, or None."""
-        sol = self.solve_numerators(
-            *to_numerators(as_vector(b, self.A.shape[0])))
-        return None if sol is None else from_numerators(*sol)
+        n, L = to_numerators(as_vector(b, self.A.shape[0]))
+        X, L, ok = self.solve_numerators(n.reshape(-1, 1), L)
+        return from_numerators(X[:, 0], L) if ok[0] else None
 
     def kernel_basis(self) -> np.ndarray:
         """Columns form a basis of the rational null space."""
-        return self.int.snf.V[:, self.rank:] * self.scales.reshape(-1, 1)
+        return self.int.snf.V[:, self.rank:] * self.scales
 
 
 class MixedSolver:
@@ -750,22 +782,27 @@ class MixedSolver:
     def __init__(self, A):
         self.rat = A if isinstance(A, RatSolver) else RatSolver(A)
 
-    def solve_numerators(self, n: np.ndarray, L: int):
-        """solve of b = n / L, with v as its numerators and denominator."""
-        rest, t = self.rat._split(n)
-        if divide_exactly(rest, L) is None:
-            return None
+    def solve_numerators(self, N: np.ndarray, L: int):
+        """(U, V, L', ok) for the columns b_j = N[:, j] / L of a (rows, k)
+        matrix N: ok[j] says whether b_j solves, and then U[:, j] and
+        V[:, j] / L' are its u and v (U is zero in the other columns)."""
+        rest, T = self.rat._split(N)
+        ok = divide_columns(rest, L)[1]
         D = self.rat._D
-        u = divide_exactly(D * n - int_mv(self.rat.int.A, t), L * D)
-        if u is None:
+        U, whole = divide_columns(
+            D * _to_object(N[:, ok]) - int_mv(self.rat.int.A, T[:, ok]),
+            L * D)
+        if not whole.all():
             raise RuntimeError("mixed solve left a non-integral residual u")
-        return u, self.rat.scales * t, L * D
+        out = np.zeros(N.shape, dtype=object)
+        out[:, ok] = U
+        return out, self.rat.scales * T, L * D, ok
 
     def solve(self, b):
         """Return (u, v) with u + A v = b exactly, or None."""
-        sol = self.solve_numerators(
-            *to_numerators(as_vector(b, self.rat.A.shape[0])))
-        return None if sol is None else (sol[0], from_numerators(*sol[1:]))
+        n, L = to_numerators(as_vector(b, self.rat.A.shape[0]))
+        U, V, L, ok = self.solve_numerators(n.reshape(-1, 1), L)
+        return (U[:, 0], from_numerators(V[:, 0], L)) if ok[0] else None
 
 
 # ---------------------------------------------------------------------------

@@ -158,8 +158,8 @@ def _tot(A: _Truncated, window, N: int) -> Complex:
             q2 = q + step
             key = (q2, p)
             if key in pos:
-                h = sum((-1) ** i * f.component(p)
-                        for i, f in enumerate(A.maps[min(q, q2)]))
+                h = _alternating_sum(A.maps[min(q, q2)], p,
+                                     (levels[q2].rank(p), levels[q].rank(p)))
                 if h.size:
                     parts.append((pos[key], off, h))
         d = block_zeros(nxt_total, total, [b for _, _, b in parts])
@@ -167,6 +167,25 @@ def _tot(A: _Truncated, window, N: int) -> Complex:
             d[i:i + b.shape[0], j:j + b.shape[1]] = b
         diffs.append(d)
     return Complex(levels[0].ring, lo, ranks, diffs)
+
+
+def _alternating_sum(maps, p: int, shape) -> np.ndarray:
+    """sum_i (-1)^i maps[i] in degree p, of the given shape.  A selection
+    map adds its +-1 at (r, idx[r]) straight into the sum, on one spare
+    last column that takes idx[r] = -1 (as in ChainMap.component); any
+    other map adds its component."""
+    general = {i: f.component(p) for i, f in enumerate(maps)
+               if f.index is None}
+    h = np.zeros((shape[0], shape[1] + 1),
+                 dtype=np.result_type(np.int64, *general.values()))
+    rows = np.arange(shape[0])
+    for i, f in enumerate(maps):
+        sign = -1 if i % 2 else 1
+        if i in general:
+            h[:, :-1] += sign * general[i]
+        elif p in f.index:
+            h[rows, f.index[p]] += sign
+    return h[:, :-1]
 
 
 def total_complex(A: _Truncated, window) -> Complex:

@@ -1,7 +1,11 @@
 import gc
+import json
+import os
 import random
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
@@ -797,6 +801,133 @@ def test_hexagon_scans_few_product_operands(monkeypatch):
     assert dc.hexagon_exactness(K, 2, samples=10, seed=0)["passed"]
     monkeypatch.undo()
     assert len(scanned) <= 100
+
+
+def test_hexagon_product_count_does_not_grow_with_samples(monkeypatch):
+    # each check runs its maps, solves and witness checks once, on the
+    # batch of its samples: 884 products for 10 samples when every sample
+    # ran its own, 115 now, for 10 samples as for 40
+    K = cl.bundled_complex("csaszar_torus")
+    assert dc.hexagon_exactness(K, 2, samples=10, seed=0)["passed"]
+    calls = []
+    product = la._int_product
+
+    def counted(A, B):
+        calls.append(1)
+        return product(A, B)
+
+    monkeypatch.setattr(la, "_int_product", counted)
+    counts = []
+    for samples in (10, 40):
+        calls.clear()
+        assert dc.hexagon_exactness(K, 2, samples=samples, seed=0)["passed"]
+        counts.append(len(calls))
+    assert counts[0] <= 250
+    assert counts[1] <= counts[0] + 5
+
+
+# ---------------------------------------------------------------------------
+# Verdicts per column: one planted bad column of a batch
+# ---------------------------------------------------------------------------
+
+def test_a_bad_column_fails_only_the_hexagon_check_that_samples_it(
+        monkeypatch):
+    # column 3 of the right diamond's random cocycles gets a free integral
+    # class added to c, so there [omega - L c]_Q = -L [z] is not zero
+    K = cl.bundled_complex("csaszar_torus")
+    free = dc.integral_cohomology(K, 2).gens[:, 0]
+    batches, sample = [], dc.random_cocycles
+
+    def one_bad_column(*args):
+        x = sample(*args)
+        x.c[:, 3] = x.c[:, 3] + free
+        batches.append(x)
+        return x
+
+    monkeypatch.setattr(dc, "random_cocycles", one_bad_column)
+    rep = dc.hexagon_exactness(K, 2, samples=10, seed=0)
+    assert [c["check"] for c in rep["checks"] if not c["passed"]] == [
+        "right_diamond_commutes"]
+    assert not rep["passed"]
+    x, = batches
+    verdicts = dc.rational_cohomology(K, 2).class_is_zero(x.wn - x.L * x.c)
+    assert verdicts.tolist() == [j != 3 for j in range(x.c.shape[1])]
+
+
+class _Refusing:
+    """A class solver that reports the given columns of every batch as
+    unsolved, and solves the others as the real one does."""
+
+    def __init__(self, real, columns):
+        self.real, self.columns = real, columns
+
+    def _refuse(self, *sol):
+        ok = sol[-1].copy()
+        ok[self.columns] = False
+        return (*sol[:-1], ok)
+
+    def solve_many(self, B):
+        return self._refuse(*self.real.solve_many(B))
+
+    def solve_numerators(self, N, L):
+        return self._refuse(*self.real.solve_numerators(N, L))
+
+
+@pytest.mark.parametrize("name, m", [("circle3", 1), ("octahedron", 2)])
+def test_homotopy_formula_counts_the_failed_columns(name, m, monkeypatch,
+                                                    capsys):
+    from cellcoh import cli
+    class_solver = dc.class_solver
+    monkeypatch.setattr(dc, "class_solver", lambda K, m, n: _Refusing(
+        class_solver(K, m, n), [1, 4]))
+    argv = ["homotopy-formula", name, "--m", str(m), "--samples", "6",
+            "--seed", "1", "--format", "json"]
+    assert cli.main(argv) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["failures"] == 2 and not rep["passed"]
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == 0
+
+
+# trivial classes dhat(e) in a batch of six; class_is_trivial finds every
+# witness, then, with the integral part u of column 4 negated by the Q/Z
+# membership solver, must refuse that column's witness
+CORRUPTED_WITNESS_COLUMN = """
+import random
+from cellcoh import cells as cl, diffcoh as dc
+K = cl.bundled_complex("octahedron")
+rng = random.Random(3)
+x = dc._stack(K, 2, 2, [dc.random_coboundary(K, 2, rng, n=2)
+                        for _ in range(6)])
+if not (dc.class_is_trivial(x)[0].all() and x.c[:, 4].any()):
+    raise SystemExit("bad sample")
+real = dc.class_solver(K, 2, 2)
+
+class NegatedColumn:
+    def solve_numerators(self, N, L):
+        u, v, L, ok = real.solve_numerators(N, L)
+        u = u.copy()
+        u[:, 4] = -u[:, 4]
+        return u, v, L, ok
+
+dc.class_solver = lambda K, m, n: NegatedColumn()
+try:
+    dc.class_is_trivial(x)
+except RuntimeError as e:
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_corrupted_witness_column_raises_also_under_python_O(flags):
+    src = str(Path(dc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", CORRUPTED_WITNESS_COLUMN], env=env,
+        check=True, capture_output=True, text=True, timeout=120).stdout
+    assert out == "class-equality witness does not verify\n"
 
 
 # ---------------------------------------------------------------------------

@@ -665,12 +665,11 @@ def test_int_solver_against_the_reference(data):
     if data.draw(st.booleans()) and all(type(v) is int and abs(v) < BIG
                                         for v in B.flat):
         B = B.astype(np.int64)
-    X = solver.solve_many(B)
-    assert (X is None) == (not (_solvable_over_z(A, b)
-                                and _solvable_over_z(A, c)))
-    if X is not None:
-        assert X.shape == (cols, 2) and all(type(v) is int for v in X.flat)
-        for j, v in enumerate((b, c)):
+    X, ok = solver.solve_many(B)
+    assert X.shape == (cols, 2) and all(type(v) is int for v in X.flat)
+    for j, v in enumerate((b, c)):
+        assert ok[j] == _solvable_over_z(A, v)
+        if ok[j]:
             _assert_exact_solution(A, X[:, j], v)
 
 
@@ -727,6 +726,83 @@ def test_mixed_solver_with_a_corrupted_factor_fails_its_residual_check():
     solver.rat.int.snf.V = 2 * solver.rat.int.snf.V
     with pytest.raises(RuntimeError, match="non-integral residual"):
         solver.solve([Fraction(3, 2)])
+
+
+def test_rat_and_mixed_solvers_take_a_column_batch():
+    # 2 x = 2, 3 y = 3 and 2 x = 4, 3 y = 6
+    A = np.array([[2, 0], [0, 3]], dtype=object)
+    N = np.array([[2, 4], [3, 6]], dtype=object)
+    X, L, ok = la.RatSolver(la.IntSolver(A)).solve_numerators(N, 1)
+    assert ok.tolist() == [True, True]
+    assert la.from_numerators(X, L).tolist() == [[1, 2], [1, 2]]
+    U, V, L, ok = la.MixedSolver(A).solve_numerators(N, 1)
+    assert ok.tolist() == [True, True]
+    assert (U + la.mm(A, la.from_numerators(V, L)) == N).all()
+
+
+def _entry(rng, rational):
+    return (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rational
+            else rng.randint(-4, 4))
+
+
+def test_batch_solves_match_single_column_solves():
+    # A ends in a zero row, and the planted column has 1/2 there, so no
+    # solver solves it; every other column gets from the batch solve the
+    # answer of its own k = 1 solve, solutions included
+    rng = random.Random(22)
+    for trial in range(60):
+        rational = trial % 2 == 1
+        rows, cols, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(2, 5)
+        A = np.array([[_entry(rng, rational) for _ in range(cols)]
+                      for _ in range(rows)] + [[0] * cols],
+                     dtype=object).reshape(rows + 1, cols)
+        columns = []
+        for _ in range(k):
+            x = np.array([_entry(rng, rng.random() < 0.5)
+                          for _ in range(cols)], dtype=object)
+            b = la.mv(A, x)
+            if rng.random() < 0.5:
+                b = b + np.array([_entry(rng, True) for _ in range(rows + 1)],
+                                 dtype=object)
+            columns.append(b)
+        bad = rng.randrange(k)
+        columns[bad][-1] = Fraction(1, 2)
+        B = np.stack(columns, axis=1)
+        N, L = la.to_numerators(B)
+        rat = la.RatSolver(A)
+        if not rational:
+            solver = la.IntSolver(A)
+            X, ok = solver.solve_many(B)
+            assert not ok[bad]
+            for j, b in enumerate(columns):
+                x = solver.solve(b)
+                assert ok[j] == (x is not None)
+                if ok[j]:
+                    assert X[:, j].tolist() == x.tolist()
+                    _assert_exact_solution(A, x, b)
+            rat = la.RatSolver(solver)
+        X, LX, ok = rat.solve_numerators(N, L)
+        assert not ok[bad]
+        for j, b in enumerate(columns):
+            x = rat.solve(b)
+            assert ok[j] == (x is not None)
+            if ok[j]:
+                assert la.from_numerators(X[:, j], LX).tolist() == x.tolist()
+                _assert_exact_solution(A, x, b)
+        mixed = la.MixedSolver(rat)
+        U, V, LV, ok = mixed.solve_numerators(N, L)
+        assert not ok[bad]
+        for j, b in enumerate(columns):
+            sol = mixed.solve(b)
+            assert ok[j] == (sol is not None)
+            if ok[j]:
+                u, v = sol
+                assert U[:, j].tolist() == u.tolist()
+                assert la.from_numerators(V[:, j], LV).tolist() == v.tolist()
+                assert all(type(e) is int for e in u)
+                _assert_exact_solution(
+                    np.concatenate([np.eye(rows + 1, dtype=object), A],
+                                   axis=1), list(u) + list(v), b)
 
 
 # ---------------------------------------------------------------------------
