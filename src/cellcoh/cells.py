@@ -177,11 +177,11 @@ def cochain_complex(K: CellComplex, ring: str = RING_Z) -> Complex:
     """Cochain complex with d the transpose of the boundary, kept by K for
     each ring; over Q it is the one over Z through Complex.over, so both
     share what is derived from each coboundary (Complex.int_solver,
-    Complex.factors)."""
+    Complex.factors).  delta delta = (dd)^T, and K checked dd = 0."""
     if ring != RING_Z:
         return K.kept(("cochains", ring),
                       lambda: cochain_complex(K).over(ring))
-    return K.kept(("cochains", ring), lambda: Complex(
+    return K.kept(("cochains", ring), lambda: Complex._derived(
         ring, 0, [K.n_cells(d) for d in range(K.dim + 1)],
         [K.boundary_matrix(d + 1).T for d in range(K.dim)]))
 

@@ -38,7 +38,12 @@ class Complex:
     ranks[i] is the rank in degree lo + i; diffs[i] is the matrix of
     d^(lo+i): rank(lo+i) -> rank(lo+i+1), acting on column vectors, stored
     read-only, on int64 when it is integral (see linalg.int_storage).
-    Construction checks d o d = 0 and raises ValueError where it fails.
+    d o d = 0 is checked where a complex enters the program, by
+    Complex(...) (the total complexes of tot included) and from_json,
+    which raise ValueError where it fails.  A complex derived from checked
+    ones (over, window, shift, direct_sum, cone, cells.cochain_complex,
+    tot._level) is built by _derived, which does not check again, because
+    its d o d = 0 follows from theirs.
     What is derived from the differentials is kept in one store, once it is
     built, and shared with the same complex over the other ring (over): the
     IntSolver of an integral differential (int_solver), the invariant
@@ -50,6 +55,23 @@ class Complex:
     __slots__ = ("ring", "lo", "hi", "ranks", "diffs", "_solvers")
 
     def __init__(self, ring: str, lo: int, ranks, diffs):
+        self._store(ring, lo, ranks, diffs, {})
+        for i, (d, e) in enumerate(zip(self.diffs, self.diffs[1:])):
+            if not is_zero(mm(e, d)):
+                raise ValueError(f"d o d != 0 at degree {self.lo + i}")
+
+    @classmethod
+    def _derived(cls, ring: str, lo: int, ranks, diffs, store=None):
+        """A complex built from differentials whose d o d = 0 the caller
+        knows: stored and shape-checked as by Complex(...), with no
+        product; store is shared when given (over)."""
+        C = cls.__new__(cls)
+        C._store(ring, lo, ranks, diffs, {} if store is None else store)
+        return C
+
+    def _store(self, ring, lo, ranks, diffs, store):
+        """Store and shape-check the differentials; store holds what is
+        derived from them."""
         self.ring = _check_ring(ring)
         ranks = tuple(int(r) for r in ranks)
         if not ranks:
@@ -76,10 +98,7 @@ class Complex:
                     f"{m.shape}, expected {(want_rows, ranks[i])}")
             mats.append(m)
         self.diffs = tuple(mats)
-        for i in range(len(mats) - 1):
-            if not is_zero(mm(mats[i + 1], mats[i])):
-                raise ValueError(f"d o d != 0 at degree {self.lo + i}")
-        self._solvers = {}
+        self._solvers = store
 
     # -- access --------------------------------------------------------
 
@@ -136,12 +155,12 @@ class Complex:
 
     def over(self, ring: str) -> "Complex":
         """This complex over ring, with the same differentials and the same
-        store: a Smith form does not depend on the ring."""
+        store: a Smith form does not depend on the ring.  The differentials
+        are this complex's, so d o d = 0 holds."""
         if ring == self.ring:
             return self
-        C = Complex(ring, self.lo, self.ranks, self.diffs)
-        C._solvers = self._solvers
-        return C
+        return Complex._derived(ring, self.lo, self.ranks, self.diffs,
+                                store=self._solvers)
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
@@ -159,13 +178,14 @@ class Complex:
         return self.window(lo, hi)
 
     def window(self, lo: int, hi: int) -> "Complex":
-        """Restriction to [lo, hi] (degrees outside become zero)."""
+        """Restriction to [lo, hi] (degrees outside become zero).  Each
+        differential is this complex's or zero, so d o d = 0 holds."""
         if hi < lo:
             raise ValueError("empty window")
         ranks = [self.rank(n) for n in range(lo, hi + 1)]
         diffs = [self.diff(n) if n < hi else int_zeros(0, self.rank(hi))
                  for n in range(lo, hi + 1)]
-        return Complex(self.ring, lo, ranks, diffs)
+        return Complex._derived(self.ring, lo, ranks, diffs)
 
     def __eq__(self, other):
         if not isinstance(other, Complex):
@@ -196,6 +216,8 @@ class Complex:
     def from_json(cls, obj: dict) -> "Complex":
         ring = _check_ring(obj["ring"])
         lo, hi = parse_int(obj["lo"]), parse_int(obj["hi"])
+        if hi < lo:
+            raise ValueError("empty window")
         ranks = [parse_int(r) for r in obj["ranks"]]
         if any(r < 0 for r in ranks):
             raise ValueError("ranks must be non-negative")
@@ -393,35 +415,28 @@ def atom(ring: str, k: int) -> Complex:
 
 
 def shift(C: Complex, k: int) -> Complex:
-    """(C[k])^n = C^(n+k), differential (-1)^k d."""
+    """(C[k])^n = C^(n+k), differential (-1)^k d; a sign keeps
+    d o d = 0."""
     sign = -1 if k % 2 else 1
-    return Complex(C.ring, C.lo - k,
-                   C.ranks, [sign * d for d in C.diffs])
+    return Complex._derived(C.ring, C.lo - k,
+                            C.ranks, [sign * d for d in C.diffs])
 
 
 def truncate_above(C: Complex, m: int) -> Complex:
-    """Stupid truncation keeping degrees >= m."""
-    if m <= C.lo:
-        return C
-    if m > C.hi:
-        return Complex(C.ring, m, (0,), [int_zeros(0, 0)])
-    return C.window(m, C.hi)
+    """Stupid truncation keeping degrees >= m (zero in degree m when m is
+    above the window)."""
+    return C if m <= C.lo else C.window(m, max(m, C.hi))
 
 
 def truncate_below(C: Complex, m: int) -> Complex:
-    """Stupid truncation keeping degrees <= m."""
-    if m >= C.hi:
-        return C
-    if m < C.lo:
-        return Complex(C.ring, m, (0,), [int_zeros(0, 0)])
-    out = C.window(C.lo, m)
-    # the outgoing differential from the top retained degree is dropped
-    diffs = list(out.diffs)
-    diffs[-1] = int_zeros(0, out.ranks[-1])
-    return Complex(C.ring, out.lo, out.ranks, diffs)
+    """Stupid truncation keeping degrees <= m (zero in degree m when m is
+    below the window); window drops the differential out of degree m."""
+    return C if m >= C.hi else C.window(min(C.lo, m), m)
 
 
 def direct_sum(A: Complex, B: Complex) -> Complex:
+    """A + B, whose differential is block diagonal, so d o d = 0 holds
+    block by block."""
     if A.ring != B.ring:
         raise ValueError("mismatched rings")
     lo, hi = min(A.lo, B.lo), max(A.hi, B.hi)
@@ -435,14 +450,16 @@ def direct_sum(A: Complex, B: Complex) -> Complex:
         d[:A.rank(n + 1), :A.rank(n)] = dA
         d[A.rank(n + 1):, A.rank(n):] = dB
         diffs.append(d)
-    return Complex(A.ring, lo, ranks, diffs)
+    return Complex._derived(A.ring, lo, ranks, diffs)
 
 
 def cone(f: ChainMap):
     """Mapping cone of f: A -> B, with the two structure maps.
 
     Returns (Cone, incl: B -> Cone, proj: Cone -> A[1]).
-    Cone^n = B^n + A^(n+1), d(b, a) = (db - f(a), -da).
+    Cone^n = B^n + A^(n+1), d(b, a) = (db - f(a), -da).  d o d = 0
+    follows from d o d = 0 on A and B and from f d = d f, all checked when
+    they were built.
     """
     A, B = f.source, f.target
     lo = min(B.lo, A.lo - 1)
@@ -458,7 +475,7 @@ def cone(f: ChainMap):
         d[:rb1, rb:] = -fa
         d[rb1:, rb:] = -dA
         diffs.append(d)
-    C = Complex(A.ring, lo, ranks, diffs)
+    C = Complex._derived(A.ring, lo, ranks, diffs)
     degs = range(lo, hi + 1)
     return C, ChainMap(B, C, index={
         n: np.r_[:B.rank(n), np.full(A.rank(n + 1), -1)] for n in degs}), \

@@ -202,8 +202,11 @@ def total_complex(A: _Truncated, window) -> Complex:
 def _level(C: Complex, labels) -> Complex:
     """The direct sum over blocks of the cochain complex C of a cell complex
     on the cells of each block, labels[d] = (block labels, cell indices) in
-    degree d, one entry per basis element or one label for one block."""
-    return Complex(C.ring, 0, [len(c) for _, c in labels], [
+    degree d, one entry per basis element or one label for one block.
+    Each block is the coboundary of the cell complex restricted to a
+    face-closed cell set (cech_double refuses other covers, and the faces
+    of a simplex are face-closed), so d o d = 0 holds."""
+    return Complex._derived(C.ring, 0, [len(c) for _, c in labels], [
         C.diff(d)[np.ix_(rc, cc)] * np.equal.outer(rb, cb)
         for d, ((cb, cc), (rb, rc)) in enumerate(zip(labels, labels[1:]))])
 

@@ -284,10 +284,13 @@ def test_deterministic_output_for_fixed_seed(capsys):
       "differentials": [["1"] * 6]}, "ranks must be non-negative"),
     ({"ring": "Z", "lo": 0, "hi": 1, "ranks": [0, -1],
       "differentials": [[]]}, "ranks must be non-negative"),
+    # hi < lo names no degree, so no group can be reported
+    ({"ring": "Z", "lo": 0, "hi": -1, "ranks": [],
+      "differentials": []}, "empty window"),
 ], ids=["d_squared_nonzero", "fraction_over_Z", "missing_hi", "bad_entry",
         "fractional_lo", "fractional_rank", "boolean_entry",
         "extra_differential", "negative_rank", "negative_ranks_six_entries",
-        "negative_rank_no_entries"])
+        "negative_rank_no_entries", "empty_window"])
 def test_malformed_cochain_complex_is_input_error(capsys, tmp_path, obj,
                                                   message):
     p = tmp_path / "complex.json"

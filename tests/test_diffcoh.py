@@ -826,6 +826,30 @@ def test_hexagon_product_count_does_not_grow_with_samples(monkeypatch):
     assert counts[1] <= counts[0] + 5
 
 
+def test_pullback_classification_product_count_does_not_grow_with_samples(
+        monkeypatch):
+    # the two sampled checks run once, on the batch of their samples: 265
+    # products for 10 samples and 895 for 40 when every sample ran its own
+    K = cl.bundled_complex("csaszar_torus")
+    assert dc.pullback_classification_check(K, 2, samples=10, seed=0)[
+        "passed"]
+    calls = []
+    product = la._int_product
+
+    def counted(A, B):
+        calls.append(1)
+        return product(A, B)
+
+    monkeypatch.setattr(la, "_int_product", counted)
+    counts = []
+    for samples in (10, 40):
+        calls.clear()
+        assert dc.pullback_classification_check(
+            K, 2, samples=samples, seed=0)["passed"]
+        counts.append(len(calls))
+    assert counts[1] <= counts[0] + 5
+
+
 # ---------------------------------------------------------------------------
 # Verdicts per column: one planted bad column of a batch
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_cosimplicial_identity_validation():
 
 def test_tot_signs_square_to_zero_on_random_cech_objects(rng):
     # cech objects of random covers satisfy the cosimplicial identities;
-    # the Complex constructor inside tot asserts d o d = 0
+    # the Complex constructor inside tot checks d o d = 0
     for name in ("circle3", "octahedron"):
         K = cl.bundled_complex(name)
         A = tt.cech_double(K, cl.star_cover(K), "Z", N=K.dim + 2)
