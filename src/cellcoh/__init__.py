@@ -11,8 +11,8 @@ for expression-defined connections.
 
 from .chains import (ChainMap, Complex, FgAbGroup, atom, cone, direct_sum,
                      fiber, homology, shift, truncate_above, truncate_below)
-from .cells import (CellComplex, Cochain, bundled_complex,
-                    circle_product, cochain_complex, fiber_integrate_circle,
+from .cells import (CellComplex, bundled_complex, circle_product,
+                    cochain_complex, fiber_integrate_circle,
                     fiber_integrate_prism, prism, simplicial_from_facets,
                     star_cover)
 from .diffcoh import (DifferentialCochain, curvature_R, dhat, equal_classes,

@@ -1,14 +1,20 @@
 """Finite regular cell complexes standing in for manifolds.
 
 Simplicial complexes built from facets, products with an interval (prisms)
-and with a 3-vertex circle, cochains, pullback along cellular maps, and the
-two fiber integrations.  Product boundaries follow the Leibniz rule
+and with a 3-vertex circle, pullback along cellular maps, and the two fiber
+integrations.  Product boundaries follow the Leibniz rule
 d(c x s) = dc x s + (-1)^|c| c x ds with the first factor the interval or
 circle cell; this is the single place the product sign convention lives,
 and it is what makes the two Stokes identities below hold verbatim:
 
     prism:  pi_!(delta z) + delta(pi_! z) = end1* z - end0* z
     circle: pi_!(delta z) + delta(pi_! z) = 0
+
+A product checks its identity once, as a matrix identity in every degree.
+Cochains are integer numerator vectors, or (cells, k) batches of them,
+over a denominator the caller keeps: pullback and fiber integration are
+linear maps of the kept integer matrices (CellularMap.chain_matrix,
+ProductComplex.fiber_matrix) and return numerators over the same one.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import RING_Q, RING_Z, Complex, parse_int
-from .linalg import as_vector, int_storage, int_zeros, is_zero, mm, mv, zeros
+from .chains import RING_Z, Complex, parse_int
+from .linalg import int_mv, int_storage, int_zeros, is_zero, mm, zeros
 
 
 class CellComplex:
@@ -186,57 +192,6 @@ def cochain_complex(K: CellComplex, ring: str = RING_Z) -> Complex:
         [K.boundary_matrix(d + 1).T for d in range(K.dim)]))
 
 
-@dataclass
-class Cochain:
-    """Coefficient vector over the fixed cell ordering of one dimension."""
-
-    complex: CellComplex
-    degree: int
-    ring: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = as_vector(self.values, self.complex.n_cells(self.degree))
-
-    @classmethod
-    def zero(cls, K: CellComplex, degree: int, ring: str = RING_Q) -> "Cochain":
-        return cls(K, degree, ring, zeros(K.n_cells(degree), 1).reshape(-1))
-
-    @classmethod
-    def indicator(cls, K: CellComplex, cell, ring: str = RING_Z) -> "Cochain":
-        d = K.dim_of[cell]
-        v = zeros(K.n_cells(d), 1).reshape(-1)
-        v[K.index[cell]] = 1
-        return cls(K, d, ring, v)
-
-    def __getitem__(self, cell):
-        return self.values[self.complex.index[cell]]
-
-    def __add__(self, other):
-        self._compat(other)
-        return Cochain(self.complex, self.degree, self.ring,
-                       self.values + other.values)
-
-    def __sub__(self, other):
-        self._compat(other)
-        return Cochain(self.complex, self.degree, self.ring,
-                       self.values - other.values)
-
-    def __neg__(self):
-        return Cochain(self.complex, self.degree, self.ring, -self.values)
-
-    def _compat(self, other):
-        if self.complex is not other.complex or self.degree != other.degree:
-            raise ValueError("cochains live on different complexes or degrees")
-
-    def delta(self) -> "Cochain":
-        m = self.complex.boundary_matrix(self.degree + 1).T
-        return Cochain(self.complex, self.degree + 1, self.ring, mv(m, self.values))
-
-    def is_zero(self) -> bool:
-        return is_zero(self.values)
-
-
 @dataclass(frozen=True)
 class CellularMap:
     """Chain-level cellular map: each cell maps to a signed combination of
@@ -273,16 +228,16 @@ class CellularMap:
             return self._mats[d]
         return int_storage(int_zeros(self.target.n_cells(d), 0))
 
-    def pullback(self, z: Cochain) -> Cochain:
-        """(f* z)(tau) = z(f tau); commutes with delta."""
-        if z.complex is not self.target:
-            raise ValueError("cochain does not live on the target complex")
-        m = self.chain_matrix(z.degree)
-        return Cochain(self.source, z.degree, z.ring, mv(m.T, z.values))
+    def pullback(self, v, d: int) -> np.ndarray:
+        """f* on degree-d cochains, (f* z)(tau) = z(f tau), applied to the
+        integer numerators v of z (a vector, or a (cells, k) batch); linear,
+        so the caller's denominator carries over.  f* delta = delta f* is
+        the transpose of the chain-map check of construction."""
+        return int_mv(self.chain_matrix(d).T, v)
 
 
-def pullback(f: CellularMap, z: Cochain) -> Cochain:
-    return f.pullback(z)
+def pullback(f: CellularMap, v, d: int) -> np.ndarray:
+    return f.pullback(v, d)
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +272,35 @@ class ProductComplex:
     proj: CellularMap | None = None                # A x K -> K
     fiber_cycle: tuple = ()                        # [(factor edge id, coeff)]
 
+    def __post_init__(self):
+        """Check the Stokes identity pi_! delta + delta pi_! = end1* - end0*
+        as a matrix identity in every degree d < dim (the base has no cells
+        above), the right side 0 where the product has no end sections (the
+        closed fiber of the circle).  The right side is the boundary the
+        fiber is meant to have, not the one of fiber_cycle: every chain of
+        the factor satisfies Stokes with its own boundary."""
+        P, K = self.complex, self.base
+        ends = [(self.sections[k], sign) for k, sign in
+                (("end1", 1), ("end0", -1)) if k in self.sections]
+        for d in range(P.dim):
+            lhs = (mm(self.fiber_matrix(d + 1), P.boundary_matrix(d + 1).T)
+                   + mm(K.boundary_matrix(d).T, self.fiber_matrix(d)))
+            for f, sign in ends:
+                lhs = lhs - sign * f.chain_matrix(d).T
+            if not is_zero(lhs):
+                raise ValueError(f"Stokes identity fails in degree {d}")
+
     def fiber_matrix(self, d: int) -> np.ndarray:
         """Matrix of pi_! on d-cochains (see _fiber_integrate), stored once
-        (linalg.int_storage) and kept by the product complex."""
+        (linalg.int_storage) and kept by the product complex for this
+        fiber cycle."""
         def build():
             m = zeros(self.base.n_cells(d - 1), self.complex.n_cells(d))
             for i, s in enumerate(self.base.cells(d - 1)):
                 for e, coeff in self.fiber_cycle:
                     m[i, self.complex.index[(e, s)]] += coeff
             return int_storage(m)
-        return self.complex.kept(("fiber", d), build)
+        return self.complex.kept(("fiber", self.fiber_cycle, d), build)
 
 
 def _product(A: CellComplex, K: CellComplex) -> CellComplex:
@@ -380,31 +354,31 @@ def circle_product(K: CellComplex) -> ProductComplex:
         fiber_cycle=tuple(((("e", i), 1) for i in range(3))))
 
 
-def fiber_integrate_prism(prod: ProductComplex, z: Cochain) -> Cochain:
-    """(pi_! z)(s) = z(I x s); degree drops by one.
+def fiber_integrate_prism(prod: ProductComplex, v, d: int) -> np.ndarray:
+    """(pi_! z)(s) = z(I x s) on degree-d cochains; degree drops by one.
 
     Satisfies pi_!(delta z) + delta(pi_! z) = end1* z - end0* z.
     """
-    return _fiber_integrate(prod, z)
+    return _fiber_integrate(prod, v, d)
 
 
-def fiber_integrate_circle(prod: ProductComplex, z: Cochain) -> Cochain:
+def fiber_integrate_circle(prod: ProductComplex, v, d: int) -> np.ndarray:
     """(pi_! z)(s) = sum over circle edges of z(e x s) with the orientation
     coefficients of the fundamental cycle; closed-fiber Stokes:
     pi_!(delta z) + delta(pi_! z) = 0.
     """
-    return _fiber_integrate(prod, z)
+    return _fiber_integrate(prod, v, d)
 
 
-def _fiber_integrate(prod: ProductComplex, z: Cochain) -> Cochain:
-    if z.complex is not prod.complex:
-        raise ValueError("cochain does not live on the product complex")
-    if z.degree < 1:
+def _fiber_integrate(prod: ProductComplex, v, d: int) -> np.ndarray:
+    """pi_! of the degree-d cochain with integer numerators v (a vector, or
+    a (cells, k) batch); linear, so the caller's denominator carries
+    over."""
+    if d < 1:
         raise ValueError(
             "fiber integration needs degree >= 1; a degree-0 input has no "
             "degree -1 target")
-    return Cochain(prod.base, z.degree - 1, z.ring,
-                   mv(prod.fiber_matrix(z.degree), z.values))
+    return int_mv(prod.fiber_matrix(d), v)
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def cmd_s1_integrate(args) -> int:
     x = dc.random_reduced_cocycles(S, args.m, rng, args.samples)
     out = dc.s1_integrate(S, x)
     # R(out) = pi_! R(x), on numerators over the denominators of each
-    fib = dc.int_mv(S.fiber_matrix(x.n), x.wn)
+    fib = cl.fiber_integrate_circle(S, x.wn, x.n)
     ok = bool(np.all(out.is_cocycle()
                      & dc.zero_columns(x.L * out.wn - out.L * fib)))
     rep = {"samples": args.samples, "passed": ok,

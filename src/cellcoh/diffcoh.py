@@ -47,12 +47,13 @@ from math import lcm
 
 import numpy as np
 
-from .cells import CellComplex, CellularMap, ProductComplex, cochain_complex
+from .cells import (CellComplex, CellularMap, ProductComplex, cochain_complex,
+                    fiber_integrate_circle, fiber_integrate_prism)
 from .chains import RING_Q, RING_Z, FgAbGroup, HomologyData, parse_int
 from .linalg import (MixedSolver, RatSolver, as_columns, as_vector,
                      check_int_entries, divide_columns, from_numerators,
                      int_kernel_basis, int_mv, int_storage, is_zero, mm,
-                     to_numerators, zero_columns, zeros)
+                     to_numerators, zero_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +493,21 @@ def random_cocycle(K: CellComplex, m: int, rng, n: int | None = None
 def random_cocycles(K: CellComplex, m: int, rng, k: int,
                     n: int | None = None) -> DifferentialCochain:
     """k random_cocycle draws, in the same rng order, as one batch."""
-    n = m if n is None else n
+    n = _sample_degree("random_cocycles", m, n)
     C = cochain_complex(K)
     ker = K.kept(("zker", n),
                  lambda: int_storage(C.int_solver(n).kernel_basis()))
     return _cocycles(K, m, n, ker, 3, k, rng)
+
+
+def _sample_degree(sampler: str, m: int, n: int | None) -> int:
+    """The degree n of a cocycle sampler (m when None); n < m is refused,
+    since there omega = c + delta h must vanish."""
+    n = m if n is None else n
+    if n < m:
+        raise ValueError(f"{sampler}: degree n = {n} < m = {m}, where a "
+                         "cocycle's omega = c + delta h must vanish")
+    return n
 
 
 def _cocycles(K: CellComplex, m: int, n: int, ker, bound: int, k: int, rng,
@@ -527,14 +538,12 @@ def random_reduced_cocycles(prod: ProductComplex, m: int, rng, k: int,
                             n: int | None = None) -> DifferentialCochain:
     """k random_reduced_cocycle draws, in the same rng order, as one
     batch."""
-    n = m if n is None else n
+    n = _sample_degree("random_reduced_cocycles", m, n)
     P, K = prod.complex, prod.base
     C, base_v = cochain_complex(P), ("v", 0)
 
     def kernel():
-        sel = zeros(K.n_cells(n), P.n_cells(n))
-        for i, s in enumerate(K.cells(n)):
-            sel[i, P.index[(base_v, s)]] = 1
+        sel = prod.sections["base"].chain_matrix(n).T
         return int_storage(int_kernel_basis(
             np.concatenate([C.diff(n), sel], axis=0)))
 
@@ -766,14 +775,9 @@ def differential_pullback(f: CellularMap, x: DifferentialCochain
     """f* x = (f* c, f* h, f* omega) on the source of f, over the same L."""
     if x.complex is not f.target:
         raise ValueError("cochain does not live on the target complex")
-    pb = lambda v, d: int_mv(f.chain_matrix(d).T, v)
-    return DifferentialCochain(f.source, x.m, x.n, pb(x.c, x.n),
-                               pb(x.hn, x.n - 1), pb(x.wn, x.n), x.L)
-
-
-def _fiber_integral(prod: ProductComplex, v, d: int) -> np.ndarray:
-    """pi_! over the prism or circle fiber of prod; linear, so it keeps L."""
-    return int_mv(prod.fiber_matrix(d), v)
+    return DifferentialCochain(f.source, x.m, x.n, f.pullback(x.c, x.n),
+                               f.pullback(x.hn, x.n - 1),
+                               f.pullback(x.wn, x.n), x.L)
 
 
 def homotopy_formula_check(prod: ProductComplex, x: DifferentialCochain,
@@ -788,16 +792,17 @@ def homotopy_formula_check(prod: ProductComplex, x: DifferentialCochain,
     K, m, n = prod.base, x.m, x.n
     e1 = differential_pullback(prod.sections["end1"], x)
     e0 = differential_pullback(prod.sections["end0"], x)
-    diff = (e1 - e0) - _forms_a(K, m, n, _fiber_integral(prod, x.wn, n), x.L)
+    diff = (e1 - e0) - _forms_a(K, m, n, fiber_integrate_prism(prod, x.wn, n),
+                                x.L)
     if expect_strict_zero:
         strict = diff.is_zero()
         return {"passed": strict, "strict_zero": strict, "witness": None}
     eq, _ = class_is_trivial(diff)
     # the explicit witness (pi_! c, -pi_! h, 0) always works; cross-check
     cols = x.c.shape[1:]
-    pih = (_fiber_integral(prod, x.hn, n - 1) if n > 1
+    pih = (fiber_integrate_prism(prod, x.hn, n - 1) if n > 1
            else _zeros(K, n - 2, cols))
-    w0 = DifferentialCochain(K, m, n - 1, _fiber_integral(prod, x.c, n),
+    w0 = DifferentialCochain(K, m, n - 1, fiber_integrate_prism(prod, x.c, n),
                              -pih, _zeros(K, n - 1, cols), x.L)
     strict = (diff - w0.dhat()).is_zero()
     return {"passed": eq & strict, "witness_found": eq,
@@ -823,11 +828,12 @@ def s1_integrate(prod: ProductComplex, x: DifferentialCochain
         raise ValueError(
             "input must vanish on the base section (reduced object "
             "requirement for circle integration)")
-    n = x.n
+    n, K = x.n, prod.base
+    pih = (fiber_integrate_circle(prod, x.hn, n - 1) if n > 1
+           else _zeros(K, n - 2, x.c.shape[1:]))
     out = DifferentialCochain(
-        prod.base, x.m - 1, n - 1, _fiber_integral(prod, x.c, n),
-        -_fiber_integral(prod, x.hn, n - 1), _fiber_integral(prod, x.wn, n),
-        x.L)
+        K, x.m - 1, n - 1, fiber_integrate_circle(prod, x.c, n), -pih,
+        fiber_integrate_circle(prod, x.wn, n), x.L)
     if not np.all(out.is_cocycle()):
         raise RuntimeError("circle integration did not give a cocycle")
     return out

@@ -258,8 +258,8 @@ def test_omega_concentrated_on_prism_cells_gives_exact_equality():
             assert x.omega[P.complex.index[cell]] == 0   # prism-concentrated
     diff = (dc.differential_pullback(P.sections["end1"], x)
             - dc.differential_pullback(P.sections["end0"], x))
-    fib = cl.fiber_integrate_prism(P, cl.Cochain(P.complex, 1, "Q", x.omega))
-    assert (diff - dc.forms_a(K, m, fib.values)).is_zero()
+    fib = la.from_numerators(cl.fiber_integrate_prism(P, x.wn, 1), x.L)
+    assert (diff - dc.forms_a(K, m, fib)).is_zero()
 
 
 def test_s1_integrate_requires_truncation_and_reduction():
@@ -275,8 +275,7 @@ def test_s1_integrate_requires_truncation_and_reduction():
     with pytest.raises(ValueError, match="reduced"):
         dc.s1_integrate(S, xp)
     # but their fiber integrals vanish identically componentwise
-    assert cl.fiber_integrate_circle(
-        S, cl.Cochain(S.complex, 2, "Q", xp.omega)).is_zero()
+    assert is_zero(cl.fiber_integrate_circle(S, xp.wn, 2))
 
 
 def test_s1_integrate_random_reduced_cocycles():
@@ -288,25 +287,58 @@ def test_s1_integrate_random_reduced_cocycles():
         out = dc.s1_integrate(S, x)
         assert out.m == 1 and out.n == 1
         assert out.is_cocycle()
-        fib = cl.fiber_integrate_circle(
-            S, cl.Cochain(S.complex, 2, "Q", x.omega))
-        assert (dc.curvature_R(out) == fib.values).all()
+        fib = cl.fiber_integrate_circle(S, x.wn, 2)
+        assert (dc.curvature_R(out) == la.from_numerators(fib, x.L)).all()
 
 
 def test_s1_integrate_fundamental_times_cocycle():
     K = cl.bundled_complex("circle3")
     S = cl.circle_product(K)
-    z = cl.Cochain.indicator(K, K.cells(1)[0])
+    z = zeros(K.n_cells(1), 1).reshape(-1)
+    z[0] = 1
     cvec = zeros(S.complex.n_cells(2), 1).reshape(-1)
     edge0 = S.fiber_cycle[0][0]
     for s in K.cells(1):
-        cvec[S.complex.index[(edge0, s)]] = z[s]
+        cvec[S.complex.index[(edge0, s)]] = z[K.index[s]]
     x = dc.DifferentialCochain(
         S.complex, 2, 2, cvec,
         zeros(S.complex.n_cells(1), 1).reshape(-1), cvec * Fraction(1))
     out = dc.s1_integrate(S, x)
     hd = dc.integral_cohomology(K, 1)
-    assert hd.classes_equal(out.c, z.values)
+    assert hd.classes_equal(out.c, z)
+
+
+def test_s1_integrate_in_degree_one():
+    # a reduced cocycle of degree n = 1 < m = 2: omega = 0, so
+    # c = -delta h, with h an integral 0-cochain that vanishes on the base
+    # section; its h integrates to the empty degree -1 cochain
+    K = cl.bundled_complex("circle3")
+    S = cl.circle_product(K)
+    h = zeros(S.complex.n_cells(0), 1).reshape(-1)
+    h[S.complex.index[(("v", 1), K.cells(0)[0])]] = 1
+    c = -mv(S.complex.boundary_matrix(1).T, h)
+    x = dc.DifferentialCochain(S.complex, 2, 1, c, h,
+                               zeros(S.complex.n_cells(1), 1).reshape(-1))
+    out = dc.s1_integrate(S, x)
+    assert (out.m, out.n) == (1, 0)
+    assert out.hn.shape == (0,) and out.is_cocycle()
+    batch = dc.s1_integrate(S, x._as_batch())
+    assert batch.hn.shape == (0, 1) and batch.is_cocycle().all()
+
+
+def test_cocycle_samplers_refuse_degrees_below_m():
+    # below m, omega = c + delta h must vanish, which no sample has
+    K = cl.bundled_complex("circle3")
+    S = cl.circle_product(K)
+    rng = random.Random(3)
+    with pytest.raises(ValueError, match="random_reduced_cocycles: degree"):
+        dc.random_reduced_cocycles(S, 2, rng, 3, n=1)
+    with pytest.raises(ValueError, match="random_reduced_cocycles: degree"):
+        dc.random_reduced_cocycle(S, 2, rng, n=1)
+    with pytest.raises(ValueError, match="random_cocycles: degree"):
+        dc.random_cocycles(K, 2, rng, 3, n=1)
+    with pytest.raises(ValueError, match="random_cocycles: degree"):
+        dc.random_cocycle(K, 2, rng, n=1)
 
 
 def test_pullback_classification_reports():
