@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chains import parse_int
+from .chains import parse_int, parse_rational
 from .exprs import (Const, Expr, ZERO, check_bound, evaluate, mul,
                     parse_expr, symbolic_d)
 
@@ -293,7 +293,7 @@ class SmoothConnection:
     def from_json(cls, obj: dict) -> "SmoothConnection":
         rank = parse_int(obj["rank"])
         coords = tuple(obj["coords"])
-        domain = {c: (Fraction(str(lo)), Fraction(str(hi)))
+        domain = {c: (parse_rational(lo), parse_rational(hi))
                   for c, (lo, hi) in obj["domain"].items()}
         comps = {name: tuple(tuple(CExpr(parse_expr(str(re)),
                                          parse_expr(str(im)))
@@ -545,7 +545,7 @@ class Loop:
     @classmethod
     def from_json(cls, obj: dict) -> "Loop":
         exprs = {c: parse_expr(str(e)) for c, e in obj["coords"].items()}
-        periods = {c: Fraction(str(p)) for c, p in obj.get("periods", {}).items()}
+        periods = {c: parse_rational(p) for c, p in obj.get("periods", {}).items()}
         tol = float(obj.get("tolerance", 1e-9))
         return cls(exprs, periods, tol)
 

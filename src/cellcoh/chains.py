@@ -247,7 +247,7 @@ def parse_entry(x):
     """Entries in JSON are decimal strings (unbounded), 'p/q' strings or ints
     (not booleans)."""
     if isinstance(x, str):
-        f = Fraction(x)
+        f = parse_rational(x)
     elif isinstance(x, int) and not isinstance(x, bool):
         f = Fraction(x)
     else:
@@ -258,10 +258,19 @@ def parse_entry(x):
 def parse_int(x) -> int:
     """An integer given in JSON as an int or a decimal or 'p/q' string; a
     non-integral value is an error, never truncated."""
-    f = x if type(x) is int else Fraction(str(x))
+    f = x if type(x) is int else parse_rational(x)
     if f.denominator != 1:
         raise ValueError(f"non-integer value {x!r}")
     return int(f)
+
+
+def parse_rational(x) -> Fraction:
+    """A rational given in JSON as a number or a decimal or 'p/q' string; a
+    zero denominator is a ValueError, like every other malformed value."""
+    try:
+        return Fraction(str(x))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,9 @@ The sample checks (hexagon_exactness, random_cocycles and the homotopy and
 circle-integration commands of the CLI) draw their samples one after
 another, in the rng order of single samples, and then stack them, so each
 map, solve and witness check runs once per check, not once per sample.
+Every draw goes through _randbelow, which reads the Mersenne Twister words
+that randint, randrange and choice would read, without their per-draw
+calls, so a seed gives the samples of one randrange call per draw.
 
 One sign convention worth recording: with flat_part(x) = [-h] the flat
 inclusion is u -> (delta u, -u, 0), and the hexagon's left diamond then
@@ -49,7 +52,8 @@ import numpy as np
 
 from .cells import (CellComplex, CellularMap, ProductComplex, cochain_complex,
                     fiber_integrate_circle, fiber_integrate_prism)
-from .chains import RING_Q, RING_Z, FgAbGroup, HomologyData, parse_int
+from .chains import (RING_Q, RING_Z, FgAbGroup, HomologyData, parse_int,
+                     parse_rational)
 from .linalg import (MixedSolver, RatSolver, as_columns, as_vector,
                      check_int_entries, divide_columns, from_numerators,
                      int_kernel_basis, int_mv, int_storage, is_zero, mm,
@@ -161,7 +165,8 @@ class DifferentialCochain:
 
     @classmethod
     def from_json(cls, K: CellComplex, obj: dict) -> "DifferentialCochain":
-        parse = lambda vals: np.array([Fraction(v) for v in vals], dtype=object)
+        parse = lambda vals: np.array([parse_rational(v) for v in vals],
+                                      dtype=object)
         return cls(K, parse_int(obj["m"]), parse_int(obj["n"]),
                    np.array([parse_int(v) for v in obj["c"]], dtype=object),
                    parse(obj["h"]), parse(obj["omega"]))
@@ -405,11 +410,16 @@ class QZCohomology:
         numerator over SAMPLE_DEN per rational generator, a residue mod k
         per torsion lift, numerators of a cochain g one degree down and an
         integral cochain z."""
-        return np.array(
-            [random_numerator(rng) for _ in range(self.rational.gens.shape[1])]
-            + [rng.randrange(k) for _, k in self._lifts]
-            + random_numerators(rng, self.delta_below.shape[1]).tolist()
-            + random_int_vector(rng, self.n_cells).tolist(), dtype=object)
+        n_gens, n_below = self.rational.gens.shape[1], self.delta_below.shape[1]
+        lifts = [k for _, k in self._lifts]
+        d = _randbelow(rng, _NUMERATOR_WIDTHS * n_gens + lifts
+                       + _NUMERATOR_WIDTHS * n_below + [19] * self.n_cells)
+        # the generator numerators end at i, the residues at j, g at k
+        i = 2 * n_gens
+        j = i + len(lifts)
+        k = j + 2 * n_below
+        return np.array(_numerators(d[:i]) + d[i:j] + _numerators(d[j:k])
+                        + [r - 9 for r in d[k:]], dtype=object)
 
     def _classes(self, V: np.ndarray):
         """(U, L): the classes u = U / L with the draws of _class_draws as
@@ -459,9 +469,39 @@ def _integral_image(A: np.ndarray, un, L) -> np.ndarray:
 SAMPLE_DEN = 60   # lcm of the sampled denominators 1..6
 
 
+def _randbelow(rng, widths) -> list:
+    """[rng.randrange(w) for w in widths]: the same values from the same
+    Mersenne Twister words, leaving rng in the same state, with the loop of
+    CPython's Random._randbelow_with_getrandbits and not its per-draw call
+    chain (randint -> randrange -> _randbelow -> getrandbits), so a seed
+    gives the samples and reports of one randrange call per draw."""
+    getrandbits = rng.getrandbits
+    out = []
+    for w in widths:
+        if w < 1:
+            raise ValueError(f"empty range for a draw below {w}")
+        k = w.bit_length()
+        r = getrandbits(k)
+        while r >= w:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
+# a random p / q is drawn as p + 9 below 19, then q - 1 below 6
+_NUMERATOR_WIDTHS = [19, 6]
+
+
+def _numerators(d: list) -> list:
+    """The numerators over SAMPLE_DEN of the p / q drawn as the pairs of d
+    below _NUMERATOR_WIDTHS."""
+    pairs = iter(d)
+    return [(p - 9) * (SAMPLE_DEN // (q + 1)) for p, q in zip(pairs, pairs)]
+
+
 def random_numerator(rng) -> int:
     """SAMPLE_DEN times a random p / q, -9 <= p <= 9 and 1 <= q <= 6."""
-    return rng.randint(-9, 9) * (SAMPLE_DEN // rng.randint(1, 6))
+    return random_numerators(rng, 1)[0]
 
 
 def random_rational(rng) -> Fraction:
@@ -470,8 +510,8 @@ def random_rational(rng) -> Fraction:
 
 def random_numerators(rng, length: int) -> np.ndarray:
     """random_rational_vector(rng, length) as numerators over SAMPLE_DEN."""
-    return np.array([random_numerator(rng) for _ in range(length)],
-                    dtype=object)
+    return np.array(
+        _numerators(_randbelow(rng, _NUMERATOR_WIDTHS * length)), dtype=object)
 
 
 def random_rational_vector(rng, length: int) -> np.ndarray:
@@ -479,8 +519,8 @@ def random_rational_vector(rng, length: int) -> np.ndarray:
 
 
 def random_int_vector(rng, length: int, bound: int = 9) -> np.ndarray:
-    return np.array([rng.randint(-bound, bound) for _ in range(length)],
-                    dtype=object)
+    draws = _randbelow(rng, [2 * bound + 1] * length)
+    return np.array([r - bound for r in draws], dtype=object)
 
 
 def random_cocycle(K: CellComplex, m: int, rng, n: int | None = None
@@ -649,7 +689,7 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
     # dhat o dhat = 0 on random (non-cocycle) elements, batched by degree
     elements = {m - 1: [], m: []}
     for _ in range(samples):
-        n = rng.choice([m - 1, m])
+        n = m - 1 + _randbelow(rng, (2,))[0]
         elements[n].append(random_element(K, m, n, rng))
     record("dhat_squared_zero", all(
         np.all(_stack(K, m, n, xs).dhat().dhat().is_zero())
@@ -866,9 +906,12 @@ def pullback_classification_check(K: CellComplex, m: int, samples: int = 50,
 
     # surjectivity onto the fiber product: c = zgens coeffs is integral and
     # (class of c, z / D) is a compatible pair; reconstruct a preimage
+    # a free coefficient in -3..3, a torsion one below its order
+    widths = [7 if o == 0 else o for o in orders]
+    offsets = [3 if o == 0 else 0 for o in orders]
     coeffs, h = _draw(samples, (len(orders), lambda: [
-        rng.randint(-3, 3) if o == 0 else rng.randrange(max(o, 1))
-        for o in orders]), (n_low, lambda: random_numerators(rng, n_low)))
+        r - s for r, s in zip(_randbelow(rng, widths), offsets)]),
+        (n_low, lambda: random_numerators(rng, n_low)))
     c = int_mv(zgens, coeffs)
     z = D * c + d_top(h)
     x = DifferentialCochain(K, m, m, c, h, z, D)

@@ -171,23 +171,32 @@ def mul(a: Expr, b: Expr) -> Expr:
     return BinOp("*", a, b)
 
 
-def div(a: Expr, b: Expr) -> Expr:
-    if isinstance(b, Const) and b.value == 1:
-        return a
-    if isinstance(a, Const) and a.value == 0 and not (
-            isinstance(b, Const) and b.value == 0):
+def div(a: Expr, b: Expr, position: int = 0) -> Expr:
+    """a / b; a constant zero divisor is refused as a ParseError at the
+    given position of the source text, since mul would fold 0 * (a / 0)
+    away before any evaluation could report it."""
+    if isinstance(b, Const):
+        if b.value == 0:
+            raise ParseError("division by zero", position)
+        if b.value == 1:
+            return a
+        if isinstance(a, Const):
+            return Const(a.value / b.value)
+    if isinstance(a, Const) and a.value == 0:
         return ZERO
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
-        return Const(a.value / b.value)
     return BinOp("/", a, b)
 
 
-def pow_(a: Expr, k: int) -> Expr:
+def pow_(a: Expr, k: int, position: int = 0) -> Expr:
+    """a^k; the constant 0 to a negative power is refused as div refuses a
+    constant zero divisor."""
     if k == 0:
         return ONE
     if k == 1:
         return a
-    if isinstance(a, Const) and (k > 0 or a.value != 0):
+    if isinstance(a, Const):
+        if a.value == 0 and k < 0:
+            raise ParseError("zero to a negative power", position)
         return Const(a.value ** k)
     return Pow(a, k)
 
@@ -274,9 +283,9 @@ class _Parser:
     def term(self) -> Expr:
         e = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+            op = self.advance()
             rhs = self.factor()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
+            e = mul(e, rhs) if op.text == "*" else div(e, rhs, op.pos)
         return e
 
     def factor(self) -> Expr:
@@ -286,7 +295,7 @@ class _Parser:
             return sub(ZERO, self.factor())
         e = self.base()
         if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
+            caret = self.advance()
             sign = 1
             tok = self.peek()
             if tok.kind == "op" and tok.text == "-":
@@ -296,7 +305,7 @@ class _Parser:
             if tok.kind != "num" or "." in tok.text:
                 raise ParseError("expected integer exponent", tok.pos)
             self.advance()
-            e = pow_(e, sign * int(tok.text))
+            e = pow_(e, sign * int(tok.text), caret.pos)
         return e
 
     def base(self) -> Expr:

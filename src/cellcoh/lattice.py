@@ -29,7 +29,7 @@ import numpy as np
 
 from .bundles import SmoothConnection, gauss_legendre01, transgress_ch
 from .cells import CellComplex, named_complex
-from .chains import parse_int
+from .chains import parse_int, parse_rational
 from .diffcoh import (DifferentialCochain, equal_classes, forms_a,
                       integral_cohomology)
 from .linalg import (as_vector, check_int_entries, from_numerators,
@@ -96,7 +96,7 @@ class LatticeLineBundle:
     @classmethod
     def from_json(cls, obj: dict) -> "LatticeLineBundle":
         n = [parse_int(v) for v in obj["n"]]
-        a = [Fraction(str(v)) for v in obj["a"]]
+        a = [parse_rational(v) for v in obj["a"]]
         return cls(named_complex(obj["complex"]), np.array(n, dtype=object),
                    np.array(a, dtype=object))
 
@@ -213,13 +213,13 @@ class SurfaceChart:
         positions = {}
         for vid, (x, y) in obj["vertices"].items():
             label = int(vid) if str(vid).lstrip("-").isdigit() else vid
-            positions[label] = (Fraction(str(x)), Fraction(str(y)))
+            positions[label] = (parse_rational(x), parse_rational(y))
         labels = {v[0] for v in K.cells(0)}
         if labels - set(positions):
             raise ValueError(f"chart misses vertices {labels - set(positions)}")
         periods = None
         if obj.get("periods"):
-            periods = tuple(Fraction(str(p)) for p in obj["periods"])
+            periods = tuple(parse_rational(p) for p in obj["periods"])
         return cls(K, tuple(coords), positions, periods)
 
 

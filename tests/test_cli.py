@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -12,6 +13,7 @@ import pytest
 
 from cellcoh import bundles as bd
 from cellcoh import cli
+from cellcoh import diffcoh as dc
 
 
 def data(path):
@@ -380,6 +382,101 @@ def test_unknown_complex_of_a_bundle_or_chart_is_input_error(
     code, out, err = run(capsys, command, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("input error:") and ref in err
+
+
+def _edited(tmp_path, path, edit):
+    """The JSON file at path with edit applied, written under tmp_path."""
+    obj = json.loads(Path(path).read_text())
+    edit(obj)
+    return _write(tmp_path, "edited.json", obj)
+
+
+def _zero_denominator_argv(tmp_path, case):
+    """A command line whose input holds a "p/0" literal."""
+    wilson = data("connections/torus_wilson_path.json")
+    plane = data("connections/rotation_plane.json")
+    chart = data("charts/csaszar_flat.json")
+    bundle = lambda: _edited(tmp_path, _monopole_file(tmp_path),
+                             lambda b: b["a"].__setitem__(0, "1/0"))
+    cells = {"cells": [{"id": "a", "dim": 0, "boundary": []},
+                       {"id": "e", "dim": "1/0", "boundary": [["a", 1]]}]}
+    return {
+        "lattice_class_a": lambda: ["lattice-class", bundle()],
+        "character_a": lambda: ["character", bundle(), "--samples", "1"],
+        "chart_periods": lambda: ["cycle-map-check", wilson, _edited(
+            tmp_path, chart, lambda c: c["periods"].__setitem__(0, "1/0"))],
+        "chart_vertices": lambda: ["cycle-map-check", wilson, _edited(
+            tmp_path, chart,
+            lambda c: c["vertices"]["1"].__setitem__(0, "4/0"))],
+        "connection_domain": lambda: ["ch", _edited(
+            tmp_path, plane,
+            lambda c: c["domain"]["s"].__setitem__(1, "2/0"))],
+        # in the character form, mul would fold 0 * (1/0) away unreported
+        "connection_entry": lambda: ["ch", _edited(
+            tmp_path, plane,
+            lambda c: c["A"]["t"][0][0].__setitem__(0, "1/0"))],
+        "loop_periods": lambda: ["holonomy", plane, _edited(
+            tmp_path, data("loops/circle_r05.json"),
+            lambda c: c.__setitem__("periods", {"u": "1/0"}))],
+        "cochain_complex_entry": lambda: ["homology", _write(
+            tmp_path, "c.json", {"ring": "Z", "lo": 0, "hi": 1,
+                                 "ranks": [1, 1], "differentials": [["1/0"]]})],
+        "cochain_complex_lo": lambda: ["homology", _write(
+            tmp_path, "c.json", {"ring": "Z", "lo": "0/0", "hi": 0,
+                                 "ranks": [1], "differentials": [[]]})],
+        "cell_complex_dim": lambda: [
+            "hexagon", _write(tmp_path, "k.json", cells), "--m", "1"],
+    }[case]()
+
+
+@pytest.mark.parametrize("case", [
+    "lattice_class_a", "character_a", "chart_periods", "chart_vertices",
+    "connection_domain", "connection_entry", "loop_periods",
+    "cochain_complex_entry", "cochain_complex_lo", "cell_complex_dim"])
+def test_zero_denominator_in_input_is_input_error(capsys, tmp_path, case):
+    # every JSON rational is read by chains.parse_rational, and a constant
+    # zero divisor in an expression is refused by its parser
+    code, out, err = run(capsys, *_zero_denominator_argv(tmp_path, case))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:")
+    assert ("division by zero" if case == "connection_entry"
+            else "zero denominator") in err
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hexagon", "csaszar_torus", "--m", "2"],
+    ["homotopy-formula", "octahedron", "--m", "2"],
+    ["s1-integrate", "octahedron", "--m", "2"],
+    ["lattice-class", str(FIXTURES / "bundle_octahedron.json")],
+    ["character", str(FIXTURES / "bundle_octahedron.json")],
+], ids=lambda argv: argv[0])
+def test_sampled_commands_make_no_per_draw_rng_calls(capsys, argv):
+    # every sample is drawn through diffcoh._randbelow, and its reports are
+    # those of one randrange per draw
+    counts = dict.fromkeys(("randint", "randrange", "choice"), 0)
+
+    def counted(name):
+        method = getattr(random.Random, name)
+
+        def call(self, *args, **kwargs):
+            counts[name] += 1
+            return method(self, *args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in counts:
+            patch.setattr(random.Random, name, counted(name))
+        fast = run(capsys, *argv, "--format", "json")
+        assert fast[0] == 0
+        assert counts == dict.fromkeys(counts, 0)
+        patch.setattr(dc, "_randbelow",
+                      lambda rng, widths: [rng.randrange(w) for w in widths])
+        assert run(capsys, *argv, "--format", "json") == fast
+    # lattice-class draws nothing
+    assert (counts["randrange"] > 0) == (argv[0] != "lattice-class")
 
 
 def test_parser_is_built_once_per_process(capsys):

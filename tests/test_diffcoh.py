@@ -385,6 +385,15 @@ def test_differential_cochain_json_rejects_non_integral_c():
         dc.DifferentialCochain.from_json(K, obj)
 
 
+@pytest.mark.parametrize("key", ["c", "h", "omega"])
+def test_differential_cochain_json_rejects_zero_denominators(key):
+    K = octa()
+    obj = dc.random_cocycle(K, 2, random.Random(12)).to_json()
+    obj[key][0] = "1/0"
+    with pytest.raises(ValueError, match="zero denominator"):
+        dc.DifferentialCochain.from_json(K, obj)
+
+
 @pytest.mark.parametrize("key", ["m", "n"])
 def test_differential_cochain_json_rejects_fractional_degrees(key):
     K = octa()
@@ -1127,4 +1136,43 @@ def test_numerator_cochains_agree_with_a_fraction_reference(case):
     qz = dc.qz_cohomology(K, n - 1)
     un, L = qz.random_class_numerators(rng)
     assert list(un * Fraction(1, L)) == list(qz.random_class(ref))
+    assert rng.getstate() == ref.getstate()
+
+
+DRAW_WIDTHS = [1, 2, 6, 7, 19, 2 ** 31 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 70 + 3]
+
+
+@pytest.mark.parametrize("widths", [[w] * 5 for w in DRAW_WIDTHS] + [
+    DRAW_WIDTHS, DRAW_WIDTHS[::-1], [19, 6] * 7 + [2, 7, 1] + [19] * 9, []])
+def test_draw_primitive_matches_randrange(widths):
+    # the same values from the same Mersenne Twister words as one randrange
+    # per width, leaving the generator in the same state, so seeded samples
+    # and the reports on them do not depend on which of the two drew them
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert dc._randbelow(rng, widths) == [ref.randrange(w) for w in widths]
+        assert rng.getstate() == ref.getstate()
+
+
+class _FewWords(random.Random):
+    """A generator that gives out at most 100 words, so that a draw loop
+    that never ends fails instead."""
+
+    def getrandbits(self, k):
+        self.words = getattr(self, "words", 0) + 1
+        if self.words > 100:
+            raise RuntimeError("draw loop does not end")
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_draw_primitive_refuses_empty_ranges(width):
+    # getrandbits(0) is 0, so a width below 1 would loop forever; like
+    # randrange, the primitive raises, after the draws before it
+    rng, ref = _FewWords(3), random.Random(3)
+    with pytest.raises(ValueError):
+        dc._randbelow(rng, [7, width, 7])
+    ref.randrange(7)
+    with pytest.raises(ValueError):
+        ref.randrange(width)
     assert rng.getstate() == ref.getstate()

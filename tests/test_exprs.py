@@ -19,6 +19,8 @@ def test_rational_constant_folding():
     assert isinstance(e, BinOp) and e.op == "-"
     assert e.right == Const(Fraction(1, 3))
     assert isinstance(e.left.right, Call)
+    assert parse_expr("0/s") == Const(Fraction(0))
+    assert parse_expr("s/1") == Var("s")
 
 
 def test_syntax_error_offset():
@@ -64,6 +66,20 @@ def test_unknown_identifier_at_bind_time():
 def test_division_by_zero_reports():
     with pytest.raises(EvalError, match="division by zero"):
         evaluate(parse_expr("1/s"), {"s": 0.0})
+
+
+@pytest.mark.parametrize("text,offset,message", [
+    ("1/0", 1, "division by zero"), ("0/0", 1, "division by zero"),
+    ("s/(1 - 1)", 1, "division by zero"), ("0*(1/0)", 4, "division by zero"),
+    ("s + t*(0/0)", 8, "division by zero"),
+    ("0^-1", 1, "zero to a negative power"),
+    ("0*(1 - 1)^-2", 9, "zero to a negative power")])
+def test_constant_zero_divisor_is_a_parse_error(text, offset, message):
+    # refused where the quotient or power is built: 0 * (1/0) would
+    # otherwise fold to 0 and never reach an evaluation that reports it
+    with pytest.raises(ParseError, match=message) as e:
+        parse_expr(text)
+    assert e.value.position == offset
 
 
 def test_symbolic_d_against_finite_differences():
@@ -131,7 +147,7 @@ def test_scalar_and_array_coordinates_broadcast():
     assert evaluate(parse_expr("t"), {"s": np.zeros(5), "t": 2.0}).shape \
         == (5,)
     # no points, nothing to divide by zero at
-    assert evaluate(parse_expr("1/(1-1) + s"), {"s": np.zeros(0)}).shape \
+    assert evaluate(parse_expr("1/(s-s) + s"), {"s": np.zeros(0)}).shape \
         == (0,)
 
 

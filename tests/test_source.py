@@ -26,6 +26,20 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_samplers_make_no_per_draw_rng_calls():
+    # diffcoh and cli draw every sample through diffcoh._randbelow, which
+    # reads the words of randint, randrange and choice without their calls
+    root = Path(cellcoh.__file__).parent
+    found = []
+    for name in ("diffcoh.py", "cli.py"):
+        tree = ast.parse((root / name).read_text(), filename=name)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("randint", "randrange", "choice")]
+    assert found == []
+
+
 def _load_spans():
     if not SPANS.is_file():
         pytest.skip("no benchmark tracer in this checkout")
