@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import RING_Z, Complex, parse_int
-from .linalg import int_mv, int_storage, int_zeros, is_zero, mm, zeros
+from .linalg import int_mv, int_storage, int_triples, int_zeros, vanishes
 
 
 class CellComplex:
@@ -67,7 +67,8 @@ class CellComplex:
         self.labels = dict(labels or {})
         self._kept = {}
         for d in range(1, self.dim + 1):
-            if not is_zero(mm(self.boundary_matrix(d - 1), self.boundary_matrix(d))):
+            if not vanishes([(1, self.boundary_matrix(d - 1),
+                              self.boundary_matrix(d))]):
                 raise ValueError(f"dd != 0 in dimension {d}")
 
     def n_cells(self, d: int) -> int:
@@ -95,11 +96,10 @@ class CellComplex:
         return self.kept(("boundary", d), lambda: self._boundary_matrix(d))
 
     def _boundary_matrix(self, d: int) -> np.ndarray:
-        m = zeros(self.n_cells(d - 1), self.n_cells(d))
-        for j, cid in enumerate(self.cells(d)):
-            for b, inc in self.boundary[cid]:
-                m[self.index[b], j] += inc
-        return int_storage(m)
+        index, boundary = self.index, self.boundary
+        return int_triples((self.n_cells(d - 1), self.n_cells(d)), [
+            (index[b], j, inc) for j, cid in enumerate(self.cells(d))
+            for b, inc in boundary[cid]])
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * self.n_cells(d) for d in range(self.dim + 1))
@@ -207,18 +207,18 @@ class CellularMap:
     def __post_init__(self):
         mats = []
         for d in range(self.source.dim + 1):
-            m = zeros(self.target.n_cells(d), self.source.n_cells(d))
+            triples = []
             for j, c in enumerate(self.source.cells(d)):
                 for t, inc in self.images.get(c, ()):
                     if self.target.dim_of[t] != d:
                         raise ValueError("cellular map must preserve dimension")
-                    m[self.target.index[t], j] += inc
-            mats.append(int_storage(m))
+                    triples.append((self.target.index[t], j, inc))
+            mats.append(int_triples(
+                (self.target.n_cells(d), self.source.n_cells(d)), triples))
         object.__setattr__(self, "_mats", tuple(mats))
         for d in range(1, self.source.dim + 1):
-            lhs = mm(mats[d - 1], self.source.boundary_matrix(d))
-            rhs = mm(self.target.boundary_matrix(d), mats[d])
-            if not is_zero(lhs - rhs):
+            if not vanishes([(1, mats[d - 1], self.source.boundary_matrix(d)),
+                             (-1, self.target.boundary_matrix(d), mats[d])]):
                 raise ValueError(f"not a chain map in dimension {d}")
 
     def chain_matrix(self, d: int) -> np.ndarray:
@@ -283,11 +283,10 @@ class ProductComplex:
         ends = [(self.sections[k], sign) for k, sign in
                 (("end1", 1), ("end0", -1)) if k in self.sections]
         for d in range(P.dim):
-            lhs = (mm(self.fiber_matrix(d + 1), P.boundary_matrix(d + 1).T)
-                   + mm(K.boundary_matrix(d).T, self.fiber_matrix(d)))
-            for f, sign in ends:
-                lhs = lhs - sign * f.chain_matrix(d).T
-            if not is_zero(lhs):
+            terms = [(1, self.fiber_matrix(d + 1), P.boundary_matrix(d + 1).T),
+                     (1, K.boundary_matrix(d).T, self.fiber_matrix(d))]
+            terms += [(-sign, f.chain_matrix(d).T) for f, sign in ends]
+            if not vanishes(terms):
                 raise ValueError(f"Stokes identity fails in degree {d}")
 
     def fiber_matrix(self, d: int) -> np.ndarray:
@@ -295,11 +294,12 @@ class ProductComplex:
         (linalg.int_storage) and kept by the product complex for this
         fiber cycle."""
         def build():
-            m = zeros(self.base.n_cells(d - 1), self.complex.n_cells(d))
-            for i, s in enumerate(self.base.cells(d - 1)):
-                for e, coeff in self.fiber_cycle:
-                    m[i, self.complex.index[(e, s)]] += coeff
-            return int_storage(m)
+            index = self.complex.index
+            return int_triples(
+                (self.base.n_cells(d - 1), self.complex.n_cells(d)),
+                [(i, index[(e, s)], coeff)
+                 for i, s in enumerate(self.base.cells(d - 1))
+                 for e, coeff in self.fiber_cycle])
         return self.complex.kept(("fiber", self.fiber_cycle, d), build)
 
 

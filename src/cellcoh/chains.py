@@ -20,7 +20,7 @@ import numpy as np
 from .linalg import (IntSolver, RatSolver, as_columns, as_matrix,
                      block_zeros, exact_storage, int_zeros, integerize_rows,
                      invariant_factors, is_zero, mm, mv, smith_normal_form,
-                     zero_columns, zeros)
+                     vanishes, zero_columns, zeros)
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -57,7 +57,7 @@ class Complex:
     def __init__(self, ring: str, lo: int, ranks, diffs):
         self._store(ring, lo, ranks, diffs, {})
         for i, (d, e) in enumerate(zip(self.diffs, self.diffs[1:])):
-            if not is_zero(mm(e, d)):
+            if not vanishes([(1, e, d)]):
                 raise ValueError(f"d o d != 0 at degree {self.lo + i}")
 
     @classmethod
@@ -308,9 +308,8 @@ class ChainMap:
             full[n] = m
         object.__setattr__(self, "mats", full)
         for n in degs[:-1]:
-            lhs = mm(self.component(n + 1), self.source.diff(n))
-            rhs = mm(self.target.diff(n), self.component(n))
-            if not is_zero(lhs - rhs):
+            if not vanishes([(1, self.component(n + 1), self.source.diff(n)),
+                             (-1, self.target.diff(n), self.component(n))]):
                 raise ValueError(f"does not commute with d in degree {n}")
 
     def _select(self, degs):

@@ -15,7 +15,11 @@ the lcm of its denominators.  The numerators are multiplied on machine
 numbers under the same bound, else as Python integers; an array of Python
 ints gets its bound from a cast to int32, not from a scan.  Each entry of
 the result is divided once, coming back as a plain int where it is integral
-and as a Fraction elsewhere.
+and as a Fraction elsewhere.  The identity checks of the package (d o d = 0,
+chain maps, Stokes) go through one kernel, vanishes, which decides whether
+a signed sum of products and matrices is zero: on int64 under the same
+bound, by dense products when they are small and by a join of the nonzero
+entries on the shared index when they are large.
 
 One elimination on sparse rows of Python ints gives the Smith normal form
 U A V = D: the +-1 pivots, nearly all of a cellular or total differential,
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -63,6 +68,13 @@ _INT64_SAFE = 2 ** 61
 _FLOAT_EXACT = 2 ** 53
 # multiply-adds from which a vectorized float64 product beats int64 @
 _SIMD_WORK = 4096
+# multiply-adds from which vanishes joins the nonzero entries of int64
+# factors instead of multiplying them densely (measured on the checks of
+# bundled complexes: the join loses at 78k multiply-adds, wins from 1.3M)
+_JOIN_WORK = 2 ** 18
+# ... unless the join makes more than work / _JOIN_DENSITY keys (measured
+# on +-1 checks of 160 x 160 factors: even at about work / 220)
+_JOIN_DENSITY = 256
 INT_BOUND = 2 ** 31
 
 
@@ -101,9 +113,8 @@ def int_storage(a: np.ndarray) -> np.ndarray:
       truncated object of level N holds lists of 2, 3, ..., N + 1 maps, so
       N >= 2^32 would need N (N + 3) / 2 > 2^63 list slots of 8 bytes,
       more than a 64-bit address space holds;
-    * lhs - rhs in the identity and commutation checks subtracts two
-      products that mm returns on int64 only below 2^61 (|a| |b| k < 2^61),
-      so the difference stays below 2^62.
+    * the identity and commutation checks (vanishes) sum their products
+      and terms on int64 only while the sum of their bounds is below 2^61.
 
     A sum that leaves the bound (a total differential with larger entries)
     is stored again through this function and becomes an object array.
@@ -131,6 +142,29 @@ def int_storage(a: np.ndarray) -> np.ndarray:
 # (weak reference, max |entry|) by id of each int64 matrix stored above;
 # facts about read-only matrices, so every caller may share them
 _BOUNDS: dict[int, tuple] = {}
+
+
+def int_triples(shape, triples) -> np.ndarray:
+    """The stored form (int_storage) of the integer matrix of the given
+    shape whose entry (i, j) is the sum of the values v of a list of
+    triples (i, j, v).  The sums run on int64 when len(triples) max |v| <
+    2^63 bounds every partial sum (np.add.at wraps without warning), else
+    on Python ints."""
+    m = np.zeros(shape, dtype=np.int64)
+    if triples:
+        try:    # OverflowError for a value outside int64
+            t = np.fromiter(chain.from_iterable(triples), dtype=np.int64,
+                            count=3 * len(triples)).reshape(-1, 3)
+        except OverflowError:
+            t = None
+        if t is not None and _amax(t[:, 2]) * len(t) < 2 ** 63:
+            np.add.at(m, (t[:, 0], t[:, 1]), t[:, 2])
+        else:
+            m = m.astype(object)
+            for i, j, v in triples:
+                m[i, j] += int(v)
+    m.setflags(write=False)     # owned here: int_storage need not copy
+    return int_storage(m)
 
 
 def as_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -321,10 +355,126 @@ def _int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     bound = None if a is None or b is None else a * b * A.shape[1]
     if bound is None or bound >= _INT64_SAFE:
         return _to_object(A) @ _to_object(B)
+    return _int64_product(A, B, bound)
+
+
+def _int64_product(A: np.ndarray, B: np.ndarray, bound: int) -> np.ndarray:
+    """A @ B on int64 for int64 factors with |a| |b| k <= bound < 2^61."""
     if bound < _FLOAT_EXACT and A.shape[0] * B.size >= _SIMD_WORK:
         return np.einsum("ij,j...->i...", A.astype(np.float64),
                          B.astype(np.float64)).astype(np.int64)
     return A @ B
+
+
+def vanishes(terms) -> bool:
+    """Whether the sum of the terms is the zero matrix: a term (s, A, B)
+    stands for s A B and a term (s, C) for s C, with s = 1 or -1.  The
+    answer is is_zero of the same sum of mm products; this is the one
+    kernel of the identity checks (d o d = 0, chain maps, Stokes).
+
+    * An operand that is not int64 (Python ints, Fractions): the sum of
+      the mm products, on Python ints and Fractions.
+    * int64 operands whose bounds (_bounded) give sum |a| |b| k + sum |c|
+      below 2^61, the rule of _int_product, so that every product and
+      partial sum is exact on int64: below _JOIN_WORK multiply-adds, the
+      dense products of _int_product; from there, a join of the nonzero
+      entries on the shared index (_join_vanishes), since cellular and
+      total differentials are almost all zero.
+    * int64 operands past that bound: the mm path.
+    """
+    work, shape, int64 = 0, None, True
+    for t in terms:
+        A = t[1]
+        if len(t) == 3:
+            B = t[2]
+            if A.shape[1] != B.shape[0]:
+                raise ValueError(f"matmul mismatch {A.shape} @ {B.shape}")
+            work += A.shape[0] * B.size
+            got = (A.shape[0], B.shape[1])
+            int64 = int64 and B.dtype == np.int64
+        else:
+            got = A.shape
+        int64 = int64 and A.dtype == np.int64
+        if shape is None:
+            shape = got
+        elif got != shape:
+            raise ValueError(f"terms of shapes {shape} and {got}")
+    if int64:
+        if 0 in shape:
+            return True
+        bounded, total = [], 0
+        for t in terms:
+            A, a = _bounded(t[1])
+            B = None
+            if len(t) == 3:
+                B, b = _bounded(t[2])
+                a *= b * A.shape[1]
+            bounded.append((t[0], A, B, a))
+            total += a
+        if total < _INT64_SAFE:
+            if work >= _JOIN_WORK:
+                joined = _join_vanishes(bounded, shape, work)
+                if joined is not None:
+                    return joined
+            acc = None
+            for s, A, B, a in bounded:
+                x = A if B is None else _int64_product(A, B, a)
+                if acc is None:
+                    acc = x if s > 0 else -x
+                else:
+                    acc = acc + x if s > 0 else acc - x
+            return not np.count_nonzero(acc)
+    acc = np.zeros(shape, dtype=object)
+    for t in terms:
+        x = _to_object(t[1] if len(t) == 2 else mm(t[1], t[2]))
+        acc = acc + x if t[0] > 0 else acc - x
+    return is_zero(acc)
+
+
+def _join_vanishes(terms, shape, work):
+    """vanishes for int64 terms (s, A, B or None, bound) whose sum is below
+    2^61: each product a_ik b_kj of nonzero entries, and each nonzero entry
+    c_ij of a plain term, is keyed by i * cols + j; the keys are sorted and
+    the values summed per key (np.add.reduceat).  None, for the dense
+    products, when that makes more than work / _JOIN_DENSITY keys."""
+    cols = shape[1]
+    keys, vals, joins, size = [], [], [], 0
+    for s, A, B, _ in terms:
+        i, k = _entries(A)
+        if B is None:
+            keys.append(i * cols + k)
+            vals.append(A[i, k] if s > 0 else -A[i, k])
+            size += i.size
+            continue
+        kb, j = _entries(B)                 # row by row: sorted by k
+        count = np.bincount(kb, minlength=B.shape[0])
+        rep = count[k]                      # partners of each entry of A
+        size += int(rep.sum())
+        joins.append((s, A[i, k], B[kb, j], i, k, j, count, rep))
+    if size * _JOIN_DENSITY > work:
+        return None
+    for s, va, vb, i, k, j, count, rep in joins:
+        a = np.repeat(np.arange(k.size), rep)   # entry of A, per partner
+        first = np.cumsum(count) - count        # where row k of B starts
+        b = (np.arange(a.size) - np.repeat(np.cumsum(rep) - rep, rep)
+             + np.repeat(first[k], rep))
+        keys.append(i[a] * cols + j[b])
+        v = va[a] * vb[b]
+        vals.append(v if s > 0 else -v)
+    keys = np.concatenate(keys)
+    if not keys.size:
+        return True
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return not np.add.reduceat(np.concatenate(vals)[order], starts).any()
+
+
+def _entries(a: np.ndarray):
+    """(rows, cols) of the nonzero entries of a matrix with columns, row by
+    row (np.nonzero of a bool array is several times faster than of int64,
+    and one flat index faster than two)."""
+    return np.divmod(np.flatnonzero(a != 0), a.shape[1])
 
 
 def _div(n: int, d: int):

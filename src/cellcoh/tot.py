@@ -21,7 +21,7 @@ import numpy as np
 from .cells import (CellComplex, check_face_closed, cochain_complex,
                     standard_simplex)
 from .chains import ChainMap, Complex, homology, truncate_above
-from .linalg import block_zeros, is_zero, mm
+from .linalg import block_zeros, vanishes
 
 
 class InsufficientTruncation(ValueError):
@@ -84,10 +84,11 @@ class _Truncated:
                 for i in range(j):
                     (b, a), (b2, a2) = identity(i, j)
                     for n in first[a].source.degrees():
-                        lhs = mm(second[b].component(n), first[a].component(n))
-                        rhs = mm(second[b2].component(n),
-                                 first[a2].component(n))
-                        if not is_zero(lhs - rhs):
+                        if not vanishes([
+                                (1, second[b].component(n),
+                                 first[a].component(n)),
+                                (-1, second[b2].component(n),
+                                 first[a2].component(n))]):
                             raise ValueError(
                                 f"{self.kind} identity fails at level {q}, "
                                 f"(i,j)=({i},{j}), degree {n}")

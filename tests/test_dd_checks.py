@@ -6,8 +6,11 @@ d o d = 0 with products.  Everything derived from checked complexes (over,
 window, trim, the truncations, shift, direct_sum, cone, fiber, the cochain
 complex of a cell complex, the levels of a Cech or simplex object) is built
 by Complex._derived, which makes no product.  The guard counts the products
-of chains.mm; the reference test passes the arguments of every derived
-construction through the public constructor and checks d o d = 0 itself.
+of chains.mm and the calls of the check kernel linalg.vanishes that chains
+makes, which need not reach mm (a small int64 check multiplies directly, a
+large one joins nonzero entries); the reference test passes the arguments
+of every derived construction through the public constructor and checks
+d o d = 0 itself.
 """
 
 from fractions import Fraction
@@ -24,15 +27,21 @@ from conftest import random_chain_map, random_complex
 
 @pytest.fixture
 def products(monkeypatch):
-    """The shapes of the operands of every chains.mm call."""
+    """The shapes of the operands of every chains.mm call, and of the
+    factors of every linalg.vanishes call that chains makes."""
     calls = []
-    product = ch.mm
+    product, kernel = ch.mm, ch.vanishes
 
     def counted(a, b):
         calls.append((a.shape, b.shape))
         return product(a, b)
 
+    def checked(terms):
+        calls.append(tuple(x.shape for t in terms for x in t[1:]))
+        return kernel(terms)
+
     monkeypatch.setattr(ch, "mm", counted)
+    monkeypatch.setattr(ch, "vanishes", checked)
     return calls
 
 

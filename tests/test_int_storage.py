@@ -35,6 +35,29 @@ def test_cell_matrices_are_read_only_int64():
                           for d in range(P.complex.dim + 1)))
 
 
+@pytest.mark.parametrize("values", [
+    [1, -1, 1],                                 # a repeated cell
+    [BOUND - 1, 1, -3],                         # a sum at the bound
+    [2 ** 62, 2 ** 62, 5],                      # partial sums past int64
+    [-2 ** 63, -1, 7],
+    [2 ** 64 + 1, -(2 ** 64), 2],               # planted torsion sizes
+])
+def test_triples_are_summed_exactly_into_the_stored_form(values):
+    # a matrix built from (row, col, value) triples equals the entry-by-
+    # entry sum on Python ints, stored by int_storage: int64 below the
+    # bound, Python ints from it
+    triples = [(0, 1, values[0]), (0, 1, values[1]), (1, 0, values[2]),
+               (1, 1, values[1])]
+    want = np.zeros((2, 3), dtype=object)
+    for i, j, v in triples:
+        want[i, j] += v
+    got = la.int_triples((2, 3), triples)
+    stored = la.int_storage(want)
+    assert got.dtype == stored.dtype and not got.flags.writeable
+    assert got.tolist() == want.tolist()
+    assert la.int_triples((2, 0), []).shape == (2, 0)
+
+
 @pytest.mark.parametrize("ring", ["Z", "Q"])
 def test_integral_differentials_and_chain_maps_are_read_only_int64(ring):
     C = cl.cochain_complex(cl.bundled_complex("rp2_6"), ring)

@@ -455,13 +455,14 @@ def test_index_checks_agree_with_dense_products(monkeypatch):
 
 
 def _products_by_check(monkeypatch):
-    """Calls of mm made inside _check_identities or inside the construction
-    of a selection map, counted by wrapping mm where tot and chains call it;
-    the dense identity and commutation checks are counted too."""
+    """Calls of mm or of the check kernel vanishes made inside
+    _check_identities or inside the construction of a selection map,
+    counted by wrapping both where tot and chains call them; the dense
+    identity and commutation checks are counted too."""
     counted = {"identities": 0, "selection": 0, "dense": 0}
 
-    def counting(mm):
-        def wrapped(A, B):
+    def counting(call):
+        def wrapped(*args):
             frame = sys._getframe(1)
             while frame is not None:
                 self = frame.f_locals.get("self")
@@ -473,11 +474,11 @@ def _products_by_check(monkeypatch):
                             else "selection"] += 1
                     break
                 frame = frame.f_back
-            return mm(A, B)
+            return call(*args)
         return wrapped
 
-    for module in (tt, ch):
-        monkeypatch.setattr(module, "mm", counting(module.mm))
+    for module, name in ((tt, "vanishes"), (ch, "mm"), (ch, "vanishes")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     return counted
 
 
