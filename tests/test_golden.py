@@ -51,6 +51,15 @@ CASES = {
     "cycle_map_check_torus_wilson_path":
         ["cycle-map-check", str(DATA / "connections" / "torus_wilson_path.json"),
          str(DATA / "charts" / "csaszar_flat.json")],
+    "ch_torus_wilson_path":
+        ["ch", str(DATA / "connections" / "torus_wilson_path.json")],
+    "ch_rotation_plane":
+        ["ch", str(DATA / "connections" / "rotation_plane.json")],
+    "transgress_torus_wilson_path":
+        ["transgress", str(DATA / "connections" / "torus_wilson_path.json")],
+    "holonomy_rotation_plane_circle_r05":
+        ["holonomy", str(DATA / "connections" / "rotation_plane.json"),
+         str(DATA / "loops" / "circle_r05.json")],
 }
 
 
