@@ -16,7 +16,7 @@ from .cells import (CellComplex, bundled_complex, circle_product,
                     fiber_integrate_prism, prism, simplicial_from_facets,
                     star_cover)
 from .diffcoh import (DifferentialCochain, curvature_R, dhat, equal_classes,
-                      flat_part, forms_a, hexagon, hexagon_exactness,
+                      flat_part, forms_a, hexagon_exactness,
                       homotopy_formula_check, pullback_classification_check,
                       s1_integrate, underlying_I)
 from .tot import (CosimplicialComplexTrunc, SimplicialComplexOfComplexes,

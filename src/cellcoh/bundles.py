@@ -5,8 +5,10 @@ complex-valued expressions over a rectangular rational domain.  On top of
 this: curvature F = dA + A wedge A, the character form Tr exp(bF) with its
 formal variable b of degree -2, transgression along a path of connections
 by Gauss-Legendre quadrature in the path parameter, and holonomy of loops
-by fourth-order Runge-Kutta on the parallel-transport equation.  Every
-evaluation broadcasts over numpy arrays of points.  The homological layers
+by fourth-order Runge-Kutta on the parallel-transport equation.  One Form
+type holds scalar, matrix (CMatrix) and quadrature coefficients alike.
+Every evaluation broadcasts over numpy arrays of points.  The homological
+layers
 stay exact; of the floating-point results here, transgression is checked
 against a run with doubled steps, and holonomy checks that the loop closes
 and stays inside the domain of the connection.
@@ -77,41 +79,37 @@ def cnum(q) -> CExpr:
     return CExpr(Const(Fraction(q)), ZERO)
 
 
-def mat_zero(r: int):
-    return tuple(tuple(C_ZERO for _ in range(r)) for _ in range(r))
+class CMatrix(tuple):
+    """Square matrix of CExpr entries, a tuple of rows, with the arithmetic
+    of CExpr: a matrix-valued form coefficient."""
 
+    def __add__(self, other):
+        return CMatrix(tuple(x + y for x, y in zip(ra, rb))
+                       for ra, rb in zip(self, other))
 
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    def __neg__(self):
+        return CMatrix(tuple(-x for x in ra) for ra in self)
 
+    def __mul__(self, other):
+        r = len(self)
+        return CMatrix(tuple(
+            sum((self[i][k] * other[k][j] for k in range(r)), C_ZERO)
+            for j in range(r)) for i in range(r))
 
-def mat_neg(a):
-    return tuple(tuple(-x for x in ra) for ra in a)
+    def trace(self) -> CExpr:
+        return sum((self[i][i] for i in range(len(self))), C_ZERO)
 
+    def diff(self, var: str):
+        return CMatrix(tuple(x.diff(var) for x in ra) for ra in self)
 
-def mat_mul(a, b):
-    r = len(a)
-    return tuple(tuple(
-        sum((a[i][k] * b[k][j] for k in range(r)), C_ZERO)
-        for j in range(r)) for i in range(r))
+    def eval(self, env) -> np.ndarray:
+        """Shape (r, r) at one point, (*points, r, r) over arrays of points."""
+        vals = np.array([[x.eval(env) for x in ra] for ra in self],
+                        dtype=complex)
+        return np.moveaxis(vals, (0, 1), (-2, -1))
 
-
-def mat_trace(a) -> CExpr:
-    return sum((a[i][i] for i in range(len(a))), C_ZERO)
-
-
-def mat_diff(a, var: str):
-    return tuple(tuple(x.diff(var) for x in ra) for ra in a)
-
-
-def mat_eval(a, env) -> np.ndarray:
-    """Shape (r, r) at one point, (*points, r, r) over arrays of points."""
-    vals = np.array([[x.eval(env) for x in ra] for ra in a], dtype=complex)
-    return np.moveaxis(vals, (0, 1), (-2, -1))
-
-
-def mat_is_zero(a) -> bool:
-    return all(x.is_structural_zero() for ra in a for x in ra)
+    def is_structural_zero(self) -> bool:
+        return all(x.is_structural_zero() for ra in self for x in ra)
 
 
 # ---------------------------------------------------------------------------
@@ -127,58 +125,15 @@ def _merge_sign(I: tuple, J: tuple):
     return tuple(sorted(I + J)), (-1) ** inversions
 
 
-class MatrixForm:
-    """Matrix-valued form: components over increasing coordinate tuples."""
-
-    def __init__(self, rank: int, degree: int, comps: dict | None = None):
-        self.rank, self.degree = rank, degree
-        self.comps = {}
-        for idx, mat in (comps or {}).items():
-            if len(idx) != degree or tuple(sorted(idx)) != tuple(idx):
-                raise ValueError(f"bad multi-index {idx}")
-            if not mat_is_zero(mat):
-                self.comps[tuple(idx)] = mat
-
-    def wedge(self, other: "MatrixForm") -> "MatrixForm":
-        out: dict = {}
-        for i1, m1 in self.comps.items():
-            for i2, m2 in other.comps.items():
-                idx, sign = _merge_sign(i1, i2)
-                if idx is None:
-                    continue
-                prod = mat_mul(m1, m2)
-                if sign < 0:
-                    prod = mat_neg(prod)
-                out[idx] = mat_add(out[idx], prod) if idx in out else prod
-        return MatrixForm(self.rank, self.degree + other.degree, out)
-
-    def trace(self) -> "ScalarForm":
-        return ScalarForm(self.degree,
-                          {idx: mat_trace(m) for idx, m in self.comps.items()})
-
-    def exterior_d(self, coords) -> "MatrixForm":
-        out: dict = {}
-        for idx, mat in self.comps.items():
-            for i, name in enumerate(coords):
-                if i in idx:
-                    continue
-                d = mat_diff(mat, name)
-                new, sign = _merge_sign((i,), idx)
-                if sign < 0:
-                    d = mat_neg(d)
-                out[new] = mat_add(out[new], d) if new in out else d
-        return MatrixForm(self.rank, self.degree + 1, out)
-
-    def eval(self, env) -> dict:
-        return {idx: mat_eval(m, env) for idx, m in self.comps.items()}
-
-    def is_zero(self) -> bool:
-        return not self.comps
+def _accumulate(out: dict, idx: tuple, c):
+    out[idx] = (out[idx] + c) if idx in out else c
 
 
-class ScalarForm:
-    """Complex-valued form; coefficients are CExpr or any object with
-    an eval(env) method (numeric coefficients from quadrature)."""
+class Form:
+    """Form sum_I c_I dx^I over increasing coordinate tuples I.  A
+    coefficient is a CExpr, a CMatrix (a matrix-valued form) or any object
+    with an eval(env) method (numeric coefficients from quadrature);
+    structural zeros are dropped."""
 
     def __init__(self, degree: int, comps: dict | None = None):
         self.degree = degree
@@ -186,28 +141,43 @@ class ScalarForm:
         for idx, c in (comps or {}).items():
             if len(idx) != degree or tuple(sorted(idx)) != tuple(idx):
                 raise ValueError(f"bad multi-index {idx}")
-            if isinstance(c, CExpr) and c.is_structural_zero():
-                continue
-            self.comps[tuple(idx)] = c
+            if not (isinstance(c, (CExpr, CMatrix))
+                    and c.is_structural_zero()):
+                self.comps[tuple(idx)] = c
 
-    def scale(self, q: Fraction) -> "ScalarForm":
-        return ScalarForm(self.degree,
-                          {i: c.scale(q) for i, c in self.comps.items()})
+    def __add__(self, other: "Form") -> "Form":
+        out = dict(self.comps)
+        for idx, c in other.comps.items():
+            _accumulate(out, idx, c)
+        return Form(self.degree, out)
 
-    def exterior_d(self, coords) -> "ScalarForm":
+    def wedge(self, other: "Form") -> "Form":
+        out: dict = {}
+        for i1, c1 in self.comps.items():
+            for i2, c2 in other.comps.items():
+                idx, sign = _merge_sign(i1, i2)
+                if idx is not None:
+                    _accumulate(out, idx, c1 * c2 if sign > 0 else -(c1 * c2))
+        return Form(self.degree + other.degree, out)
+
+    def trace(self) -> "Form":
+        return Form(self.degree, {i: c.trace() for i, c in self.comps.items()})
+
+    def scale(self, q: Fraction) -> "Form":
+        return Form(self.degree,
+                    {i: c.scale(q) for i, c in self.comps.items()})
+
+    def exterior_d(self, coords) -> "Form":
         out: dict = {}
         for idx, c in self.comps.items():
-            if not isinstance(c, CExpr):
+            if not isinstance(c, (CExpr, CMatrix)):
                 raise TypeError("exterior_d needs symbolic coefficients")
             for i, name in enumerate(coords):
-                if i in idx:
-                    continue
-                d = c.diff(name)
-                new, sign = _merge_sign((i,), idx)
-                if sign < 0:
-                    d = -d
-                out[new] = (out[new] + d) if new in out else d
-        return ScalarForm(self.degree + 1, out)
+                if i not in idx:
+                    new, sign = _merge_sign((i,), idx)
+                    d = c.diff(name)
+                    _accumulate(out, new, d if sign > 0 else -d)
+        return Form(self.degree + 1, out)
 
     def eval(self, env) -> dict:
         return {idx: c.eval(env) for idx, c in self.comps.items()}
@@ -237,7 +207,7 @@ class SmoothConnection:
     rank: int
     coords: tuple
     domain: dict                 # name -> (Fraction lo, Fraction hi)
-    comps: dict = field(default_factory=dict)   # name -> matrix
+    comps: dict = field(default_factory=dict)   # name -> CMatrix
 
     def __post_init__(self):
         if self.rank < 1:
@@ -257,17 +227,18 @@ class SmoothConnection:
             lo, hi = self.domain[name]
             if not (Fraction(lo) < Fraction(hi)):
                 raise ValueError(f"empty domain interval for {name!r}")
+        self.comps = {name: CMatrix(m) for name, m in self.comps.items()}
 
-    def component(self, name: str):
-        return self.comps.get(name, mat_zero(self.rank))
+    def component(self, name: str) -> CMatrix:
+        r = self.rank
+        return self.comps.get(name, CMatrix((C_ZERO,) * r for _ in range(r)))
 
-    def one_form(self) -> MatrixForm:
-        return MatrixForm(self.rank, 1,
-                          {(i,): self.comps[c] for i, c in enumerate(self.coords)
-                           if c in self.comps})
+    def one_form(self) -> Form:
+        return Form(1, {(i,): self.comps[c] for i, c in enumerate(self.coords)
+                        if c in self.comps})
 
     def evaluate_at(self, name: str, env) -> np.ndarray:
-        return mat_eval(self.component(name), env)
+        return self.component(name).eval(env)
 
     def contains(self, env):
         """Whether the point lies in the domain; elementwise over arrays."""
@@ -307,17 +278,10 @@ class SmoothConnection:
             return cls.from_json(json.load(fh))
 
 
-def curvature(conn: SmoothConnection) -> MatrixForm:
+def curvature(conn: SmoothConnection) -> Form:
     """F = dA + A wedge A, antisymmetric in the form indices."""
     A = conn.one_form()
-    return _form_add(A.exterior_d(conn.coords), A.wedge(A))
-
-
-def _form_add(a: MatrixForm, b: MatrixForm) -> MatrixForm:
-    out = dict(a.comps)
-    for idx, m in b.comps.items():
-        out[idx] = mat_add(out[idx], m) if idx in out else m
-    return MatrixForm(a.rank, a.degree, out)
+    return A.exterior_d(conn.coords) + A.wedge(A)
 
 
 def finite_difference_curvature(conn: SmoothConnection, env: dict,
@@ -385,7 +349,7 @@ def chern_character_form(conn: SmoothConnection) -> BGradedForm:
     """Tr exp(bF) = sum_k b^k Tr(F^k) / k!, expanded to the top nonzero
     power (bounded by the number of coordinates)."""
     F = curvature(conn)
-    terms = [(0, ScalarForm(0, {(): cnum(conn.rank)}))]
+    terms = [(0, Form(0, {(): cnum(conn.rank)}))]
     power = F
     k = 1
     kmax = len(conn.coords) // 2
@@ -395,7 +359,7 @@ def chern_character_form(conn: SmoothConnection) -> BGradedForm:
         if k <= kmax:
             power = power.wedge(F)
     return BGradedForm([(k, f) for k, f in terms if not f.is_zero()] or
-                       [(0, ScalarForm(0, {(): cnum(conn.rank)}))],
+                       [(0, Form(0, {(): cnum(conn.rank)}))],
                        total_degree=0)
 
 
@@ -463,7 +427,7 @@ def _transgress_terms(path: SmoothConnection, param: str):
             pos = idx.index(p)
             rest = tuple(renum[i] for i in idx if i != p)
             coef = c if pos % 2 == 0 else -c
-            comps[rest] = (comps[rest] + coef) if rest in comps else coef
+            _accumulate(comps, rest, coef)
         if comps:
             terms.append((k, comps))
     return terms, base
@@ -482,9 +446,9 @@ def transgress_ch(path: SmoothConnection, steps: int = 64, param: str = "u",
 
     def build(nsteps):
         return BGradedForm(
-            [(k, ScalarForm(2 * k - 1,
-                            {idx: QuadratureCoefficient(c, param, nsteps)
-                             for idx, c in comps.items()}))
+            [(k, Form(2 * k - 1,
+                      {idx: QuadratureCoefficient(c, param, nsteps)
+                       for idx, c in comps.items()}))
              for k, comps in terms], total_degree=-1)
 
     result, refined = build(steps), build(2 * steps)

@@ -598,10 +598,12 @@ class HomologyData:
         return ok if batch else bool(ok[0])
 
     def classes_equal(self, v, w):
+        """Whether v and w have the same class; one verdict per column when
+        either is a (rank, k) matrix, a vector meeting every column."""
         n = self.complex.rank(self.degree)
-        (v, batch), (w, _) = as_columns(v, n), as_columns(w, n)
+        (v, vb), (w, wb) = as_columns(v, n), as_columns(w, n)
         ok = self.class_is_zero(v - w)
-        return ok if batch else bool(ok[0])
+        return ok if vb or wb else bool(ok[0])
 
 
 def homology(C: Complex, n: int) -> FgAbGroup:

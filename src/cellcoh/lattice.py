@@ -32,9 +32,8 @@ from .cells import CellComplex, named_complex
 from .chains import parse_int, parse_rational
 from .diffcoh import (DifferentialCochain, equal_classes, forms_a,
                       integral_cohomology)
-from .linalg import (as_vector, check_int_entries, from_numerators,
-                     int_kernel_basis, int_mv, is_zero, to_numerators,
-                     zeros)
+from .linalg import (IntSolver, as_vector, check_int_entries,
+                     from_numerators, int_mv, is_zero, to_numerators, zeros)
 
 
 def fundamental_cycle(K: CellComplex) -> np.ndarray:
@@ -47,7 +46,7 @@ def fundamental_cycle(K: CellComplex) -> np.ndarray:
 def _fundamental_cycle(K: CellComplex) -> np.ndarray:
     if K.dim != 2:
         raise ValueError("fundamental cycle needs a 2-dimensional complex")
-    ker = int_kernel_basis(K.boundary_matrix(2))
+    ker = IntSolver(K.boundary_matrix(2)).kernel_basis()
     if ker.shape[1] != 1:
         raise ValueError(
             f"H_2 has rank {ker.shape[1]}; need a closed oriented surface")
@@ -348,7 +347,7 @@ def cycle_map_homotopy_check(path: SmoothConnection, chart: SurfaceChart,
     tvec = _edge_cochain(chart, tg_env, steps, max_den)
 
     diff = x1 - x0
-    eq, wit = equal_classes(diff, forms_a(K, 2, tvec, n=2))
+    eq, wit = equal_classes(diff, forms_a(K, 2, 2, *to_numerators(tvec)))
     report["passed"] = bool(eq)
     report["witness_found"] = bool(eq)
     if not eq:

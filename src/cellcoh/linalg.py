@@ -50,8 +50,7 @@ fixed factors, checks integrality as divisibility and returns numerators
 with one verdict per column (solve_many, kernel_coordinates,
 solve_numerators); solve, on one vector, is the batch of its one column,
 and builds Fractions only for a non-integral entry of the returned
-solution.  solve_int, solve_int_many and int_kernel_basis factor for one
-call.
+solution.  solve_int and solve_int_many factor for one call.
 """
 
 from __future__ import annotations
@@ -817,11 +816,6 @@ class IntSolver:
         vanish exactly on the kernel.  B may have rational entries."""
         Y = mm(self.snf.Vinv, B)
         return Y[self.rank:], zero_columns(Y[:self.rank])
-
-
-def int_kernel_basis(A) -> np.ndarray:
-    """Columns form a basis of the integer kernel lattice of A."""
-    return IntSolver(A).kernel_basis()
 
 
 def solve_int(A, b):

@@ -103,7 +103,7 @@ def random_chain_map(A, B, rng, tries=40):
         rows.append(block)
     if rows:
         constraint = np.concatenate(rows, axis=0)
-        kernel = la.int_kernel_basis(constraint)
+        kernel = la.IntSolver(constraint).kernel_basis()
     else:
         kernel = la.eye(total)
     if kernel.shape[1] == 0:

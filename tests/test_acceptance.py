@@ -169,10 +169,10 @@ def test_criterion_8_torsion_sanity():
     qz = dc.qz_cohomology(K, 1)
     hd = dc.integral_cohomology(K, 2)
     ok = str(qz.group) == "Z/2" and str(hd.group) == "Z/2"
-    lift, order = qz.torsion_lifts[0]
+    lift, order = qz.torsion_lifts[0]                # u = lift / order
     ok &= order == 2
-    ok &= not hd.class_is_zero(qz.bockstein(lift))   # Bockstein nonzero
-    x = dc.flat_include(K, 2, lift)
+    ok &= not hd.class_is_zero(qz.bockstein(lift, order))   # Bockstein nonzero
+    x = dc.flat_include(K, 2, 2, lift, order)
     ok &= x.is_cocycle() and la.is_zero(dc.curvature_R(x))
     ok &= not hd.class_is_zero(x.c)                  # nontrivial I on a flat class
     triv, _ = dc.class_is_trivial(x)

@@ -148,7 +148,7 @@ class ReferenceHomology:
     the first entries of a solution of [gens | d^(n-1)] x = v."""
 
     def __init__(self, C, n):
-        ker = la.int_kernel_basis(la.integerize_rows(C.diff(n)))
+        ker = la.IntSolver(la.integerize_rows(C.diff(n))).kernel_basis()
         d_in = C.diff(n - 1)
         self.rel = la.solve_int_many(ker, la.integerize_rows(d_in.T).T)
         rsnf = la.smith_normal_form(self.rel)
@@ -207,7 +207,7 @@ def _test_vectors(C, n, ref, rng):
     """Cocycles, boundaries, torsion classes and their multiples by the
     order, non-cocycles and, over Z, non-integral vectors."""
     N = C.rank(n)
-    ker = la.int_kernel_basis(la.integerize_rows(C.diff(n)))
+    ker = la.IntSolver(la.integerize_rows(C.diff(n))).kernel_basis()
     d_in = C.diff(n - 1)
 
     def coef():

@@ -213,8 +213,8 @@ def test_lattice_class_and_character_commands(capsys, tmp_path):
     assert code == 0
     assert "PASS" in out
     cyc = tmp_path / "cycle.json"
-    from cellcoh.linalg import int_kernel_basis
-    cycles = int_kernel_basis(K.boundary_matrix(1))
+    from cellcoh.linalg import IntSolver
+    cycles = IntSolver(K.boundary_matrix(1)).kernel_basis()
     cyc.write_text(json.dumps({"cycle": [str(v) for v in cycles[:, 0]]}))
     code, out, _ = run(capsys, "character", str(bundle), "--cycle", str(cyc),
                        "--samples", "5")
@@ -346,9 +346,10 @@ def test_lattice_class_rejects_non_integral_n(capsys, tmp_path):
 
 def test_character_rejects_non_integral_cycle(capsys, tmp_path):
     from cellcoh import cells as cl
-    from cellcoh.linalg import int_kernel_basis
+    from cellcoh.linalg import IntSolver
     K = cl.bundled_complex("octahedron")
-    cycle = [str(v) for v in int_kernel_basis(K.boundary_matrix(1))[:, 0]]
+    cycle = [str(v) for v in
+             IntSolver(K.boundary_matrix(1)).kernel_basis()[:, 0]]
     cycle[0] = "1/2"
     cyc = tmp_path / "cycle.json"
     cyc.write_text(json.dumps({"cycle": cycle}))

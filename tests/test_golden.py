@@ -1,9 +1,12 @@
-"""`--format json` reports of the exact engine, compared byte for byte.
+"""`--format json` reports, compared byte for byte.
 
 Each file under `golden/` is the stdout of `cellcoh <argv> --format json`
-for the case of the same name.  A refactor of the exact layers must leave
-every report as it is; a change meant to alter a report replaces its file
-with the new stdout and says why.
+for the case of the same name: reports of the exact engine, and of the
+float layer (`ch`, `transgress`, `holonomy`, `cycle-map-check`), whose
+character forms are printed as expression trees and whose numbers are
+printed to the last bit.  A refactor must leave every report as it is; a
+change meant to alter a report replaces its file with the new stdout and
+says why.
 """
 
 import json

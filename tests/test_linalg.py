@@ -83,7 +83,7 @@ def test_int_kernel_basis_spans_kernel():
     rng = random.Random(3)
     for _ in range(20):
         A = rand_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        ker = la.int_kernel_basis(A)
+        ker = la.IntSolver(A).kernel_basis()
         if ker.shape[1]:
             assert la.is_zero(la.mm(A, ker))
 

@@ -83,3 +83,53 @@ def test_benchmark_tracer_reads_the_smith_form():
     assert c["linalg.snf.entries"] == 2 * 3 + 2 * 2
     assert (c["snf_unit_diag"], c["snf_nonzero_diag"]) == (2, 4)
     assert c["linalg.snf.big_entry_calls"] == 1
+
+
+def _forwarding_twins(root: Path, exempt: set) -> list:
+    """Public functions and methods whose body, docstring aside, is one
+    `return g(p1, ..., pn)` passing exactly their own parameters in order:
+    a second name for g."""
+    found = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs = [("", node) for node in tree.body]
+        defs += [(f"{cls.name}.", node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for prefix, node in defs:
+            if (not isinstance(node, ast.FunctionDef)
+                    or node.name.startswith("_")
+                    or (path.stem, prefix + node.name) in exempt):
+                continue
+            body = node.body[ast.get_docstring(node) is not None:]
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args]
+            if (len(body) != 1 or not isinstance(body[0], ast.Return)
+                    or not isinstance(body[0].value, ast.Call)
+                    or a.vararg or a.kwarg or a.kwonlyargs):
+                continue
+            call = body[0].value
+            passed = [x.id if isinstance(x, ast.Name) else None
+                      for x in call.args]
+            if passed == params and not call.keywords:
+                found.append(f"{path.name}:{prefix}{node.name}")
+    return found
+
+
+def test_no_forwarding_twins():
+    # one name per operation: a public function that only hands its own
+    # parameters on to another is a twin of it.  The benchmark's span
+    # targets are exempt, since its tracer wraps them by name.
+    spans = _load_spans()
+    exempt = {tuple(target.split(":")) for targets in spans.TARGETS.values()
+              for target in targets}
+    assert _forwarding_twins(Path(cellcoh.__file__).parent, exempt) == []
+
+
+def test_the_twin_guard_flags_forwarding_functions(tmp_path):
+    (tmp_path / "m.py").write_text(
+        'def f(a, b):\n    """Doc."""\n    return g(a, b)\n\n\n'
+        'def swapped(a, b):\n    return g(b, a)\n\n\n'
+        'class C:\n    """Doc."""\n\n    def m(self, x):\n'
+        '        return g(self, x)\n')
+    assert _forwarding_twins(tmp_path, set()) == ["m.py:f", "m.py:C.m"]
+    assert _forwarding_twins(tmp_path, {("m", "f")}) == ["m.py:C.m"]
