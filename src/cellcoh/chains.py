@@ -17,10 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import (IntSolver, RatSolver, as_columns, as_matrix,
-                     block_zeros, exact_storage, int_zeros, integerize_rows,
-                     invariant_factors, is_zero, mm, mv, smith_normal_form,
-                     vanishes, zero_columns, zeros)
+from .linalg import (IntSolver, RatSolver, _Elimination, as_columns,
+                     as_matrix, block_zeros, check_int_entries, exact_storage,
+                     int_zeros, integerize_rows, is_zero, mm, mv,
+                     smith_normal_form, vanishes, zero_columns, zeros)
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -48,8 +48,10 @@ class Complex:
     built, and shared with the same complex over the other ring (over): the
     IntSolver of an integral differential (int_solver), the invariant
     factors of each differential (factors) and the Smith form of the
-    relations of each H^n (HomologyData).  factors reads the diag of a
-    kept IntSolver, so homology eliminates each differential at most once.
+    relations of each H^n (HomologyData).  factors reduces the whole
+    complex in one sweep, reading the diag of a kept IntSolver, so homology
+    eliminates each basis element once, not as a row of d^n and again as a
+    column of d^(n+1).
     """
 
     __slots__ = ("ring", "lo", "hi", "ranks", "diffs", "_solvers")
@@ -125,17 +127,33 @@ class Complex:
 
     def factors(self, n: int) -> tuple[int, ...]:
         """The invariant factors of diff(n) with its rows scaled to
-        integers, as many as its rank over Q: the diag of a kept IntSolver,
-        else found by invariant_factors, which builds no transform, and
-        kept."""
-        s = self._solvers.get(n)
-        if s is not None:
-            return tuple(s.diag)
-        f = self._solvers.get(("factors", n))
-        if f is None:
-            f = self._solvers["factors", n] = tuple(invariant_factors(
-                integerize_rows(self.diff(n))))
-        return f
+        integers, as many as its rank over Q (all that is meaningful over
+        Q); () outside [lo, hi), where diff(hi) has no rows.  One ascending
+        sweep finds them for every degree on first use and keeps them.  A degree with a kept IntSolver
+        gives its diag; any other eliminates its differential, less the
+        columns the degree below dropped, with no transform, and drops the
+        columns of diff(n + 1) at the rows of its +-1 pivots.  The unit
+        phase only negates pivot rows and subtracts their multiples from
+        other rows, so in its basis the other columns of diff(n + 1) are
+        unchanged and, as d o d = 0, the pivot columns are zero.  A core
+        pivot's row is never dropped: the core adds rows to other rows.
+        """
+        if not self.lo <= n < self.hi:
+            return ()
+        if ("factors", n) not in self._solvers:
+            keep = slice(None)
+            for m in range(self.lo, self.hi):
+                s = self._solvers.get(m)
+                if s is not None:
+                    f, keep = tuple(s.diag), slice(None)
+                else:
+                    d = integerize_rows(self.diff(m))[:, keep]
+                    e = _Elimination(check_int_entries(d), transforms=False)
+                    f = tuple(p for _, _, p in e.pivots)
+                    keep = np.ones(len(d), dtype=bool)
+                    keep[[i for i, _, _ in e.pivots[:e.units]]] = False
+                self._solvers["factors", m] = f
+        return self._solvers["factors", n]
 
     def _selecting(self, n: int):
         """Kept for selection maps: the positions of degree n in the basis of
@@ -614,8 +632,8 @@ def homology(C: Complex, n: int) -> FgAbGroup:
     is a direct summand, so the torsion is that of the cokernel of
     d^(n-1): its invariant factors above 1 (none over Q).  Both are read
     off the invariant factors C keeps (Complex.factors): rows scaled to
-    integers keep every rank, and each rank is the number of factors.  So
-    a sweep over the degrees eliminates each differential at most once.
+    integers keep every rank, and each rank is the number of factors, the
+    only thing read over Q.  One sweep of C finds them for every degree.
     """
     if n < C.lo or n > C.hi:
         return zero_group(C.ring)

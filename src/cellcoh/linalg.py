@@ -25,8 +25,10 @@ One elimination on sparse rows of Python ints gives the Smith normal form
 U A V = D: the +-1 pivots, nearly all of a cellular or total differential,
 go first, then the smallest entry of what is left.  smith_normal_form
 applies each step to U, U^-1, V and V^-1 and stores them like any integer
-matrix; invariant_factors (behind rat_rank and chains.Complex.factors)
-builds none.
+matrix; invariant_factors (behind rat_rank) builds none, nor does
+chains.Complex.factors, which sweeps a complex up its degrees and
+eliminates each differential less the columns at the rows of the +-1
+pivots of the one below.
 
 Every exact solve goes through a solver object that factors its matrix once
 and is reused across right-hand sides; the ring is chosen by the class.
@@ -583,11 +585,11 @@ class _Elimination:
 
     rows[i] maps each column to the nonzero entry of row i, cols[j] is the
     set of rows with an entry in column j, and pivots lists (row, column,
-    d) for each diagonal entry d split off, in order: the +-1 pivots first
-    (_units), then those of the core left over (_core).  With transforms,
-    each operation is applied to U and V^-1, kept as sparse rows, and to
-    U^-1 and V, kept as sparse columns, from the identity on, so that U A V
-    is the reduced matrix throughout.
+    d) for each diagonal entry d split off, in order: those of the unit
+    phase (_units), all +-1 and units in number, then those of the core
+    left over (_core).  With transforms, each operation is applied to U and
+    V^-1, kept as sparse rows, and to U^-1 and V, kept as sparse columns,
+    from the identity on, so that U A V is the reduced matrix throughout.
     """
 
     def __init__(self, A: np.ndarray, transforms: bool):
@@ -604,6 +606,7 @@ class _Elimination:
             self.U, self.Uinv = ([{i: 1} for i in range(m)] for _ in range(2))
             self.V, self.Vinv = ([{j: 1} for j in range(n)] for _ in range(2))
         self._units()
+        self.units = len(self.pivots)
         self._core()
 
     def _negate_row(self, i: int):
@@ -748,6 +751,8 @@ def smith_normal_form(A) -> SmithForm:
 def invariant_factors(A) -> list[int]:
     """The nonzero diagonal of the Smith normal form of an integer matrix
     (its length is the rank), by the same elimination, building no transform.
+    The differentials of a complex are reduced together instead, by
+    chains.Complex.factors.
 
     >>> invariant_factors([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
     [2, 6, 12]

@@ -281,7 +281,10 @@ def descent_check(K: CellComplex, cover, ring="Z", window=None) -> dict:
         window = (0, K.dim)
     lo, hi = window
     direct = cochain_complex(K, ring)
-    A = cech_double(K, cover, ring, N=max(len(cover) - 1, hi - lo + 2))
+    # levels past N enter only total degrees above N (cochains start in
+    # degree 0), so N > hi keeps H^n for n <= hi; _tot asks for
+    # N >= hi - lo + 2, the larger one when lo <= 1
+    A = cech_double(K, cover, ring, N=max(hi + 1, hi - lo + 2))
     tot = total_complex(A, window)
     degrees = {}
     all_match = True

@@ -1,16 +1,17 @@
 """`homology` reads the invariant factors a `Complex` keeps.
 
 The kept-store `homology` is compared with the two-elimination formula it
-replaced (invariant factors of d^(n-1), rank over Q of d^n), and the
-eliminations it runs are counted: no differential of one complex may be
-eliminated twice, and the complex over the other ring (`over`) eliminates
-nothing.
+replaced (invariant factors of d^(n-1), rank over Q of d^n), the factors
+of one sweep with those of each differential eliminated whole, and the
+eliminations are counted: one sweep of a complex runs at most one per
+differential, and the complex over the other ring (`over`) runs none.
 """
 
 import sys
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cellcoh import cells as cl
@@ -35,14 +36,14 @@ def two_elimination_homology(C, n):
 
 
 class Eliminations:
-    """The linalg._Elimination runs inside `with`, in total and per
-    Complex: each run is charged to the nearest caller frame holding a
-    Complex, with the integer matrix it eliminated."""
+    """The linalg._Elimination runs inside `with`, in total and per store:
+    each run is charged to the nearest caller frame holding a Complex, and
+    counted for the store it shares with itself over the other ring."""
 
     def __init__(self, monkeypatch):
         self.total = 0
-        self.complexes = {}     # id -> Complex, kept alive
-        self.runs = {}          # id -> Counter of matrix keys
+        self.complexes = {}     # id of store -> a Complex holding it
+        self.runs = Counter()   # id of store -> eliminations
         self.active = False
         init = la._Elimination.__init__
 
@@ -51,8 +52,8 @@ class Eliminations:
                 self.total += 1
                 C = self._caller_complex(sys._getframe(1))
                 if C is not None:
-                    self.complexes[id(C)] = C
-                    self.runs.setdefault(id(C), Counter())[_key(A)] += 1
+                    self.complexes[id(C._solvers)] = C
+                    self.runs[id(C._solvers)] += 1
             init(elim, A, transforms)
 
         monkeypatch.setattr(la._Elimination, "__init__", counted)
@@ -73,21 +74,11 @@ class Eliminations:
             frame = frame.f_back
         return None
 
-    def twice(self):
-        """(complex, degree) for every differential eliminated more often
-        than it occurs in its complex."""
-        out = []
-        for i, runs in self.runs.items():
-            C = self.complexes[i]
-            degs = range(C.lo - 1, C.hi + 1)
-            keys = {n: _key(la.integerize_rows(C.diff(n))) for n in degs}
-            occurs = Counter(keys.values())
-            out += [(C, n) for n, k in keys.items() if runs[k] > occurs[k]]
-        return out
-
-
-def _key(A):
-    return A.shape, tuple(int(x) for x in A.ravel())
+    def overrun(self):
+        """Every complex whose store ran more eliminations than the
+        complex has differentials."""
+        return [C for i, C in self.complexes.items()
+                if self.runs[i] > len(C.ranks)]
 
 
 @pytest.fixture
@@ -130,7 +121,8 @@ def test_homology_matches_the_two_elimination_formula(rng, ring,
     for _ in range(30):
         C = random_complex(rng, length=5, max_rank=4, ring=ring)
         assert _counted_sweep(C, eliminations) == _reference(C)
-    assert eliminations.twice() == []
+        assert _counted_sweep(C, eliminations) == _reference(C)
+    assert eliminations.overrun() == []
 
 
 def test_homology_over_q_with_non_integral_differentials(rng, eliminations):
@@ -141,7 +133,7 @@ def test_homology_over_q_with_non_integral_differentials(rng, eliminations):
                              for d in C.diffs for x in d.ravel())
         assert _counted_sweep(C, eliminations) == _reference(C)
     assert seen_fraction
-    assert eliminations.twice() == []
+    assert eliminations.overrun() == []
 
 
 def test_homology_over_q_with_entries_beyond_int64(rng, eliminations):
@@ -155,7 +147,7 @@ def test_homology_over_q_with_entries_beyond_int64(rng, eliminations):
         for n in nonzero:
             assert Q.diff(n).dtype == object and Q.int_solver(n) is None
         assert _counted_sweep(Q, eliminations) == _reference(Q)
-    assert eliminations.twice() == []
+    assert eliminations.overrun() == []
 
 
 def test_homology_reads_the_diag_of_a_kept_int_solver(rng, eliminations):
@@ -196,4 +188,81 @@ def test_no_differential_is_eliminated_twice(eliminations):
     # at least a cochain complex and a Cech tot per complex, and two tots
     # per m
     assert len(eliminations.runs) >= 2 * len(BUNDLED) + 6
-    assert eliminations.twice() == []
+    assert sum(eliminations.runs.values()) == eliminations.total
+    assert eliminations.overrun() == []
+
+
+# -- the sweep -------------------------------------------------------------
+
+def _assert_whole_factors(C):
+    """The sweep's factors of every degree are those of its differential
+    eliminated whole."""
+    for n in range(C.lo - 1, C.hi + 2):
+        assert C.factors(n) == tuple(la.invariant_factors(
+            la.integerize_rows(C.diff(n)))), (C, n)
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_sweep_factors_are_those_of_each_whole_differential(rng, ring):
+    for _ in range(30):
+        _assert_whole_factors(random_complex(rng, length=6, max_rank=5,
+                                             ring=ring))
+
+
+def test_sweep_factors_with_entries_beyond_int64(rng):
+    # every other differential scaled past 2^63: the others keep their unit
+    # pivots, which drop columns of the scaled ones (Python ints)
+    big, seen_big = 2 ** 64 + 3, False
+    for _ in range(20):
+        C = random_complex(rng, length=6, max_rank=5)
+        Z = ch.Complex(ch.RING_Z, C.lo, C.ranks, [
+            big * d.astype(object) if i % 2 else d
+            for i, d in enumerate(C.diffs)])
+        seen_big |= any(d.dtype == object and not la.is_zero(d)
+                        for d in Z.diffs)
+        _assert_whole_factors(Z)
+    assert seen_big
+
+
+def test_sweep_factors_on_cochain_and_total_complexes():
+    complexes = []
+    for name in BUNDLED:
+        K = cl.bundled_complex(name)
+        A = tt.cech_double(K, cl.star_cover(K), "Z", N=K.dim + 2)
+        complexes += [cl.cochain_complex(K, "Z"),
+                      tt.total_complex(A, (0, K.dim))]
+    for m in (1, 2, 3):
+        res = tt.simplex_resolution(m, 6)
+        complexes += [tt.total_complex(res, (-1, 1)),
+                      tt._tot(res, (-1, 1), 5)]
+    for C in complexes:
+        _assert_whole_factors(C)
+
+
+def test_sweep_over_q_keeps_each_rank(rng):
+    for _ in range(20):
+        C = _rational_base_change(random_complex(rng, length=6, max_rank=5),
+                                  rng)
+        for n in C.degrees():
+            assert len(C.factors(n)) == la.rat_rank(C.diff(n))
+
+
+def test_a_differential_that_loses_every_column_has_no_factors(monkeypatch):
+    # each row of d^0 = 1 is a unit pivot, so d^1 (zero, as d^1 d^0 = 0)
+    # is eliminated with none of its columns
+    shapes = []
+    init = la._Elimination.__init__
+    monkeypatch.setattr(la._Elimination, "__init__",
+                        lambda e, A, transforms: shapes.append(A.shape) or
+                        init(e, A, transforms))
+    C = ch.Complex(ch.RING_Z, 0, (2, 2, 3), [la.eye(2), la.zeros(3, 2)])
+    assert [C.factors(n) for n in range(-1, 4)] == [(), (1, 1), (), (), ()]
+    assert shapes == [(2, 2), (3, 0)]
+
+
+def test_core_pivot_rows_keep_their_columns():
+    # Z -[2; 3]-> Z^2 -[3 -2]-> Z is exact.  d^0 has no unit entry; were
+    # its core pivot row dropped from d^1, [3] would be left, and Z/3 in H^2
+    C = ch.Complex(ch.RING_Z, 0, (1, 2, 1), [[[2], [3]], [[3, -2]]])
+    assert [C.factors(n) for n in range(3)] == [(1,), (1,), ()]
+    assert [str(ch.homology(C, n)) for n in range(-1, 4)] == ["0"] * 5

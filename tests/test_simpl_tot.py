@@ -332,6 +332,42 @@ def _count_cell_complexes(monkeypatch):
     return calls
 
 
+BUNDLED = ("circle3", "octahedron", "rp2_6", "csaszar_torus")
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_descent_tot_needs_no_level_above_its_window(name):
+    # on the default window descent builds levels 0..hi - lo + 2 only, and
+    # the total complex is the one on every level of the cover, entry for
+    # entry
+    K = cl.bundled_complex(name)
+    cover, window = cl.star_cover(K), (0, K.dim)
+    full = tt.cech_double(K, cover, "Z", N=max(len(cover) - 1, K.dim + 2))
+    got = tt.total_complex(tt.cech_double(K, cover, "Z", N=K.dim + 2), window)
+    want = tt.total_complex(full, window)
+    assert (got.lo, got.hi, got.ranks) == (want.lo, want.hi, want.ranks)
+    for a, b in zip(got.diffs, want.diffs):
+        _assert_same_matrices(a, b)
+
+
+@pytest.mark.parametrize("window", [None, (-2, 3), (2, 4)])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_descent_report_is_that_of_every_cech_level(name, window):
+    K = cl.bundled_complex(name)
+    cover = cl.star_cover(K)
+    lo, hi = window or (0, K.dim)
+    A = tt.cech_double(K, cover, "Z", N=max(len(cover) - 1, hi - lo + 2))
+    T, C = tt.total_complex(A, (lo, hi)), cl.cochain_complex(K, "Z")
+    degrees = {n: {"direct": str(ch.homology(C, n)),
+                   "cech": str(ch.homology(T, n)),
+                   "match": ch.homology(C, n) == ch.homology(T, n)}
+               for n in range(lo, hi + 1)}
+    assert tt.descent_check(K, cover, "Z", window) == {
+        "degrees": degrees, "match": all(d["match"] for d in
+                                         degrees.values()),
+        "cover_size": len(cover)}
+
+
 def test_descent_builds_no_cell_complex(monkeypatch):
     K = cl.bundled_complex("octahedron")
     cover = cl.star_cover(K)
