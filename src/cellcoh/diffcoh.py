@@ -57,9 +57,9 @@ from .cells import (CellComplex, CellularMap, ProductComplex, cochain_complex,
                     fiber_integrate_circle, fiber_integrate_prism)
 from .chains import (RING_Q, RING_Z, FgAbGroup, HomologyData, parse_int,
                      parse_rational)
-from .linalg import (IntSolver, MixedSolver, RatSolver, as_columns,
+from .linalg import (IntSolver, MixedSolver, RatSolver, _int_mv, as_columns,
                      as_vector, check_int_entries, divide_columns,
-                     from_numerators, int_mv, int_storage, is_zero, mm,
+                     from_numerators, int_storage, is_zero, mm,
                      to_numerators, zero_columns)
 
 
@@ -119,7 +119,7 @@ class DifferentialCochain:
                                    col(self.hn), col(self.wn), self.L)
 
     def _delta(self, vec, deg):
-        return int_mv(cochain_complex(self.complex).diff(deg), vec)
+        return _int_mv(cochain_complex(self.complex).diff(deg), vec)
 
     def dhat(self) -> "DifferentialCochain":
         """(delta c, omega - c - delta h, delta omega), degree n + 1."""
@@ -217,7 +217,7 @@ def forms_a(K: CellComplex, m: int, n: int, an, L: int
     """a(alpha) = (0, alpha, delta alpha) in degree n for alpha = an / L,
     an a vector or a (cells, k) batch of integer numerators."""
     return DifferentialCochain(K, m, n, _zeros(K, n, an.shape[1:]), an,
-                               int_mv(cochain_complex(K).diff(n - 1), an), L)
+                               _int_mv(cochain_complex(K).diff(n - 1), an), L)
 
 
 def curvature_R(x: DifferentialCochain) -> np.ndarray:
@@ -409,7 +409,7 @@ class QZCohomology:
         the columns of V: u mixes the rational generators, the torsion lifts
         and delta g by the draws, plus the integral z."""
         p = V.shape[0] - self.n_cells
-        return int_mv(self._draw_map, V[:p]) + self._L * V[p:], self._L
+        return _int_mv(self._draw_map, V[:p]) + self._L * V[p:], self._L
 
 
 def qz_cohomology(K: CellComplex, n: int) -> QZCohomology:
@@ -433,7 +433,7 @@ def flat_include(K: CellComplex, m: int, n: int, un, L: int
 
 def _integral_image(A: np.ndarray, un, L) -> np.ndarray:
     """A (un / L), which must be integral (else the entry check raises)."""
-    du = int_mv(A, un)
+    du = _int_mv(A, un)
     out, ok = divide_columns(du, L)
     return out if np.all(ok) else check_int_entries(from_numerators(du, L))
 
@@ -531,11 +531,11 @@ def _cocycles(K: CellComplex, m: int, n: int, ker, bound: int, k: int, rng,
     r, q = ker.shape[1], K.n_cells(n - 1)
     coefs, hn = _draw(k, (r, lambda: random_int_vector(rng, r, bound=bound)),
                       (q, lambda: random_numerators(rng, q)))
-    c = int_mv(ker, coefs)
+    c = _int_mv(ker, coefs)
     hn[list(fixed)] = 0
     return DifferentialCochain(
         K, m, n, c, hn,
-        SAMPLE_DEN * c + int_mv(cochain_complex(K).diff(n - 1), hn),
+        SAMPLE_DEN * c + _int_mv(cochain_complex(K).diff(n - 1), hn),
         SAMPLE_DEN)
 
 
@@ -643,7 +643,7 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
     n_low, n_below, D = K.n_cells(m - 1), K.n_cells(m - 2), SAMPLE_DEN
     qz, gens, zgens = hx.h_low_qz, hx.h_low_q.gens, hx.h_high_z.gens
     b, many = gens.shape[1], max(10, samples // 5)
-    d_top = lambda an: int_mv(hx.delta_a, an)
+    d_top = lambda an: _int_mv(hx.delta_a, an)
     a = lambda an, L=D: forms_a(K, m, m, an, L)
     flat_lift = lambda un, L=D: flat_include(K, m, m, un, L)
     num = lambda length: (length, lambda: random_numerators(rng, length))
@@ -652,7 +652,7 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
     qz_class = (qz._draw_len, lambda: qz._class_draws(rng))
     # a random rational combination of the generators of H^(m-1)(Q), from
     # one numerator per generator
-    closed = lambda coefs: int_mv(gens, coefs)
+    closed = lambda coefs: _int_mv(gens, coefs)
 
     # dhat o dhat = 0 on random (non-cocycle) elements, batched by degree
     elements = {m - 1: [], m: []}
@@ -693,7 +693,7 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
     # upper row exactness: ker(d_top) = image of H^(m-1)(K;Q) in the A-node;
     # express and the A-node equality are linear, so they run on numerators
     coefs, g = _draw(many, num(b), num(n_below))
-    alpha = closed(coefs) + int_mv(hx.delta_below, g)
+    alpha = closed(coefs) + _int_mv(hx.delta_below, g)
     coords, ok = hx.h_low_q.express(alpha)
     record("exact_at_forms_node", zero_columns(d_top(alpha)) & ok
            & hx._a_exact.solve_numerators(alpha - mm(gens, coords), D)[-1])
@@ -741,7 +741,7 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
 
     # lower row exactness at H^(m-1)(Q/Z): ker(bockstein) = rational classes
     coefs, g, z = _draw(many, num(b), num(n_below), ints(n_low))
-    u = closed(coefs) + int_mv(hx.delta_below, g) + D * z
+    u = closed(coefs) + _int_mv(hx.delta_below, g) + D * z
     beta = qz.bockstein(u, D)
     bvec, ok = hx._int_primitive.solve_many(beta)
     # constructive preimage: u - b is closed rational, and its negative
@@ -869,7 +869,7 @@ def pullback_classification_check(K: CellComplex, m: int, samples: int = 50,
 
     n_low, D = K.n_cells(m - 1), SAMPLE_DEN
     zgens, gens = hx.h_high_z.gens, hx.h_low_q.gens
-    d_top = lambda an: int_mv(hx.delta_a, an)
+    d_top = lambda an: _int_mv(hx.delta_a, an)
     orders = hx.h_high_z.orders
 
     # surjectivity onto the fiber product: c = zgens coeffs is integral and
@@ -880,7 +880,7 @@ def pullback_classification_check(K: CellComplex, m: int, samples: int = 50,
     coeffs, h = _draw(samples, (len(orders), lambda: [
         r - s for r, s in zip(_randbelow(rng, widths), offsets)]),
         (n_low, lambda: random_numerators(rng, n_low)))
-    c = int_mv(zgens, coeffs)
+    c = _int_mv(zgens, coeffs)
     z = D * c + d_top(h)
     x = DifferentialCochain(K, m, m, c, h, z, D)
     record("IR_onto_fiber_product", x.is_cocycle() & zero_columns(x.wn - z)
@@ -891,7 +891,7 @@ def pullback_classification_check(K: CellComplex, m: int, samples: int = 50,
                      (n_low, lambda: random_int_vector(rng, n_low, bound=3)),
                      (gens.shape[1],
                       lambda: random_numerators(rng, gens.shape[1])))
-    x = DifferentialCochain(K, m, m, d_top(b), int_mv(gens, coefs) - D * b,
+    x = DifferentialCochain(K, m, m, d_top(b), _int_mv(gens, coefs) - D * b,
                             _zeros(K, m, (samples,)), D)
     witness = x.hn + D * b
     record("kernel_elements_are_a_of_closed_forms",

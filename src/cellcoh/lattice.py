@@ -32,8 +32,8 @@ from .cells import CellComplex, named_complex
 from .chains import parse_int, parse_rational
 from .diffcoh import (DifferentialCochain, equal_classes, forms_a,
                       integral_cohomology)
-from .linalg import (IntSolver, as_vector, check_int_entries,
-                     from_numerators, int_mv, is_zero, to_numerators, zeros)
+from .linalg import (IntSolver, _int_mv, as_vector, check_int_entries,
+                     from_numerators, is_zero, to_numerators, zeros)
 
 
 def fundamental_cycle(K: CellComplex) -> np.ndarray:
@@ -79,7 +79,7 @@ class LatticeLineBundle:
             a, den = to_numerators(as_vector(a, complex.n_cells(1)))
         self._fund = fundamental_cycle(complex)
         self.complex, self.n, self.an, self.den = complex, n, a, den
-        self.wn = int_mv(complex.boundary_matrix(2).T, a) + den * n
+        self.wn = _int_mv(complex.boundary_matrix(2).T, a) + den * n
 
     @property
     def a(self) -> np.ndarray:
@@ -120,15 +120,15 @@ def gauge_transform(L: LatticeLineBundle, lam, mu) -> LatticeLineBundle:
     mu = check_int_entries(as_vector(mu, K.n_cells(1)))
     d0, d1 = K.boundary_matrix(1).T, K.boundary_matrix(2).T
     den = lcm(L.den, q)
-    an = den // L.den * L.an + den // q * int_mv(d0, lam) + den * mu
-    return LatticeLineBundle(K, L.n - int_mv(d1, mu), an, den)
+    an = den // L.den * L.an + den // q * _int_mv(d0, lam) + den * mu
+    return LatticeLineBundle(K, L.n - _int_mv(d1, mu), an, den)
 
 
 def _holonomy(L: LatticeLineBundle, z) -> int:
     """The numerator of a(z) mod 1 over L.den, for an integral 1-cycle z."""
     K = L.complex
     z = check_int_entries(as_vector(z, K.n_cells(1)))
-    if not is_zero(int_mv(K.boundary_matrix(1), z)):
+    if not is_zero(_int_mv(K.boundary_matrix(1), z)):
         raise ValueError("argument must be a 1-cycle")
     return L.an @ z % L.den
 
@@ -143,7 +143,7 @@ def cs_property_check(L: LatticeLineBundle, w) -> bool:
     on numerators over L.den."""
     K = L.complex
     w = check_int_entries(as_vector(w, K.n_cells(2)))
-    chi = _holonomy(L, int_mv(K.boundary_matrix(2), w))
+    chi = _holonomy(L, _int_mv(K.boundary_matrix(2), w))
     return chi == L.wn @ w % L.den
 
 
@@ -296,7 +296,7 @@ def discretize_connection(conn: SmoothConnection, chart: SurfaceChart,
         return v.real if si < ti else -v.real
 
     an, den = to_numerators(a)
-    da = int_mv(K.boundary_matrix(2).T, an)
+    da = _int_mv(K.boundary_matrix(2).T, an)
     n = [int(round(flux - d / den))
          for flux, d in zip(_face_integrals(chart, f_eval, steps), da)]
     return LatticeLineBundle(K, np.array(n, dtype=object), an, den)

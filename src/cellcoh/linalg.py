@@ -11,15 +11,16 @@ The entry checks pass an int64 matrix through, and a product of two int64
 matrices stays on int64 while a bound proves it exact.  Other products
 split each factor into integer numerators and denominators: every row of
 the left factor and every column of the right one is scaled to integers by
-the lcm of its denominators.  The numerators are multiplied on machine
-numbers under the same bound, else as Python integers; an array of Python
-ints gets its bound from a cast to int32, not from a scan.  Each entry of
-the result is divided once, coming back as a plain int where it is integral
-and as a Fraction elsewhere.  The identity checks of the package (d o d = 0,
-chain maps, Stokes) go through one kernel, vanishes, which decides whether
-a signed sum of products and matrices is zero: on int64 under the same
-bound, by dense products when they are small and by a join of the nonzero
-entries on the shared index when they are large.
+the lcm of its denominators.  The numerators are multiplied on int64 under
+the same bound, else as Python integers; an array of Python ints gets its
+bound from a cast to int32, not from a scan.  Each entry of the result is
+divided once, coming back as a plain int where it is integral and as a
+Fraction elsewhere.  The identity checks of the package (d o d = 0, chain
+maps, Stokes) go through one kernel, vanishes, which decides whether a
+signed sum of products and matrices is zero.  Products and checks on int64
+share one size rule: numpy's @ when they are small, and a join of the
+nonzero entries on the shared index when they are large and sparse.  No
+floating point is used.
 
 One elimination on sparse rows of Python ints gives the Smith normal form
 U A V = D: the +-1 pivots, nearly all of a cellular or total differential,
@@ -65,13 +66,10 @@ from math import lcm
 import numpy as np
 
 _INT64_SAFE = 2 ** 61
-# every partial sum of a float64 product below this is an exact integer
-_FLOAT_EXACT = 2 ** 53
-# multiply-adds from which a vectorized float64 product beats int64 @
-_SIMD_WORK = 4096
-# multiply-adds from which vanishes joins the nonzero entries of int64
-# factors instead of multiplying them densely (measured on the checks of
-# bundled complexes: the join loses at 78k multiply-adds, wins from 1.3M)
+# multiply-adds from which int64 products and checks join the nonzero
+# entries instead of running @ (on the checks of bundled complexes, @ takes
+# 5-10 us to the join's 45-50 at 6.7k multiply-adds, 43-81 to 62-65 at 78k
+# and 720-1400 to 120-140 at 1.3M)
 _JOIN_WORK = 2 ** 18
 # ... unless the join makes more than work / _JOIN_DENSITY keys (measured
 # on +-1 checks of 160 x 160 factors: even at about work / 220)
@@ -339,31 +337,24 @@ def _to_object(a: np.ndarray) -> np.ndarray:
 
 
 def _int_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B for integer matrices (B may be a vector), on int64 when the
-    bounds a and b of the factors (_bounded) give |a| |b| k < 2^61, which
-    bounds every partial sum, else on Python integers (object).  Only an
-    int64 factor that int_storage did not store is scanned for its bound.
-
-    numpy multiplies int64 matrices with a scalar loop.  A product of at
-    least _SIMD_WORK multiply-adds with |a| |b| k < 2^53 runs as a float64
-    einsum instead, which is vectorized: each product and partial sum is
-    then an integer below 2^53 in magnitude, which float64 holds exactly.
-    einsum, unlike @ on float64, keeps off the multithreaded BLAS and its
-    buffers.
-    """
+    """A @ B for integer matrices (B may be a vector or a column batch), on
+    int64 when the bounds a and b of the factors (_bounded) give |a| |b| k
+    < 2^61, which bounds every partial sum and so every sum per entry of a
+    join, else on Python integers (object).  On int64: A @ B below
+    _JOIN_WORK multiply-adds, else the products of _join summed per entry,
+    unless there are more than work / _JOIN_DENSITY of them."""
     A, a = _bounded(A)
     B, b = _bounded(B)
-    bound = None if a is None or b is None else a * b * A.shape[1]
-    if bound is None or bound >= _INT64_SAFE:
+    if a is None or b is None or a * b * A.shape[1] >= _INT64_SAFE:
         return _to_object(A) @ _to_object(B)
-    return _int64_product(A, B, bound)
-
-
-def _int64_product(A: np.ndarray, B: np.ndarray, bound: int) -> np.ndarray:
-    """A @ B on int64 for int64 factors with |a| |b| k <= bound < 2^61."""
-    if bound < _FLOAT_EXACT and A.shape[0] * B.size >= _SIMD_WORK:
-        return np.einsum("ij,j...->i...", A.astype(np.float64),
-                         B.astype(np.float64)).astype(np.int64)
+    work = A.shape[0] * B.size
+    if work >= _JOIN_WORK:
+        cols = B.reshape(B.shape[0], -1)
+        joined = _join(A, cols, work // _JOIN_DENSITY)
+        if joined is not None:
+            out = np.zeros(A.shape[0] * cols.shape[1], dtype=np.int64)
+            np.add.at(out, *joined)
+            return out.reshape(A.shape[:1] + B.shape[1:])
     return A @ B
 
 
@@ -376,11 +367,8 @@ def vanishes(terms) -> bool:
     * An operand that is not int64 (Python ints, Fractions): the sum of
       the mm products, on Python ints and Fractions.
     * int64 operands whose bounds (_bounded) give sum |a| |b| k + sum |c|
-      below 2^61, the rule of _int_product, so that every product and
-      partial sum is exact on int64: below _JOIN_WORK multiply-adds, the
-      dense products of _int_product; from there, a join of the nonzero
-      entries on the shared index (_join_vanishes), since cellular and
-      total differentials are almost all zero.
+      below 2^61: the rules of _int_product on the multiply-adds of all
+      the terms, with every term joined at once (_join_vanishes).
     * int64 operands past that bound: the mm path.
     """
     work, shape, int64 = 0, None, True
@@ -410,7 +398,7 @@ def vanishes(terms) -> bool:
             if len(t) == 3:
                 B, b = _bounded(t[2])
                 a *= b * A.shape[1]
-            bounded.append((t[0], A, B, a))
+            bounded.append((t[0], A, B))
             total += a
         if total < _INT64_SAFE:
             if work >= _JOIN_WORK:
@@ -418,8 +406,8 @@ def vanishes(terms) -> bool:
                 if joined is not None:
                     return joined
             acc = None
-            for s, A, B, a in bounded:
-                x = A if B is None else _int64_product(A, B, a)
+            for s, A, B in bounded:
+                x = A if B is None else A @ B
                 if acc is None:
                     acc = x if s > 0 else -x
                 else:
@@ -433,35 +421,23 @@ def vanishes(terms) -> bool:
 
 
 def _join_vanishes(terms, shape, work):
-    """vanishes for int64 terms (s, A, B or None, bound) whose sum is below
-    2^61: each product a_ik b_kj of nonzero entries, and each nonzero entry
-    c_ij of a plain term, is keyed by i * cols + j; the keys are sorted and
-    the values summed per key (np.add.reduceat).  None, for the dense
-    products, when that makes more than work / _JOIN_DENSITY keys."""
-    cols = shape[1]
-    keys, vals, joins, size = [], [], [], 0
-    for s, A, B, _ in terms:
-        i, k = _entries(A)
-        if B is None:
-            keys.append(i * cols + k)
-            vals.append(A[i, k] if s > 0 else -A[i, k])
-            size += i.size
-            continue
-        kb, j = _entries(B)                 # row by row: sorted by k
-        count = np.bincount(kb, minlength=B.shape[0])
-        rep = count[k]                      # partners of each entry of A
-        size += int(rep.sum())
-        joins.append((s, A[i, k], B[kb, j], i, k, j, count, rep))
-    if size * _JOIN_DENSITY > work:
-        return None
-    for s, va, vb, i, k, j, count, rep in joins:
-        a = np.repeat(np.arange(k.size), rep)   # entry of A, per partner
-        first = np.cumsum(count) - count        # where row k of B starts
-        b = (np.arange(a.size) - np.repeat(np.cumsum(rep) - rep, rep)
-             + np.repeat(first[k], rep))
-        keys.append(i[a] * cols + j[b])
-        v = va[a] * vb[b]
-        vals.append(v if s > 0 else -v)
+    """vanishes for int64 terms (s, A, B or None) whose sum is below 2^61:
+    the products of _join and the nonzero entries c_ij of plain terms,
+    keyed by i * cols + j, sorted and summed per key (np.add.reduceat);
+    None, for the dense products, past work / _JOIN_DENSITY keys."""
+    budget = work // _JOIN_DENSITY
+    keys, vals = [], []
+    for s, A, B in terms:
+        if B is None:               # its flat index is the key of an entry
+            f = np.flatnonzero(A != 0)
+            joined = f, A.ravel()[f]
+        else:
+            joined = _join(A, B, budget)
+        if joined is None or joined[0].size > budget:
+            return None
+        budget -= joined[0].size
+        keys.append(joined[0])
+        vals.append(joined[1] if s > 0 else -joined[1])
     keys = np.concatenate(keys)
     if not keys.size:
         return True
@@ -469,6 +445,24 @@ def _join_vanishes(terms, shape, work):
     keys = keys[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     return not np.add.reduceat(np.concatenate(vals)[order], starts).any()
+
+
+def _join(A: np.ndarray, B: np.ndarray, budget: int):
+    """The products a_ik b_kj of the nonzero entries of two int64 matrices,
+    row by row of A as in Gustavson's sparse product: (keys i * cols + j,
+    values), or None when there are more than budget of them."""
+    i, k = _entries(A)
+    kb, j = _entries(B)                 # row by row: sorted by k
+    count = np.bincount(kb, minlength=B.shape[0])
+    rep = count[k]                      # partners of each entry of A
+    size = int(rep.sum())
+    if size > budget:
+        return None
+    a = np.repeat(np.arange(k.size), rep)   # entry of A, per partner
+    first = np.cumsum(count) - count        # where row k of B starts
+    b = (np.arange(size) - np.repeat(np.cumsum(rep) - rep, rep)
+         + np.repeat(first[k], rep))
+    return i[a] * B.shape[1] + j[b], A[i, k][a] * B[kb, j][b]
 
 
 def _entries(a: np.ndarray):
@@ -534,7 +528,15 @@ def from_numerators(n: np.ndarray, L: int) -> np.ndarray:
 
 
 def int_mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A v as Python ints for integers A and v: A (v / L) over L."""
+    """A v as Python ints for integer arrays A and v (v a vector or a column
+    batch): A (v / L) over L.  TypeError for a Fraction or float entry,
+    which the int32 cast of _bounded would truncate."""
+    return _int_mv(check_int_entries(np.asarray(A)),
+                   check_int_entries(np.asarray(v)))
+
+
+def _int_mv(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """int_mv, unscanned, of operands the package built or validated."""
     return _to_object(_int_product(A, v))
 
 
@@ -714,19 +716,10 @@ class _Elimination:
 
 def _stored(vecs, shape: tuple[int, int], columns: bool = False):
     """The matrix with the sparse vectors vecs as its rows (or columns),
-    stored by int_storage."""
-    r = np.array([t for t, vec in enumerate(vecs) for _ in vec], dtype=np.intp)
-    c = np.array([l for vec in vecs for l in vec], dtype=np.intp)
-    vals = [x for vec in vecs for x in vec.values()]
-    if columns:
-        r, c = c, r
-    try:
-        a = np.zeros(shape, dtype=np.int64)
-        a[r, c] = vals
-    except OverflowError:
-        a = np.zeros(shape, dtype=object)
-        a[r, c] = vals
-    return int_storage(a)
+    stored by int_triples."""
+    return int_triples(shape, [(l, t, x) if columns else (t, l, x)
+                               for t, vec in enumerate(vecs)
+                               for l, x in vec.items()])
 
 
 def smith_normal_form(A) -> SmithForm:
@@ -939,7 +932,7 @@ class MixedSolver:
         ok = divide_columns(rest, L)[1]
         D = self.rat._D
         U, whole = divide_columns(
-            D * _to_object(N[:, ok]) - int_mv(self.rat.int.A, T[:, ok]),
+            D * _to_object(N[:, ok]) - _int_mv(self.rat.int.A, T[:, ok]),
             L * D)
         if not whole.all():
             raise RuntimeError("mixed solve left a non-integral residual u")

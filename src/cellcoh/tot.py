@@ -120,11 +120,15 @@ def _tot(A: _Truncated, window, N: int) -> Complex:
     tot^n is the sum over q <= N of A[q]^p with p = n - step q; the
     alternating sum of the maps leaving level q goes to level q + step.
     N must be at least hi - lo + 2 so that cohomology in the window is
-    unaffected.  The returned window is padded one degree on each side, so
-    cohomology of the result is faithful exactly on the requested window.
+    unaffected.  Cosimplicial levels from degree b on reach total degree
+    hi + 1 up to level hi + 1 - b, so there N must also be at least that.
+    The returned window is padded one degree on each side, so cohomology
+    of the result is faithful exactly on the requested window.
     """
     lo, hi = window
     needed = hi - lo + 2
+    if A.step > 0:
+        needed = max(needed, hi + 1 - min(C.lo for C in A.levels))
     if N < needed:
         raise InsufficientTruncation(needed, N)
     lo -= 1
@@ -192,7 +196,8 @@ def _alternating_sum(maps, p: int, shape) -> np.ndarray:
 def total_complex(A: _Truncated, window) -> Complex:
     """Total complex of a truncated (co)simplicial complex of complexes,
     with d(x) = (-1)^q d_level(x) + sum_i (-1)^i d_i(x) on level q; raises
-    InsufficientTruncation unless A.N >= hi - lo + 2."""
+    InsufficientTruncation unless A.N is large enough for the window
+    (_tot)."""
     return _tot(A, window, A.N)
 
 
@@ -281,9 +286,8 @@ def descent_check(K: CellComplex, cover, ring="Z", window=None) -> dict:
         window = (0, K.dim)
     lo, hi = window
     direct = cochain_complex(K, ring)
-    # levels past N enter only total degrees above N (cochains start in
-    # degree 0), so N > hi keeps H^n for n <= hi; _tot asks for
-    # N >= hi - lo + 2, the larger one when lo <= 1
+    # the least N that _tot takes: levels past N enter only total degrees
+    # above N (cochains start in degree 0), so N > hi keeps H^n for n <= hi
     A = cech_double(K, cover, ring, N=max(hi + 1, hi - lo + 2))
     tot = total_complex(A, window)
     degrees = {}

@@ -243,3 +243,21 @@ def test_parse_int_takes_ints_and_parses_strings():
                        ("3/2", "non-integer value '3/2'")):
         with pytest.raises(ValueError, match=message):
             ch.parse_int(x)
+
+
+def test_pullback_and_fiber_integration_reject_non_integers():
+    # numerators must be integers: a cast to int32 would truncate 1/2 to 0
+    P = cl.prism(cl.bundled_complex("octahedron"))
+    S = cl.circle_product(cl.bundled_complex("octahedron"))
+    f = P.sections["end0"]
+    n = P.complex.n_cells(1)
+    for half in ([0.5] * n, np.full(n, Fraction(1, 2), dtype=object)):
+        for call in (lambda: f.pullback(half, 1),
+                     lambda: cl.pullback(f, half, 1),
+                     lambda: cl.fiber_integrate_prism(P, half, 1)):
+            with pytest.raises(TypeError, match="non-integer entry"):
+                call()
+    half = np.full(S.complex.n_cells(2), Fraction(1, 2), dtype=object)
+    with pytest.raises(TypeError, match="non-integer entry"):
+        cl.fiber_integrate_circle(S, half, 2)
+    assert f.pullback([1] * n, 1).tolist() == [1] * f.source.n_cells(1)

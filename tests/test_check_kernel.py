@@ -1,4 +1,5 @@
-"""The one kernel of the identity checks, linalg.vanishes.
+"""The one kernel of the identity checks, linalg.vanishes, and the int64
+product rule it shares with linalg.mm.
 
 Every structural identity (d o d = 0 of a complex, dd = 0 of a cell
 complex, chain maps, cellular maps, the Stokes identity of a product, the
@@ -7,10 +8,12 @@ on int64 below linalg._JOIN_WORK multiply-adds, a join of the nonzero
 entries from there, Python ints and Fractions for other operands.  The
 kernel must give what is_zero of the summed mm products gives, and each
 check must refuse one planted wrong entry with its message on both sides
-of the switch.
+of the switch.  A product of int64 factors joins by the same rule and must
+give the product of Python integers.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +97,78 @@ def test_kernel_is_is_zero_of_the_summed_products(case):
     assert la.vanishes([(1, A, B), (-1, C, D)]) is want
     # a plain matrix term: M - A B, with M as mm gives it
     assert la.vanishes([(1, M), (-1, A, B)]) is want
+
+
+@st.composite
+def product_cases(draw):
+    """int64 factors (A, B) of at least _JOIN_WORK multiply-adds: B a
+    matrix, a vector or a batch of a few columns; each factor sparse or
+    dense, with some empty rows, and in some cases entries up to the
+    largest top with top^2 k < 2^61 (or one more), on a dense row of A and
+    column of B."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["matrix", "vector", "batch"]))
+    if kind == "matrix":
+        m, k, n = (int(x) for x in rng.integers((80, 48, 80), (120, 64, 120)))
+    elif kind == "vector":
+        m, k, n = int(rng.integers(512, 700)), int(rng.integers(512, 700)), 1
+    else:
+        m, k, n = (int(x) for x in rng.integers((200, 150, 9), (300, 250, 12)))
+    near = draw(st.sampled_from([None, 0, 1]))
+    top = 3 if near is None else math.isqrt((2 ** 61 - 1) // k) + near
+    A = _sparse(rng, (m, k), draw(st.sampled_from([0.002, 0.02, 0.2, 1.0])),
+                top)
+    B = _sparse(rng, (k, n), draw(st.sampled_from([0.002, 0.02, 0.2, 1.0])),
+                top)
+    A[rng.random(m) < 0.2] = 0
+    B[rng.random(k) < 0.2] = 0
+    if near is not None:
+        A[0], B[:, 0] = top, top
+    return A, B[:, 0] if kind == "vector" else B
+
+
+@pytest.fixture
+def join_products(monkeypatch):
+    """Whether each join of a product ran (False: too dense, and @ ran)."""
+    calls = []
+    join = la._join
+
+    def recorded(*args):
+        got = join(*args)
+        calls.append(got is not None)
+        return got
+
+    monkeypatch.setattr(la, "_join", recorded)
+    return calls
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(product_cases())
+def test_join_product_is_the_product_of_python_integers(case):
+    A, B = case
+    assert A.shape[0] * B.size >= la._JOIN_WORK
+    want = (A.astype(object) @ B.astype(object)).tolist()
+    fits = int(abs(A).max()) * int(abs(B).max()) * A.shape[1] < 2 ** 61
+    assert la.mm(A, B).dtype == (np.int64 if fits else object)
+    for got in (la.mm(A, B), la.int_mv(A, B)):
+        assert got.shape == (A.shape[0],) + B.shape[1:]
+        assert got.tolist() == want
+
+
+def test_join_product_paths(join_products):
+    rng = np.random.default_rng(1)
+    A, B = _sparse(rng, (100, 64), 0.02, 5), _sparse(rng, (64, 100), 0.02, 5)
+    A[::3] = 0                  # empty rows of both factors
+    B[::4] = 0
+    want = (A.astype(object) @ B.astype(object)).tolist()
+    assert la.mm(A, B).tolist() == want and join_products == [True]
+    # one key per multiply-add: @ instead
+    A, B = _sparse(rng, (100, 64), 1.0, 5), _sparse(rng, (64, 100), 1.0, 5)
+    assert la.mm(A, B).tolist() == (A.astype(object) @ B.astype(object)
+                                    ).tolist()
+    assert join_products == [True, False]
+    # below the switch, @ without a join
+    assert la.mm(A[:40], B).dtype == np.int64 and len(join_products) == 2
 
 
 @pytest.fixture

@@ -505,11 +505,10 @@ def test_int64_products_match_a_fraction_reference(pair):
 
 @pytest.mark.parametrize("bits", [1, 20, 23, 24, 27, 28, 40])
 def test_large_int64_products_match_python_integers(bits):
-    # 48 x 65 by 65 x 40 is large enough for the vectorized float64 product
-    # while |a| |b| k < 2^53 (bits <= 23), then int64 @ below 2^61 (bits
-    # <= 27), then Python integers.  Entry (0, 0) is a sum of 65 odd
-    # products: for bits = 24 it is odd and above 2^53, which no float64
-    # holds.
+    # 48 x 65 by 65 x 40 is below the join (_JOIN_WORK): int64 @ while
+    # |a| |b| k < 2^61 (bits <= 27), then Python integers.  Entry (0, 0) is
+    # a sum of 65 odd products: for bits = 24 it is odd and above 2^53, and
+    # for bits = 27 it is within a factor 2^4 of 2^63.
     rng = np.random.default_rng(bits)
     top = 2 ** bits
     A = rng.integers(-top, top, (48, 65), endpoint=True)
@@ -524,6 +523,21 @@ def test_large_int64_products_match_python_integers(bits):
         assert got.dtype == (np.int64 if both and fits else object)
         assert got.tolist() == want
         assert la.mv(X, Y[:, 0]).tolist() == [row[0] for row in want]
+
+
+def test_int_mv_rejects_non_integers():
+    # an object operand passes the int32 range check of _bounded by a cast,
+    # which would truncate a Fraction or a float
+    for v in ([Fraction(3, 2), 1], [Fraction(1, 2), Fraction(1, 2)],
+              np.array([0.5, -0.5], dtype=object), np.array([2.0, 1.0]),
+              np.array([[1, 2], [Fraction(1, 3), 0]], dtype=object)):
+        with pytest.raises(TypeError, match="non-integer entry"):
+            la.int_mv(la.eye(2), v)
+    with pytest.raises(TypeError, match="non-integer entry"):
+        la.int_mv(np.array([[Fraction(1, 2), 0], [0, 1]]), la.eye(2)[0])
+    assert la.int_mv(la.eye(2), [3, 1]).tolist() == [3, 1]
+    big = np.array([[2 ** 70, 1], [np.int64(2), True]], dtype=object)
+    assert la.int_mv(la.eye(2), big).tolist() == [[2 ** 70, 1], [2, 1]]
 
 
 def test_mm_and_mv_reject_inexact_entries():

@@ -41,6 +41,19 @@ def test_insufficient_truncation_reports_required_level():
     assert err.value.needed == 6
 
 
+def test_cech_truncation_reaches_one_level_past_the_window():
+    # Cech levels start in degree 0, so level q enters total degree q and
+    # H^n of the truncated total complex needs N > n
+    K = cl.bundled_complex("rp2_6")
+    with pytest.raises(tt.InsufficientTruncation) as err:
+        tt.total_complex(tt.cech_double(K, cl.star_cover(K), "Z", N=4),
+                         (2, 4))
+    assert err.value.needed == 5
+    T = tt.total_complex(tt.cech_double(K, cl.star_cover(K), "Z", N=5),
+                         (2, 4))
+    assert [str(ch.homology(T, n)) for n in (2, 3, 4)] == ["Z/2", "0", "0"]
+
+
 def test_cosimplicial_identity_validation():
     C = cl.cochain_complex(cl.bundled_complex("circle3"), "Z")
     ident = ch.ChainMap.identity(C)
@@ -356,7 +369,8 @@ def test_descent_report_is_that_of_every_cech_level(name, window):
     K = cl.bundled_complex(name)
     cover = cl.star_cover(K)
     lo, hi = window or (0, K.dim)
-    A = tt.cech_double(K, cover, "Z", N=max(len(cover) - 1, hi - lo + 2))
+    N = max(len(cover) - 1, hi + 1, hi - lo + 2)
+    A = tt.cech_double(K, cover, "Z", N=N)
     T, C = tt.total_complex(A, (lo, hi)), cl.cochain_complex(K, "Z")
     degrees = {n: {"direct": str(ch.homology(C, n)),
                    "cech": str(ch.homology(T, n)),

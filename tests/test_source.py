@@ -40,6 +40,23 @@ def test_samplers_make_no_per_draw_rng_calls():
     assert found == []
 
 
+def test_exact_modules_hold_no_floating_point():
+    # the exact layers multiply integers on int64 or Python ints only
+    root = Path(cellcoh.__file__).parent
+    banned = {"float64", "float32", "einsum"}
+    found = []
+    for name in ("linalg.py", "chains.py", "cells.py", "tot.py", "diffcoh.py"):
+        tree = ast.parse((root / name).read_text(), filename=name)
+        for node in ast.walk(tree):
+            word = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.value if isinstance(node, ast.Constant)
+                    else None)
+            if word in banned:
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def _load_spans():
     if not SPANS.is_file():
         pytest.skip("no benchmark tracer in this checkout")
