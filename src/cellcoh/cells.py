@@ -175,10 +175,6 @@ def simplicial_from_facets(facets) -> CellComplex:
     return CellComplex(cells)
 
 
-def standard_simplex(q: int) -> CellComplex:
-    return simplicial_from_facets([tuple(range(q + 1))])
-
-
 def cochain_complex(K: CellComplex, ring: str = RING_Z) -> Complex:
     """Cochain complex with d the transpose of the boundary, kept by K for
     each ring; over Q it is the one over Z through Complex.over, so both

@@ -42,8 +42,8 @@ class Complex:
     Complex(...) (the total complexes of tot included) and from_json,
     which raise ValueError where it fails.  A complex derived from checked
     ones (over, window, shift, direct_sum, cone, cells.cochain_complex,
-    tot._level) is built by _derived, which does not check again, because
-    its d o d = 0 follows from theirs.
+    the levels of tot) is built by _derived, which does not check again,
+    because its d o d = 0 follows from theirs.
     What is derived from the differentials is kept in one store, once it is
     built, and shared with the same complex over the other ring (over): the
     IntSolver of an integral differential (int_solver), the invariant

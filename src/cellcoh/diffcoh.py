@@ -53,8 +53,7 @@ from math import lcm
 
 import numpy as np
 
-from .cells import (CellComplex, CellularMap, ProductComplex, cochain_complex,
-                    fiber_integrate_circle, fiber_integrate_prism)
+from .cells import CellComplex, CellularMap, ProductComplex, cochain_complex
 from .chains import (RING_Q, RING_Z, FgAbGroup, HomologyData, parse_int,
                      parse_rational)
 from .linalg import (IntSolver, MixedSolver, RatSolver, _int_mv, as_columns,
@@ -783,9 +782,16 @@ def differential_pullback(f: CellularMap, x: DifferentialCochain
     """f* x = (f* c, f* h, f* omega) on the source of f, over the same L."""
     if x.complex is not f.target:
         raise ValueError("cochain does not live on the target complex")
-    return DifferentialCochain(f.source, x.m, x.n, f.pullback(x.c, x.n),
-                               f.pullback(x.hn, x.n - 1),
-                               f.pullback(x.wn, x.n), x.L)
+    pull = lambda v, d: _int_mv(f.chain_matrix(d).T, v)
+    return DifferentialCochain(f.source, x.m, x.n, pull(x.c, x.n),
+                               pull(x.hn, x.n - 1), pull(x.wn, x.n), x.L)
+
+
+def _fiber_integral(prod: ProductComplex, v, d: int) -> np.ndarray:
+    """cells.fiber_integrate_* of numerators checked where they were built."""
+    if d < 1:
+        raise ValueError("fiber integration needs degree >= 1")
+    return _int_mv(prod.fiber_matrix(d), v)
 
 
 def homotopy_formula_check(prod: ProductComplex, x: DifferentialCochain,
@@ -800,7 +806,7 @@ def homotopy_formula_check(prod: ProductComplex, x: DifferentialCochain,
     K, m, n = prod.base, x.m, x.n
     e1 = differential_pullback(prod.sections["end1"], x)
     e0 = differential_pullback(prod.sections["end0"], x)
-    diff = (e1 - e0) - forms_a(K, m, n, fiber_integrate_prism(prod, x.wn, n),
+    diff = (e1 - e0) - forms_a(K, m, n, _fiber_integral(prod, x.wn, n),
                                x.L)
     if expect_strict_zero:
         strict = diff.is_zero()
@@ -808,9 +814,9 @@ def homotopy_formula_check(prod: ProductComplex, x: DifferentialCochain,
     eq, _ = class_is_trivial(diff)
     # the explicit witness (pi_! c, -pi_! h, 0) always works; cross-check
     cols = x.c.shape[1:]
-    pih = (fiber_integrate_prism(prod, x.hn, n - 1) if n > 1
+    pih = (_fiber_integral(prod, x.hn, n - 1) if n > 1
            else _zeros(K, n - 2, cols))
-    w0 = DifferentialCochain(K, m, n - 1, fiber_integrate_prism(prod, x.c, n),
+    w0 = DifferentialCochain(K, m, n - 1, _fiber_integral(prod, x.c, n),
                              -pih, _zeros(K, n - 1, cols), x.L)
     strict = (diff - w0.dhat()).is_zero()
     return {"passed": eq & strict, "witness_found": eq,
@@ -837,11 +843,11 @@ def s1_integrate(prod: ProductComplex, x: DifferentialCochain
             "input must vanish on the base section (reduced object "
             "requirement for circle integration)")
     n, K = x.n, prod.base
-    pih = (fiber_integrate_circle(prod, x.hn, n - 1) if n > 1
+    pih = (_fiber_integral(prod, x.hn, n - 1) if n > 1
            else _zeros(K, n - 2, x.c.shape[1:]))
     out = DifferentialCochain(
-        K, x.m - 1, n - 1, fiber_integrate_circle(prod, x.c, n), -pih,
-        fiber_integrate_circle(prod, x.wn, n), x.L)
+        K, x.m - 1, n - 1, _fiber_integral(prod, x.c, n), -pih,
+        _fiber_integral(prod, x.wn, n), x.L)
     if not np.all(out.is_cocycle()):
         raise RuntimeError("circle integration did not give a cocycle")
     return out

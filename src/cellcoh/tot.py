@@ -9,17 +9,17 @@ where the alternating sum runs over all cofaces A[q] -> A[q+1]
 (i = 0..q) in the simplicial case.  Built on top of this: Cech double
 complexes of subcomplex covers, the descent comparison, and the
 evaluation-at-a-point of the truncated-cochain functor via its simplicial
-resolution.
+resolution, read off the cochains of one simplex built on vertex bit masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .cells import (CellComplex, check_face_closed, cochain_complex,
-                    standard_simplex)
+from .cells import CellComplex, check_face_closed, cochain_complex
 from .chains import ChainMap, Complex, homology, truncate_above
 from .linalg import block_zeros, vanishes
 
@@ -210,8 +210,8 @@ def _level(C: Complex, labels) -> Complex:
     on the cells of each block, labels[d] = (block labels, cell indices) in
     degree d, one entry per basis element or one label for one block.
     Each block is the coboundary of the cell complex restricted to a
-    face-closed cell set (cech_double refuses other covers, and the faces
-    of a simplex are face-closed), so d o d = 0 holds."""
+    face-closed cell set (cech_double refuses other covers), so d o d = 0
+    holds."""
     return Complex._derived(C.ring, 0, [len(c) for _, c in labels], [
         C.diff(d)[np.ix_(rc, cc)] * np.equal.outer(rb, cb)
         for d, ((cb, cc), (rb, rc)) in enumerate(zip(labels, labels[1:]))])
@@ -307,35 +307,57 @@ def descent_check(K: CellComplex, cover, ring="Z", window=None) -> dict:
 # Evaluation at the point of the truncated-cochain functor
 # ---------------------------------------------------------------------------
 
+def _simplex_cochains(N: int):
+    """The faces of the standard N-simplex as int64 vertex bit masks, one
+    ascending array per degree, and its coboundaries on them, read-only.
+    Removing vertex v from a face has the sign (-1)^(number of its vertices
+    below v); d o d = 0 is checked here, once, for every level read off."""
+    masks = np.arange(1, 2 << N, dtype=np.int64)
+    bits = masks[:, None] >> np.arange(N + 1) & 1
+    dim = bits.sum(axis=1) - 1
+    faces = [masks[dim == n] for n in range(N + 1)]
+    diffs = []
+    for n in range(N):
+        b = bits[dim == n + 1]
+        row, v = np.nonzero(b)
+        d = np.zeros((len(b), len(faces[n])), dtype=np.int64)
+        d[row, np.searchsorted(faces[n], faces[n + 1][row] ^ 1 << v)] = \
+            1 - 2 * ((np.cumsum(b, axis=1) - b)[row, v] & 1)
+        d.setflags(write=False)
+        diffs.append(d)
+    if not all(vanishes([(1, e, d)]) for d, e in zip(diffs, diffs[1:])):
+        raise ValueError(f"d o d != 0 on the standard {N}-simplex")
+    return faces, diffs
+
+
 def simplex_resolution(m: int, N: int) -> SimplicialComplexOfComplexes:
     """The simplicial complex-of-complexes q -> (cochains of the standard
     q-simplex over Q, truncated to degrees >= m), faces by restriction.
 
-    Every level is read off the one standard N-simplex: the q-simplex is
-    its faces with all vertices <= q, in the same (repr) order."""
+    Every level is read off the cochains of the one standard N-simplex,
+    built as arrays on vertex bit masks (_simplex_cochains): in ascending
+    mask order the faces of the q-simplex (masks below 2^(q + 1)) lead
+    every degree, so level q is the leading block of each coboundary, a
+    read-only view."""
     if N > 62:
         raise LevelTooLarge(f"truncation level N={N} is too large; "
                             f"need N <= 62")
-    S = standard_simplex(N)
-    # the vertices of each cell of S as a bit mask, per degree in S's order;
-    # the q-simplex is the cells with masks below 2^(q + 1)
-    bits = [np.array([sum(1 << v for v in s) for s in S.cells(n)],
-                     dtype=np.int64) for n in range(N + 1)]
-    levels = [truncate_above(_level(cochain_complex(S, "Q"), [
-        (0, np.flatnonzero(b < 2 << q)) for b in bits[:q + 1]]), m)
-        for q in range(N + 1)]
+    faces, diffs = _simplex_cochains(N)
+    ranks = [[comb(q + 1, n + 1) for n in range(q + 1)] for q in range(N + 1)]
+    levels = [truncate_above(Complex._derived("Q", 0, r, [
+        d[:r[n + 1], :r[n]] for n, d in enumerate(diffs[:q])]), m)
+        for q, r in enumerate(ranks)]
     maps = []
     for q in range(N):
         # face i moves the mask r of each n-face of the q-simplex by
         # j -> j + (j >= i) (bits below i stay, the rest move up one) and
-        # selects the (q + 1)-simplex's cell of that mask; all i at once,
+        # selects the (q + 1)-simplex's face of that mask; all i at once,
         # for n <= q + 1 (ChainMap selects nothing in the other degrees)
         i, index = np.arange(q + 2)[:, None], {}
         for n in range(levels[q + 1].lo, q + 2):
-            r, c = bits[n][bits[n] < 2 << q], bits[n][bits[n] < 4 << q]
-            order = np.argsort(c)
-            index[n] = order[np.searchsorted(
-                c, r & (1 << i) - 1 | (r >> i) << i + 1, sorter=order)]
+            r = faces[n][:levels[q].rank(n)]
+            index[n] = np.searchsorted(
+                faces[n], r & (1 << i) - 1 | (r >> i) << i + 1)
         maps.append([ChainMap(levels[q + 1], levels[q], index={
             n: idx[k] for n, idx in index.items()}) for k in range(q + 2)])
     return SimplicialComplexOfComplexes(N, levels, maps)

@@ -225,7 +225,7 @@ def _work(terms):
 @pytest.fixture(scope="module")
 def simplex10():
     """The 10-simplex (2047 cells) and its cochain complex."""
-    K = cl.standard_simplex(10)
+    K = cl.simplicial_from_facets([tuple(range(11))])
     return K, cl.cochain_complex(K)
 
 
