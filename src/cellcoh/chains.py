@@ -17,10 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import (IntSolver, RatSolver, _Elimination, as_columns,
-                     as_matrix, block_zeros, check_int_entries, exact_storage,
-                     int_zeros, integerize_rows, is_zero, mm, mv,
-                     smith_normal_form, vanishes, zero_columns, zeros)
+from .linalg import (_JOIN_WORK, IntSolver, RatSolver, _Elimination, _entries,
+                     _nonzero_key, as_columns, as_matrix, block_zeros,
+                     check_int_entries, exact_storage, int_zeros,
+                     integerize_rows, is_zero, mm, mv, smith_normal_form,
+                     vanishes, zero_columns, zeros)
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -155,20 +156,30 @@ class Complex:
                 self._solvers["factors", m] = f
         return self._solvers["factors", n]
 
-    def _selecting(self, n: int):
-        """Kept for selection maps: the positions of degree n in the basis of
-        all degrees after a -1, diff(n) with a zero row and column appended,
-        and the rows, columns and values of the nonzeros of diff(n)."""
-        s = self._solvers.get(("selecting", n))
+    def _selecting(self, n: int, part: str):
+        """A part of diff(n) kept for selection maps, each built on first
+        use: "pos", the positions of degree n in the basis of all degrees
+        after a -1; "nonzeros", the rows, columns and values of its nonzero
+        entries, row by row; "starts", where each row's entries start among
+        them, then their count; "pad", diff(n) with a zero row and column
+        appended."""
+        s = self._solvers.get(("selecting", part, n))
         if s is None:
-            d, start = self.diff(n), sum(self.ranks[:max(n - self.lo, 0)])
-            pos = np.arange(start - 1, start + d.shape[1])
-            pos[0] = -1
-            pad = np.zeros((d.shape[0] + 1, d.shape[1] + 1), d.dtype)
-            pad[:-1, :-1] = d
-            nz = np.flatnonzero(d)
-            s = self._solvers["selecting", n] = (
-                pos, pad, (*np.divmod(nz, d.shape[1]), d.ravel()[nz]))
+            d = self.diff(n)
+            if part == "pos":
+                start = sum(self.ranks[:max(n - self.lo, 0)])
+                s = np.arange(start - 1, start + d.shape[1])
+                s[0] = -1
+            elif part == "nonzeros":
+                r, c = _entries(d)
+                s = r, c, d[r, c]
+            elif part == "starts":
+                s = np.searchsorted(self._selecting(n, "nonzeros")[0],
+                                    np.arange(d.shape[0] + 1))
+            else:
+                s = np.zeros((d.shape[0] + 1, d.shape[1] + 1), d.dtype)
+                s[:-1, :-1] = d
+            self._solvers["selecting", part, n] = s
         return s
 
     def over(self, ring: str) -> "Complex":
@@ -299,7 +310,8 @@ class ChainMap:
     {n: idx} in place of mats: row r of component(n) is source basis vector
     idx[r], or zero where idx[r] = -1, and flat lists the rows of all
     degrees as positions in the source basis of all degrees (or -1), then
-    a -1, so that g o f selects f.flat[g.flat]."""
+    a -1, so that g o f selects f.flat[g.flat].  ChainMap(..., index=...)
+    builds one selection map as selections builds a stack of them."""
 
     source: Complex
     target: Complex
@@ -307,12 +319,16 @@ class ChainMap:
     index: dict | None = None
 
     def __post_init__(self):
+        if self.index is not None:
+            index, flat = _selection_stack(self.source, self.target, 1, {
+                n: np.asarray(idx)[None] for n, idx in self.index.items()})
+            self.__dict__.update(index={n: i[0] for n, i in index.items()},
+                                 flat=flat[0])
+            return
         if self.source.ring != self.target.ring:
             raise ValueError("mismatched rings")
         degs = range(min(self.source.lo, self.target.lo),
                      max(self.source.hi, self.target.hi) + 1)
-        if self.index is not None:
-            return self._select(degs)
         full = {}
         for n in degs:
             m = self.mats.get(n)
@@ -330,36 +346,21 @@ class ChainMap:
                              (-1, self.target.diff(n), self.component(n))]):
                 raise ValueError(f"does not commute with d in degree {n}")
 
-    def _select(self, degs):
-        index, flat = {}, []
-        for n in degs:
-            rows = self.target.rank(n)
-            idx = np.asarray(self.index[n] if n in self.index else [-1] * rows)
-            if idx.shape != (rows,) or rows and idx.dtype.kind not in "iu":
-                raise ValueError(f"selection in degree {n} needs {rows} "
-                                 f"integer indices")
-            index[n] = idx = idx.astype(np.int64)
-            idx.setflags(write=False)
-            try:    # as unsigned, idx + 1 is in range for -1 <= idx < rank
-                if rows:
-                    flat.append(self.source._selecting(n)[0][
-                        (idx + 1).view(np.uint64)])
-            except IndexError:
-                raise ValueError(f"selection in degree {n} is out of "
-                                 f"range") from None
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "flat", np.concatenate(flat + [[-1]]))
-        for n in degs[:-1]:
-            if len(index[n + 1]) and self.source.rank(n):
-                d = self.source._selecting(n)[1]
-                r, c, v = self.target._selecting(n)[2]
-                lhs = d[index[n + 1]]
-                if lhs.dtype != v.dtype:
-                    lhs = lhs.astype(object)
-                np.subtract.at(lhs, (r, index[n][c]), v)  # -1: last column
-                lhs[:, -1] = 0
-                if np.count_nonzero(lhs):
-                    raise ValueError(f"does not commute with d in degree {n}")
+    @classmethod
+    def selections(cls, source: Complex, target: Complex, k: int,
+                   index) -> list:
+        """The k selection maps source -> target whose indices in degree n
+        are the rows of the (k, target.rank(n)) integer array index[n]
+        (all -1 where n is missing): the maps k ChainMap(source, target,
+        index=...) calls build, validated and checked for commutation as
+        one stack."""
+        index, flat = _selection_stack(source, target, k, index)
+        maps = [cls.__new__(cls) for _ in range(k)]
+        for j, f in enumerate(maps):
+            f.__dict__.update(source=source, target=target, mats={},
+                              index={n: i[j] for n, i in index.items()},
+                              flat=flat[j])
+        return maps
 
     def component(self, n: int) -> np.ndarray:
         m = self.mats.get(n)
@@ -387,6 +388,81 @@ class ChainMap:
         return ChainMap(other.source, self.target, {
             n: mm(self.component(n), other.component(n))
             for n in other.source.degrees()})
+
+
+def _selection_stack(source: Complex, target: Complex, k: int, index):
+    """(index, flat) of k selection maps source -> target: index[n] the
+    (k, target.rank(n)) int64 indices of degree n, flat the (k, rows + 1)
+    flats, both read-only; ValueError where an index has the wrong shape or
+    type or is out of range, or where map j does not commute with d.
+
+    Map j commutes in degree n where row r of d_S^n selected by
+    idx[n + 1][j, r] equals the sum of the columns c of d_T^n with
+    idx[n][j, c] as column.  Below _JOIN_WORK entries (k rows cols) the
+    rows are gathered from the padded d_S^n for all maps at once and the
+    columns subtracted (np.subtract.at, -1 in the spare last column);
+    from there the nonzeros of both sides are keyed by (map, row, column)
+    and summed per key (linalg._nonzero_key)."""
+    if source.ring != target.ring:
+        raise ValueError("mismatched rings")
+    degs = range(min(source.lo, target.lo), max(source.hi, target.hi) + 1)
+    stack, flat = {}, []
+    for n in degs:
+        rows, cols = target.rank(n), source.rank(n)
+        idx = np.asarray(index[n] if n in index else np.full((k, rows), -1))
+        if idx.shape != (k, rows) or idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"selection in degree {n} needs {rows} "
+                             f"integer indices" + (f" for each of {k} maps"
+                                                   if k != 1 else ""))
+        # compared as Python ints, so that no unsigned entry wraps to -1
+        if idx.size and not -1 <= int(idx.min()) <= int(idx.max()) < cols:
+            raise ValueError(f"selection in degree {n} is out of range")
+        stack[n] = idx = idx.astype(np.int64)
+        idx.setflags(write=False)
+        if rows:
+            flat.append(source._selecting(n, "pos")[idx + 1])
+    flat = np.concatenate(flat + [np.full((k, 1), -1)], axis=1)
+    flat.setflags(write=False)
+    for n in degs[:-1]:
+        rows, cols = target.rank(n + 1), source.rank(n)
+        if not rows or not cols:
+            continue
+        if k * rows * cols < _JOIN_WORK:
+            lhs = source._selecting(n, "pad")[stack[n + 1]]
+            r, c, v = target._selecting(n, "nonzeros")
+            if lhs.dtype != v.dtype:
+                lhs = lhs.astype(object)
+            np.subtract.at(lhs, (np.arange(k)[:, None], r, stack[n][:, c]), v)
+            lhs[:, :, -1] = 0
+            bad = np.flatnonzero(np.count_nonzero(lhs.reshape(k, -1), axis=1))
+            j = bad[0] if bad.size else None
+        else:
+            key = _selection_key(source, target, stack, n)
+            j = None if key is None else key // (rows * cols)
+        if j is not None:
+            raise ValueError(("" if k == 1 else f"map {j} ") +
+                             f"does not commute with d in degree {n}")
+    return stack, flat
+
+
+def _selection_key(source, target, stack, n):
+    """The least key (map j, row r, column c) -> (j rows + r) cols + c at
+    which selection maps source -> target with indices stack fail to
+    commute in degree n, or None: the nonzeros of each selected row of
+    d_S^n, then those of d_T^n under minus, at their selected column (none
+    for -1), summed per key."""
+    rows, cols = target.rank(n + 1), source.rank(n)
+    _, sc, sv = source._selecting(n, "nonzeros")
+    starts = source._selecting(n, "starts")
+    sel = stack[n + 1].ravel()                  # source row of (j, r), or -1
+    rep = np.append(np.diff(starts), 0)[sel]    # its nonzeros
+    first = np.repeat(starts[sel] - np.cumsum(rep) + rep, rep)
+    at = first + np.arange(first.size)
+    lhs = np.repeat(np.arange(sel.size), rep) * cols + sc[at]
+    r, c, v = target._selecting(n, "nonzeros")
+    j, e = np.nonzero(stack[n][:, c] >= 0)
+    rhs = (j * rows + r[e]) * cols + stack[n][j, c[e]]
+    return _nonzero_key([lhs, rhs], [sv[at], -v[e]])
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,9 @@ def int_storage(a: np.ndarray) -> np.ndarray:
             return a
     elif a.flags.writeable:
         a = a.copy()
-    amax = _amax(a)
+    amax = _recorded_bound(a)
+    if amax is None:
+        amax = _amax(a)
     if amax >= INT_BOUND:
         a = a.astype(object)
     a.setflags(write=False)
@@ -141,6 +143,19 @@ def int_storage(a: np.ndarray) -> np.ndarray:
 # (weak reference, max |entry|) by id of each int64 matrix stored above;
 # facts about read-only matrices, so every caller may share them
 _BOUNDS: dict[int, tuple] = {}
+
+
+def _recorded_bound(a: np.ndarray):
+    """The max |entry| int_storage recorded for a read-only int64 matrix,
+    or for the base of a read-only view of one (a bound on the view's), or
+    None: a writable array, or a view of one, may change."""
+    if a.flags.writeable:
+        return None
+    for owner in (a, a.base):
+        ref, bound = _BOUNDS.get(id(owner), (None, None))
+        if ref is not None and ref() is owner and not owner.flags.writeable:
+            return bound
+    return None
 
 
 def int_triples(shape, triples) -> np.ndarray:
@@ -324,12 +339,8 @@ def _bounded(a: np.ndarray):
         if not np.can_cast(a.dtype, np.int64):
             return _bounded(a.astype(object))
         a = a.astype(np.int64)
-    for owner in (a, a.base):
-        ref, bound = _BOUNDS.get(id(owner), (None, None))
-        if ref is not None and ref() is owner and not (
-                a.flags.writeable or owner.flags.writeable):
-            return a, bound
-    return a, _amax(a)
+    bound = _recorded_bound(a)
+    return a, _amax(a) if bound is None else bound
 
 
 def _to_object(a: np.ndarray) -> np.ndarray:
@@ -423,8 +434,8 @@ def vanishes(terms) -> bool:
 def _join_vanishes(terms, shape, work):
     """vanishes for int64 terms (s, A, B or None) whose sum is below 2^61:
     the products of _join and the nonzero entries c_ij of plain terms,
-    keyed by i * cols + j, sorted and summed per key (np.add.reduceat);
-    None, for the dense products, past work / _JOIN_DENSITY keys."""
+    keyed by i * cols + j and summed per key (_nonzero_key); None, for the
+    dense products, past work / _JOIN_DENSITY keys."""
     budget = work // _JOIN_DENSITY
     keys, vals = [], []
     for s, A, B in terms:
@@ -438,13 +449,21 @@ def _join_vanishes(terms, shape, work):
         budget -= joined[0].size
         keys.append(joined[0])
         vals.append(joined[1] if s > 0 else -joined[1])
+    return _nonzero_key(keys, vals) is None
+
+
+def _nonzero_key(keys, vals):
+    """The least key whose values do not sum to zero, or None: the int64
+    keys of a list of arrays and their values (int64 or exact objects),
+    sorted and summed per key (np.add.reduceat)."""
     keys = np.concatenate(keys)
     if not keys.size:
-        return True
+        return None
     order = np.argsort(keys)
     keys = keys[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return not np.add.reduceat(np.concatenate(vals)[order], starts).any()
+    bad = np.flatnonzero(np.add.reduceat(np.concatenate(vals)[order], starts))
+    return int(keys[starts[bad[0]]]) if bad.size else None
 
 
 def _join(A: np.ndarray, B: np.ndarray, budget: int):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cells import CellComplex, check_face_closed, cochain_complex
 from .chains import ChainMap, Complex, homology, truncate_above
-from .linalg import block_zeros, vanishes
+from .linalg import block_zeros, int_storage, vanishes
 
 
 class InsufficientTruncation(ValueError):
@@ -270,8 +270,8 @@ def cech_double(K: CellComplex, cover, ring="Z", N: int | None = None
             at = np.full((len(tuples[q]), K.n_cells(d)), -1)
             at[b0, c0] = np.arange(len(c0))
             index.append(at[srcs[:, b], c])
-        cofaces.append([ChainMap(levels[q], levels[q + 1], index={
-            d: idx[i] for d, idx in enumerate(index)}) for i in range(q + 2)])
+        cofaces.append(ChainMap.selections(levels[q], levels[q + 1], q + 2,
+                                           dict(enumerate(index))))
 
     return CosimplicialComplexTrunc(N, levels, cofaces)
 
@@ -309,7 +309,8 @@ def descent_check(K: CellComplex, cover, ring="Z", window=None) -> dict:
 
 def _simplex_cochains(N: int):
     """The faces of the standard N-simplex as int64 vertex bit masks, one
-    ascending array per degree, and its coboundaries on them, read-only.
+    ascending array per degree, and its coboundaries on them, stored by
+    int_storage, so that a read-only view of one takes its recorded bound.
     Removing vertex v from a face has the sign (-1)^(number of its vertices
     below v); d o d = 0 is checked here, once, for every level read off."""
     masks = np.arange(1, 2 << N, dtype=np.int64)
@@ -323,8 +324,8 @@ def _simplex_cochains(N: int):
         d = np.zeros((len(b), len(faces[n])), dtype=np.int64)
         d[row, np.searchsorted(faces[n], faces[n + 1][row] ^ 1 << v)] = \
             1 - 2 * ((np.cumsum(b, axis=1) - b)[row, v] & 1)
-        d.setflags(write=False)
-        diffs.append(d)
+        d.setflags(write=False)     # owned here: int_storage need not copy
+        diffs.append(int_storage(d))
     if not all(vanishes([(1, e, d)]) for d, e in zip(diffs, diffs[1:])):
         raise ValueError(f"d o d != 0 on the standard {N}-simplex")
     return faces, diffs
@@ -352,14 +353,14 @@ def simplex_resolution(m: int, N: int) -> SimplicialComplexOfComplexes:
         # face i moves the mask r of each n-face of the q-simplex by
         # j -> j + (j >= i) (bits below i stay, the rest move up one) and
         # selects the (q + 1)-simplex's face of that mask; all i at once,
-        # for n <= q + 1 (ChainMap selects nothing in the other degrees)
+        # for n <= q + 1 (the maps select nothing in the other degrees)
         i, index = np.arange(q + 2)[:, None], {}
         for n in range(levels[q + 1].lo, q + 2):
             r = faces[n][:levels[q].rank(n)]
             index[n] = np.searchsorted(
                 faces[n], r & (1 << i) - 1 | (r >> i) << i + 1)
-        maps.append([ChainMap(levels[q + 1], levels[q], index={
-            n: idx[k] for n, idx in index.items()}) for k in range(q + 2)])
+        maps.append(ChainMap.selections(levels[q + 1], levels[q], q + 2,
+                                        index))
     return SimplicialComplexOfComplexes(N, levels, maps)
 
 

@@ -166,6 +166,29 @@ def test_unsigned_factors_are_not_wrapped_to_int64():
     assert small.dtype == object and small.tolist() == [[614]]
 
 
+def test_read_only_views_of_stored_matrices_take_the_recorded_bound(
+        monkeypatch):
+    # the levels of a simplex resolution are leading-block views of the
+    # coboundaries of the standard simplex, stored once by int_storage; a
+    # view is stored with the bound recorded for that base, not scanned
+    amax, views = la._amax, []
+    monkeypatch.setattr(la, "_amax",
+                        lambda a: views.append(a.base is not None) or amax(a))
+    tot.simplex_resolution(1, 8)
+    assert views and not any(views)
+    # a read-only view of a writable array is scanned: its base may change
+    w = np.array([[1, 2], [3, BOUND]], dtype=np.int64)
+    v = w[:1]
+    v.setflags(write=False)
+    views.clear()
+    assert_stored_int64(la.int_storage(v))
+    assert views == [True]
+    # a view of a stored matrix past the bound would leave int64: the
+    # stored matrix is then an object array, so no bound is recorded
+    stored = la.int_storage(w)
+    assert stored.dtype == object and la._recorded_bound(stored) is None
+
+
 def test_cech_levels_cofaces_and_total_complex_are_read_only_int64():
     K = cl.bundled_complex("circle3")
     A = tot.cech_double(K, cl.star_cover(K), "Z", N=4)

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -524,6 +525,111 @@ def test_index_checks_agree_with_dense_products(monkeypatch):
             seen.add(got[0].split(" at ")[0])
     assert {"does not commute with d", "cosimplicial identity fails",
             "simplicial identity fails"} <= seen
+
+
+def _stack(maps):
+    """The selection maps between two levels as the index stack of
+    ChainMap.selections."""
+    return {n: np.stack([f.index[n] for f in maps]) for n in maps[0].index}
+
+
+def _stacked_objects():
+    for name in ("circle3", "octahedron", "csaszar_torus", "rp2_6"):
+        K = cl.bundled_complex(name)
+        yield tt.cech_double(K, cl.star_cover(K), "Z")
+    for N in range(4, 9):
+        yield tt.simplex_resolution(1, N)
+
+
+def test_selections_are_the_maps_of_single_builds():
+    for A in _stacked_objects():
+        for maps in A.maps:
+            f0 = maps[0]
+            stacked = ch.ChainMap.selections(f0.source, f0.target, len(maps),
+                                             _stack(maps))
+            for f, g in zip(stacked, maps):
+                single = ch.ChainMap(f.source, f.target, index=g.index)
+                assert (f.index.keys() == single.index.keys()
+                        == g.index.keys())
+                for n in f.index:
+                    assert f.index[n].dtype == single.index[n].dtype
+                    assert (f.index[n] == single.index[n]).all()
+                    assert (f.component(n) == single.component(n)).all()
+                assert (f.flat == single.flat).all()
+
+
+def test_dense_and_keyed_selection_checks_agree(monkeypatch):
+    # each stack is checked with every degree on the dense branch, then on
+    # the keyed one, unchanged and with one entry of one map corrupted; both
+    # give the same verdict, and a failure names the corrupted map
+    keyed = []
+    key = ch._selection_key
+    monkeypatch.setattr(ch, "_selection_key",
+                        lambda *a: keyed.append(1) or key(*a))
+
+    def verdicts(f0, k, index):
+        got = []
+        for work in (2 ** 62, 0):
+            monkeypatch.setattr(ch, "_JOIN_WORK", work)
+            keyed.clear()
+            g = _built(lambda: ch.ChainMap.selections(
+                f0.source, f0.target, k, index))
+            got.append(g if isinstance(g, str) else "accepted")
+            assert not keyed or work == 0
+            ran.add(bool(keyed))
+        assert got[0] == got[1]
+        return got[0]
+
+    rng = np.random.default_rng(0)
+    named, ran = set(), set()
+    for A in _stacked_objects():
+        for maps in A.maps:
+            f0, k, index = maps[0], len(maps), _stack(maps)
+            assert verdicts(f0, k, index) == "accepted"
+            degrees = [n for n, i in index.items() if i.shape[1] > 1]
+            if not degrees:
+                continue
+            n = int(rng.choice(degrees))
+            j = int(rng.integers(k))
+            bad = index[n].copy()
+            bad[j] = np.roll(bad[j], 1)
+            got = verdicts(f0, k, {**index, n: bad})
+            if got != "accepted":
+                assert got.startswith(f"map {j} does not commute with d "
+                                      f"in degree ")
+                named.add(j)
+    assert len(named) > 1 and ran == {False, True}
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.uint32, np.int8])
+def test_selection_indices_are_range_checked_before_the_cast(dtype):
+    # 2^64 - 1 cast to int64 would read as -1, a zero row
+    C = ch.atom("Z", 0)
+    big = np.iinfo(dtype).max
+    for build in (lambda i: ch.ChainMap(C, C, index={0: i}),
+                  lambda i: ch.ChainMap.selections(C, C, 2, {0: np.stack([
+                      np.zeros(1, dtype), i])})):
+        with pytest.raises(ValueError, match="out of range"):
+            build(np.array([big], dtype=dtype))
+        f = build(np.zeros(1, dtype=dtype))
+        f = f if isinstance(f, ch.ChainMap) else f[1]
+        assert f.index[0].dtype == np.int64 and f.component(0).tolist() == [[1]]
+    with pytest.raises(ValueError, match="needs 1 integer indices for each "
+                                         "of 2 maps"):
+        ch.ChainMap.selections(C, C, 2, {0: np.zeros((1, 1), dtype)})
+
+
+def test_simplex_resolution_peak_memory_is_near_its_coboundaries():
+    # each level is a view of the coboundaries of the standard simplex,
+    # and the selection checks keep no padded copy of a large level
+    coboundaries = sum(d.nbytes for d in tt._simplex_cochains(10)[1])
+    tracemalloc.start()
+    try:
+        tt.simplex_resolution(1, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * coboundaries
 
 
 def _products_by_check(monkeypatch):
