@@ -363,10 +363,10 @@ def chern_character_form(conn: SmoothConnection) -> BGradedForm:
                        total_degree=0)
 
 
-def closedness_residual(form: BGradedForm, conn: SmoothConnection,
-                        points: int = 5) -> float:
-    """Numeric sup of |d(term)| over sample points; zero for closed forms."""
-    env = stack_points(conn.sample_points(points))
+def closedness_residual(form: BGradedForm, conn: SmoothConnection) -> float:
+    """Numeric sup of |d(term)| over the sample points of conn; zero for
+    closed forms."""
+    env = stack_points(conn.sample_points())
     return max((sform.exterior_d(conn.coords).max_abs(env)
                 for _, sform in form.terms), default=0.0)
 
@@ -390,24 +390,32 @@ def gauss_legendre01(steps: int):
     return nodes, weights
 
 
+# the coordinate of a connection path that runs over [0, 1], and the
+# largest change of a transgressed coefficient under doubled steps that
+# counts as converged
+PATH_PARAM = "u"
+TRANSGRESS_TOL = 1e-9
+
+
 class QuadratureCoefficient:
     """Coefficient function obtained by integrating an expression over the
-    path parameter with Gauss-Legendre nodes."""
+    path parameter PATH_PARAM with Gauss-Legendre nodes."""
 
-    __slots__ = ("integrand", "param", "nodes", "weights")
+    __slots__ = ("integrand", "nodes", "weights")
 
-    def __init__(self, integrand: CExpr, param: str, steps: int):
-        self.integrand, self.param = integrand, param
+    def __init__(self, integrand: CExpr, steps: int):
+        self.integrand = integrand
         self.nodes, self.weights = gauss_legendre01(steps)
 
     def eval(self, env: dict):
         """The integral at one point or, broadcast, at arrays of points."""
         e = {c: np.expand_dims(v, -1) for c, v in env.items()}
-        e[self.param] = self.nodes
+        e[PATH_PARAM] = self.nodes
         return self.integrand.eval(e) @ self.weights
 
 
-def _transgress_terms(path: SmoothConnection, param: str):
+def _transgress_terms(path: SmoothConnection):
+    param = PATH_PARAM
     if param not in path.coords:
         raise ValueError(f"path connection has no coordinate {param!r}")
     lo, hi = path.domain[param]
@@ -433,30 +441,30 @@ def _transgress_terms(path: SmoothConnection, param: str):
     return terms, base
 
 
-def transgress_ch(path: SmoothConnection, steps: int = 64, param: str = "u",
-                  tol: float = 1e-9):
-    """Fiber integration over the path parameter of the character form of a
-    connection path; defined modulo exact forms.
+def transgress_ch(path: SmoothConnection, steps: int = 64):
+    """Fiber integration over the path parameter PATH_PARAM of the
+    character form of a connection path; defined modulo exact forms.
 
     Returns (BGradedForm on the base coordinates with numeric quadrature
     coefficients, converged flag); the flag compares against doubled steps
-    at deterministic sample points.
+    at deterministic sample points, within TRANSGRESS_TOL.
     """
-    terms, base = _transgress_terms(path, param)
+    terms, base = _transgress_terms(path)
 
     def build(nsteps):
         return BGradedForm(
             [(k, Form(2 * k - 1,
-                      {idx: QuadratureCoefficient(c, param, nsteps)
+                      {idx: QuadratureCoefficient(c, nsteps)
                        for idx, c in comps.items()}))
              for k, comps in terms], total_degree=-1)
 
     result, refined = build(steps), build(2 * steps)
     probe = SmoothConnection(1, base, {c: path.domain[c] for c in base}, {})
-    env = stack_points(probe.sample_points(5))
+    env = stack_points(probe.sample_points())
     converged = not any(
         np.any(np.abs(result.term(k).eval_component(idx, env)
-                      - refined.term(k).eval_component(idx, env)) > tol)
+                      - refined.term(k).eval_component(idx, env))
+               > TRANSGRESS_TOL)
         for k, comps in terms for idx in comps)
     return result, converged
 
@@ -652,9 +660,9 @@ def bch_zero(conn: SmoothConnection, loop: Loop, steps: int = 4096) -> complex:
     return complex(np.trace(holonomy(conn, loop, steps)))
 
 
-def shoelace_area(loop: Loop, coord_pair=("s", "t"), steps: int = 4096) -> float:
-    """Signed area enclosed by a planar loop (oracle for the area law)."""
-    u, w = gauss_legendre01(min(steps, 256))
+def shoelace_area(loop: Loop) -> float:
+    """Signed area enclosed by a loop in the (s, t) plane (oracle for the
+    area law), by 256-node Gauss-Legendre quadrature."""
+    u, w = gauss_legendre01(256)
     p, v = loop.point(u), loop.velocity(u)
-    a, b = coord_pair
-    return float(w @ (0.5 * (p[a] * v[b] - p[b] * v[a])))
+    return float(w @ (0.5 * (p["s"] * v["t"] - p["t"] * v["s"])))

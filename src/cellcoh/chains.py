@@ -18,10 +18,13 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import (_JOIN_WORK, IntSolver, RatSolver, _Elimination, _entries,
-                     _nonzero_key, as_columns, as_matrix, block_zeros,
-                     check_int_entries, exact_storage, int_zeros,
-                     integerize_rows, is_zero, mm, mv, smith_normal_form,
-                     vanishes, zero_columns, zeros)
+                     _int_mv, _nonzero_key, as_columns, as_matrix,
+                     block_zeros, check_int_entries, exact_storage, int_zeros,
+                     integerize_rows, is_zero, mm, to_numerators, vanishes,
+                     zero_columns)
+# chains runs no Smith form of its own, every one is an IntSolver's; the name
+# stays importable here for callers that count Smith forms by patching it
+from .linalg import smith_normal_form  # noqa: F401
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -48,7 +51,7 @@ class Complex:
     What is derived from the differentials is kept in one store, once it is
     built, and shared with the same complex over the other ring (over): the
     IntSolver of an integral differential (int_solver), the invariant
-    factors of each differential (factors) and the Smith form of the
+    factors of each differential (factors) and the IntSolver of the
     relations of each H^n (HomologyData).  factors reduces the whole
     complex in one sweep, reading the diag of a kept IntSolver, so homology
     eliminates each basis element once, not as a row of d^n and again as a
@@ -601,15 +604,21 @@ class HomologyData:
     gens: matrix whose columns are (co)cycle representatives generating H^n;
     orders: the order of each generator (0 for a free one).  Over Q every
     generator is free.  By change of basis (Kaczynski, Mischaikow and
-    Mrozek, Computational Homology, 2004, ch. 3) all of it is read off the
-    IntSolver of d^n that C keeps and one Smith form U' rel V' = D', where
-    rel holds the kernel coordinates of the image of d^(n-1).  A cocycle
-    with kernel coordinates x has class coordinates y = U' x in the columns
-    of ker U'^-1, of which those with D'_i != 1 (over Q, D'_i = 0) are the
-    generators; the class is zero exactly when each D'_i divides y_i.  C
-    keeps the Smith form of rel, which does not depend on the ring; where
-    d^n = 0, rel is d^(n-1), and the kept IntSolver of an integral one
-    holds it.
+    Mrozek, Computational Homology, 2004, ch. 3) all of it is read off two
+    IntSolvers: out, of d^n, which C keeps, and rel, of the relations (the
+    kernel coordinates of the image of d^(n-1)), which C keeps under
+    ("rel", n); where d^n = 0 the kernel coordinates are the cochains
+    themselves, and rel is the kept IntSolver of an integral d^(n-1).  With
+    U' rel V' = D', a cocycle with kernel coordinates x has class
+    coordinates y = U' x in the columns of ker U'^-1, and the generators
+    are those with D'_i != 1 (over Q, D'_i = 0): gens is one product of
+    out.kernel_basis() and those columns, and express reads those rows of
+    U' x, over Z only for an integral x (U' is unimodular).  The class is
+    zero exactly when x lies in the image of rel, which rel.solve_many
+    decides over Z and the RatSolver on rel over Q.  A (rank, k) matrix of
+    cocycles is one batch for each of them.  Over Q both solvers are built
+    on integers: scaling the rows of d^n and the columns of d^(n-1) to
+    integers keeps the kernel and the image.
 
     >>> h = HomologyData(Complex(RING_Z, 0, (1, 1), [[[2]]]), 1)
     >>> str(h.group), h.gens.tolist(), h.orders
@@ -620,61 +629,44 @@ class HomologyData:
     True
     """
 
-    __slots__ = ("complex", "degree", "group", "gens", "orders",
-                 "_out", "_U", "_diag", "_rows")
+    __slots__ = ("complex", "degree", "group", "gens", "orders", "_out",
+                 "_rel", "_U")
 
     def __init__(self, C: Complex, n: int):
         self.complex, self.degree = C, n
-        # Over Q, scaling the rows of d^n and the columns of d^(n-1) to
-        # integers keeps the kernel and the image, and the classes of H^n
-        # over Q are the free classes of the integer computation.
         out = C.int_solver(n) or IntSolver(integerize_rows(C.diff(n)))
-        rsnf = C._solvers.get(("rel", n))
-        if rsnf is None and is_zero(C.diff(n)) and C.int_solver(n - 1):
-            rsnf = C._solvers["rel", n] = C.int_solver(n - 1).snf
-        if rsnf is None:
-            rel, ok = out.kernel_coordinates(
-                integerize_rows(C.diff(n - 1).T).T)
-            if not ok.all():
-                raise RuntimeError("image not contained in kernel")
-            rsnf = C._solvers["rel", n] = smith_normal_form(rel)
-        ker = out.kernel_basis()
-        gens, orders, rows = [], [], []
-        for i in range(ker.shape[1]):
-            d = rsnf.diag[i] if i < len(rsnf.diag) else 0
-            if d == 1 or (d != 0 and C.ring == RING_Q):
-                continue
-            gens.append(mv(ker, rsnf.Uinv[:, i]))
-            orders.append(d)
-            rows.append(i)
-        self.gens = np.stack(gens, axis=1) if gens else zeros(C.rank(n), 0)
-        self.orders = tuple(orders)
-        tor = tuple(sorted(d for d in orders if d != 0))
-        self.group = FgAbGroup(C.ring, rank=orders.count(0), torsion=tor)
-        self._out, self._rows = out, rows
-        self._U = rsnf.U
-        self._diag = np.array(rsnf.diag[:rsnf.rank],
-                              dtype=object).reshape(-1, 1)
+        rel = C._solvers.get(("rel", n))
+        if rel is None:
+            rel = C.int_solver(n - 1) if is_zero(C.diff(n)) else None
+            if rel is None:
+                x, ok = out.kernel_coordinates(
+                    integerize_rows(C.diff(n - 1).T).T)
+                if not ok.all():
+                    raise RuntimeError("image not contained in kernel")
+                rel = IntSolver(x)
+            C._solvers["rel", n] = rel
+        # D' ascends by divisibility: its 1s lead and its 0s close, so the
+        # generators are the rows past the 1s (over Q, past every D'_i != 0)
+        diag = rel.snf.diag + [0] * (rel.snf.U.shape[0] - len(rel.snf.diag))
+        start = rel.rank if C.ring == RING_Q else diag.count(1)
+        self.gens = _int_mv(out.kernel_basis(), rel.snf.Uinv[:, start:])
+        self._out, self._U = out, rel.snf.U[start:]
+        self._rel = rel if C.ring == RING_Z else RatSolver(rel)
+        self.orders = tuple(diag[start:])
+        self.group = FgAbGroup(C.ring, rank=self.orders.count(0),
+                               torsion=sorted(d for d in self.orders if d))
 
     # -- class arithmetic ----------------------------------------------
-
-    def _coordinates(self, B):
-        """(y, ok): y = U' x for the kernel coordinates x of each column of
-        the matrix B, and whether each column is a cocycle and, over Z,
-        integral (y holds only there)."""
-        x, ok = self._out.kernel_coordinates(B)
-        y = mm(self._U, x)
-        if self.complex.ring == RING_Z:
-            ok = ok & zero_columns(y % 1)
-        return y, ok
 
     def express(self, vec):
         """Coordinates of the class of a cocycle in the generators, or
         None.  Given a (rank, k) matrix, (the coordinates of each column,
         whether each column has them)."""
         B, batch = as_columns(vec, self.complex.rank(self.degree))
-        y, ok = self._coordinates(B)
-        y = y[self._rows]
+        x, ok = self._out.kernel_coordinates(B)
+        if self.complex.ring == RING_Z:
+            ok = ok & zero_columns(x % 1)
+        y = mm(self._U, x)
         if batch:
             return y, ok
         return y[:, 0] if ok[0] else None
@@ -683,12 +675,11 @@ class HomologyData:
         """Whether the class of a cocycle vanishes (False for a vector that
         is no cocycle); one verdict per column of a (rank, k) matrix."""
         B, batch = as_columns(vec, self.complex.rank(self.degree))
-        y, ok = self._coordinates(B)
-        s = len(self._diag)
-        # over Q a nonzero D'_i divides every y_i
-        ok = ok & zero_columns(y[s:])
+        x, ok = self._out.kernel_coordinates(B)
         if self.complex.ring == RING_Z:
-            ok = ok & zero_columns(y[:s] % self._diag)
+            ok = ok & self._rel.solve_many(x)[1]
+        else:
+            ok = ok & self._rel.solve_numerators(*to_numerators(x))[-1]
         return ok if batch else bool(ok[0])
 
     def classes_equal(self, v, w):
@@ -724,15 +715,9 @@ def induced_map(f: ChainMap, n: int, source_h: HomologyData | None = None,
     """Matrix of H^n(f) in the tracked generators of source and target."""
     sh = source_h or HomologyData(f.source, n)
     th = target_h or HomologyData(f.target, n)
-    cols = []
-    for j in range(sh.gens.shape[1]):
-        img = mv(f.component(n), sh.gens[:, j])
-        coords = th.express(img)
-        if coords is None:
-            raise RuntimeError("image of a cycle is not a cycle class")
-        cols.append(coords)
-    mat = (np.stack(cols, axis=1) if cols
-           else zeros(th.gens.shape[1], 0))
+    mat, ok = th.express(mm(f.component(n), sh.gens))
+    if not ok.all():
+        raise RuntimeError("image of a cycle is not a cycle class")
     return mat, sh, th
 
 
@@ -744,10 +729,9 @@ def exact_at_middle(f: ChainMap, g: ChainMap, n: int) -> bool:
     P, sh, mh = induced_map(f, n)
     Q, _, th = induced_map(g, n, source_h=mh)
     # composite must vanish
-    for j in range(sh.gens.shape[1]):
-        img = mv(g.component(n), mv(f.component(n), sh.gens[:, j]))
-        if not th.class_is_zero(img):
-            return False
+    if not th.class_is_zero(
+            mm(g.component(n), mm(f.component(n), sh.gens))).all():
+        return False
     # kernel of Q (with middle relations) must land in the image of P; the
     # relations are diag(orders), a zero column for a free generator
     mid_rel = np.diag(np.array(mh.orders, dtype=object))

@@ -349,16 +349,15 @@ class QZCohomology:
         # integral primitives b of delta b = c, for the torsion lifts below
         # and the hexagon's exactness witnesses
         self.primitive = C.int_solver(n)
-        # torsion lifts u = b / k, kept as (b, k): k [t] = 0 gives k t = delta b
-        self.torsion_lifts = []
-        for i, k in enumerate(self.integral_next.orders):
-            if k in (0, 1):
-                continue
-            t = self.integral_next.gens[:, i]
-            bvec = self.primitive.solve(k * t)
-            if bvec is None:
-                raise RuntimeError("torsion class has no integral primitive")
-            self.torsion_lifts.append((bvec, k))
+        # torsion lifts u = b / k, kept as (b, k): k [t] = 0 gives
+        # k t = delta b, one solve for every torsion generator t
+        hz = self.integral_next
+        tor = [i for i, k in enumerate(hz.orders) if k]
+        ks = np.array([hz.orders[i] for i in tor], dtype=object)
+        B, ok = self.primitive.solve_many(hz.gens[:, tor] * ks)
+        if not ok.all():
+            raise RuntimeError("torsion class has no integral primitive")
+        self.torsion_lifts = [(B[:, j], k) for j, k in enumerate(ks.tolist())]
         # random classes are over L, the generator and delta g coefficients
         # over SAMPLE_DEN and a torsion residue r over k: u = M draws + L z
         L = self._L = lcm(SAMPLE_DEN, *(k for _, k in self.torsion_lifts))
@@ -506,8 +505,7 @@ def random_cocycles(K: CellComplex, m: int, rng, k: int,
     """k random_cocycle draws, in the same rng order, as one batch."""
     n = _sample_degree("random_cocycles", m, n)
     C = cochain_complex(K)
-    ker = K.kept(("zker", n),
-                 lambda: int_storage(C.int_solver(n).kernel_basis()))
+    ker = K.kept(("zker", n), lambda: C.int_solver(n).kernel_basis())
     return _cocycles(K, m, n, ker, 3, k, rng)
 
 
@@ -555,8 +553,8 @@ def random_reduced_cocycles(prod: ProductComplex, m: int, rng, k: int,
 
     def kernel():
         sel = prod.sections["base"].chain_matrix(n).T
-        return int_storage(IntSolver(
-            np.concatenate([C.diff(n), sel], axis=0)).kernel_basis())
+        return IntSolver(np.concatenate([C.diff(n), sel],
+                                        axis=0)).kernel_basis()
 
     ker = P.kept(("zker_reduced", n), kernel)
     return _cocycles(P, m, n, ker, 2, k, rng,
@@ -749,23 +747,18 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
     record("exact_at_QZ_node", hx.h_high_z.class_is_zero(beta) & ok
            & zero_columns(d_top(closed_u)) & qz.class_is_zero(closed_u - u, D))
 
-    # lower row exactness at H^m(Z): ker(coeff) = torsion = im(bockstein)
-    ok = True
-    for i, k in enumerate(hx.h_high_z.orders):
-        if k in (0, 1):
-            continue
-        t = zgens[:, i]
-        ok &= hx.h_high_q.class_is_zero(t)
-        bvec = hx._int_primitive.solve(k * t)
-        if bvec is None:
-            ok = False
-            continue
-        ok &= hx.h_high_z.classes_equal(qz.bockstein(bvec, k), t)
-    for i, k in enumerate(hx.h_high_z.orders):
-        if k == 0:
-            t = zgens[:, i]
-            ok &= not hx.h_high_q.class_is_zero(t)
-    record("exact_at_integral_node", ok)
+    # lower row exactness at H^m(Z): ker(coeff) = torsion = im(bockstein);
+    # the torsion generators t are the Bocksteins of the torsion lifts b / k
+    # of H^(m-1)(Q/Z), k t = delta b, here all over the lcm L of the orders
+    orders = hx.h_high_z.orders
+    L = lcm(*(k for _, k in qz.torsion_lifts))
+    u = _columns([(L // k) * b for b, k in qz.torsion_lifts], n_low)
+    t = zgens[:, [i for i, k in enumerate(orders) if k]]
+    record("exact_at_integral_node",
+           hx.h_high_q.class_is_zero(t).all()
+           and hx.h_high_z.classes_equal(qz.bockstein(u, L), t).all()
+           and not hx.h_high_q.class_is_zero(
+               zgens[:, [i for i, k in enumerate(orders) if not k]]).any())
 
     passed = all(c["passed"] for c in checks)
     return {"complex": K.labels.get("name", ""), "m": m, "samples": samples,
@@ -907,32 +900,25 @@ def pullback_classification_check(K: CellComplex, m: int, samples: int = 50,
 
     # kernel = image of H^(m-1)(K;Q) modulo integral classes: a(z) is
     # trivial iff the class of z is integral, that is, for a closed z, iff
-    # z = b + delta s with b integral, which is [z] = 0 in H^(m-1)(K;Q/Z)
-    ok = True
-    kernel_witnesses = []
-    for j in range(gens.shape[1]):
-        triv, _ = class_is_trivial(forms_a(K, m, m, gens[:, j], 2))
-        ok &= triv == hx.h_low_qz.class_is_zero(gens[:, j], 2)
-        if not triv:
-            kernel_witnesses.append(j)
-        if hx.h_low_qz.class_is_zero(gens[:, j], 1):
-            ok &= class_is_trivial(forms_a(K, m, m, gens[:, j], 1))[0]
-    # independence of the kernel witnesses
-    for i in range(len(kernel_witnesses)):
-        for j in range(i + 1, len(kernel_witnesses)):
-            eq, _ = equal_classes(
-                forms_a(K, m, m, gens[:, kernel_witnesses[i]], 2),
-                forms_a(K, m, m, gens[:, kernel_witnesses[j]], 2))
-            ok &= not eq
+    # z = b + delta s with b integral, which is [z] = 0 in H^(m-1)(K;Q/Z);
+    # checked on every half g / 2 of a generator g and on every g with
+    # [g] = 0, each set as one batch
+    triv = class_is_trivial(forms_a(K, m, m, gens, 2))[0]
+    whole = hx.h_low_qz.class_is_zero(gens, 1)
+    # independence of the kernel witnesses, the nontrivial halves: no two
+    # have one class, and a is linear
+    witnesses = np.flatnonzero(~triv)
+    i, j = np.triu_indices(len(witnesses), 1)
+    pairs = gens[:, witnesses[i]] - gens[:, witnesses[j]]
+    ok = ((triv == hx.h_low_qz.class_is_zero(gens, 2)).all()
+          and class_is_trivial(forms_a(K, m, m, gens[:, whole], 1))[0].all()
+          and not class_is_trivial(forms_a(K, m, m, pairs, 2))[0].any())
     record("kernel_is_rational_classes_mod_integral", ok,
-           detail=f"{len(kernel_witnesses)} independent kernel witnesses")
+           detail=f"{len(witnesses)} independent kernel witnesses")
 
-    # characteristic map as a matrix
-    phi = []
-    for j in range(zgens.shape[1]):
-        coords = hx.h_high_q.express(zgens[:, j])
-        phi.append([str(Fraction(x)) for x in coords])
-    phi_matrix = [list(row) for row in zip(*phi)] if phi else []
+    # characteristic map as a matrix, one column per integral generator
+    phi = hx.h_high_q.express(zgens)[0]
+    phi_matrix = [[str(Fraction(x)) for x in row] for row in phi.tolist()]
 
     passed = all(c["passed"] for c in checks)
     return {"m": m, "samples": samples, "seed": seed, "checks": checks,

@@ -27,7 +27,8 @@ from math import lcm
 
 import numpy as np
 
-from .bundles import SmoothConnection, gauss_legendre01, transgress_ch
+from .bundles import (PATH_PARAM, SmoothConnection, gauss_legendre01,
+                      transgress_ch)
 from .cells import CellComplex, named_complex
 from .chains import parse_int, parse_rational
 from .diffcoh import (DifferentialCochain, equal_classes, forms_a,
@@ -232,18 +233,16 @@ def nearest_rational(x: float, max_den: int = 10 ** 6) -> Fraction:
     return Fraction(x).limit_denominator(max_den)
 
 
-def _edge_cochain(chart: SurfaceChart, one_form, steps: int,
-                  max_den: int) -> np.ndarray:
-    """Line integrals of a real 1-form along every lifted edge, rounded to
-    nearest rationals; one_form maps a point of arrays (edge, node) to its
+def _edge_cochain(chart: SurfaceChart, one_form, steps: int) -> np.ndarray:
+    """Line integrals of a real 1-form along every lifted edge, rounded by
+    nearest_rational; one_form maps a point of arrays (edge, node) to its
     two coefficient arrays, so all nodes are evaluated in one call."""
     u, w = gauss_legendre01(steps)
     start, d = chart.edge_geometry
     pts = start[:, None] + u[:, None] * d[:, None]
     a_s, a_t = one_form(dict(zip(chart.coords, np.moveaxis(pts, -1, 0))))
     vals = np.sum(w * (a_s * d[:, :1] + a_t * d[:, 1:]), axis=-1)
-    return np.array([nearest_rational(float(v), max_den) for v in vals],
-                    dtype=object)
+    return np.array([nearest_rational(float(v)) for v in vals], dtype=object)
 
 
 def _face_integrals(chart: SurfaceChart, two_form, steps: int) -> np.ndarray:
@@ -261,8 +260,7 @@ def _face_integrals(chart: SurfaceChart, two_form, steps: int) -> np.ndarray:
 
 
 def discretize_connection(conn: SmoothConnection, chart: SurfaceChart,
-                          u_value, steps: int = 24,
-                          max_den: int = 10 ** 6) -> LatticeLineBundle:
+                          u_value, steps: int = 24) -> LatticeLineBundle:
     """Sample a rank-1 connection (real entries, 2 pi normalized) at one
     path parameter onto the chart: a by edge integrals, n by rounding
     face flux minus delta a."""
@@ -280,7 +278,7 @@ def discretize_connection(conn: SmoothConnection, chart: SurfaceChart,
                              "(2 pi normalized) coefficients")
         return (a_s.real, a_t.real)
 
-    a = _edge_cochain(chart, conn_env, steps, max_den)
+    a = _edge_cochain(chart, conn_env, steps)
 
     from .bundles import curvature as smooth_curvature
     F = smooth_curvature(conn)
@@ -303,8 +301,7 @@ def discretize_connection(conn: SmoothConnection, chart: SurfaceChart,
 
 
 def cycle_map_homotopy_check(path: SmoothConnection, chart: SurfaceChart,
-                             steps: int = 24, max_den: int = 10 ** 6,
-                             param: str = "u", endpoints=None) -> dict:
+                             steps: int = 24, endpoints=None) -> dict:
     """Discretize both endpoints of a rank-1 connection path and verify
     that the difference of their differential classes is a(transgression),
     with the transgression edge-discretized by the same quadrature.
@@ -318,8 +315,8 @@ def cycle_map_homotopy_check(path: SmoothConnection, chart: SurfaceChart,
     if endpoints is not None:
         L0, L1 = endpoints
     else:
-        L0 = discretize_connection(path, chart, 0, steps=steps, max_den=max_den)
-        L1 = discretize_connection(path, chart, 1, steps=steps, max_den=max_den)
+        L0 = discretize_connection(path, chart, 0, steps=steps)
+        L1 = discretize_connection(path, chart, 1, steps=steps)
     K = chart.complex
     hd = integral_cohomology(K, 2)
     if not hd.classes_equal(L1.n, L0.n):
@@ -332,11 +329,11 @@ def cycle_map_homotopy_check(path: SmoothConnection, chart: SurfaceChart,
 
     # transgression: b-linear term of the character form of the path,
     # integrated over the parameter and then over the chart edges
-    tg, converged = transgress_ch(path, steps=max(steps, 32), param=param)
+    tg, converged = transgress_ch(path, steps=max(steps, 32))
     report["transgression_converged"] = bool(converged)
     term = tg.term(1)
     s_name, t_name = chart.coords
-    base = tuple(c for c in path.coords if c != param)
+    base = tuple(c for c in path.coords if c != PATH_PARAM)
     si, ti = base.index(s_name), base.index(t_name)
 
     def tg_env(pt):
@@ -344,7 +341,7 @@ def cycle_map_homotopy_check(path: SmoothConnection, chart: SurfaceChart,
             return (0.0, 0.0)
         return tuple(np.real(term.eval_component((i,), pt)) for i in (si, ti))
 
-    tvec = _edge_cochain(chart, tg_env, steps, max_den)
+    tvec = _edge_cochain(chart, tg_env, steps)
 
     diff = x1 - x0
     eq, wit = equal_classes(diff, forms_a(K, 2, 2, *to_numerators(tvec)))

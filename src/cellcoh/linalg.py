@@ -53,7 +53,9 @@ fixed factors, checks integrality as divisibility and returns numerators
 with one verdict per column (solve_many, kernel_coordinates,
 solve_numerators); solve, on one vector, is the batch of its one column,
 and builds Fractions only for a non-integral entry of the returned
-solution.  solve_int and solve_int_many factor for one call.
+solution.  IntSolver.kernel_basis is the stored V[:, r:] itself, a read-only
+view that a product reads with V's recorded bound.  solve_int and
+solve_int_many factor for one call.
 """
 
 from __future__ import annotations
@@ -786,13 +788,14 @@ class IntSolver:
     because V is unimodular.
 
     A is stored by int_storage, like the transforms of its Smith form snf,
-    which the solver keeps for chains.HomologyData.  A solve writes its
-    right-hand side once as integer numerators n over one denominator L and
-    multiplies only integers: U b is integral exactly when L divides every
-    entry of U n.  So a solve scans no fixed factor, only the entry types of
-    its right-hand side and the int64 array (U n)[:r] / d.  A
-    RatSolver, and a MixedSolver on it, can be built on this factorization
-    instead of factoring A again.
+    which the solver keeps: kernel_basis is a read-only view of the stored
+    V, and chains.HomologyData reads U and U^-1 of the solver of its
+    relations.  A solve writes its right-hand side once as integer
+    numerators n over one denominator L and multiplies only integers: U b
+    is integral exactly when L divides every entry of U n.  So a solve
+    scans no fixed factor, only the entry types of its right-hand side and
+    the int64 array (U n)[:r] / d.  A RatSolver, and a MixedSolver on it,
+    can be built on this factorization instead of factoring A again.
     """
 
     __slots__ = ("A", "snf", "rank", "diag", "_d")
@@ -824,8 +827,10 @@ class IntSolver:
         return X, ok
 
     def kernel_basis(self) -> np.ndarray:
-        """Columns form a basis of the integer kernel lattice."""
-        return self.snf.V[:, self.rank:].astype(object)
+        """Columns form a basis of the integer kernel lattice: the stored
+        columns V[:, r:] themselves, a read-only view (on int64, it takes
+        the bound int_storage recorded for V, so no product scans it)."""
+        return self.snf.V[:, self.rank:]
 
     def kernel_coordinates(self, B):
         """(X, ok): ok[j] says whether column j of B lies in the kernel, and

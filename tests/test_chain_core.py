@@ -258,6 +258,17 @@ def test_homology_classes_match_the_reference_algorithm(case):
         assert h.class_is_zero(v) == ref.class_is_zero(v)
     for v, w in zip(vecs, vecs[1:] + vecs[:1]):
         assert h.classes_equal(v, w) == ref.class_is_zero(v - w)
+    # all the test vectors at once, as the columns of one matrix: the same
+    # answers as one vector at a time
+    singles = [h.express(v) for v in vecs]
+    coords, ok = h.express(np.stack(vecs, axis=1))
+    assert coords.shape == (len(ref.orders), len(vecs))
+    assert ok.tolist() == [got is not None for got in singles]
+    for j, got in enumerate(singles):
+        if got is not None:
+            assert coords[:, j].tolist() == got.tolist()
+    assert h.class_is_zero(np.stack(vecs, axis=1)).tolist() == [
+        h.class_is_zero(v) for v in vecs]
     wrong = la.zeros(C.rank(n) + 1, 1).reshape(-1)
     with pytest.raises(ValueError):
         h.express(wrong)
@@ -288,6 +299,29 @@ def test_exact_at_middle_fails_for_zero_maps_through_nonzero_homology(ring):
         assert not ch.homology(B, n).is_trivial()
         assert not ch.exact_at_middle(zero, zero, n)
     assert ch.exact_at_middle(zero, zero, 2)
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_induced_map_without_generators_on_either_side(ring):
+    # A: Z -1-> Z is acyclic, B: Z -0-> Z has H^0 = H^1 = Z; f: A -> B is
+    # 1 in degree 0 (f^1 d_A = d_B f^0 forces f^1 = 0), g: B -> A is 1 in
+    # degree 1 (forcing g^0 = 0)
+    A = ch.Complex(ring, 0, (1, 1), [[[1]]])
+    B = ch.Complex(ring, 0, (1, 1), [[[0]]])
+    f = ch.ChainMap(A, B, {0: [[1]]})
+    g = ch.ChainMap(B, A, {1: [[1]]})
+    for h, n, shape in ((f, 0, (1, 0)), (g, 1, (0, 1)),
+                        (ch.ChainMap.identity(A), 0, (0, 0))):
+        mat, sh, th = ch.induced_map(h, n)
+        assert mat.shape == shape == (th.gens.shape[1], sh.gens.shape[1])
+        assert mat.dtype == object
+    # A -> B -> A at H^0 = 0 -> Z -> 0 and at H^1 = 0 -> Z -> 0: the
+    # composite vanishes, yet H^n(B) = Z is no image of 0
+    zero = ch.ChainMap.zero(B, A)
+    assert not ch.exact_at_middle(f, zero, 0)
+    assert not ch.exact_at_middle(ch.ChainMap.zero(A, B), g, 0)
+    assert ch.exact_at_middle(ch.ChainMap.identity(A),
+                              ch.ChainMap.identity(A), 0)
 
 
 def test_planted_bigint_torsion_reaches_the_big_integer_smith_form(rng):

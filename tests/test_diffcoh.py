@@ -1233,6 +1233,31 @@ def test_numerator_cochains_agree_with_a_fraction_reference(case):
     assert rng.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize("circles, lifts", [(0, 1), (1, 2), (2, 4)])
+def test_torsion_lifts_solve_every_generator_at_once(circles, lifts):
+    # the lifts b / k of the torsion generators t of H^(n+1)(Z), k t =
+    # delta b, come from one batched solve: the same b as one solve per
+    # generator, also where there is no torsion generator at all
+    K = cl.bundled_complex("rp2_6")
+    for _ in range(circles):
+        K = cl.circle_product(K).complex
+    found = 0
+    for n in range(K.dim + 1):
+        qz = dc.qz_cohomology(K, n)
+        hz = qz.integral_next
+        tor = [i for i, k in enumerate(hz.orders) if k]
+        assert len(qz.torsion_lifts) == len(tor)
+        for (b, k), i in zip(qz.torsion_lifts, tor):
+            t = hz.gens[:, i]
+            assert k == hz.orders[i]
+            assert b.tolist() == qz.primitive.solve(k * t).tolist()
+            assert is_zero(mv(qz.delta, b) - k * t)
+        found += len(tor)
+    # Z/2 in H^2 of RP^2; Z/2 in H^2 and H^3 of S^1 x RP^2; Z/2 in H^2,
+    # (Z/2)^2 in H^3 and Z/2 in H^4 of S^1 x S^1 x RP^2
+    assert found == lifts
+
+
 DRAW_WIDTHS = [1, 2, 6, 7, 19, 2 ** 31 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 70 + 3]
 
 

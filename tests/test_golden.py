@@ -4,9 +4,11 @@ Each file under `golden/` is the stdout of `cellcoh <argv> --format json`
 for the case of the same name: reports of the exact engine, and of the
 float layer (`ch`, `transgress`, `holonomy`, `cycle-map-check`), whose
 character forms are printed as expression trees and whose numbers are
-printed to the last bit.  A refactor must leave every report as it is; a
-change meant to alter a report replaces its file with the new stdout and
-says why.
+printed to the last bit.  Each file under `golden/pullback/` is the
+`json.dumps(..., indent=1)` of `diffcoh.pullback_classification_check` on
+a bundled complex at one valid m (samples=10, seed=3), which no command
+prints.  A refactor must leave every report as it is; a change meant to
+alter a report replaces its file with the new output and says why.
 """
 
 import json
@@ -15,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from cellcoh import cells as cl
 from cellcoh import cli
+from cellcoh import diffcoh as dc
 
 GOLDEN = Path(__file__).parent / "golden"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -74,6 +78,25 @@ def test_every_golden_file_has_a_case():
 def test_json_report_is_byte_identical(name, capsys):
     assert cli.main(CASES[name] + ["--format", "json"]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+# every valid m of a bundled complex: 1 <= m <= dim + 1
+PULLBACK = [(name, m)
+            for name in ("circle3", "octahedron", "csaszar_torus", "rp2_6")
+            for m in range(1, cl.bundled_complex(name).dim + 2)]
+
+
+def test_every_pullback_golden_file_has_a_case():
+    assert sorted(p.stem for p in (GOLDEN / "pullback").glob("*.json")) == \
+        sorted(f"{name}_m{m}" for name, m in PULLBACK)
+
+
+@pytest.mark.parametrize("name,m", PULLBACK)
+def test_pullback_classification_is_byte_identical(name, m):
+    rep = dc.pullback_classification_check(cl.bundled_complex(name), m,
+                                           samples=10, seed=3)
+    assert json.dumps(rep, indent=1) + "\n" == \
+        (GOLDEN / "pullback" / f"{name}_m{m}.json").read_text()
 
 
 def _bench_ops(names, tmp_path):

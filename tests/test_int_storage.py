@@ -102,6 +102,26 @@ def test_solver_factors_past_the_bound_are_stored_as_python_ints(monkeypatch):
                                for M in (solver.snf.U, solver.snf.V))
 
 
+def test_kernel_basis_is_the_stored_view_and_is_not_scanned(monkeypatch):
+    # the kernel basis is the read-only int64 columns V[:, r:] of the Smith
+    # form, sharing V's memory, so a product with it takes V's recorded
+    # bound and scans nothing
+    K = cl.bundled_complex("csaszar_torus")
+    solver = cl.cochain_complex(K).int_solver(1)
+    ker = solver.kernel_basis()
+    assert_stored_int64(ker)
+    assert ker.shape == (solver.A.shape[1], solver.A.shape[1] - solver.rank)
+    assert np.shares_memory(ker, solver.snf.V)
+    assert (ker == solver.snf.V[:, solver.rank:]).all()
+    coefs = la.int_storage(np.arange(2 * ker.shape[1]).reshape(-1, 2))
+    amax, scanned = la._amax, []
+    monkeypatch.setattr(la, "_amax", lambda a: scanned.append(a) or amax(a))
+    product = la._int_mv(ker, coefs)
+    assert scanned == []
+    assert product.tolist() == (ker.astype(object) @ coefs.astype(object)
+                                ).tolist()
+
+
 @pytest.mark.parametrize("x, fits", [
     (2 ** 31 - 1, True), (-2 ** 31, True), (2 ** 31, False),
     (2 ** 31 + 1, False), (-2 ** 31 - 1, False), (2 ** 70, False)])
