@@ -62,14 +62,28 @@ class CExpr:
         return CExpr(symbolic_d(self.re, var), symbolic_d(self.im, var))
 
     def eval(self, env: dict):
-        """A complex at one point, a complex array over arrays of points."""
-        z = np.array(evaluate(self.re, env), dtype=complex)
-        z.imag = evaluate(self.im, env)
+        """A complex at one point, a complex array over arrays of points.
+        A structurally zero part is not evaluated: it stays +0.0, which is
+        what evaluating it gives."""
+        if _is_zero(self.re):
+            z = np.zeros(_points_shape(env), dtype=complex)
+        else:
+            z = np.array(evaluate(self.re, env), dtype=complex)
+        if not _is_zero(self.im):
+            z.imag = evaluate(self.im, env)
         return z[()]
 
     def is_structural_zero(self) -> bool:
-        return (isinstance(self.re, Const) and self.re.value == 0
-                and isinstance(self.im, Const) and self.im.value == 0)
+        return _is_zero(self.re) and _is_zero(self.im)
+
+
+def _is_zero(e: Expr) -> bool:
+    return isinstance(e, Const) and e.value == 0
+
+
+def _points_shape(env: dict) -> tuple:
+    """The common shape of the coordinate arrays of a point of arrays."""
+    return np.broadcast_shapes(*(np.shape(v) for v in env.values()))
 
 
 C_ZERO = CExpr()
@@ -102,14 +116,24 @@ class CMatrix(tuple):
     def diff(self, var: str):
         return CMatrix(tuple(x.diff(var) for x in ra) for ra in self)
 
+    @functools.cached_property
+    def nonzero(self) -> tuple:
+        """(i, j, entry) of every entry that is not structurally zero, row
+        by row."""
+        return tuple((i, j, x) for i, ra in enumerate(self)
+                     for j, x in enumerate(ra) if not x.is_structural_zero())
+
     def eval(self, env) -> np.ndarray:
-        """Shape (r, r) at one point, (*points, r, r) over arrays of points."""
-        vals = np.array([[x.eval(env) for x in ra] for ra in self],
-                        dtype=complex)
+        """Shape (r, r) at one point, (*points, r, r) over arrays of points;
+        only the nonzero entries are evaluated, the rest are +0.0."""
+        r = len(self)
+        vals = np.zeros((r, r) + _points_shape(env), dtype=complex)
+        for i, j, x in self.nonzero:
+            vals[i, j] = x.eval(env)
         return np.moveaxis(vals, (0, 1), (-2, -1))
 
     def is_structural_zero(self) -> bool:
-        return all(x.is_structural_zero() for ra in self for x in ra)
+        return not self.nonzero
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +264,11 @@ class SmoothConnection:
     def evaluate_at(self, name: str, env) -> np.ndarray:
         return self.component(name).eval(env)
 
+    @functools.cached_property
+    def _curvature(self) -> Form:
+        A = self.one_form()
+        return A.exterior_d(self.coords) + A.wedge(A)
+
     def contains(self, env):
         """Whether the point lies in the domain; elementwise over arrays."""
         inside = True
@@ -279,9 +308,9 @@ class SmoothConnection:
 
 
 def curvature(conn: SmoothConnection) -> Form:
-    """F = dA + A wedge A, antisymmetric in the form indices."""
-    A = conn.one_form()
-    return A.exterior_d(conn.coords) + A.wedge(A)
+    """F = dA + A wedge A, antisymmetric in the form indices; computed on
+    first use and kept, since a connection is not changed once built."""
+    return conn._curvature
 
 
 def finite_difference_curvature(conn: SmoothConnection, env: dict,
@@ -545,9 +574,13 @@ def _wrap_env(conn: SmoothConnection, loop: Loop, env: dict) -> dict:
 
 # Steps of `transport` whose propagators are built and multiplied in one
 # batch: enough to make the per-call cost vanish, few enough to keep the
-# node and propagator arrays small.  8192 steps per block left the
-# holonomy benchmark's verdict time near 0.019 s (0.018-0.019 s in two 10 s
-# runs) and raised its peak resident memory by 2.5 MB (35.8 -> 38.3 MB).
+# node and propagator arrays small.  The block size is part of the result,
+# since it sets where the pairwise product tree splits, and the golden
+# holonomy reports pin it: each of 512, 2048, 4096 and 8192 moves the
+# 4096-step holonomy of rotation_plane on circle_r05 by 1.1e-16.  8192
+# steps per block also left the holonomy benchmark's verdict time near
+# 0.019 s (0.018-0.019 s in two 10 s runs) and raised its peak resident
+# memory by 2.5 MB (35.8 -> 38.3 MB).
 TRANSPORT_BLOCK = 1024
 
 
@@ -621,9 +654,12 @@ def _ordered_product(P: np.ndarray) -> np.ndarray:
 
 def _generator(conn: SmoothConnection, loop: Loop, u: np.ndarray
                ) -> np.ndarray:
-    """-A(gamma(u)) gamma'(u), entry-major of shape (r, r, len(u)), with
-    A_c evaluated only where c moves; LoopOutsideDomain at the first u
-    outside."""
+    """-A(gamma(u)) gamma'(u), entry-major of shape (r, r, len(u)), from
+    the nonzero entries of each A_c alone, evaluated only where c moves;
+    LoopOutsideDomain at the first u outside.
+
+    M starts at +0.0 and never holds -0.0, so an entry left out, which
+    would subtract 0 * v = +-0.0, leaves M as it is to the bit."""
     env = _wrap_env(conn, loop, loop.point(u))
     inside = conn.contains(env)
     if not np.all(inside):
@@ -633,15 +669,14 @@ def _generator(conn: SmoothConnection, loop: Loop, u: np.ndarray
     vel = loop.velocity(u)
     M = np.zeros((conn.rank, conn.rank, len(u)), dtype=complex)
     for name in (c for c in conn.coords if c in conn.comps):
-        moving = vel[name] != 0.0
-        at = {c: v[moving] for c, v in env.items()}
-        # A is zero where c stands still, and so is the velocity there (a
-        # masked += on the last axis costs more); evaluate_at moves the
-        # axes of an (r, r, points) array, so moving them back is a view
-        A = np.zeros_like(M)
-        A[:, :, moving] = np.moveaxis(conn.evaluate_at(name, at),
-                                      (-2, -1), (0, 1))
-        M -= A * vel[name]
+        v = vel[name]
+        moving = v != 0.0
+        if moving.all():
+            at, moving = env, slice(None)
+        else:
+            at = {c: x[moving] for c, x in env.items()}
+        for i, j, entry in conn.comps[name].nonzero:
+            M[i, j, moving] -= entry.eval(at) * v[moving]
     return M
 
 

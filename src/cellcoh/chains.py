@@ -20,11 +20,7 @@ import numpy as np
 from .linalg import (_JOIN_WORK, IntSolver, RatSolver, _Elimination, _entries,
                      _int_mv, _nonzero_key, as_columns, as_matrix,
                      block_zeros, check_int_entries, exact_storage, int_zeros,
-                     integerize_rows, is_zero, mm, to_numerators, vanishes,
-                     zero_columns)
-# chains runs no Smith form of its own, every one is an IntSolver's; the name
-# stays importable here for callers that count Smith forms by patching it
-from .linalg import smith_normal_form  # noqa: F401
+                     integerize_rows, is_zero, mm, vanishes, zero_columns)
 
 RING_Z = "Z"
 RING_Q = "Q"
@@ -614,7 +610,7 @@ class HomologyData:
     are those with D'_i != 1 (over Q, D'_i = 0): gens is one product of
     out.kernel_basis() and those columns, and express reads those rows of
     U' x, over Z only for an integral x (U' is unimodular).  The class is
-    zero exactly when x lies in the image of rel, which rel.solve_many
+    zero exactly when x lies in the image of rel, which rel.solvable
     decides over Z and the RatSolver on rel over Q.  A (rank, k) matrix of
     cocycles is one batch for each of them.  Over Q both solvers are built
     on integers: scaling the rows of d^n and the columns of d^(n-1) to
@@ -676,10 +672,7 @@ class HomologyData:
         is no cocycle); one verdict per column of a (rank, k) matrix."""
         B, batch = as_columns(vec, self.complex.rank(self.degree))
         x, ok = self._out.kernel_coordinates(B)
-        if self.complex.ring == RING_Z:
-            ok = ok & self._rel.solve_many(x)[1]
-        else:
-            ok = ok & self._rel.solve_numerators(*to_numerators(x))[-1]
+        ok = ok & self._rel.solvable(x)
         return ok if batch else bool(ok[0])
 
     def classes_equal(self, v, w):

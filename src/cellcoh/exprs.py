@@ -389,15 +389,24 @@ def evaluate(e: Expr, env: dict):
     >>> evaluate(parse_expr("s^2 + 1"), {"s": np.array([0.0, 1.0, 2.0])})
     array([1., 2., 5.])
     """
-    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                   for v in env.values()))
+    arrays = [np.asarray(v, dtype=float) for v in env.values()]
+    if len({a.shape for a in arrays}) > 1:
+        arrays = np.broadcast_arrays(*arrays)
     points = dict(zip(env, arrays))
     shape = arrays[0].shape if arrays else ()
     with np.errstate(all="ignore"):
         val = _eval(e, points)
-    _raise_at(~np.isfinite(val), "non-finite value", points)
-    val = np.broadcast_to(val, shape)
-    return val if shape else float(val)
+    if not np.isfinite(val).all():
+        _raise_at(~np.isfinite(val), "non-finite value", points)
+    if not shape:
+        return float(val)
+    if np.shape(val) != shape:
+        return np.broadcast_to(val, shape)
+    # a read-only view, as broadcast_to gives: a bare coordinate is the
+    # caller's own array
+    val = val.view()
+    val.flags.writeable = False
+    return val
 
 
 def _raise_at(bad, what: str, points: dict) -> None:

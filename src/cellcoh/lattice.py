@@ -29,6 +29,7 @@ import numpy as np
 
 from .bundles import (PATH_PARAM, SmoothConnection, gauss_legendre01,
                       transgress_ch)
+from .bundles import curvature as smooth_curvature  # of a connection
 from .cells import CellComplex, named_complex
 from .chains import parse_int, parse_rational
 from .diffcoh import (DifferentialCochain, equal_classes, forms_a,
@@ -157,55 +158,79 @@ class SurfaceChart:
     """Piecewise linear realization of a surface complex on a rational box
     (optionally periodic): vertex positions plus nearest-lift unwrapping of
     edges and faces.  A chart is not changed once built: the lifted edges
-    and faces are computed on first use and kept."""
+    and faces are computed on first use and kept.
+
+    Lifts run on integer numerators over the least common denominator of
+    the positions and periods, and a float is made from each lifted
+    numerator by one correctly rounded division."""
 
     complex: CellComplex
     coords: tuple                 # the two base coordinate names, in order
     positions: dict               # vertex id -> (Fraction, Fraction)
     periods: tuple | None = None  # (Fraction, Fraction) or None
 
-    def lift(self, p, q):
-        """Representative of q nearest to p (componentwise, periodic case)."""
-        if self.periods is None:
-            return q
-        out = []
-        for x, y, per in zip(p, q, self.periods):
-            d = Fraction(y) - Fraction(x)
-            shift = round(d / per)
-            out.append(Fraction(y) - shift * Fraction(per))
-        return tuple(out)
+    @cached_property
+    def _grid(self):
+        """(den, vertex -> row, numerators, periods): the positions as an
+        object array of ints of shape (vertices, 2) over den, and the
+        absolute periods over den (None when not periodic)."""
+        vals = [Fraction(x) for p in self.positions.values() for x in p]
+        vals += [Fraction(p) for p in self.periods or ()]
+        den = lcm(*(x.denominator for x in vals))
+        num = np.array([x.numerator * (den // x.denominator) for x in vals],
+                       dtype=object)
+        n = 2 * len(self.positions)
+        per = None if self.periods is None else abs(num[n:])
+        return (den, {v: k for k, v in enumerate(self.positions)},
+                num[:n].reshape(-1, 2), per)
+
+    def _lift(self, cells) -> np.ndarray:
+        """Numerators over den of the vertices of each cell, shape (cells,
+        vertices, 2): every vertex after the first is moved by whole
+        periods to its representative nearest the first, componentwise,
+        ties to even as round() breaks them (a shift by -p rounds to minus
+        the shift by p, so a period is used by its absolute value)."""
+        den, row, num, per = self._grid
+        pts = num[[[row[v] for v in c] for c in cells]]
+        if per is not None:
+            d = pts[:, 1:] - pts[:, :1]
+            q, r = d // per, d % per
+            pts[:, 1:] -= (q + ((2 * r > per)
+                                | ((2 * r == per) & (q % 2 == 1)))) * per
+        return pts
+
+    def _fractions(self, cell) -> tuple:
+        den = self._grid[0]
+        return tuple(tuple(Fraction(x, den) for x in p)
+                     for p in self._lift([cell])[0])
 
     def edge_segment(self, edge):
-        va, vb = edge
-        pa = self.positions[va]
-        pb = self.lift(pa, self.positions[vb])
-        return pa, pb
+        """(start, end) of the lifted edge, as pairs of Fractions."""
+        return self._fractions(edge)
 
     def face_triangle(self, face):
-        v0, v1, v2 = face
-        p0 = self.positions[v0]
-        p1 = self.lift(p0, self.positions[v1])
-        p2 = self.lift(p0, self.positions[v2])
-        return p0, p1, p2
+        """The three lifted corners of a face, as pairs of Fractions."""
+        return self._fractions(face)
+
+    def _floats(self, num) -> np.ndarray:
+        """Read-only float array of numerators over den, each correctly
+        rounded as float(Fraction) rounds it."""
+        return _read_only((num / self._grid[0]).astype(float))
 
     @cached_property
     def edge_geometry(self):
         """(start, direction) of every lifted edge in the complex's edge
         order, as read-only float arrays of shape (edges, 2)."""
-        segs = [self.edge_segment(e) for e in self.complex.cells(1)]
-        start = np.array([[float(x) for x in pa] for pa, _ in segs])
-        d = np.array([[float(y - x) for x, y in zip(pa, pb)] for pa, pb in segs])
-        return _read_only(start), _read_only(d)
+        pts = self._lift(self.complex.cells(1))
+        return self._floats(pts[:, 0]), self._floats(pts[:, 1] - pts[:, 0])
 
     @cached_property
     def face_geometry(self):
         """(p0, p1 - p0, p2 - p0) of every lifted face triangle in the
         complex's face order, as read-only float arrays of shape (faces, 2)."""
-        tris = [self.face_triangle(f) for f in self.complex.cells(2)]
-        p0 = np.array([[float(x) for x in t[0]] for t in tris])
-        e1, e2 = (np.array([[float(y - x) for x, y in zip(t[0], t[k])]
-                            for t in tris]) for k in (1, 2))
-        return _read_only(p0), _read_only(e1), _read_only(e2)
+        pts = self._lift(self.complex.cells(2))
+        return (self._floats(pts[:, 0]), self._floats(pts[:, 1] - pts[:, 0]),
+                self._floats(pts[:, 2] - pts[:, 0]))
 
     @classmethod
     def from_json(cls, obj: dict, coords=("s", "t")) -> "SurfaceChart":
@@ -220,6 +245,8 @@ class SurfaceChart:
         periods = None
         if obj.get("periods"):
             periods = tuple(parse_rational(p) for p in obj["periods"])
+            if 0 in periods:
+                raise ValueError("chart periods must be nonzero")
         return cls(K, tuple(coords), positions, periods)
 
 
@@ -280,7 +307,6 @@ def discretize_connection(conn: SmoothConnection, chart: SurfaceChart,
 
     a = _edge_cochain(chart, conn_env, steps)
 
-    from .bundles import curvature as smooth_curvature
     F = smooth_curvature(conn)
     si = conn.coords.index(s_name)
     ti = conn.coords.index(t_name)

@@ -814,17 +814,27 @@ class IntSolver:
             as_vector(b, self.snf.U.shape[0]).reshape(-1, 1))
         return X[:, 0] if ok[0] else None
 
+    def _reduce(self, B):
+        """(Y, ok) for the columns b of B: Y = (U b)[:r], and ok[j] says
+        whether A x = b_j has an integer solution, the step that solve_many
+        and solvable share."""
+        N, L = to_numerators(as_matrix(B))
+        Y, ok = divide_columns(_int_product(self.snf.U, N), L)
+        r = self.rank
+        return Y[:r], ok & zero_columns(Y[r:]) & zero_columns(Y[:r] % self._d)
+
     def solve_many(self, B):
         """(X, ok): for each column j of B, ok[j] says whether A x = B[:, j]
         has an integer solution, and then X[:, j] is one (X is zero in the
         other columns).  B may have rational entries."""
-        N, L = to_numerators(as_matrix(B))
-        Y, ok = divide_columns(_int_product(self.snf.U, N), L)
-        r = self.rank
-        ok = ok & zero_columns(Y[r:]) & zero_columns(Y[:r] % self._d)
-        X = _to_object(_int_product(self.snf.V[:, :r], Y[:r] // self._d))
+        Y, ok = self._reduce(B)
+        X = _to_object(_int_product(self.snf.V[:, :self.rank], Y // self._d))
         X[:, ~ok] = 0
         return X, ok
+
+    def solvable(self, B) -> np.ndarray:
+        """The verdicts ok of solve_many(B), without the solutions."""
+        return self._reduce(B)[1]
 
     def kernel_basis(self) -> np.ndarray:
         """Columns form a basis of the integer kernel lattice: the stored
@@ -909,6 +919,12 @@ class RatSolver:
         Y = _int_product(self.int.snf.U, N)
         r = self.rank
         return Y[r:], _int_product(self.int.snf.V[:, :r], Y[:r] * self._w)
+
+    def solvable(self, B) -> np.ndarray:
+        """The verdicts ok of solve_numerators for the columns of B, without
+        the solutions: the rows of U n past r alone are made."""
+        N = to_numerators(as_matrix(B))[0]
+        return zero_columns(_int_product(self.int.snf.U[self.rank:], N))
 
     def solve_numerators(self, N: np.ndarray, L: int):
         """(X, L', ok) for the columns b_j = N[:, j] / L of a (rows, k)

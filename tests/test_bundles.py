@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cellcoh import bundles as bd
+from cellcoh.exprs import EvalError, evaluate
 
 
 def data(path):
@@ -412,3 +413,126 @@ def test_gauss_legendre_nodes_are_computed_once_and_read_only():
         nodes[0] = 0.0
     assert weights.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.all((0 < nodes) & (nodes < 1))
+
+
+def test_transport_evaluates_only_the_nonzero_entries(monkeypatch):
+    # per block of 1024 steps: the loop's point and velocity in s and t,
+    # and the two nonzero real parts -s and s of A_t; the other six entry
+    # parts of rotation_plane are structural zeros and are not evaluated
+    calls = []
+    evaluate = bd.evaluate
+    monkeypatch.setattr(bd, "evaluate",
+                        lambda e, env: calls.append(e) or evaluate(e, env))
+    loop = bd.Loop.load(data("loops/circle_r05.json"))
+    bd.transport(rotation_plane(), loop, 0.0, 1.0, 4096)
+    assert bd.TRANSPORT_BLOCK == 1024 and len(calls) == 24
+
+
+def dense_generator(conn, loop, u):
+    """-A(gamma(u)) gamma'(u) by the dense rule: every entry of each A_c,
+    both parts, evaluated where c moves and subtracted times the velocity
+    as one (r, r, points) array."""
+    env = bd._wrap_env(conn, loop, loop.point(u))
+    inside = conn.contains(env)
+    if not np.all(inside):
+        j = int(np.argmin(inside))
+        raise bd.LoopOutsideDomain(float(u[j]),
+                                   {c: float(v[j]) for c, v in env.items()})
+    vel = loop.velocity(u)
+    M = np.zeros((conn.rank, conn.rank, len(u)), dtype=complex)
+    for name in (c for c in conn.coords if c in conn.comps):
+        moving = vel[name] != 0.0
+        at = {c: v[moving] for c, v in env.items()}
+        A = np.zeros_like(M)
+        for i, row in enumerate(conn.comps[name]):
+            for j, x in enumerate(row):
+                z = np.array(evaluate(x.re, at), dtype=complex)
+                z.imag = evaluate(x.im, at)
+                A[i, j, moving] = z
+        M -= A * vel[name]
+    return M
+
+
+def mixed_parts():
+    # entries with a real part only, an imaginary part only, both parts,
+    # and structural zeros, in both components
+    return bd.SmoothConnection.from_json(
+        {"rank": 2, "coords": ["s", "t"],
+         "domain": {"s": ["-2", "2"], "t": ["-2", "2"]},
+         "A": {"s": [[["0", "t"], ["s*t", "1/3"]],
+                     [["0", "0"], ["cos(s)", "0"]]],
+               "t": [[["exp(s)", "0"], ["0", "0"]],
+                     [["0", "-s"], ["t", "s^2"]]]}})
+
+
+def test_evaluate_at_skips_structural_zeros(monkeypatch):
+    # A_s and A_t of mixed_parts have 4 nonzero entry parts each; the other
+    # 4 are not evaluated and read +0.0, as evaluating them gives
+    conn = mixed_parts()
+    env = bd.stack_points([{"s": -1.5, "t": 0.25}, {"s": 0.5, "t": 1.75}])
+    want = {name: np.array([[[complex(evaluate(x.re, p), evaluate(x.im, p))
+                              for x in row] for row in conn.comps[name]]
+                            for p in ({"s": -1.5, "t": 0.25},
+                                      {"s": 0.5, "t": 1.75})])
+            for name in ("s", "t")}
+    calls = []
+    monkeypatch.setattr(bd, "evaluate",
+                        lambda e, env: calls.append(e) or evaluate(e, env))
+    for name in ("s", "t"):
+        calls.clear()
+        got = conn.evaluate_at(name, env)
+        assert len(calls) == 4
+        assert got.tobytes() == want[name].tobytes()
+
+
+# loops whose s or t stands still: at isolated points (the circle), over
+# the last quarter of the range, where exp(-1000 u) and its derivative
+# underflow to zero, and everywhere (a constant coordinate)
+STILL_LOOPS = {
+    "circle_r08": {"s": "4/5*cos(2*pi*u)", "t": "4/5*sin(2*pi*u)"},
+    "underflow": {"s": "cos(2*pi*u)", "t": "exp(-1000*u)"},
+    "constant": {"s": "1/2", "t": "sin(2*pi*u)"},
+}
+
+
+@pytest.mark.parametrize("loop_name", sorted(STILL_LOOPS))
+def test_generator_matches_the_dense_reference(loop_name):
+    loop = bd.Loop.from_json({"coords": STILL_LOOPS[loop_name]})
+    u = np.arange(2049) / 2048
+    vel = loop.velocity(u)
+    still = {c: int(np.sum(v == 0.0)) for c, v in vel.items()}
+    assert any(still.values())        # the masked path runs
+    if loop_name == "underflow":
+        assert 0 < still["t"] < len(u) // 2
+    for conn in (mixed_parts(), noncommuting_plane(),
+                 noncommuting_connection(3), rotation_plane()):
+        got = bd._generator(conn, loop, u)
+        want = dense_generator(conn, loop, u)
+        # equal to the bit, signed zeros included
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def test_generator_raises_where_the_dense_reference_raises():
+    # 1/s has a pole at s = 0, which s = u - 1/2 meets at the node u = 1/2;
+    # in the real part, the imaginary part, and after a structural zero
+    u = np.arange(2049) / 2048
+    loop = bd.Loop.from_json({"coords": {"s": "u - 1/2", "t": "u"}})
+    for entry in (["1/s", "0"], ["t", "1/s"], ["0", "t/s"]):
+        conn = bd.SmoothConnection.from_json(
+            {"rank": 2, "coords": ["s", "t"],
+             "domain": {"s": ["-2", "2"], "t": ["-2", "2"]},
+             "A": {"t": [[["0", "0"], entry], [["s", "0"], ["0", "0"]]]}})
+        with pytest.raises(EvalError) as got:
+            bd._generator(conn, loop, u)
+        with pytest.raises(EvalError) as want:
+            dense_generator(conn, loop, u)
+        assert str(got.value) == str(want.value)
+        assert "'s': 0.0" in str(got.value) and "'t': 0.5" in str(got.value)
+    # the domain is checked first: a loop that leaves it after the pole
+    # reports the first node outside, as before
+    wide = bd.Loop.from_json({"coords": {"s": "u - 1/2", "t": "3*u"}})
+    with pytest.raises(bd.LoopOutsideDomain) as got:
+        bd._generator(conn, wide, u)
+    with pytest.raises(bd.LoopOutsideDomain) as want:
+        dense_generator(conn, wide, u)
+    assert got.value.u == want.value.u == 683 / 1024

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellcoh import cells as cl
-from cellcoh import chains as ch
 from cellcoh import diffcoh as dc
 from cellcoh import linalg as la
 from cellcoh.linalg import is_zero, mv, zeros
@@ -509,8 +508,7 @@ def test_hexagon_factors_each_matrix_once_however_many_samples(monkeypatch):
         calls.append(1)
         return snf(A)
 
-    for mod in (la, ch):
-        monkeypatch.setattr(mod, "smith_normal_form", counted)
+    monkeypatch.setattr(la, "smith_normal_form", counted)
     counts = []
     for samples in (5, 20):
         calls.clear()
@@ -549,8 +547,7 @@ def test_hexagon_factors_no_solver_matrix_twice(name, monkeypatch):
         finally:
             building.pop()
 
-    for mod in (la, ch):
-        monkeypatch.setattr(mod, "smith_normal_form", counted)
+    monkeypatch.setattr(la, "smith_normal_form", counted)
     monkeypatch.setattr(la.IntSolver, "__init__", solver_init)
     K = cl.bundled_complex(name)
     assert dc.hexagon_exactness(K, HEXAGON_M[name], samples=10)["passed"]

@@ -64,9 +64,15 @@ CASES = {
         ["ch", str(DATA / "connections" / "rotation_plane.json")],
     "transgress_torus_wilson_path":
         ["transgress", str(DATA / "connections" / "torus_wilson_path.json")],
-    "holonomy_rotation_plane_circle_r05":
-        ["holonomy", str(DATA / "connections" / "rotation_plane.json"),
-         str(DATA / "loops" / "circle_r05.json")],
+    "transgress_rotation_path":
+        ["transgress", str(DATA / "connections" / "rotation_path.json")],
+    **{f"holonomy_rotation_plane_{loop}":
+       ["holonomy", str(DATA / "connections" / "rotation_plane.json"),
+        str(DATA / "loops" / f"{loop}.json")]
+       for loop in ("circle_r03", "circle_r05", "circle_r08")},
+    "holonomy_circle_clock_full_circle":
+        ["holonomy", str(DATA / "connections" / "circle_clock.json"),
+         str(DATA / "loops" / "full_circle.json")],
 }
 
 
@@ -113,6 +119,26 @@ def _bench_ops(names, tmp_path):
     made = inputs.generate(tmp_path / "inputs", 1)
     return [op.argv for name in names
             for op in workloads.WORKLOADS[name](made, DATA, 1)]
+
+
+def _unseeded(argv):
+    """argv without --seed, which no float report reads, and without
+    --steps at the holonomy default of 4096."""
+    out, i = [], 0
+    while i < len(argv):
+        if argv[i] == "--seed" or argv[i:i + 2] == ["--steps", "4096"]:
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
+def test_every_holonomy_workload_op_has_a_golden_case(tmp_path):
+    # the float layer is pinned on exactly what the benchmark times
+    cases = [_unseeded(argv) for argv in CASES.values()]
+    assert [argv for argv in _bench_ops(("holonomy",), tmp_path)
+            if _unseeded(argv) not in cases] == []
 
 
 def test_no_report_value_reaches_the_json_default(tmp_path, monkeypatch,

@@ -277,3 +277,67 @@ def test_character_check_builds_no_fraction_per_sample(monkeypatch):
         assert ok
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+def test_cycle_map_check_computes_the_curvature_once(monkeypatch):
+    # both endpoint discretizations and the transgression read the one
+    # curvature that the connection keeps
+    calls = []
+    one_form = bd.SmoothConnection.one_form
+    monkeypatch.setattr(bd.SmoothConnection, "one_form",
+                        lambda self: calls.append(self) or one_form(self))
+    path = bd.SmoothConnection.load(data("connections/torus_wilson_path.json"))
+    chart = flat_chart()
+    assert lt.cycle_map_homotopy_check(path, chart)["passed"]
+    assert calls == [path]
+    assert lt.cycle_map_homotopy_check(path, chart)["passed"]
+    assert calls == [path]
+    assert bd.curvature(path) is bd.curvature(path)
+
+
+def _nearest(p, q, periods):
+    """The representative of q nearest p by Fraction arithmetic, ties to
+    even as round() breaks them."""
+    return tuple(y - round((y - x) / per) * per
+                 for x, y, per in zip(p, q, periods))
+
+
+@pytest.mark.parametrize("periods", [(Fraction(1), Fraction(1)),
+                                     (Fraction(-1, 2), Fraction(3, 4)),
+                                     (Fraction(2, 3), Fraction(-1))])
+def test_chart_lifts_match_fraction_arithmetic(periods):
+    # positions on a grid of quarters, so that many differences are half a
+    # period: the lifts on integer numerators break ties as round() does
+    K = cl.bundled_complex("csaszar_torus")
+    rng = random.Random(7)
+    pos = {v[0]: tuple(Fraction(rng.randint(-8, 8), 4) for _ in "st")
+           for v in K.cells(0)}
+    chart = lt.SurfaceChart(K, ("s", "t"), pos, periods)
+    ties = 0
+    for cell in K.cells(1) + K.cells(2):
+        want = (pos[cell[0]],) + tuple(_nearest(pos[cell[0]], pos[v], periods)
+                                       for v in cell[1:])
+        got = (chart.edge_segment if len(cell) == 2 else chart.face_triangle)(
+            cell)
+        assert got == want
+        ties += sum((y - x) / per % 1 == Fraction(1, 2)
+                    for v in cell[1:]
+                    for x, y, per in zip(pos[cell[0]], pos[v], periods))
+    assert ties > 0
+    start, d = chart.edge_geometry
+    for k, (a, b) in enumerate(chart.edge_segment(e) for e in K.cells(1)):
+        assert start[k].tolist() == [float(x) for x in a]
+        assert d[k].tolist() == [float(y - x) for x, y in zip(a, b)]
+    p0, e1, e2 = chart.face_geometry
+    for k, (a, b, c) in enumerate(chart.face_triangle(f) for f in K.cells(2)):
+        assert p0[k].tolist() == [float(x) for x in a]
+        assert e1[k].tolist() == [float(y - x) for x, y in zip(a, b)]
+        assert e2[k].tolist() == [float(y - x) for x, y in zip(a, c)]
+
+
+def test_chart_with_a_zero_period_is_refused():
+    with open(data("charts/csaszar_flat.json")) as fh:
+        obj = json.load(fh)
+    obj["periods"] = ["0", "1"]
+    with pytest.raises(ValueError, match="periods must be nonzero"):
+        lt.SurfaceChart.from_json(obj)

@@ -819,6 +819,47 @@ def test_batch_solves_match_single_column_solves():
                                    axis=1), list(u) + list(v), b)
 
 
+def test_solvable_is_the_verdict_of_the_solve_without_the_solution(
+        monkeypatch):
+    # IntSolver.solvable gives the ok of solve_many and RatSolver.solvable
+    # that of solve_numerators, and neither multiplies by V: the solution
+    # is never built
+    rng = random.Random(34)
+    product = la._int_product
+    operands, verdicts = [], set()
+    monkeypatch.setattr(la, "_int_product", lambda A, B: (
+        operands.append(A) or product(A, B)))
+    for trial in range(60):
+        rational = trial % 2 == 1
+        rows, cols, k = rng.randint(0, 4), rng.randint(0, 4), rng.randint(1, 5)
+        A = np.array([[_entry(rng, rational) for _ in range(cols)]
+                      for _ in range(rows)] + [[0] * cols],
+                     dtype=object).reshape(rows + 1, cols)
+        columns = []
+        for _ in range(k):
+            x = np.array([_entry(rng, rng.random() < 0.5)
+                          for _ in range(cols)], dtype=object)
+            b = la.mv(A, x)
+            if rng.random() < 0.5:
+                b = b + np.array([_entry(rng, True) for _ in range(rows + 1)],
+                                 dtype=object)
+            columns.append(b)
+        B = np.stack(columns, axis=1)
+        rat = la.RatSolver(A)
+        solvers = [(rat, rat.solve_numerators(*la.to_numerators(B))[-1])]
+        if not rational:
+            solver = la.IntSolver(A)
+            solvers.append((solver, solver.solve_many(B)[1]))
+        for solver, ok in solvers:
+            operands.clear()
+            assert solver.solvable(B).tolist() == ok.tolist()
+            V = (solver.int if solver is rat else solver).snf.V
+            assert not any(np.shares_memory(a, V) for a in operands)
+            verdicts.update(ok.tolist())
+    assert verdicts == {True, False}
+
+
+
 # ---------------------------------------------------------------------------
 # The sparse elimination against the dense Smith kernel it replaced
 # ---------------------------------------------------------------------------
