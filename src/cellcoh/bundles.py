@@ -265,9 +265,19 @@ class SmoothConnection:
         return self.component(name).eval(env)
 
     @functools.cached_property
+    def _A(self) -> Form:
+        return self.one_form()
+
+    @functools.cached_property
+    def dA(self) -> Form:
+        """The exterior derivative of A, made once.  For rank 1 it is the
+        curvature: A wedge A vanishes there, as scalars commute, although
+        its symbolic coefficients A_s A_t - A_t A_s are not dropped."""
+        return self._A.exterior_d(self.coords)
+
+    @functools.cached_property
     def _curvature(self) -> Form:
-        A = self.one_form()
-        return A.exterior_d(self.coords) + A.wedge(A)
+        return self.dA + self._A.wedge(self._A)
 
     def contains(self, env):
         """Whether the point lies in the domain; elementwise over arrays."""

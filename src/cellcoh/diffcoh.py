@@ -372,7 +372,7 @@ class QZCohomology:
         """Whether the class of u = un / L vanishes; one verdict per column
         of a (cells, k) matrix un."""
         B, batch = as_columns(un, self.n_cells)
-        ok = self._member.solve_numerators(B, L)[-1]
+        ok = self._member.solvable(B, L)
         return ok if batch else bool(ok[0])
 
     def bockstein(self, un, L: int) -> np.ndarray:
@@ -693,12 +693,12 @@ def hexagon_exactness(K: CellComplex, m: int, samples: int = 100,
     alpha = closed(coefs) + _int_mv(hx.delta_below, g)
     coords, ok = hx.h_low_q.express(alpha)
     record("exact_at_forms_node", zero_columns(d_top(alpha)) & ok
-           & hx._a_exact.solve_numerators(alpha - mm(gens, coords), D)[-1])
+           & hx._a_exact.solvable(alpha - mm(gens, coords)))
 
     # upper row exactness at the closed-forms node: ker(cls_Q) = im(d_top)
     omega = d_top(*_draw(many, num(n_low)))
     record("exact_at_closed_forms_node",
-           hx._z_exact.solve_numerators(omega, D)[-1]
+           hx._z_exact.solvable(omega)
            & hx.h_high_q.class_is_zero(omega))
 
     # a/I diagonal, exactness at the element node: I(x) = 0 gives x = a(h + b)

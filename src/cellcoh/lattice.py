@@ -29,7 +29,6 @@ import numpy as np
 
 from .bundles import (PATH_PARAM, SmoothConnection, gauss_legendre01,
                       transgress_ch)
-from .bundles import curvature as smooth_curvature  # of a connection
 from .cells import CellComplex, named_complex
 from .chains import parse_int, parse_rational
 from .diffcoh import (DifferentialCochain, equal_classes, forms_a,
@@ -255,21 +254,56 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def nearest_rational(x: float, max_den: int = 10 ** 6) -> Fraction:
-    """Best rational approximation with bounded denominator."""
-    return Fraction(x).limit_denominator(max_den)
+_MAX_DEN = 10 ** 6
 
 
-def _edge_cochain(chart: SurfaceChart, one_form, steps: int) -> np.ndarray:
-    """Line integrals of a real 1-form along every lifted edge, rounded by
-    nearest_rational; one_form maps a point of arrays (edge, node) to its
-    two coefficient arrays, so all nodes are evaluated in one call."""
+def nearest_rational(x: float, max_den: int = _MAX_DEN) -> Fraction:
+    """Best rational approximation with bounded denominator: the Fraction
+    Fraction(x).limit_denominator(max_den) gives."""
+    return Fraction(*_rounded(x, max_den))
+
+
+def _rounded(x: float, max_den: int) -> tuple[int, int]:
+    """(p, q), q > 0 and coprime to p, with p / q the best approximation of
+    x with q <= max_den: the continued-fraction walk of
+    Fraction.limit_denominator run on the integers of x.as_integer_ratio()
+    (which raises as Fraction(x) does for inf and nan), its tie rule, the
+    convergent p1 / q1 over the semiconvergent, as a cross-multiplication."""
+    if max_den < 1:
+        raise ValueError("max_denominator should be at least 1")
+    n, d = x.as_integer_ratio()
+    if d <= max_den:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    a, b = n, d
+    while True:
+        c = a // b
+        q2 = q0 + c * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + c * p1, q2
+        a, b = b, a - c * b
+    k = (max_den - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    if abs(p1 * d - n * q1) * q <= abs(p * d - n * q) * q1:
+        return p1, q1
+    return p, q
+
+
+def _edge_cochain(chart: SurfaceChart, one_form, steps: int):
+    """(numerators, den): the line integrals of a real 1-form along every
+    lifted edge, each rounded by nearest_rational, as integer numerators
+    over the lcm of their denominators (what to_numerators gives of the
+    Fractions); one_form maps a point of arrays (edge, node) to its two
+    coefficient arrays, so all nodes are evaluated in one call."""
     u, w = gauss_legendre01(steps)
     start, d = chart.edge_geometry
     pts = start[:, None] + u[:, None] * d[:, None]
     a_s, a_t = one_form(dict(zip(chart.coords, np.moveaxis(pts, -1, 0))))
     vals = np.sum(w * (a_s * d[:, :1] + a_t * d[:, 1:]), axis=-1)
-    return np.array([nearest_rational(float(v)) for v in vals], dtype=object)
+    pq = [_rounded(v, _MAX_DEN) for v in vals.tolist()]
+    den = lcm(*(q for _, q in pq))
+    return np.array([p * (den // q) for p, q in pq], dtype=object), den
 
 
 def _face_integrals(chart: SurfaceChart, two_form, steps: int) -> np.ndarray:
@@ -290,7 +324,9 @@ def discretize_connection(conn: SmoothConnection, chart: SurfaceChart,
                           u_value, steps: int = 24) -> LatticeLineBundle:
     """Sample a rank-1 connection (real entries, 2 pi normalized) at one
     path parameter onto the chart: a by edge integrals, n by rounding
-    face flux minus delta a."""
+    face flux minus delta a.  The flux is that of dA, which for rank 1 is
+    the curvature; a component of dA that is structurally zero gives the
+    flux 0.0 with no quadrature."""
     if conn.rank != 1:
         raise ValueError("discretization needs a rank-1 connection")
     K = chart.complex
@@ -305,24 +341,21 @@ def discretize_connection(conn: SmoothConnection, chart: SurfaceChart,
                              "(2 pi normalized) coefficients")
         return (a_s.real, a_t.real)
 
-    a = _edge_cochain(chart, conn_env, steps)
+    an, den = _edge_cochain(chart, conn_env, steps)
+    da = _int_mv(K.boundary_matrix(2).T, an)
 
-    F = smooth_curvature(conn)
     si = conn.coords.index(s_name)
     ti = conn.coords.index(t_name)
-    key = (min(si, ti), max(si, ti))
-    comp = F.comps.get(key)
+    comp = conn.dA.comps.get((min(si, ti), max(si, ti)))
+    if comp is None:
+        flux = np.zeros(len(da))
+    else:
+        def f_eval(pt):
+            v = comp[0][0].eval({**pt, **fixed})
+            return v.real if si < ti else -v.real
 
-    def f_eval(pt):
-        if comp is None:
-            return 0.0
-        v = comp[0][0].eval({**pt, **fixed})
-        return v.real if si < ti else -v.real
-
-    an, den = to_numerators(a)
-    da = _int_mv(K.boundary_matrix(2).T, an)
-    n = [int(round(flux - d / den))
-         for flux, d in zip(_face_integrals(chart, f_eval, steps), da)]
+        flux = _face_integrals(chart, f_eval, steps)
+    n = [int(round(f - d / den)) for f, d in zip(flux.tolist(), da)]
     return LatticeLineBundle(K, np.array(n, dtype=object), an, den)
 
 
@@ -367,10 +400,10 @@ def cycle_map_homotopy_check(path: SmoothConnection, chart: SurfaceChart,
             return (0.0, 0.0)
         return tuple(np.real(term.eval_component((i,), pt)) for i in (si, ti))
 
-    tvec = _edge_cochain(chart, tg_env, steps)
+    tn, tden = _edge_cochain(chart, tg_env, steps)
 
     diff = x1 - x0
-    eq, wit = equal_classes(diff, forms_a(K, 2, 2, *to_numerators(tvec)))
+    eq, wit = equal_classes(diff, forms_a(K, 2, 2, tn, tden))
     report["passed"] = bool(eq)
     report["witness_found"] = bool(eq)
     if not eq:

@@ -25,8 +25,10 @@ floating point is used.
 One elimination on sparse rows of Python ints gives the Smith normal form
 U A V = D: the +-1 pivots, nearly all of a cellular or total differential,
 go first, then the smallest entry of what is left.  smith_normal_form
-applies each step to U, U^-1, V and V^-1 and stores them like any integer
-matrix; invariant_factors (behind rat_rank) builds none, nor does
+applies each step to U, U^-1, V and V^-1; it stores U and V, which every
+solve reads, when the form is made, and D, U^-1 and V^-1 on first read, all
+in the stored form of int_storage; invariant_factors (behind rat_rank)
+builds no transform, nor does
 chains.Complex.factors, which sweeps a complex up its degrees and
 eliminates each differential less the columns at the rows of the +-1
 pivots of the one below.
@@ -51,7 +53,8 @@ takes its right-hand sides as the columns of one matrix of integer
 numerators over one denominator, multiplies only integers against the
 fixed factors, checks integrality as divisibility and returns numerators
 with one verdict per column (solve_many, kernel_coordinates,
-solve_numerators); solve, on one vector, is the batch of its one column,
+solve_numerators), or the verdicts alone (solvable, which builds no
+solution); solve, on one vector, is the batch of its one column,
 and builds Fractions only for a non-integral entry of the returned
 solution.  IntSolver.kernel_basis is the stored V[:, r:] itself, a read-only
 view that a product reads with V's recorded bound.  solve_int and
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import lcm
 
@@ -130,10 +134,14 @@ def int_storage(a: np.ndarray) -> np.ndarray:
     elif a.flags.writeable:
         a = a.copy()
     amax = _recorded_bound(a)
-    if amax is None:
-        amax = _amax(a)
+    return _store(a, _amax(a) if amax is None else amax)
+
+
+def _store(a: np.ndarray, amax: int) -> np.ndarray:
+    """int_storage of an integer array that no caller can change, int64 or
+    object, whose max |entry| is amax."""
     if amax >= INT_BOUND:
-        a = a.astype(object)
+        a = a.astype(object, copy=False)
     a.setflags(write=False)
     if a.dtype == np.int64 and a.base is None:   # a view may change
         key = id(a)
@@ -581,15 +589,29 @@ class SmithForm:
 
     The diagonal entries are non-negative and each divides the next.
     Uinv and Vinv are the exact inverses of U and V.  All five matrices
-    are stored by int_storage.
+    are in the stored form of int_storage: U and V, which every solve
+    reads, when the form is made; D, Uinv and Vinv, which few callers
+    read, on first read, from diag and the sparse columns of U^-1 and rows
+    of V^-1 that the elimination kept.
     """
 
-    __slots__ = ("U", "D", "V", "Uinv", "Vinv", "diag", "rank")
+    def __init__(self, U, V, diag: list[int], uinv_cols, vinv_rows):
+        self.U, self.V, self.diag = U, V, diag
+        self.rank = sum(1 for d in diag if d != 0)
+        self._uinv_cols, self._vinv_rows = uinv_cols, vinv_rows
 
-    def __init__(self, U, D, V, Uinv, Vinv):
-        self.U, self.D, self.V, self.Uinv, self.Vinv = U, D, V, Uinv, Vinv
-        self.diag = [int(D[i, i]) for i in range(min(D.shape))]
-        self.rank = sum(1 for d in self.diag if d != 0)
+    @cached_property
+    def D(self) -> np.ndarray:
+        return _stored([{t: d} for t, d in enumerate(self.diag[:self.rank])],
+                       (self.U.shape[0], self.V.shape[0]))
+
+    @cached_property
+    def Uinv(self) -> np.ndarray:
+        return _stored(self._uinv_cols, self.U.shape, columns=True)
+
+    @cached_property
+    def Vinv(self) -> np.ndarray:
+        return _stored(self._vinv_rows, self.V.shape)
 
 
 def _axpy(x: dict, y: dict, f: int):
@@ -736,11 +758,22 @@ class _Elimination:
 
 
 def _stored(vecs, shape: tuple[int, int], columns: bool = False):
-    """The matrix with the sparse vectors vecs as its rows (or columns),
-    stored by int_triples."""
-    return int_triples(shape, [(l, t, x) if columns else (t, l, x)
-                               for t, vec in enumerate(vecs)
-                               for l, x in vec.items()])
+    """The matrix with the sparse vectors vecs as its rows (or columns), in
+    the stored form of int_storage.  No index repeats within a vector, so
+    the entries are written by one assignment, and the bound is that of
+    the values."""
+    lines = np.repeat(np.arange(len(vecs)), [len(v) for v in vecs])
+    idx = np.fromiter(chain.from_iterable(vecs), dtype=np.intp,
+                      count=len(lines))
+    vals = list(chain.from_iterable(v.values() for v in vecs))
+    try:    # OverflowError for a value outside int64
+        x = np.array(vals, dtype=np.int64)
+        amax = _amax(x)
+    except OverflowError:
+        x, amax = np.array(vals, dtype=object), INT_BOUND
+    m = np.zeros(shape, dtype=x.dtype)
+    m[(idx, lines) if columns else (lines, idx)] = x
+    return _store(m, amax)
 
 
 def smith_normal_form(A) -> SmithForm:
@@ -754,12 +787,12 @@ def smith_normal_form(A) -> SmithForm:
     pc = [j for _, j, _ in e.pivots]
     pr += sorted(set(range(m)).difference(pr))
     pc += sorted(set(range(n)).difference(pc))
+    diag = [d for _, _, d in e.pivots]
     return SmithForm(
         _stored([e.U[i] for i in pr], (m, m)),
-        _stored([{t: d} for t, (_, _, d) in enumerate(e.pivots)], (m, n)),
         _stored([e.V[j] for j in pc], (n, n), columns=True),
-        _stored([e.Uinv[i] for i in pr], (m, m), columns=True),
-        _stored([e.Vinv[j] for j in pc], (n, n)))
+        diag + [0] * (min(m, n) - len(diag)),
+        [e.Uinv[i] for i in pr], [e.Vinv[j] for j in pc])
 
 
 def invariant_factors(A) -> list[int]:
@@ -920,11 +953,14 @@ class RatSolver:
         r = self.rank
         return Y[r:], _int_product(self.int.snf.V[:, :r], Y[:r] * self._w)
 
+    def _rest(self, N: np.ndarray) -> np.ndarray:
+        """The rows of U N past r: Y[r:] of _split, alone."""
+        return _int_product(self.int.snf.U[self.rank:], N)
+
     def solvable(self, B) -> np.ndarray:
         """The verdicts ok of solve_numerators for the columns of B, without
         the solutions: the rows of U n past r alone are made."""
-        N = to_numerators(as_matrix(B))[0]
-        return zero_columns(_int_product(self.int.snf.U[self.rank:], N))
+        return zero_columns(self._rest(to_numerators(as_matrix(B))[0]))
 
     def solve_numerators(self, N: np.ndarray, L: int):
         """(X, L', ok) for the columns b_j = N[:, j] / L of a (rows, k)
@@ -979,6 +1015,11 @@ class MixedSolver:
         out = np.zeros(N.shape, dtype=object)
         out[:, ok] = U
         return out, self.rat.scales * T, L * D, ok
+
+    def solvable(self, N: np.ndarray, L: int) -> np.ndarray:
+        """The verdicts ok of solve_numerators(N, L), without the solutions:
+        whether L divides the rows of U n past r."""
+        return divide_columns(self.rat._rest(N), L)[1]
 
     def solve(self, b):
         """Return (u, v) with u + A v = b exactly, or None."""

@@ -500,6 +500,64 @@ def test_qz_class_is_zero_decides_integral_classes():
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_membership_verdicts_build_no_solution(name, monkeypatch):
+    # QZCohomology.class_is_zero and the hexagon's exactness checks on its
+    # coboundary solvers take verdicts alone (MixedSolver.solvable,
+    # RatSolver.solvable): with the solves of those solvers made to raise,
+    # and _int_mv, which builds a mixed solution's u, raising during the
+    # class tests, every verdict and report is as before
+    K = cl.bundled_complex(name)
+    rng = random.Random(35)
+    classes, verdicts = [], set()
+    for n in range(K.dim + 1):
+        qz = dc.qz_cohomology(K, n)
+        un, L = qz._classes(np.stack([qz._class_draws(rng)
+                                      for _ in range(6)], axis=1))
+        G = np.array([[rng.randint(-9, 9) for _ in range(4)]
+                      for _ in range(qz.delta_below.shape[1])],
+                     dtype=object).reshape(-1, 4)
+        Z = np.array([[rng.randint(-3, 3) for _ in range(4)]
+                      for _ in range(qz.n_cells)], dtype=object)
+        un = np.concatenate([un, la.mm(qz.delta_below, G) + L * Z], axis=1)
+        ok = qz._member.solve_numerators(un, L)[-1]
+        classes.append((qz, un, L, ok.tolist()))
+        verdicts.update(ok.tolist())
+    assert verdicts == {True, False}
+    reports = [dc.hexagon_exactness(K, m, samples=6, seed=m)
+               for m in range(1, K.dim + 2)]
+
+    # the Q/Z membership solver also builds the witnesses of class
+    # equality, so it is guarded during the class tests alone
+    guarded = []
+    init = dc.Hexagon.__init__
+
+    def kept(self, *args):
+        init(self, *args)
+        guarded.extend([self._a_exact, self._z_exact])
+
+    def refused(solve):
+        def run(self, *args):
+            if any(self is s for s in guarded):
+                raise AssertionError("a verdict built a solution")
+            return solve(self, *args)
+        return run
+
+    monkeypatch.setattr(dc.Hexagon, "__init__", kept)
+    for cls in (la.RatSolver, la.MixedSolver):
+        monkeypatch.setattr(cls, "solve_numerators",
+                            refused(cls.solve_numerators))
+    with monkeypatch.context() as patch:
+        patch.setattr(la, "_int_mv", lambda *args: 1 / 0)
+        for qz, un, L, ok in classes:
+            guarded[:] = [qz._member]
+            assert qz.class_is_zero(un, L).tolist() == ok
+    guarded.clear()
+    assert [dc.hexagon_exactness(K, m, samples=6, seed=m)
+            for m in range(1, K.dim + 2)] == reports
+    assert len(guarded) == 2 * len(reports)
+
+
 def test_hexagon_factors_each_matrix_once_however_many_samples(monkeypatch):
     calls = []
     snf = la.smith_normal_form

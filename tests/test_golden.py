@@ -27,6 +27,7 @@ DATA = Path(cli.__file__).parent / "data"
 FIXTURES = Path(__file__).parent / "fixtures"
 SAMPLED = ["--samples", "3", "--seed", "1"]
 TORUS_BUNDLE = str(FIXTURES / "bundle_csaszar_torus.json")
+FLUX_PATH = str(FIXTURES / "connection_flux_path.json")
 CASES = {
     "hexagon_circle3_m1": ["hexagon", "circle3", "--m", "1", *SAMPLED],
     "hexagon_octahedron_m2": ["hexagon", "octahedron", "--m", "2", *SAMPLED],
@@ -58,6 +59,18 @@ CASES = {
     "cycle_map_check_torus_wilson_path":
         ["cycle-map-check", str(DATA / "connections" / "torus_wilson_path.json"),
          str(DATA / "charts" / "csaszar_flat.json")],
+    "cycle_map_check_torus_wilson_path_steps7":
+        ["cycle-map-check", str(DATA / "connections" / "torus_wilson_path.json"),
+         str(DATA / "charts" / "csaszar_flat.json"), "--steps", "7"],
+    # a rank-1 path whose curvature is not structurally zero, with nonzero
+    # monopole numbers at both ends
+    "cycle_map_check_flux_path":
+        ["cycle-map-check", FLUX_PATH,
+         str(DATA / "charts" / "csaszar_flat.json")],
+    "cycle_map_check_flux_path_steps7":
+        ["cycle-map-check", FLUX_PATH,
+         str(DATA / "charts" / "csaszar_flat.json"), "--steps", "7"],
+    "ch_flux_path": ["ch", FLUX_PATH],
     "ch_torus_wilson_path":
         ["ch", str(DATA / "connections" / "torus_wilson_path.json")],
     "ch_rotation_plane":

@@ -1,7 +1,9 @@
 import json
+import math
 import random
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from cellcoh import bundles as bd
 from cellcoh import cells as cl
 from cellcoh import diffcoh as dc
 from cellcoh import lattice as lt
+from cellcoh import linalg as la
 from cellcoh.linalg import is_zero, mv, zeros
 
 
@@ -243,6 +246,73 @@ def test_nearest_rational():
     assert x.denominator <= 100
 
 
+def test_nearest_rational_matches_limit_denominator():
+    rng = random.Random(35)
+    xs = [rng.uniform(-3, 3) for _ in range(6000)]
+    xs += [rng.uniform(-1, 1) * 10.0 ** rng.randint(-320, 300)
+           for _ in range(4000)]
+    xs += [0.0, -0.0, 1.0, -7.0, 2.0 ** 80, -(2.0 ** 80), 1e300, 5e-324,
+           -5e-324, 2.2250738585072014e-308, 1e-7, 0.5 - 2 ** -54,
+           1 / 3, -2 / 3, 3.141592653589793]
+    max_dens = [1, 2, 3, 7, 100, 10 ** 6 - 1, 10 ** 6, 10 ** 6 + 1]
+    # denominators at the boundary of max_den
+    xs += [1 / q for q in (10 ** 6 - 1, 10 ** 6, 10 ** 6 + 1)]
+    xs += [355 / 113 + k * 2 ** -40 for k in range(-3, 4)]
+    for i, x in enumerate(xs):
+        m = max_dens[i % len(max_dens)]
+        assert lt.nearest_rational(x, m) == Fraction(x).limit_denominator(m)
+        assert lt.nearest_rational(x) == Fraction(x).limit_denominator(10 ** 6)
+    # exact ties: k + 1 / (2 m) for m = 2^j lies halfway between its two
+    # nearest fractions k and k + 1 / m of denominator at most m
+    for j in range(21):
+        m = 2 ** j
+        for k in range(-3, 3):
+            for x in (Fraction(2 * k * m + 1, 2 * m),
+                      Fraction(2 * (k + 1) * m - 1, 2 * m)):
+                below = Fraction(math.floor(x * m), m)
+                above = below + Fraction(1, m)
+                assert float(x) == x and x - below == above - x
+                assert lt.nearest_rational(float(x), m) == \
+                    x.limit_denominator(m)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(type(_raised(lambda: Fraction(bad)))):
+            lt.nearest_rational(bad)
+    with pytest.raises(ValueError):
+        lt.nearest_rational(0.5, 0)
+
+
+def _raised(f):
+    try:
+        f()
+    except Exception as e:
+        return e
+    raise AssertionError("no exception")
+
+
+def test_edge_cochain_numerators_match_fraction_rounding(monkeypatch):
+    # the integrals _edge_cochain rounds, made Fractions by
+    # limit_denominator and then numerators by to_numerators
+    chart, rounded = flat_chart(), []
+    seen = lt._rounded
+    monkeypatch.setattr(lt, "_rounded", lambda x, m: (
+        rounded.append(x) or seen(x, m)))
+    rng = np.random.default_rng(35)
+    forms = [lambda pt: (pt["s"] * 0, pt["t"] * 0),
+             lambda pt: (pt["s"] * 0 + 0.25, pt["t"] * 0 - 3),
+             lambda pt: (pt["s"] * pt["t"] / 3, 2 * pt["s"] / 7),
+             lambda pt: tuple(rng.standard_normal((2,) + pt["s"].shape)
+                              * 10.0 ** rng.integers(-300, 300))]
+    for one_form in forms:
+        rounded.clear()
+        n, den = lt._edge_cochain(chart, one_form, 7)
+        want = la.to_numerators(np.array(
+            [Fraction(x).limit_denominator(10 ** 6) for x in rounded],
+            dtype=object))
+        assert len(rounded) == chart.complex.n_cells(1)
+        assert den == want[1] and n.tolist() == want[0].tolist()
+        assert all(type(x) is int for x in n.tolist())
+
+
 def test_bundle_json():
     K = cl.bundled_complex("octahedron")
     obj = {"complex": "octahedron",
@@ -293,6 +363,59 @@ def test_cycle_map_check_computes_the_curvature_once(monkeypatch):
     assert lt.cycle_map_homotopy_check(path, chart)["passed"]
     assert calls == [path]
     assert bd.curvature(path) is bd.curvature(path)
+
+
+FLUX_PATH = str(Path(__file__).parent / "fixtures" / "connection_flux_path.json")
+
+
+def _discretized_by_curvature(conn, chart, u_value, steps):
+    """(n, an, den) with the face flux integrated from the curvature
+    dA + A wedge A, whatever its symbolic form."""
+    K = chart.complex
+    an, den = lt._edge_cochain(chart, lambda pt: tuple(
+        conn.evaluate_at(c, {**pt, "u": float(u_value)})[..., 0, 0].real
+        for c in chart.coords), steps)
+    si, ti = (conn.coords.index(c) for c in chart.coords)
+    comp = bd.curvature(conn).comps.get((min(si, ti), max(si, ti)))
+
+    def f_eval(pt):
+        if comp is None:
+            return 0.0
+        v = comp[0][0].eval({**pt, "u": float(u_value)})
+        return v.real if si < ti else -v.real
+
+    flux = lt._face_integrals(chart, f_eval, steps)
+    da = mv(K.boundary_matrix(2).T, an)
+    n = [int(round(f - d / den)) for f, d in zip(flux, da)]
+    return n, an.tolist(), den
+
+
+@pytest.mark.parametrize("path", ["wilson", "flux"])
+def test_discretization_matches_quadrature_of_the_curvature(path,
+                                                            monkeypatch):
+    # the flux of a rank-1 connection is read off dA; where dA is
+    # structurally zero (the Wilson path, whose A wedge A is the symbolic
+    # u/3 2u/7 - 2u/7 u/3) no face is integrated
+    conn = bd.SmoothConnection.load(
+        data("connections/torus_wilson_path.json") if path == "wilson"
+        else FLUX_PATH)
+    chart = flat_chart()
+    assert bd.curvature(conn).comps.get((1, 2)) is not None
+    assert (conn.dA.comps.get((1, 2)) is None) == (path == "wilson")
+    cases = [(u, steps) for u in (0, 1, Fraction(1, 2), Fraction(1, 3))
+             for steps in (24, 7, 1)]
+    want = [_discretized_by_curvature(conn, chart, u, steps)
+            for u, steps in cases]
+    calls = []
+    integrate = lt._face_integrals
+    monkeypatch.setattr(lt, "_face_integrals", lambda *args: (
+        calls.append(args) or integrate(*args)))
+    for (u, steps), (n, an, den) in zip(cases, want):
+        L = lt.discretize_connection(conn, chart, u, steps=steps)
+        assert (L.n.tolist(), L.an.tolist(), L.den) == (n, an, den)
+    assert len(calls) == (0 if path == "wilson" else len(cases))
+    if path == "flux":
+        assert any(n for n, _, _ in want)
 
 
 def _nearest(p, q, periods):

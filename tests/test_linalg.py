@@ -197,11 +197,25 @@ def integer_matrices(draw):
 @PROPERTY
 # starts on int64 and moves to big integers in the middle of the reduction
 @example(np.array([[2 ** 40, 1], [1, 2 ** 40]], dtype=object))
+# transforms with entries at and around the int64 storage bound
+@example(np.array([[1, 2 ** 31 - 1], [0, 1]], dtype=object))
+@example(np.array([[1, 2 ** 31], [0, 1]], dtype=object))
+@example(np.array([[1, 2 ** 63], [0, 1]], dtype=object))
+@example(la.zeros(0, 0))
+@example(la.zeros(0, 3))
+@example(la.zeros(3, 0))
 @given(integer_matrices())
 def test_smith_form_invariants(A):
     # products in plain object arithmetic, independent of linalg.mm
     snf = la.smith_normal_form(A)
     m, n = A.shape
+    # each matrix is stored as int_storage stores it, with its bound
+    for M in (snf.U, snf.D, snf.V, snf.Uinv, snf.Vinv):
+        assert not M.flags.writeable
+        ref = la.int_storage(M.astype(object))
+        assert M.dtype == ref.dtype and (M == ref).all()
+        if M.dtype == np.int64:
+            assert la._recorded_bound(M) == la._amax(M)
     D = snf.U @ A @ snf.V
     assert (D == snf.D).all()
     assert all(D[i, j] == 0 for i in range(m) for j in range(n) if i != j)
@@ -819,11 +833,29 @@ def test_batch_solves_match_single_column_solves():
                                    axis=1), list(u) + list(v), b)
 
 
+def test_a_solver_stores_the_smith_form_matrices_it_reads():
+    # U and V are stored with the form; D, U^-1 and V^-1 only on first
+    # read, once
+    rng = random.Random(35)
+    for _ in range(20):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        A = rand_int_matrix(rng, m, n).reshape(m, n)
+        solver = la.IntSolver(A)
+        B = la.mm(A, rand_int_matrix(rng, n, 3).reshape(n, 3))
+        assert solver.solve_many(B)[1].all()
+        solver.kernel_basis()
+        snf = solver.snf
+        assert not {"D", "Uinv", "Vinv"} & vars(snf).keys()
+        for name in ("D", "Uinv", "Vinv"):
+            M = getattr(snf, name)
+            assert getattr(snf, name) is M and name in vars(snf)
+
+
 def test_solvable_is_the_verdict_of_the_solve_without_the_solution(
         monkeypatch):
-    # IntSolver.solvable gives the ok of solve_many and RatSolver.solvable
-    # that of solve_numerators, and neither multiplies by V: the solution
-    # is never built
+    # IntSolver.solvable gives the ok of solve_many, and RatSolver.solvable
+    # and MixedSolver.solvable that of solve_numerators, and none multiplies
+    # by V: the solution is never built
     rng = random.Random(34)
     product = la._int_product
     operands, verdicts = [], set()
@@ -845,16 +877,22 @@ def test_solvable_is_the_verdict_of_the_solve_without_the_solution(
                                  dtype=object)
             columns.append(b)
         B = np.stack(columns, axis=1)
+        N, L = la.to_numerators(B)
         rat = la.RatSolver(A)
-        solvers = [(rat, rat.solve_numerators(*la.to_numerators(B))[-1])]
+        mixed = la.MixedSolver(rat)
+        solvers = [(rat.int, lambda: rat.solvable(B),
+                    rat.solve_numerators(N, L)[-1]),
+                   (rat.int, lambda: mixed.solvable(N, L),
+                    mixed.solve_numerators(N, L)[-1])]
         if not rational:
             solver = la.IntSolver(A)
-            solvers.append((solver, solver.solve_many(B)[1]))
-        for solver, ok in solvers:
+            solvers.append((solver, lambda: solver.solvable(B),
+                            solver.solve_many(B)[1]))
+        for solver, solvable, ok in solvers:
             operands.clear()
-            assert solver.solvable(B).tolist() == ok.tolist()
-            V = (solver.int if solver is rat else solver).snf.V
-            assert not any(np.shares_memory(a, V) for a in operands)
+            assert solvable().tolist() == ok.tolist()
+            assert not any(np.shares_memory(a, solver.snf.V)
+                           for a in operands)
             verdicts.update(ok.tolist())
     assert verdicts == {True, False}
 
